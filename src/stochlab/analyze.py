@@ -16,6 +16,10 @@ import numpy as np
 from .integrate import (
     ModelSpec,
     Trajectory,
+    _check_scheme,
+    _em_states,
+    _heun_states,
+    _scheme_states,
     apply_generator,
     default_scheme,
     integrate_path,
@@ -387,6 +391,16 @@ def _coupled_paths(seed: int, n_paths: int, T: float, h0: float, dims: int, leve
     return stacks, times, families
 
 
+def _coupled_terminal(model, scheme, x0, increments, paths):
+    """Terminal states of the coupled paths at one refinement level, given
+    that level's stacked increments and its NoisePath of every path."""
+    x0b = np.broadcast_to(x0, (len(paths),) + x0.shape)
+    noise = increments
+    if model.interpretation == "rode":
+        noise = np.stack([model.eta_builder(p).values for p in paths], axis=1)
+    return _scheme_states(model, scheme, x0b, paths[0].times, noise, record=False)
+
+
 def empirical_convergence_order(
     model: ModelSpec,
     x0,
@@ -406,7 +420,9 @@ def empirical_convergence_order(
     evaluated on each path's finest refinement; 'finest_refinement' compares
     against the same scheme run oracle_gap halvings below the finest measured
     level (the gap keeps the reference error from contaminating the slope).
+    Raises ValueError when scheme does not integrate the model's interpretation.
     """
+    _check_scheme(model, scheme)
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
     if oracle not in ("closed_form", "finest_refinement"):
@@ -418,28 +434,10 @@ def empirical_convergence_order(
     x0 = np.asarray(x0, dtype=float)
     extra = oracle_gap if oracle == "finest_refinement" else 0
     dims = max(model.noise_dim, 1)
-    stacks, times, families = _coupled_paths(seed, n_paths, T, h0, dims, levels + extra)
+    stacks, _, families = _coupled_paths(seed, n_paths, T, h0, dims, levels + extra)
 
     def terminal_at(lev):
-        x0b = np.broadcast_to(x0, (n_paths,) + x0.shape)
-        if model.interpretation == "ode":
-            from .integrate import _rk4_states
-
-            return _rk4_states(model, x0b, times[lev], record=False)
-        if model.interpretation == "rode":
-            from .integrate import _rode_states
-
-            etas = np.stack(
-                [model.eta_builder(fam[lev]).values for fam in families], axis=1
-            )
-            return _rode_states(model, x0b, times[lev], etas, record=False)
-        if model.interpretation == "ito":
-            from .integrate import _em_states
-
-            return _em_states(model, x0b, times[lev], stacks[lev], record=False)
-        from .integrate import _heun_states
-
-        return _heun_states(model, x0b, times[lev], stacks[lev], record=False)
+        return _coupled_terminal(model, scheme, x0, stacks[lev], [f[lev] for f in families])
 
     terminal = [terminal_at(lev) for lev in range(levels)]
     if oracle == "closed_form":
@@ -466,21 +464,18 @@ def functional_drift_decay(
     h0: float = 2.0**-6,
 ) -> OrderEstimate:
     """Decay order of the terminal first-integral drift E|F(x_T) - F(x_0)|
-    under dyadic refinement of coupled paths."""
-    from .integrate import _em_states, _heun_states
-
+    under dyadic refinement of coupled paths.  Raises ValueError when scheme
+    does not integrate the model's interpretation."""
+    _check_scheme(model, scheme)
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
     x0 = np.asarray(x0, dtype=float)
     f0 = float(F.value(x0))
-    stacks, times, _ = _coupled_paths(seed, n_paths, T, h0, model.noise_dim, levels)
+    stacks, _, families = _coupled_paths(seed, n_paths, T, h0, max(model.noise_dim, 1),
+                                         levels)
     drifts = []
     for lev in range(levels):
-        x0b = np.broadcast_to(x0, (n_paths,) + x0.shape)
-        if model.interpretation == "ito":
-            xT = _em_states(model, x0b, times[lev], stacks[lev], record=False)
-        else:
-            xT = _heun_states(model, x0b, times[lev], stacks[lev], record=False)
+        xT = _coupled_terminal(model, scheme, x0, stacks[lev], [f[lev] for f in families])
         drifts.append(float(np.mean(np.abs(np.asarray(F.value(xT)) - f0))))
     hs = h0 / 2.0 ** np.arange(levels)
     slope, half = _fit_order(hs, drifts)
@@ -540,8 +535,6 @@ def conversion_gap_decay(
 ) -> GapDecay:
     """Terminal strong gap between Heun on the Stratonovich model and EM on its
     Ito conversion, on the same coupled dyadic paths, one gap per level."""
-    from .integrate import _em_states, _heun_states
-
     x0 = np.asarray(x0, dtype=float)
     dims = model_strat.noise_dim
     stacks, times, _ = _coupled_paths(seed, n_paths, T, h0, dims, levels)

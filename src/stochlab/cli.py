@@ -244,8 +244,12 @@ def _validate_analysis(kind, opts, model, where):
             raise _fail(f"{where}: unknown oracle {opts['oracle']!r}")
         if opts["oracle"] == "closed_form" and _closed_form(model) is None:
             raise _fail(f"{where}: no closed form known for model {model.name!r}")
-        if opts["scheme"] is not None and opts["scheme"] not in SCHEMES:
-            raise _fail(f"{where}: unknown scheme {opts['scheme']!r}")
+        scheme = opts["scheme"]
+        if scheme is not None and scheme not in SCHEMES:
+            raise _fail(f"{where}: unknown scheme {scheme!r}")
+        if scheme is not None and SCHEMES[scheme] != model.interpretation:
+            raise _fail(f"{where}: scheme {scheme!r} integrates {SCHEMES[scheme]} "
+                        f"models, but {model.name} is {model.interpretation}")
     elif kind == "stability":
         if not (float(opts["delta"]) > float(opts["x0_radius"]) > 0):
             raise _fail(f"{where}: need delta > x0_radius > 0")

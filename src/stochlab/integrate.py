@@ -5,13 +5,16 @@ Provides Euler-Maruyama (Ito), predictor-corrector stochastic Heun
 sampled parameter processes, the Stratonovich-to-Ito drift conversion, the
 infinitesimal generator, and reproducible ensemble execution.
 
-All steppers operate on states with the components on the last axis and
-broadcast over leading batch axes; ensembles integrate whole path batches at
-once.  Per-path arithmetic is elementwise along the batch axis, so results
-are bitwise independent of how paths are grouped into worker chunks.
+All steppers take states with the components on the last axis and broadcast
+over leading batch axes; ensembles integrate whole path batches at once.
+Euler-Maruyama and Heun step through the model's component-form kernel: on
+Python floats for a single path, on per-component batch arrays otherwise.
+Per-path arithmetic is elementwise, so results are bitwise independent of
+how paths are grouped into worker chunks, a chunk of one path included.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -61,6 +64,15 @@ class ModelSpec:
     (n, l) matrix; diffusion_jacobian to the (n, l, n) tensor of
     d sigma[i,k] / d x[j] indexed [i, k, j].  All callables must broadcast
     over leading batch axes of x.
+
+    kernel, optional for ito/stratonovich models, is the component form
+    (t, xs, ws) -> (f, g) that Euler-Maruyama and Heun step on: xs holds
+    the n state components and ws the noise_dim noise components, f the
+    drift components and g those of sigma(t, x) dW.  Each component is a
+    Python float (one path) or a (B,) array (a batch); the kernel must use
+    only +, -, * and constants, so both give bitwise-equal results and
+    inf/nan propagate without exceptions.  Without a kernel one is derived
+    from drift/diffusion (see _matrix_kernel).
     """
 
     n: int
@@ -74,6 +86,7 @@ class ModelSpec:
     eta_builder: Optional[Callable] = None
     name: str = "model"
     params: dict = field(default_factory=dict)
+    kernel: Optional[Callable] = None
 
     def __post_init__(self):
         if self.interpretation not in INTERPRETATIONS:
@@ -83,6 +96,8 @@ class ModelSpec:
                 raise ValueError(f"{self.interpretation} model needs a diffusion field")
         if self.interpretation in ("ode", "rode") and self.diffusion is not None:
             raise ValueError(f"{self.interpretation} model must not carry a state diffusion")
+        if self.kernel is not None and self.diffusion is None:
+            raise ValueError("a kernel needs a model with a state diffusion")
 
 
 def validate_model(model: ModelSpec, x=None, t: float = 0.0, eta=None) -> None:
@@ -107,6 +122,12 @@ def validate_model(model: ModelSpec, x=None, t: float = 0.0, eta=None) -> None:
         expect = (model.n, model.noise_dim, model.n)
         if jac.shape != expect:
             raise ValueError(f"diffusion_jacobian shape {jac.shape}, expected {expect}")
+    if model.kernel is not None:
+        xs = [x[..., i] for i in range(model.n)]
+        f, g = model.kernel(t, xs, [1.0] * model.noise_dim)
+        if len(f) != model.n or len(g) != model.n:
+            raise ValueError(f"kernel returned {len(f)} drift and {len(g)} noise "
+                             f"components, expected {model.n}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +212,7 @@ def _check_finite(x, k, t, times, states):
 
 
 def _run_steps(step, times, x0, record=True):
-    """Drive a per-step update callable and collect states."""
+    """Drive a per-step update callable on (..., n) states and collect them."""
     x = np.asarray(x0, dtype=float).copy()
     n_steps = len(times) - 1
     states = np.empty((n_steps + 1,) + x.shape) if record else None
@@ -201,10 +222,80 @@ def _run_steps(step, times, x0, record=True):
         t = times[k]
         h = times[k + 1] - times[k]
         x = step(k, t, h, x)
-        _check_finite(x, k, t, times, states[: k + 2] if record else None)
         if record:
             states[k + 1] = x
+        _check_finite(x, k, t, times, states[: k + 2] if record else None)
     return states if record else x
+
+
+def _matrix_kernel(model):
+    """Kernel of a model given only in matrix form: stack the components,
+    evaluate drift and sigma dW, and split the results again."""
+    f, sig, n = model.drift, model.diffusion, model.n
+
+    def kernel(t, xs, ws):
+        x = np.stack(xs, axis=-1)
+        fx = f(t, x)
+        gx = _matvec(sig(t, x), np.stack(ws, axis=-1))
+        return [fx[..., i] for i in range(n)], [gx[..., i] for i in range(n)]
+
+    return kernel
+
+
+def _kernel_states(model, advance, times, x0, increments, record=True):
+    """Drive advance(kernel, t, h, xs, ws) -> xs over the grid on state components.
+
+    increments has shape (N, ..., l) matching the batch axes of x0, or
+    (N, l) for noise shared by the whole batch.  A single path steps on
+    Python floats, converting one increment row per step; a batch steps on
+    (B,) component arrays.  Returns the states (N+1,) + x0.shape, or the
+    terminal state when record is off.
+    """
+    kernel = model.kernel or _matrix_kernel(model)
+    x0 = np.asarray(x0, dtype=float)
+    n, l = x0.shape[-1], increments.shape[-1]
+    n_steps = len(times) - 1
+    tl = np.asarray(times, dtype=float).tolist()
+    states = np.empty((n_steps + 1,) + x0.shape) if record else None
+    if record:
+        states[0] = x0
+    if x0.size == n and increments.size == n_steps * l:
+        rows = states.reshape(n_steps + 1, n) if record else None
+        incs = increments.reshape(n_steps, l)
+        xs = x0.reshape(n).tolist()
+        for k in range(n_steps):
+            t = tl[k]
+            xs = advance(kernel, t, tl[k + 1] - t, xs, incs[k].tolist())
+            if record:
+                rows[k + 1] = xs
+            if not all(map(math.isfinite, xs)):
+                _check_finite(np.reshape(xs, x0.shape), k, t, times,
+                              states[: k + 2] if record else None)
+        return states if record else np.reshape(xs, x0.shape)
+    last = x0.copy()
+    xs = [x0[..., i] for i in range(n)]
+    for k in range(n_steps):
+        t = tl[k]
+        inc = increments[k]
+        xs = advance(kernel, t, tl[k + 1] - t, xs, [inc[..., j] for j in range(l)])
+        row = states[k + 1] if record else last
+        for i, c in enumerate(xs):
+            row[..., i] = c
+        _check_finite(row, k, t, times, states[: k + 2] if record else None)
+    return states if record else last
+
+
+def _em_advance(kernel, t, h, xs, ws):
+    f, g = kernel(t, xs, ws)
+    return [x + a * h + b for x, a, b in zip(xs, f, g)]
+
+
+def _heun_advance(kernel, t, h, xs, ws):
+    f0, g0 = kernel(t, xs, ws)
+    xp = [x + a * h + b for x, a, b in zip(xs, f0, g0)]
+    f1, g1 = kernel(t + h, xp, ws)
+    hh = 0.5 * h
+    return [x + hh * (a + c) + 0.5 * (b + d) for x, a, b, c, d in zip(xs, f0, g0, f1, g1)]
 
 
 def euler_maruyama(model: ModelSpec, x0, path: NoisePath) -> Trajectory:
@@ -217,12 +308,7 @@ def euler_maruyama(model: ModelSpec, x0, path: NoisePath) -> Trajectory:
 
 
 def _em_states(model, x0, times, increments, record=True):
-    f, sig = model.drift, model.diffusion
-
-    def step(k, t, h, x):
-        return x + f(t, x) * h + _matvec(sig(t, x), increments[k])
-
-    return _run_steps(step, times, x0, record)
+    return _kernel_states(model, _em_advance, times, x0, increments, record)
 
 
 def heun_strat(model: ModelSpec, x0, path: NoisePath) -> Trajectory:
@@ -240,16 +326,7 @@ def heun_strat(model: ModelSpec, x0, path: NoisePath) -> Trajectory:
 
 
 def _heun_states(model, x0, times, increments, record=True):
-    f, sig = model.drift, model.diffusion
-
-    def step(k, t, h, x):
-        dw = increments[k]
-        fx = f(t, x)
-        sx = sig(t, x)
-        xp = x + fx * h + _matvec(sx, dw)
-        return x + 0.5 * h * (fx + f(t + h, xp)) + 0.5 * _matvec(sx + sig(t + h, xp), dw)
-
-    return _run_steps(step, times, x0, record)
+    return _kernel_states(model, _heun_advance, times, x0, increments, record)
 
 
 def rk4(model: ModelSpec, x0, grid) -> Trajectory:
@@ -376,6 +453,31 @@ def default_scheme(model: ModelSpec) -> str:
     raise ValueError(f"no scheme for interpretation {model.interpretation!r}")
 
 
+def _check_scheme(model: ModelSpec, scheme: str) -> None:
+    """Raise ValueError unless scheme is known and integrates the model's interpretation."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; known: {sorted(SCHEMES)}")
+    if SCHEMES[scheme] != model.interpretation:
+        raise ValueError(
+            f"scheme {scheme!r} integrates {SCHEMES[scheme]} models, "
+            f"not {model.interpretation}"
+        )
+
+
+def _scheme_states(model, scheme, x0, times, noise, record=True):
+    """Integrate a batch under a checked scheme; noise is the (N, ..., l)
+    increment stack of a stochastic scheme, the (N+1, ...) eta values of a
+    RODE scheme, and unused by rk4."""
+    if scheme == "euler_maruyama":
+        return _em_states(model, x0, times, noise, record)
+    if scheme == "heun":
+        return _heun_states(model, x0, times, noise, record)
+    if scheme == "rk4":
+        return _rk4_states(model, x0, times, record)
+    return _rode_states(model, x0, times, noise, euler=(scheme == "rode_euler"),
+                        record=record)
+
+
 def run_ensemble(
     model: ModelSpec,
     x0,
@@ -397,19 +499,16 @@ def run_ensemble(
     seed, functionals, T, h) and independent of the thread count.
 
     Returns EnsembleStats, or (EnsembleStats, states) with states of shape
-    (n_paths, N+1, n) when return_states is set.
+    (n_paths, N+1, n) when return_states is set.  A non-finite state raises
+    IntegrationError for the earliest failing step, lowest global path index
+    at that step, carrying that path's states up to the failure.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; known: {sorted(SCHEMES)}")
-    if SCHEMES[scheme] != model.interpretation:
-        raise ValueError(
-            f"scheme {scheme!r} integrates {SCHEMES[scheme]} models, "
-            f"not {model.interpretation}"
-        )
+    _check_scheme(model, scheme)
     n_steps = _grid_steps(T, h)
     times = np.arange(n_steps + 1) * h
+    errstate = np.geterr()  # worker threads would start from numpy's defaults
 
     def initial(k: int):
         if callable(x0):
@@ -418,34 +517,32 @@ def run_ensemble(
 
     def run_chunk(indices):
         x0b = np.stack([initial(k) for k in indices])
-        if model.interpretation == "ode":
-            return _rk4_states(model, x0b, times)
+        noise = None
         if model.interpretation == "rode":
-            etas = np.stack(
+            noise = np.stack(
                 [_path_eta(model, seed, k, n_steps, h, times) for k in indices], axis=1
             )
-            return _rode_states(model, x0b, times, etas)
-        incs = np.empty((n_steps, len(indices), model.noise_dim))
-        for j, k in enumerate(indices):
-            rng = stream(seed, DOMAIN_ENSEMBLE, k)
-            incs[:, j, :] = rng.normal(0.0, np.sqrt(h), size=(n_steps, model.noise_dim))
-        if model.interpretation == "ito":
-            return _em_states(model, x0b, times, incs)
-        return _heun_states(model, x0b, times, incs)
+        elif model.interpretation != "ode":
+            noise = np.empty((n_steps, len(indices), model.noise_dim))
+            for j, k in enumerate(indices):
+                rng = stream(seed, DOMAIN_ENSEMBLE, k)
+                noise[:, j, :] = rng.normal(0.0, np.sqrt(h), size=(n_steps, model.noise_dim))
+        try:
+            with np.errstate(**errstate):
+                return _scheme_states(model, scheme, x0b, times, noise)
+        except IntegrationError as err:
+            return _ensemble_abort(err, int(indices[0]))
 
     chunks = np.array_split(np.arange(n_paths), max(1, min(threads, n_paths)))
     chunks = [c for c in chunks if len(c)]
-    try:
-        if len(chunks) == 1:
-            results = [run_chunk(chunks[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                results = list(pool.map(run_chunk, chunks))
-    except IntegrationError as err:
-        raise IntegrationError(
-            f"ensemble path aborted: {err}", step=err.step, time=err.time,
-            path_index=err.path_index,
-        ) from err
+    if len(chunks) == 1:
+        results = [run_chunk(chunks[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            results = list(pool.map(run_chunk, chunks))
+    aborts = [r for r in results if isinstance(r, IntegrationError)]
+    if aborts:
+        raise min(aborts, key=lambda err: (err.step, err.path_index))
     states = np.concatenate(results, axis=1)  # (N+1, n_paths, n)
 
     names = tuple(f.name for f in functionals)
@@ -462,6 +559,18 @@ def run_ensemble(
     if return_states:
         return stats, np.swapaxes(states, 0, 1)
     return stats
+
+
+def _ensemble_abort(err, first):
+    """A chunk's abort restated with the global path index and that path's states."""
+    j = err.path_index
+    return IntegrationError(
+        f"ensemble path aborted: non-finite state at step {err.step} "
+        f"(t={err.time:g}), path index {first + j}",
+        step=err.step, time=err.time, times=err.times,
+        states=None if err.states is None else err.states[:, j],
+        path_index=first + j,
+    )
 
 
 def _path_eta(model, seed, k, n_steps, h, times):

@@ -1,10 +1,13 @@
 """Model catalog: named builders for the Larmor / Landau-Lifshitz family,
 the Kubo oscillator, the scalar linear SDE and the isochronous oscillators.
 
-Every builder returns a validated ModelSpec whose drift/diffusion closures
-broadcast over leading batch axes, with analytic diffusion Jacobians for all
-Stratonovich entries so the Wong-Zakai conversion never falls back to
-differencing.
+Every builder returns a validated ModelSpec.  Drift terms are written once,
+in component form (functions of the state components xs, see
+ModelSpec.kernel); the array drift, the drift terms and the kernel's drift
+are derived from them.  Stochastic entries also give the noise action
+sigma(t, x) dW in component form, next to the sigma matrix and the analytic
+diffusion Jacobian that the checkers and the Wong-Zakai conversion use, so
+that conversion never falls back to differencing.
 """
 from __future__ import annotations
 
@@ -82,10 +85,11 @@ def build_model(entry, **overrides) -> ModelSpec:
 
 
 def _field_vector(b, who):
+    """The effective field as a tuple of three floats (component constants)."""
     b = np.asarray(b, dtype=float).reshape(3)
     if np.all(b == 0.0):
         raise ValueError(f"{who}: effective field b must be nonzero")
-    return b
+    return tuple(b.tolist())
 
 
 def _check_nonneg(who, **vals):
@@ -94,10 +98,87 @@ def _check_nonneg(who, **vals):
             raise ValueError(f"{who}: {key} must be >= 0, got {v}")
 
 
-def _ll_drift(x, b, alpha):
-    """-x ^ b - alpha x ^ (x ^ b); b may carry batch axes (RODE fields)."""
-    xb = cross(x, b)
-    return -xb - alpha * cross(x, xb)
+def _cross_c(u, v):
+    """u ^ v on component sequences, in the operation order of vecalg.cross."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+
+
+def _ll_c(x, v, alpha):
+    """-x ^ v - alpha x ^ (x ^ v) by components: the Landau-Lifshitz drift for
+    v = b, and sigma_etore(x) v, i.e. the noise action, for v = dW."""
+    c0, c1, c2 = _cross_c(x, v)
+    d0, d1, d2 = _cross_c(x, (c0, c1, c2))
+    return (-c0 - alpha * d0, -c1 - alpha * d1, -c2 - alpha * d2)
+
+
+def _scaled(s, v):
+    return (s * v[0], s * v[1], s * v[2])
+
+
+def _stacked(fn):
+    """The (..., n)-array form (t, x, *rest) of a component-form fn(t, xs, *rest)."""
+
+    def field(t, x, *rest):
+        x = np.asarray(x, dtype=float)
+        comps = fn(t, [x[..., i] for i in range(x.shape[-1])], *rest)
+        shape = np.broadcast_shapes(x.shape[:-1], *(np.shape(c) for c in comps))
+        out = np.empty(shape + (len(comps),))
+        for i, c in enumerate(comps):
+            out[..., i] = c
+        return out
+
+    return field
+
+
+def _summed(fns):
+    """Componentwise sum of component-form terms."""
+    first, rest = fns[0], fns[1:]
+    if not rest:
+        return first
+
+    def total(t, x, *args):
+        out = first(t, x, *args)
+        for fn in rest:
+            out = [a + b for a, b in zip(out, fn(t, x, *args))]
+        return out
+
+    return total
+
+
+def _spec(n, noise_dim, interpretation, terms, action=None, **fields) -> ModelSpec:
+    """ModelSpec from named component-form drift terms and noise action
+    (t, xs, ws) -> sigma(t, x) dW; array drift, drift terms and kernel derived."""
+    drift_c = _summed([fn for _, fn in terms])
+    kernel = None
+    if action is not None:
+        def kernel(t, xs, ws):
+            return drift_c(t, xs), action(t, xs, ws)
+
+    return ModelSpec(
+        n=n, noise_dim=noise_dim, interpretation=interpretation,
+        drift=_stacked(drift_c),
+        drift_terms=tuple((name, _stacked(fn)) for name, fn in terms),
+        kernel=kernel, **fields,
+    )
+
+
+def _ll_terms(field, alpha):
+    """Precession -x ^ b and damping -alpha x ^ (x ^ b) for b = field(*rest)."""
+
+    def precession(t, x, *rest):
+        c0, c1, c2 = _cross_c(x, field(*rest))
+        return (-c0, -c1, -c2)
+
+    def damping(t, x, *rest):
+        return _scaled(-alpha, _cross_c(x, _cross_c(x, field(*rest))))
+
+    return (("precession", precession), ("damping", damping))
+
+
+def _larmor_terms(b):
+    return (("precession", lambda t, x: _cross_c(x, b)),)
 
 
 def _sigma_etore(x, alpha):
@@ -121,15 +202,7 @@ def _sigma_etore_jac(x, alpha):
 
 def _build_larmor(b):
     b = _field_vector(b, "larmor")
-
-    def drift(t, x):
-        return cross(x, b)
-
-    return ModelSpec(
-        n=3, noise_dim=0, interpretation="ode", drift=drift,
-        drift_terms=(("precession", drift),),
-        name="larmor", params={"b": tuple(b)},
-    )
+    return _spec(3, 0, "ode", _larmor_terms(b), name="larmor", params={"b": b})
 
 
 def _build_larmor_external(b, eps, sigma_mat):
@@ -139,9 +212,11 @@ def _build_larmor_external(b, eps, sigma_mat):
     if np.all(sm == 0.0):
         raise ValueError("larmor_external: sigma_mat must be nonzero")
     jac0 = eps * np.stack([cross_matrix(_EYE3[j]) @ sm for j in range(3)], axis=-1)
+    rows = sm.tolist()
 
-    def drift(t, x):
-        return cross(x, b)
+    def action(t, x, w):
+        v = [r0 * w[0] + r1 * w[1] + r2 * w[2] for r0, r1, r2 in rows]
+        return _scaled(eps, _cross_c(x, v))
 
     def diffusion(t, x):
         return eps * (cross_matrix(x) @ sm)
@@ -150,11 +225,10 @@ def _build_larmor_external(b, eps, sigma_mat):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(jac0, x.shape[:-1] + (3, 3, 3)).copy()
 
-    return ModelSpec(
-        n=3, noise_dim=3, interpretation="stratonovich",
-        drift=drift, diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        drift_terms=(("precession", drift),),
-        name="larmor_external", params={"b": tuple(b), "eps": eps},
+    return _spec(
+        3, 3, "stratonovich", _larmor_terms(b), action,
+        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
+        name="larmor_external", params={"b": b, "eps": eps},
     )
 
 
@@ -164,8 +238,8 @@ def _build_larmor_preserving(b, gamma):
         raise ValueError("larmor_preserving: gamma must be nonzero")
     jac0 = (-gamma * cross_matrix(b))[:, None, :]  # (x ^ b) = -[b]_x x
 
-    def drift(t, x):
-        return cross(x, b)
+    def action(t, x, w):
+        return _scaled(gamma * w[0], _cross_c(x, b))
 
     def diffusion(t, x):
         return gamma * cross(x, b)[..., :, None]
@@ -174,32 +248,18 @@ def _build_larmor_preserving(b, gamma):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(jac0, x.shape[:-1] + (3, 1, 3)).copy()
 
-    return ModelSpec(
-        n=3, noise_dim=1, interpretation="stratonovich",
-        drift=drift, diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        drift_terms=(("precession", drift),),
-        name="larmor_preserving", params={"b": tuple(b), "gamma": gamma},
+    return _spec(
+        3, 1, "stratonovich", _larmor_terms(b), action,
+        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
+        name="larmor_preserving", params={"b": b, "gamma": gamma},
     )
 
 
 def _build_ll(b, alpha):
     b = _field_vector(b, "ll")
     _check_nonneg("ll", alpha=alpha)
-
-    def precession(t, x):
-        return -cross(x, b)
-
-    def damping(t, x):
-        return -alpha * cross(x, cross(x, b))
-
-    def drift(t, x):
-        return _ll_drift(x, b, alpha)
-
-    return ModelSpec(
-        n=3, noise_dim=0, interpretation="ode", drift=drift,
-        drift_terms=(("precession", precession), ("damping", damping)),
-        name="ll", params={"b": tuple(b), "alpha": alpha},
-    )
+    return _spec(3, 0, "ode", _ll_terms(lambda: b, alpha),
+                 name="ll", params={"b": b, "alpha": alpha})
 
 
 def _build_ell(b, alpha, eps, interpretation):
@@ -208,14 +268,8 @@ def _build_ell(b, alpha, eps, interpretation):
     if interpretation not in ("ito", "stratonovich"):
         raise ValueError(f"ell: interpretation must be ito or stratonovich, got {interpretation!r}")
 
-    def precession(t, x):
-        return -cross(x, b)
-
-    def damping(t, x):
-        return -alpha * cross(x, cross(x, b))
-
-    def drift(t, x):
-        return _ll_drift(x, b, alpha)
+    def action(t, x, w):
+        return _scaled(eps, _ll_c(x, w, alpha))
 
     def diffusion(t, x):
         return eps * _sigma_etore(x, alpha)
@@ -223,12 +277,11 @@ def _build_ell(b, alpha, eps, interpretation):
     def diffusion_jacobian(t, x):
         return eps * _sigma_etore_jac(x, alpha)
 
-    return ModelSpec(
-        n=3, noise_dim=3, interpretation=interpretation,
-        drift=drift, diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        drift_terms=(("precession", precession), ("damping", damping)),
+    return _spec(
+        3, 3, interpretation, _ll_terms(lambda: b, alpha), action,
+        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name=f"ell_{interpretation}",
-        params={"b": tuple(b), "alpha": alpha, "eps": eps},
+        params={"b": b, "alpha": alpha, "eps": eps},
     )
 
 
@@ -237,25 +290,33 @@ def _rescale_rate(t, eps, alpha):
     return d, d * t + 1.0
 
 
-def _build_etore_invariantized(b, alpha, eps):
-    b = _field_vector(b, "etore_invariantized")
-    _check_nonneg("etore_invariantized", alpha=alpha, eps=eps)
+def _etore_terms(b, alpha, eps):
+    """Time rescaling and the rescaled Landau-Lifshitz drift of both Etore variants."""
 
     def rescaling(t, x):
         d, den = _rescale_rate(t, eps, alpha)
-        return (-0.5 * d / den) * x
+        return _scaled(-0.5 * d / den, x)
 
     def ll_part(t, x):
-        _, den = _rescale_rate(t, eps, alpha)
-        return _ll_drift(x, b, alpha) / math.sqrt(den)
+        s = math.sqrt(_rescale_rate(t, eps, alpha)[1])
+        l0, l1, l2 = _ll_c(x, b, alpha)
+        return (l0 / s, l1 / s, l2 / s)
 
-    def drift(t, x):
-        return rescaling(t, x) + ll_part(t, x)
+    return (("rescaling", rescaling), ("landau-lifshitz", ll_part))
+
+
+def _build_etore_invariantized(b, alpha, eps):
+    b = _field_vector(b, "etore_invariantized")
+    _check_nonneg("etore_invariantized", alpha=alpha, eps=eps)
 
     # The noise keeps the eps amplitude of the unrescaled equation: the rate
     # 2 eps^2 (alpha^2+1) in the rescaling is tuned to cancel exactly the
     # norm drift tr(eps^2 sigma sigma^T) = 2 eps^2 (alpha^2+1) on the sphere,
     # so L ||x||^2 = 0 there and the flow stays on S^2 almost surely.
+    def action(t, x, w):
+        s = math.sqrt(_rescale_rate(t, eps, alpha)[1])
+        return _scaled(eps / s, _ll_c(x, w, alpha))
+
     def diffusion(t, x):
         _, den = _rescale_rate(t, eps, alpha)
         return eps * _sigma_etore(x, alpha) / math.sqrt(den)
@@ -264,12 +325,11 @@ def _build_etore_invariantized(b, alpha, eps):
         _, den = _rescale_rate(t, eps, alpha)
         return eps * _sigma_etore_jac(x, alpha) / math.sqrt(den)
 
-    return ModelSpec(
-        n=3, noise_dim=3, interpretation="ito",
-        drift=drift, diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        drift_terms=(("rescaling", rescaling), ("landau-lifshitz", ll_part)),
+    return _spec(
+        3, 3, "ito", _etore_terms(b, alpha, eps), action,
+        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name="etore_invariantized",
-        params={"b": tuple(b), "alpha": alpha, "eps": eps},
+        params={"b": b, "alpha": alpha, "eps": eps},
     )
 
 
@@ -277,19 +337,12 @@ def _build_modified_etore(b, alpha, eps):
     b = _field_vector(b, "modified_etore")
     _check_nonneg("modified_etore", alpha=alpha, eps=eps)
 
-    def rescaling(t, x):
-        d, den = _rescale_rate(t, eps, alpha)
-        return (-0.5 * d / den) * x
-
-    def ll_part(t, x):
-        _, den = _rescale_rate(t, eps, alpha)
-        return _ll_drift(x, b, alpha) / math.sqrt(den)
-
-    def drift(t, x):
-        return rescaling(t, x) + ll_part(t, x)
+    # single noise channel eps sigma(t, x) b with a 1-dim Brownian motion
+    def action(t, x, w):
+        s = math.sqrt(_rescale_rate(t, eps, alpha)[1])
+        return _scaled(eps / s * w[0], _ll_c(x, b, alpha))
 
     def diffusion(t, x):
-        # single noise channel eps sigma(t, x) b with a 1-dim Brownian motion
         _, den = _rescale_rate(t, eps, alpha)
         col = np.einsum("...ik,k->...i", _sigma_etore(x, alpha), b)
         return eps * col[..., :, None] / math.sqrt(den)
@@ -299,12 +352,11 @@ def _build_modified_etore(b, alpha, eps):
         jac = np.einsum("...ikj,k->...ij", _sigma_etore_jac(x, alpha), b)
         return eps * jac[..., :, None, :] / math.sqrt(den)
 
-    return ModelSpec(
-        n=3, noise_dim=1, interpretation="ito",
-        drift=drift, diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        drift_terms=(("rescaling", rescaling), ("landau-lifshitz", ll_part)),
+    return _spec(
+        3, 1, "ito", _etore_terms(b, alpha, eps), action,
+        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name="modified_etore",
-        params={"b": tuple(b), "alpha": alpha, "eps": eps},
+        params={"b": b, "alpha": alpha, "eps": eps},
     )
 
 
@@ -315,34 +367,28 @@ def _build_rode_ll(b, alpha, scalar_eta, t_min):
     if scalar_eta:
         # equilibrium-preserving subfamily b_t = b0 eta_t with scalar eta
         def effective_field(eta):
-            return np.asarray(eta, dtype=float)[..., None] * b
+            return _scaled(eta, b)
     else:
         def effective_field(eta):
-            return np.asarray(eta, dtype=float)
-
-    def precession(t, x, eta):
-        return -cross(x, effective_field(eta))
-
-    def damping(t, x, eta):
-        return -alpha * cross(x, cross(x, effective_field(eta)))
-
-    def drift(t, x, eta):
-        return _ll_drift(x, effective_field(eta), alpha)
+            eta = np.asarray(eta, dtype=float)
+            return (eta[..., 0], eta[..., 1], eta[..., 2])
 
     eta_builder = partial(iterated_log_eta, t_min=t_min) if scalar_eta else None
-    return ModelSpec(
-        n=3, noise_dim=0, interpretation="rode", drift=drift,
-        drift_terms=(("precession", precession), ("damping", damping)),
+    return _spec(
+        3, 0, "rode", _ll_terms(effective_field, alpha),
         eta_dim=1 if scalar_eta else 3,
         eta_builder=eta_builder,
         name="rode_ll",
-        params={"b": tuple(b), "alpha": alpha, "scalar_eta": scalar_eta, "t_min": t_min},
+        params={"b": b, "alpha": alpha, "scalar_eta": scalar_eta, "t_min": t_min},
     )
 
 
 def _build_kubo(a, sigma):
-    def drift(t, x):
-        return np.stack([-a * x[..., 1], a * x[..., 0]], axis=-1)
+    def rotation(t, x):
+        return (-a * x[1], a * x[0])
+
+    def action(t, x, w):
+        return (-sigma * x[1] * w[0], sigma * x[0] * w[0])
 
     def diffusion(t, x):
         col = np.stack([-sigma * x[..., 1], sigma * x[..., 0]], axis=-1)
@@ -354,10 +400,9 @@ def _build_kubo(a, sigma):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(jac0, x.shape[:-1] + (2, 1, 2)).copy()
 
-    return ModelSpec(
-        n=2, noise_dim=1, interpretation="stratonovich",
-        drift=drift, diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        drift_terms=(("rotation", drift),),
+    return _spec(
+        2, 1, "stratonovich", (("rotation", rotation),), action,
+        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name="kubo", params={"a": a, "sigma": sigma},
     )
 
@@ -375,8 +420,11 @@ def kubo_exact(a, sigma, x0, path: NoisePath) -> np.ndarray:
 
 
 def _build_scalar_linear(a, b_scalar):
-    def drift(t, x):
-        return a * x
+    def linear(t, x):
+        return (a * x[0],)
+
+    def action(t, x, w):
+        return (b_scalar * x[0] * w[0],)
 
     def diffusion(t, x):
         x = np.asarray(x, dtype=float)
@@ -386,10 +434,9 @@ def _build_scalar_linear(a, b_scalar):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.array([[[b_scalar]]]), x.shape[:-1] + (1, 1, 1)).copy()
 
-    return ModelSpec(
-        n=1, noise_dim=1, interpretation="ito",
-        drift=drift, diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        drift_terms=(("linear", drift),),
+    return _spec(
+        1, 1, "ito", (("linear", linear),), action,
+        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name="scalar_linear", params={"a": a, "b_scalar": b_scalar},
     )
 
@@ -409,12 +456,15 @@ def _build_isochronous(omega, eps):
     if np.any(amps < 0):
         raise ValueError("isochronous: noise amplitudes must be >= 0")
     # state is (I_1..I_m, theta_1..theta_m); dI = 0, d theta_i = omega_i dt + eps_i o dB
-    rate = np.concatenate([np.zeros(m), omega])
+    rate = tuple(np.concatenate([np.zeros(m), omega]).tolist())
     col = np.concatenate([np.zeros(m), amps])[:, None]
+    still, amp_list = (0.0,) * m, amps.tolist()
 
-    def drift(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(rate, x.shape).copy()
+    def frequency(t, x):
+        return rate
+
+    def action(t, x, w):
+        return still + tuple(amp * w[0] for amp in amp_list)
 
     def diffusion(t, x):
         x = np.asarray(x, dtype=float)
@@ -424,10 +474,9 @@ def _build_isochronous(omega, eps):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (2 * m, 1, 2 * m))
 
-    return ModelSpec(
-        n=2 * m, noise_dim=1, interpretation="stratonovich",
-        drift=drift, diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        drift_terms=(("frequency", drift),),
+    return _spec(
+        2 * m, 1, "stratonovich", (("frequency", frequency),), action,
+        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name="isochronous",
         params={"omega": tuple(omega), "eps": tuple(amps)},
     )

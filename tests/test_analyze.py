@@ -227,6 +227,27 @@ def test_functional_drift_decay_kubo_energy():
     assert est.slope > 0.7
 
 
+def test_convergence_studies_reject_a_scheme_of_another_interpretation():
+    kubo = build_model("kubo")
+    with pytest.raises(ValueError, match="integrates ito models"):
+        empirical_convergence_order(kubo, [1.0, 0.0], "euler_maruyama",
+                                    "finest_refinement", levels=3, n_paths=4, seed=7)
+    with pytest.raises(ValueError, match="integrates ito models"):
+        functional_drift_decay(kubo, [1.0, 0.0], casimir_field(dim=2), "euler_maruyama",
+                               levels=3, n_paths=4, seed=13)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        empirical_convergence_order(kubo, [1.0, 0.0], "leapfrog",
+                                    "finest_refinement", levels=3, n_paths=4, seed=7)
+
+
+def test_convergence_order_honours_rode_euler():
+    model = build_model("rode_ll")
+    kw = dict(oracle="finest_refinement", levels=3, n_paths=8, seed=3, h0=2.0**-4)
+    euler = empirical_convergence_order(model, [0.6, 0.0, 0.8], "rode_euler", **kw)
+    heun = empirical_convergence_order(model, [0.6, 0.0, 0.8], "rode_heun", **kw)
+    assert np.all(euler.errors > 2.0 * heun.errors)
+
+
 def test_conversion_gap_decay_shrinks():
     strat = build_model("kubo")
     ito = strat_to_ito(strat)

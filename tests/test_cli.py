@@ -250,6 +250,9 @@ BAD_CONFIGS = {
         model={"name": "ll"}, scheme=None,
         analyses=[{"kind": "convergence", "oracle": "closed_form",
                    "levels": 3, "n_paths": 8}])),
+    "convergence_scheme_mismatch": ("convergence", base_cfg(
+        analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                   "levels": 3, "n_paths": 8, "scheme": "euler_maruyama"}])),
     "convergence_needs_vector_x0": ("convergence", base_cfg(
         x0="sphere",
         analyses=[{"kind": "convergence", "oracle": "finest_refinement",

@@ -21,7 +21,7 @@ from stochlab.integrate import (
     write_csv,
 )
 from stochlab.models import build_model, kubo_exact, scalar_linear_exact
-from stochlab.noise import constant_eta, sample_brownian
+from stochlab.noise import DOMAIN_ENSEMBLE, NoisePath, constant_eta, sample_brownian, stream
 from stochlab.vecalg import ScalarField, norm_squared_field
 
 
@@ -283,6 +283,48 @@ def test_integration_error_carries_diagnostics():
     assert err.step is not None
     assert err.path_index is not None
     assert "non-finite" in str(err)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("starts,failing", [
+    ({3: np.nan}, 3),                 # non-finite start: aborts at step 0
+    ({3: 1e300, 6: 1e304}, 6),        # both overflow; path 6 does so first
+], ids=["nan_start", "earliest_overflow"])
+def test_ensemble_abort_reports_the_global_path_and_its_states(threads, starts, failing):
+    model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
+
+    def start(k, rng):
+        return np.array([starts.get(k, 1.0)])
+
+    with pytest.raises(IntegrationError) as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        run_ensemble(model, start, "euler_maruyama", 8, 1, (), T=1.0, h=0.01,
+                     threads=threads)
+    err = info.value
+    assert err.path_index == failing
+    assert f"path index {failing}" in str(err)
+    assert err.states.shape == (err.step + 2, 1)
+    assert np.array_equal(err.states[0], [starts[failing]], equal_nan=True)
+    assert not np.isfinite(err.states[-1, 0])
+    assert np.all(np.isfinite(err.states[1:-1]))
+
+
+def test_run_ensemble_honours_rode_euler():
+    model = build_model("rode_ll")
+    x0, seed, h, n_steps = np.array([0.6, 0.0, 0.8]), 9, 0.01, 50
+    kw = dict(T=n_steps * h, h=h, return_states=True)
+    _, heun = run_ensemble(model, x0, "rode_heun", 3, seed, (), **kw)
+    _, euler = run_ensemble(model, x0, "rode_euler", 3, seed, (), **kw)
+    assert not np.allclose(euler, heun, rtol=0.0, atol=1e-6)
+    # hand-rolled Euler on path 1, driven by the eta of its own stream
+    times = np.arange(n_steps + 1) * h
+    incs = stream(seed, DOMAIN_ENSEMBLE, 1).normal(0.0, np.sqrt(h), size=(n_steps, 1))
+    eta = model.eta_builder(NoisePath(times=times, increments=incs, seed=seed, level=0))
+    x, expected = x0, [x0]
+    for k in range(n_steps):
+        x = x + (times[k + 1] - times[k]) * model.drift(times[k], x, eta.values[k])
+        expected.append(x)
+    assert np.array_equal(euler[1], np.array(expected))
 
 
 def test_scheme_table_is_consistent():

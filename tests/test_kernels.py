@@ -1,0 +1,127 @@
+"""Component-form kernels: agreement with the matrix fields, and bitwise
+equality of the one-path float stepping with the batched array stepping."""
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from stochlab.cli import main
+from stochlab.integrate import _em_states, _heun_states, euler_maruyama, heun_strat
+from stochlab.models import build_model
+from stochlab.noise import NoisePath
+
+B3 = (0.2, -1.0, 0.5)
+
+# test id -> (catalog name, parameters); every stochastic catalog model
+STOCHASTIC = {
+    "larmor_external": ("larmor_external", dict(
+        b=B3, eps=0.3, sigma_mat=[[1.0, 0.2, 0.0], [0.0, 0.7, -0.4], [0.3, 0.0, 1.1]])),
+    "larmor_preserving": ("larmor_preserving", dict(b=B3, gamma=0.6)),
+    "ell_ito": ("ell", dict(interpretation="ito", b=B3, alpha=0.7, eps=0.3)),
+    "ell_stratonovich": ("ell", dict(interpretation="stratonovich", b=B3, alpha=0.7, eps=0.3)),
+    "etore_invariantized": ("etore_invariantized", dict(b=B3, alpha=0.7, eps=0.3)),
+    "modified_etore": ("modified_etore", dict(b=B3, alpha=0.7, eps=0.3)),
+    "kubo": ("kubo", dict(a=1.3, sigma=0.5)),
+    "scalar_linear": ("scalar_linear", dict(a=-0.8, b_scalar=0.6)),
+    "isochronous": ("isochronous", dict(omega=(1.0, 2.5), eps=(0.3, 0.1))),
+}
+
+
+def _model(key):
+    name, params = STOCHASTIC[key]
+    return build_model(name, **params)
+
+
+def _components(a):
+    return [a[..., i] for i in range(a.shape[-1])]
+
+
+def _stacked(comps, batch_shape):
+    """Kernel output components (floats, constants or arrays) as one array."""
+    out = np.empty(batch_shape + (len(comps),))
+    for i, c in enumerate(comps):
+        out[..., i] = c
+    return out
+
+
+def _assert_matches(model, t, x, w, f, g):
+    """Kernel output f, g at state x and noise w against drift(t, x) and
+    diffusion(t, x) @ w, to 1e-13 relative to |f| and to |sigma| |w|: the
+    cross-product and the matrix forms of sigma dW round differently."""
+    f, g = _stacked(f, x.shape[:-1]), _stacked(g, x.shape[:-1])
+    drift = model.drift(t, x)
+    sig = model.diffusion(t, x)
+    ref = np.einsum("...il,...l->...i", sig, w)
+    g_scale = np.max(np.abs(sig), axis=(-2, -1)) * np.max(np.abs(w), axis=-1) + 1e-300
+    f_scale = np.max(np.abs(drift), axis=-1) + 1e-300
+    assert np.all(np.max(np.abs(g - ref), axis=-1) <= 1e-13 * g_scale)
+    assert np.all(np.max(np.abs(f - drift), axis=-1) <= 1e-13 * f_scale)
+
+
+def test_every_stochastic_catalog_model_has_a_kernel():
+    names = {name for name, _ in STOCHASTIC.values()}
+    assert names == {"larmor_external", "larmor_preserving", "ell", "etore_invariantized",
+                     "modified_etore", "kubo", "scalar_linear", "isochronous"}
+    for key in STOCHASTIC:
+        assert _model(key).kernel is not None
+
+
+@pytest.mark.parametrize("key", sorted(STOCHASTIC))
+@given(data=st.data())
+def test_kernel_matches_matrix_fields_on_arrays_and_floats(key, data):
+    model = _model(key)
+    x = data.draw(arrays(np.float64, (4, model.n), elements=st.floats(-3.0, 3.0)))
+    w = data.draw(arrays(np.float64, (4, model.noise_dim), elements=st.floats(-1.0, 1.0)))
+    t = data.draw(st.floats(0.0, 5.0))
+    f, g = model.kernel(t, _components(x), _components(w))
+    _assert_matches(model, t, x, w, f, g)
+    for xj, wj in zip(x, w):
+        f, g = model.kernel(t, xj.tolist(), wj.tolist())
+        assert all(type(c) is float for c in list(f) + list(g))
+        _assert_matches(model, t, xj, wj, f, g)
+
+
+def _noise(model, n_steps, batch, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(batch, model.n))
+    incs = rng.normal(0.0, 0.1, size=(n_steps, batch, model.noise_dim))
+    return x0, incs, np.arange(n_steps + 1) * 0.01
+
+
+@pytest.mark.parametrize("key", sorted(STOCHASTIC))
+def test_one_path_alone_equals_the_same_path_in_a_batch(key):
+    model = _model(key)
+    ito = model.interpretation == "ito"
+    batch_states, single = (_em_states, euler_maruyama) if ito else (_heun_states, heun_strat)
+    x0, incs, times = _noise(model, 60, 5, seed=len(key))
+    together = batch_states(model, x0, times, incs)
+    for j in range(5):
+        path = NoisePath(times=times, increments=incs[:, j, :], seed=0, level=0)
+        alone = single(model, x0[j], path).states
+        assert np.array_equal(alone, together[:, j, :])
+    terminal = batch_states(model, x0[2], times, incs[:, 2, :], record=False)
+    assert np.array_equal(terminal, together[-1, 2, :])
+
+
+@pytest.mark.parametrize("interpretation,scheme",
+                         [("stratonovich", "heun"), ("ito", "euler_maruyama")])
+def test_two_path_simulate_is_byte_identical_at_one_and_two_threads(
+        tmp_path, interpretation, scheme):
+    # threads 2 splits the two paths into chunks of one, which step on
+    # Python floats; threads 1 steps both on arrays
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "version": 1, "seed": 3, "T": 0.2, "h": 1e-3, "n_paths": 2, "x0": "sphere",
+        "scheme": scheme, "functionals": ["norm2", "align"],
+        "model": {"name": "ell", "params": {"interpretation": interpretation,
+                                            "eps": 0.5, "alpha": 1.0}},
+    }))
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        outs.append((out / "ensemble.csv").read_bytes())
+    assert outs[0] == outs[1]
