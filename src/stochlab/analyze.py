@@ -568,17 +568,30 @@ def stability_probability(
     n_paths: int,
     seed: int,
     h: float = 1e-2,
+    scheme: str | None = None,
+    threads: int = 1,
 ) -> StabilityEstimate:
-    """Monte Carlo estimate of P(sup_{t<=T} |x_t| > delta) from |x_0| = x0_radius."""
+    """Monte Carlo estimate of P(sup_{t<=T} |x_t| > delta) from |x_0| = x0_radius.
+
+    Each path's sup-norm is a running maximum over the streamed time blocks,
+    so memory does not grow with T.  scheme defaults to default_scheme(model).
+    """
     if not (delta > x0_radius > 0):
         raise ValueError(f"need delta > x0_radius > 0, got delta={delta}, x0={x0_radius}")
     x0 = np.zeros(model.n)
     x0[0] = x0_radius
-    _, states = run_ensemble(
-        model, x0, default_scheme(model), n_paths, seed,
-        functionals=(), T=T, h=h, return_states=True,
+    sup = np.zeros(n_paths)
+
+    def running_sup(k, paths, block):
+        # sqrt is monotone, so the root of the largest squared norm is the
+        # largest np.linalg.norm(block, axis=-1) bit for bit, at one root a path
+        sq = np.add.reduce(block * block, axis=-1).max(axis=0)
+        sup[paths] = np.maximum(sup[paths], np.sqrt(sq))
+
+    run_ensemble(
+        model, x0, scheme or default_scheme(model), n_paths, seed,
+        functionals=(), T=T, h=h, threads=threads, observers=[running_sup],
     )
-    sup = np.max(np.linalg.norm(states, axis=-1), axis=-1)
     n_exceed = int(np.sum(sup > delta))
     p = n_exceed / n_paths
     half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
@@ -602,16 +615,27 @@ def equilibrium_attraction(
     x0,
     seed: int,
     h: float = 1e-3,
+    scheme: str | None = None,
+    threads: int = 1,
 ) -> AttractionEstimate:
-    """Fraction of paths with ||x_T - target|| <= eps; x0 a point or sampler."""
+    """Fraction of paths with ||x_T - target|| <= eps; x0 a point or sampler.
+
+    Only the terminal states are kept.  scheme defaults to
+    default_scheme(model).
+    """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     target = np.asarray(target, dtype=float)
-    _, states = run_ensemble(
-        model, x0, default_scheme(model), n_paths, seed,
-        functionals=(), T=T, h=h, return_states=True,
+    terminal = np.empty((n_paths, model.n))
+
+    def keep_last(k, paths, block):
+        terminal[paths] = block[-1]
+
+    run_ensemble(
+        model, x0, scheme or default_scheme(model), n_paths, seed,
+        functionals=(), T=T, h=h, threads=threads, observers=[keep_last],
     )
-    dist = np.linalg.norm(states[:, -1, :] - target, axis=-1)
+    dist = np.linalg.norm(terminal - target, axis=-1)
     n_good = int(np.sum(dist <= eps))
     frac = n_good / n_paths
     half = 1.96 * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_paths)

@@ -455,6 +455,7 @@ def cmd_stability(cfg, model, out, threads) -> int:
             est = stability_probability(
                 model, float(entry["x0_radius"]), float(entry["delta"]),
                 T=cfg["T"], n_paths=cfg["n_paths"], seed=cfg["seed"], h=cfg["h"],
+                scheme=cfg["scheme"], threads=threads,
             )
             write_csv(dest, "probability,half_width,n_paths,n_exceed",
                       [[est.probability], [est.half_width], [est.n_paths],
@@ -465,7 +466,7 @@ def cmd_stability(cfg, model, out, threads) -> int:
             est = equilibrium_attraction(
                 model, [float(v) for v in entry["target"]], float(entry["eps"]),
                 T=cfg["T"], n_paths=cfg["n_paths"], x0=_initial(cfg, model),
-                seed=cfg["seed"], h=cfg["h"],
+                seed=cfg["seed"], h=cfg["h"], scheme=cfg["scheme"], threads=threads,
             )
             write_csv(dest, "fraction,half_width,n_paths,n_attracted",
                       [[est.fraction], [est.half_width], [est.n_paths],

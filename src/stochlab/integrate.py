@@ -478,6 +478,12 @@ def _scheme_states(model, scheme, x0, times, noise, record=True):
                         record=record)
 
 
+# Noise values one chunk draws per time block: 2**19 float64 values (4 MiB).
+# A run's memory then grows with the block, not with the horizon; blocked
+# normal draws equal one-shot draws bit for bit, so no result depends on it.
+_BLOCK_VALUES = 2**19
+
+
 def run_ensemble(
     model: ModelSpec,
     x0,
@@ -489,6 +495,7 @@ def run_ensemble(
     h: float,
     threads: int = 1,
     return_states: bool = False,
+    observers: Sequence[Callable] = (),
 ):
     """Integrate n_paths independent paths and reduce functional statistics.
 
@@ -497,6 +504,12 @@ def run_ensemble(
     the derived sampler stream.  Each path k uses its own derived noise
     stream, so the output is a pure function of (model, x0, scheme, n_paths,
     seed, functionals, T, h) and independent of the thread count.
+
+    Paths are split into one contiguous chunk per thread, and each chunk is
+    stepped in time blocks.  Every observer observe(k, paths, block) sees
+    each block in time order: the states of the paths in the slice `paths`
+    at grid rows k, k+1, ..., shaped (rows, paths, n), row 0 included.
+    Chunks call observers concurrently, on disjoint path slices.
 
     Returns EnsembleStats, or (EnsembleStats, states) with states of shape
     (n_paths, N+1, n) when return_states is set.  A non-finite state raises
@@ -508,50 +521,56 @@ def run_ensemble(
     _check_scheme(model, scheme)
     n_steps = _grid_steps(T, h)
     times = np.arange(n_steps + 1) * h
+    observers = list(observers)
+    values = np.empty((len(functionals), n_steps + 1, n_paths))
+    if functionals:
+        def gather(k, paths, block):
+            for i, f in enumerate(functionals):
+                values[i, k:k + len(block), paths] = f.value(block)
+        observers.append(gather)
+    if return_states:
+        states = np.empty((n_steps + 1, n_paths, model.n))
+
+        def record(k, paths, block):
+            states[k:k + len(block), paths] = block
+        observers.append(record)
     errstate = np.geterr()  # worker threads would start from numpy's defaults
 
-    def initial(k: int):
-        if callable(x0):
-            return np.asarray(x0(k, stream(seed, DOMAIN_SAMPLER, k)), dtype=float)
-        return np.asarray(x0, dtype=float)
+    def run(paths, observers):
+        with np.errstate(**errstate):
+            return _run_chunk(model, x0, scheme, seed, times, paths, observers)
 
-    def run_chunk(indices):
-        x0b = np.stack([initial(k) for k in indices])
-        noise = None
-        if model.interpretation == "rode":
-            noise = np.stack(
-                [_path_eta(model, seed, k, n_steps, h, times) for k in indices], axis=1
-            )
-        elif model.interpretation != "ode":
-            noise = np.empty((n_steps, len(indices), model.noise_dim))
-            for j, k in enumerate(indices):
-                rng = stream(seed, DOMAIN_ENSEMBLE, k)
-                noise[:, j, :] = rng.normal(0.0, np.sqrt(h), size=(n_steps, model.noise_dim))
-        try:
-            with np.errstate(**errstate):
-                return _scheme_states(model, scheme, x0b, times, noise)
-        except IntegrationError as err:
-            return _ensemble_abort(err, int(indices[0]))
-
-    chunks = np.array_split(np.arange(n_paths), max(1, min(threads, n_paths)))
-    chunks = [c for c in chunks if len(c)]
+    splits = np.array_split(np.arange(n_paths), max(1, min(threads, n_paths)))
+    chunks = [slice(int(c[0]), int(c[-1]) + 1) for c in splits if len(c)]
     if len(chunks) == 1:
-        results = [run_chunk(chunks[0])]
+        aborts = [run(chunks[0], observers)]
     else:
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    aborts = [r for r in results if isinstance(r, IntegrationError)]
+            aborts = list(pool.map(lambda c: run(c, observers), chunks))
+    aborts = [a for a in aborts if a is not None]
     if aborts:
-        raise min(aborts, key=lambda err: (err.step, err.path_index))
-    states = np.concatenate(results, axis=1)  # (N+1, n_paths, n)
+        step, p = min(aborts)
+        if return_states:
+            trace = states[:step + 2, p]
+        else:  # replay the failing path alone; its stream depends on (seed, p) only
+            trace = np.empty((step + 2, 1, model.n))
+
+            def record_failing(k, paths, block):
+                trace[k:k + len(block)] = block
+            run(slice(p, p + 1), [record_failing])
+            trace = trace[:, 0]
+        raise IntegrationError(
+            f"ensemble path aborted: non-finite state at step {step} "
+            f"(t={times[step]:g}), path index {p}",
+            step=step, time=times[step], times=times, states=trace, path_index=p,
+        )
 
     names = tuple(f.name for f in functionals)
     mean = np.empty((len(names), n_steps + 1))
     var = np.empty_like(mean)
-    for i, f in enumerate(functionals):
-        vals = np.asarray(f.value(states))  # (N+1, n_paths)
-        mean[i] = vals.mean(axis=1)
-        var[i] = vals.var(axis=1)
+    for i in range(len(names)):
+        mean[i] = values[i].mean(axis=1)
+        var[i] = values[i].var(axis=1)
     stats = EnsembleStats(
         times=times, functional_names=names, mean=mean, variance=var,
         n_paths=n_paths, seed=int(seed), scheme=scheme, model_name=model.name,
@@ -561,16 +580,47 @@ def run_ensemble(
     return stats
 
 
-def _ensemble_abort(err, first):
-    """A chunk's abort restated with the global path index and that path's states."""
-    j = err.path_index
-    return IntegrationError(
-        f"ensemble path aborted: non-finite state at step {err.step} "
-        f"(t={err.time:g}), path index {first + j}",
-        step=err.step, time=err.time, times=err.times,
-        states=None if err.states is None else err.states[:, j],
-        path_index=first + j,
-    )
+def _run_chunk(model, x0, scheme, seed, times, paths, observers):
+    """Step the paths in the slice `paths` in time blocks of about
+    _BLOCK_VALUES noise values, handing each block to the observers.
+
+    Returns None, or (step, global path index) of the chunk's first
+    non-finite state, after handing the observers the rows up to it.
+    """
+    ks = range(paths.start, paths.stop)
+    n_steps, h = len(times) - 1, times[1]
+    sd = np.sqrt(h)
+    x = np.stack([
+        np.asarray(x0(k, stream(seed, DOMAIN_SAMPLER, k)) if callable(x0) else x0,
+                   dtype=float)
+        for k in ks
+    ])
+    for observe in observers:
+        observe(0, paths, x[None])
+    if model.interpretation == "rode":
+        eta = np.stack([_path_eta(model, seed, k, n_steps, h, times) for k in ks], axis=1)
+    rngs = [stream(seed, DOMAIN_ENSEMBLE, k) for k in ks] \
+        if model.interpretation in ("ito", "stratonovich") else ()
+    block_steps = max(1, _BLOCK_VALUES // (len(ks) * max(model.n, model.noise_dim)))
+    for a in range(0, n_steps, block_steps):
+        b = min(a + block_steps, n_steps)
+        if model.interpretation == "rode":
+            noise = eta[a:b + 1]
+        else:  # rk4 has no streams and ignores its empty noise
+            noise = np.empty((b - a, len(ks), model.noise_dim))
+            for j, rng in enumerate(rngs):
+                noise[:, j, :] = rng.normal(0.0, sd, size=(b - a, model.noise_dim))
+        try:
+            block = _scheme_states(model, scheme, x, times[a:b + 1], noise)
+        except IntegrationError as err:
+            for observe in observers:
+                observe(a + 1, paths, err.states[1:])
+            return a + err.step, paths.start + err.path_index
+        for observe in observers:
+            observe(a + 1, paths, block[1:])
+        x = block[-1].copy()
+        del noise, block  # freed before the next block is drawn
+    return None
 
 
 def _path_eta(model, seed, k, n_steps, h, times):

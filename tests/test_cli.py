@@ -199,6 +199,48 @@ def test_attraction_to_pole(tmp_path, load_csv):
     assert data[0, 0] == 1.0
 
 
+def test_stability_honours_the_config_scheme(tmp_path, load_csv):
+    cfg = {
+        "version": 1, "seed": 3, "model": {"name": "rode_ll"},
+        "T": 5.0, "h": 1e-2, "n_paths": 20, "x0": [0.6, 0.0, 0.8],
+        "analyses": [{"kind": "stability", "x0_radius": 1.0, "delta": 1.001},
+                     {"kind": "attraction", "target": [0.0, 0.0, 1.0], "eps": 1e-3}],
+    }
+    counts = {}
+    for scheme in ("rode_euler", "rode_heun"):
+        out = tmp_path / scheme
+        path = write_cfg(tmp_path, dict(cfg, scheme=scheme), name=f"{scheme}.yaml")
+        assert main(["stability", "--config", path, "--out", str(out)]) == 0
+        counts[scheme] = (load_csv(str(out / "stability.csv"))[2][0, 3],
+                          load_csv(str(out / "attraction.csv"))[2][0, 3])
+    # Euler lengthens every rotated state, so every path leaves the ball
+    assert counts["rode_euler"] == (20, 0)
+    assert counts["rode_heun"] == (1, 8)
+
+
+def test_stability_passes_threads_to_both_estimators(tmp_path, monkeypatch):
+    import stochlab.cli as cli
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            seen.append((fn.__name__, kwargs["threads"]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "stability_probability", spy(cli.stability_probability))
+    monkeypatch.setattr(cli, "equilibrium_attraction", spy(cli.equilibrium_attraction))
+    cfg = write_cfg(tmp_path, {
+        "version": 1, "seed": 4, "T": 1.0, "h": 1e-2, "n_paths": 6, "x0": [0.01],
+        "model": {"name": "scalar_linear", "params": {"a": -1.0, "b_scalar": 1.0}},
+        "analyses": [{"kind": "stability", "x0_radius": 0.01, "delta": 0.5},
+                     {"kind": "attraction", "target": [0.0], "eps": 0.1}],
+    })
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "run"),
+                 "--threads", "3"]) == 0
+    assert seen == [("stability_probability", 3), ("equilibrium_attraction", 3)]
+
+
 def test_integration_abort_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "version": 1, "seed": 1,

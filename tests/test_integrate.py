@@ -1,7 +1,11 @@
 """Integrator, conversion, generator, and ensemble tests."""
+import sys
+
 import numpy as np
 import pytest
 
+from stochlab import integrate
+from stochlab.analyze import equilibrium_attraction, stability_probability, uniform_sphere_sampler
 from stochlab.integrate import (
     SCHEMES,
     EnsembleStats,
@@ -307,6 +311,80 @@ def test_ensemble_abort_reports_the_global_path_and_its_states(threads, starts, 
     assert np.array_equal(err.states[0], [starts[failing]], equal_nan=True)
     assert not np.isfinite(err.states[-1, 0])
     assert np.all(np.isfinite(err.states[1:-1]))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_abort_matches_a_recorded_run(monkeypatch, threads):
+    model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
+
+    def start(k, rng):
+        return np.array([{3: 1e300, 6: 1e304}.get(k, 1.0)])
+
+    def abort(return_states):
+        with pytest.raises(IntegrationError) as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_ensemble(model, start, "euler_maruyama", 8, 1, (), T=1.0, h=0.01,
+                         threads=threads, return_states=return_states)
+        return info.value
+
+    recorded = abort(True)
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 5 * 8 // threads)  # 5-step blocks
+    streamed = abort(False)
+    assert recorded.path_index == streamed.path_index == 6
+    assert streamed.step == recorded.step > 5
+    assert streamed.time == recorded.time
+    assert str(streamed) == str(recorded)
+    assert np.array_equal(streamed.states, recorded.states, equal_nan=True)
+    assert streamed.states.shape == (streamed.step + 2, 1)
+
+
+@pytest.mark.parametrize("block_steps", [1, 7])
+@pytest.mark.parametrize("name,params,scheme", [
+    ("ell", {"interpretation": "ito"}, "euler_maruyama"),
+    ("ell", {"interpretation": "stratonovich"}, "heun"),
+    ("ll", {}, "rk4"),
+    ("rode_ll", {}, "rode_heun"),
+])
+def test_time_blocks_do_not_change_any_bit(monkeypatch, block_steps, name, params, scheme):
+    """50 steps in blocks of 1 or 7 steps against one block, on chunks of 3 paths."""
+    model = build_model(name, **params)
+    e3 = np.array([0.0, 0.0, 1.0])
+    kw = dict(T=0.5, h=0.01, threads=2)
+
+    def outputs():
+        stats, states = run_ensemble(model, uniform_sphere_sampler, scheme, 6, 4,
+                                     [norm_squared_field()], return_states=True, **kw)
+        stab = stability_probability(model, 1.0, 1.0 + 1e-6, n_paths=6, seed=4,
+                                     scheme=scheme, **kw)
+        attr = equilibrium_attraction(model, e3, 1.0, n_paths=6, x0=uniform_sphere_sampler,
+                                      seed=4, scheme=scheme, **kw)
+        return stats, states, stab.n_exceed, attr.n_attracted
+
+    stats, states, n_exceed, n_attracted = outputs()
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 3 * 3)
+    b_stats, b_states, b_exceed, b_attracted = outputs()
+    assert np.array_equal(b_states, states)
+    assert np.array_equal(b_stats.mean, stats.mean)
+    assert np.array_equal(b_stats.variance, stats.variance)
+    assert (b_exceed, b_attracted) == (n_exceed, n_attracted)
+
+
+def test_concurrent_chunk_observers_lose_no_update(monkeypatch):
+    """Eight chunks on fewer cores, switching threads every microsecond."""
+    model = build_model("ell", interpretation="ito")
+    args = (model, uniform_sphere_sampler, "euler_maruyama", 64, 2, [norm_squared_field()])
+    kw = dict(T=0.3, h=0.01, return_states=True)
+    serial, serial_states = run_ensemble(*args, **kw)
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 3 * 8 * 3)  # 3-step blocks
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stats, states = run_ensemble(*args, threads=8, **kw)
+    finally:
+        sys.setswitchinterval(old)
+    assert np.array_equal(states, serial_states)
+    assert np.array_equal(stats.mean, serial.mean)
+    assert np.array_equal(stats.variance, serial.variance)
 
 
 def test_run_ensemble_honours_rode_euler():
