@@ -17,8 +17,6 @@ from .integrate import (
     ModelSpec,
     Trajectory,
     _check_scheme,
-    _em_states,
-    _heun_states,
     _scheme_states,
     apply_generator,
     default_scheme,
@@ -29,9 +27,11 @@ from .noise import (
     DOMAIN_ENSEMBLE,
     NoisePath,
     ParameterProcess,
+    _n_steps,
     refine,
     sample_brownian,
     stream,
+    write_csv,
 )
 from .vecalg import (
     DoubleBracketStructure,
@@ -541,8 +541,10 @@ def conversion_gap_decay(
     gaps = []
     for lev in range(levels):
         x0b = np.broadcast_to(x0, (n_paths,) + x0.shape)
-        x_heun = _heun_states(model_strat, x0b, times[lev], stacks[lev], record=False)
-        x_em = _em_states(model_ito, x0b, times[lev], stacks[lev], record=False)
+        x_heun = _scheme_states(model_strat, "heun", x0b, times[lev], stacks[lev],
+                                record=False)
+        x_em = _scheme_states(model_ito, "euler_maruyama", x0b, times[lev], stacks[lev],
+                              record=False)
         gaps.append(float(np.mean(np.linalg.norm(x_heun - x_em, axis=-1))))
     gaps = np.asarray(gaps)
     return GapDecay(
@@ -569,7 +571,6 @@ def stability_probability(
     seed: int,
     h: float = 1e-2,
     scheme: str | None = None,
-    threads: int = 1,
 ) -> StabilityEstimate:
     """Monte Carlo estimate of P(sup_{t<=T} |x_t| > delta) from |x_0| = x0_radius.
 
@@ -582,15 +583,15 @@ def stability_probability(
     x0[0] = x0_radius
     sup = np.zeros(n_paths)
 
-    def running_sup(k, paths, block):
+    def running_sup(k, block):
         # sqrt is monotone, so the root of the largest squared norm is the
         # largest np.linalg.norm(block, axis=-1) bit for bit, at one root a path
         sq = np.add.reduce(block * block, axis=-1).max(axis=0)
-        sup[paths] = np.maximum(sup[paths], np.sqrt(sq))
+        np.maximum(sup, np.sqrt(sq), out=sup)
 
     run_ensemble(
         model, x0, scheme or default_scheme(model), n_paths, seed,
-        functionals=(), T=T, h=h, threads=threads, observers=[running_sup],
+        functionals=(), T=T, h=h, observers=[running_sup],
     )
     n_exceed = int(np.sum(sup > delta))
     p = n_exceed / n_paths
@@ -616,7 +617,6 @@ def equilibrium_attraction(
     seed: int,
     h: float = 1e-3,
     scheme: str | None = None,
-    threads: int = 1,
 ) -> AttractionEstimate:
     """Fraction of paths with ||x_T - target|| <= eps; x0 a point or sampler.
 
@@ -628,12 +628,12 @@ def equilibrium_attraction(
     target = np.asarray(target, dtype=float)
     terminal = np.empty((n_paths, model.n))
 
-    def keep_last(k, paths, block):
-        terminal[paths] = block[-1]
+    def keep_last(k, block):
+        terminal[:] = block[-1]
 
     run_ensemble(
         model, x0, scheme or default_scheme(model), n_paths, seed,
-        functionals=(), T=T, h=h, threads=threads, observers=[keep_last],
+        functionals=(), T=T, h=h, observers=[keep_last],
     )
     dist = np.linalg.norm(terminal - target, axis=-1)
     n_good = int(np.sum(dist <= eps))
@@ -664,9 +664,6 @@ def check_symplecticity(
         raise ValueError("symplecticity check needs a 2-dimensional model")
     if T < 0:
         raise ValueError("T must be >= 0")
-
-    from .noise import _n_steps
-
     n_steps = _n_steps(T, h) if T > 0 else 0
     if path is None and model.noise_dim and T == 0:
         path = NoisePath(times=np.array([0.0]),
@@ -738,11 +735,4 @@ def generator_amplitude_sweep(
 
 def report_to_csv(report, file, comment: str | None = None):
     """Residual table (criterion, value, passed) for invariance/equilibrium reports."""
-    rows = report.rows()
-    with open(file, "w", newline="") as fh:
-        if comment:
-            for line in comment.rstrip("\n").split("\n"):
-                fh.write(f"# {line}\n")
-        fh.write("criterion,value,passed\n")
-        for name, value, passed in rows:
-            fh.write(f"{name},{value:.17g},{passed}\n")
+    write_csv(file, "criterion,value,passed", list(zip(*report.rows())), comment=comment)

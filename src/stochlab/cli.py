@@ -10,13 +10,14 @@ entries of the `analyses` list run:
     stability    stability | attraction estimates CSV
 
 Every output file carries the full resolved config and seed in '# ' comment
-lines; identical (config, seed) give byte-identical files regardless of the
-thread count.  Exit codes: 0 success, 1 failed check or integration abort,
-2 invalid configuration (nothing written).
+lines; identical (config, seed) give byte-identical files.  Exit codes:
+0 success, 1 failed check or integration abort, 2 invalid configuration
+(nothing written).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -38,15 +39,14 @@ from .analyze import (
     uniform_sphere_sampler,
 )
 from .integrate import (
-    SCHEMES,
     IntegrationError,
     Trajectory,
+    _check_scheme,
     default_scheme,
     run_ensemble,
-    write_csv,
 )
 from .models import build_model, kubo_exact, scalar_linear_exact, wrap_angles
-from .noise import sample_brownian
+from .noise import sample_brownian, write_csv
 from .vecalg import ScalarField, norm_squared_field, sphere_field
 
 
@@ -136,13 +136,7 @@ def load_config(path: str, seed_override, task: str):
         raise _fail(f"model: {exc}")
 
     scheme = raw.get("scheme") or default_scheme(model)
-    if scheme not in SCHEMES:
-        raise _fail(f"unknown scheme {scheme!r}; known: {sorted(SCHEMES)}")
-    if SCHEMES[scheme] != model.interpretation:
-        raise _fail(
-            f"scheme {scheme!r} integrates {SCHEMES[scheme]} models, "
-            f"but {model.name} is {model.interpretation}"
-        )
+    _config_scheme(model, scheme, "scheme")
 
     T = float(raw.get("T", 10.0))
     h = float(raw.get("h", 1e-4))
@@ -244,12 +238,8 @@ def _validate_analysis(kind, opts, model, where):
             raise _fail(f"{where}: unknown oracle {opts['oracle']!r}")
         if opts["oracle"] == "closed_form" and _closed_form(model) is None:
             raise _fail(f"{where}: no closed form known for model {model.name!r}")
-        scheme = opts["scheme"]
-        if scheme is not None and scheme not in SCHEMES:
-            raise _fail(f"{where}: unknown scheme {scheme!r}")
-        if scheme is not None and SCHEMES[scheme] != model.interpretation:
-            raise _fail(f"{where}: scheme {scheme!r} integrates {SCHEMES[scheme]} "
-                        f"models, but {model.name} is {model.interpretation}")
+        if opts["scheme"] is not None:
+            _config_scheme(model, opts["scheme"], where)
     elif kind == "stability":
         if not (float(opts["delta"]) > float(opts["x0_radius"]) > 0):
             raise _fail(f"{where}: need delta > x0_radius > 0")
@@ -261,16 +251,20 @@ def _validate_analysis(kind, opts, model, where):
                         f"model needs {model.n}")
 
 
+def _config_scheme(model, scheme, where):
+    """_check_scheme, raising its ValueError as a ConfigError located at where."""
+    try:
+        _check_scheme(model, scheme)
+    except ValueError as exc:
+        raise _fail(f"{where}: {exc}")
+
+
 def _functional(name: str, model) -> ScalarField:
     """Named state functionals for CSV columns and check analyses."""
     if name in ("norm2", "energy"):
-        f = norm_squared_field(dim=model.n)
-        return ScalarField(value=f.value, gradient=f.gradient, hessian=f.hessian,
-                           name=name)
+        return dataclasses.replace(norm_squared_field(dim=model.n), name=name)
     if name == "sphere":
-        f = sphere_field(dim=model.n)
-        return ScalarField(value=f.value, gradient=f.gradient, hessian=f.hessian,
-                           name=name)
+        return dataclasses.replace(sphere_field(dim=model.n), name=name)
     if name == "norm":
         return ScalarField(
             value=lambda x: np.linalg.norm(x, axis=-1),
@@ -305,8 +299,7 @@ def _closed_form(model):
 
 
 def _comment(task: str, cfg: dict) -> str:
-    """Header comment lines; thread count is deliberately excluded so that
-    identical (config, seed) runs give byte-identical files at any worker count."""
+    """Header comment lines: the tool version, the seed and the resolved config."""
     dump = yaml.safe_dump(cfg, default_flow_style=True, sort_keys=True, width=10**9)
     return (f"stochlab {__version__} {task}\n"
             f"seed={cfg['seed']}\n"
@@ -319,10 +312,10 @@ def _initial(cfg, model):
     return np.asarray(cfg["x0"], dtype=float)
 
 
-def _single_trajectory(cfg, model, threads) -> Trajectory:
+def _single_trajectory(cfg, model) -> Trajectory:
     _, states = run_ensemble(
         model, _initial(cfg, model), cfg["scheme"], 1, cfg["seed"],
-        functionals=(), T=cfg["T"], h=cfg["h"], threads=threads, return_states=True,
+        functionals=(), T=cfg["T"], h=cfg["h"], return_states=True,
     )
     n_steps = states.shape[1] - 1
     times = np.arange(n_steps + 1) * cfg["h"]
@@ -330,11 +323,11 @@ def _single_trajectory(cfg, model, threads) -> Trajectory:
                       seed=cfg["seed"])
 
 
-def cmd_simulate(cfg, model, out, threads) -> int:
+def cmd_simulate(cfg, model, out) -> int:
     fields = [_functional(n, model) for n in cfg["functionals"]]
     comment = _comment("simulate", cfg)
     if cfg["n_paths"] == 1:
-        traj = _single_trajectory(cfg, model, threads)
+        traj = _single_trajectory(cfg, model)
         traj = Trajectory(times=traj.times, states=wrap_angles(model, traj.states),
                           model_name=traj.model_name, seed=traj.seed)
         dest = os.path.join(out, "trajectory.csv")
@@ -343,7 +336,7 @@ def cmd_simulate(cfg, model, out, threads) -> int:
         return 0
     stats = run_ensemble(
         model, _initial(cfg, model), cfg["scheme"], cfg["n_paths"], cfg["seed"],
-        functionals=fields, T=cfg["T"], h=cfg["h"], threads=threads,
+        functionals=fields, T=cfg["T"], h=cfg["h"],
     )
     dest = os.path.join(out, "ensemble.csv")
     stats.to_csv(dest, comment=comment)
@@ -356,7 +349,7 @@ def _rode_eta_samples(model, cfg, opts):
     return model.eta_builder(path)
 
 
-def _run_check(kind, opts, cfg, model, out, threads):
+def _run_check(kind, opts, cfg, model, out):
     """Run one check analysis; returns (passed, summary, dest)."""
     comment = _comment(f"check {kind}", cfg)
     dest = os.path.join(out, f"{kind}.csv")
@@ -379,7 +372,7 @@ def _run_check(kind, opts, cfg, model, out, threads):
         return report.verdict, note, dest
     if kind == "lyapunov":
         V = _functional(str(opts["functional"]), model)
-        traj = _single_trajectory(cfg, model, threads)
+        traj = _single_trajectory(cfg, model)
         stats = lyapunov_monotonicity(traj, V, step_tol=float(opts["step_tol"]))
         write_csv(dest, "n_violations,max_increase,n_steps",
                   [[stats.n_violations], [stats.max_increase], [stats.n_steps]],
@@ -389,7 +382,7 @@ def _run_check(kind, opts, cfg, model, out, threads):
                 dest)
     if kind == "first-integral":
         F = _functional(str(opts["functional"]), model)
-        traj = _single_trajectory(cfg, model, threads)
+        traj = _single_trajectory(cfg, model)
         drift = first_integral_drift(traj, F)
         write_csv(dest, "max_drift,terminal_drift",
                   [[drift.max_drift], [drift.terminal_drift]], comment=comment)
@@ -405,7 +398,7 @@ def _run_check(kind, opts, cfg, model, out, threads):
     return defect <= float(opts["tol"]), f"defect {defect:.3g}", dest
 
 
-def cmd_check(cfg, model, out, threads) -> int:
+def cmd_check(cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]][0] == "check"]
     if not entries:
         raise _fail("check: the analyses list has no check-type entries")
@@ -413,17 +406,16 @@ def cmd_check(cfg, model, out, threads) -> int:
     for entry in entries:
         kind = entry["kind"]
         opts = {k: v for k, v in entry.items() if k != "kind"}
-        passed, note, dest = _run_check(kind, opts, cfg, model, out, threads)
+        passed, note, dest = _run_check(kind, opts, cfg, model, out)
         all_pass &= passed
         print(f"check {kind}: {'pass' if passed else 'FAIL'} ({note}) -> {dest}")
     return 0 if all_pass else 1
 
 
-def cmd_convergence(cfg, model, out, threads) -> int:
+def cmd_convergence(cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if a["kind"] == "convergence"]
     if not entries:
         raise _fail("convergence: the analyses list has no convergence entries")
-    code = 0
     for i, entry in enumerate(entries):
         scheme = entry["scheme"] or cfg["scheme"]
         est = empirical_convergence_order(
@@ -439,10 +431,10 @@ def cmd_convergence(cfg, model, out, threads) -> int:
                    + f"\nslope={est.slope:.17g} half_width={est.half_width:.17g}")
         write_csv(dest, "step_size,error", [est.step_sizes, est.errors], comment=comment)
         print(f"convergence: slope {est.slope:.4f} +/- {est.half_width:.4f} -> {dest}")
-    return code
+    return 0
 
 
-def cmd_stability(cfg, model, out, threads) -> int:
+def cmd_stability(cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]][0] == "stability"]
     if not entries:
         raise _fail("stability: the analyses list has no stability/attraction entries")
@@ -455,7 +447,7 @@ def cmd_stability(cfg, model, out, threads) -> int:
             est = stability_probability(
                 model, float(entry["x0_radius"]), float(entry["delta"]),
                 T=cfg["T"], n_paths=cfg["n_paths"], seed=cfg["seed"], h=cfg["h"],
-                scheme=cfg["scheme"], threads=threads,
+                scheme=cfg["scheme"],
             )
             write_csv(dest, "probability,half_width,n_paths,n_exceed",
                       [[est.probability], [est.half_width], [est.n_paths],
@@ -466,7 +458,7 @@ def cmd_stability(cfg, model, out, threads) -> int:
             est = equilibrium_attraction(
                 model, [float(v) for v in entry["target"]], float(entry["eps"]),
                 T=cfg["T"], n_paths=cfg["n_paths"], x0=_initial(cfg, model),
-                seed=cfg["seed"], h=cfg["h"], scheme=cfg["scheme"], threads=threads,
+                seed=cfg["seed"], h=cfg["h"], scheme=cfg["scheme"],
             )
             write_csv(dest, "fraction,half_width,n_paths,n_attracted",
                       [[est.fraction], [est.half_width], [est.n_paths],
@@ -496,7 +488,8 @@ def main(argv=None) -> int:
                         help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for ensemble runs")
+                        help="accepted for compatibility; must be >= 1. Runs are "
+                             "single-threaded and no output depends on it")
     args = parser.parse_args(argv)
 
     try:
@@ -507,7 +500,7 @@ def main(argv=None) -> int:
         # Overflow to inf is the expected signature of a diverging path; the
         # finite-state check turns it into a diagnosable abort.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.task](cfg, model, args.out, args.threads)
+            return _COMMANDS[args.task](cfg, model, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,13 +9,12 @@ All steppers take states with the components on the last axis and broadcast
 over leading batch axes; ensembles integrate whole path batches at once.
 Euler-Maruyama and Heun step through the model's component-form kernel: on
 Python floats for a single path, on per-component batch arrays otherwise.
-Per-path arithmetic is elementwise, so results are bitwise independent of
-how paths are grouped into worker chunks, a chunk of one path included.
+Per-path arithmetic is elementwise, so a path stepped alone equals the same
+path stepped inside a batch, bit for bit.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +27,7 @@ from .noise import (
     ParameterProcess,
     _n_steps,
     stream,
+    write_csv,
 )
 from .vecalg import ScalarField
 
@@ -180,18 +180,6 @@ class EnsembleStats:
         write_csv(file, ",".join(header_parts), cols, comment=comment)
 
 
-def write_csv(file, header: str, columns, comment: str | None = None):
-    """Comma-separated columns at 17 significant digits with a mandatory header row."""
-    data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    with open(file, "w", newline="") as fh:
-        if comment:
-            for line in comment.rstrip("\n").split("\n"):
-                fh.write(f"# {line}\n")
-        fh.write(header + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def _matvec(sig, v):
     return np.einsum("...il,...l->...i", sig, v)
 
@@ -300,15 +288,7 @@ def _heun_advance(kernel, t, h, xs, ws):
 
 def euler_maruyama(model: ModelSpec, x0, path: NoisePath) -> Trajectory:
     """Ito integration: x_{k+1} = x_k + f(t_k, x_k) h + sigma(t_k, x_k) dW_k."""
-    _require(model, "ito")
-    _check_path(model, path)
-    states = _em_states(model, np.asarray(x0, dtype=float), path.times, path.increments)
-    return Trajectory(times=path.times.copy(), states=states,
-                      model_name=model.name, seed=path.seed)
-
-
-def _em_states(model, x0, times, increments, record=True):
-    return _kernel_states(model, _em_advance, times, x0, increments, record)
+    return integrate_path(model, x0, "euler_maruyama", path=path)
 
 
 def heun_strat(model: ModelSpec, x0, path: NoisePath) -> Trajectory:
@@ -318,23 +298,12 @@ def heun_strat(model: ModelSpec, x0, path: NoisePath) -> Trajectory:
     Corrector: x' = x + (f(t, x) + f(t+h, xp)) h/2
                      + (sigma(t, x) + sigma(t+h, xp)) dW / 2.
     """
-    _require(model, "stratonovich")
-    _check_path(model, path)
-    states = _heun_states(model, np.asarray(x0, dtype=float), path.times, path.increments)
-    return Trajectory(times=path.times.copy(), states=states,
-                      model_name=model.name, seed=path.seed)
-
-
-def _heun_states(model, x0, times, increments, record=True):
-    return _kernel_states(model, _heun_advance, times, x0, increments, record)
+    return integrate_path(model, x0, "heun", path=path)
 
 
 def rk4(model: ModelSpec, x0, grid) -> Trajectory:
     """Classical 4th-order Runge-Kutta on a deterministic model."""
-    _require(model, "ode")
-    times = np.asarray(grid, dtype=float)
-    states = _rk4_states(model, np.asarray(x0, dtype=float), times)
-    return Trajectory(times=times.copy(), states=states, model_name=model.name)
+    return integrate_path(model, x0, "rk4", grid=grid)
 
 
 def _rk4_states(model, x0, times, record=True):
@@ -356,13 +325,7 @@ def solve_rode(model: ModelSpec, x0, eta: ParameterProcess, scheme: str = "rode_
     Default is Heun on the piecewise-linear interpolant of eta (the stage
     values are the sampled endpoints); 'rode_euler' freezes eta per step.
     """
-    _require(model, "rode")
-    if scheme not in ("rode_heun", "rode_euler"):
-        raise ValueError(f"unknown RODE scheme {scheme!r}")
-    _check_eta(model, eta)
-    states = _rode_states(model, np.asarray(x0, dtype=float), eta.times, eta.values,
-                          euler=(scheme == "rode_euler"))
-    return Trajectory(times=eta.times.copy(), states=states, model_name=model.name)
+    return integrate_path(model, x0, scheme, eta=eta)
 
 
 def _rode_states(model, x0, times, eta_values, euler=False, record=True):
@@ -428,22 +391,27 @@ def apply_generator(model: ModelSpec, V: ScalarField, t: float, x) -> float:
 
 def integrate_path(model: ModelSpec, x0, scheme: str, path: NoisePath | None = None,
                    grid=None, eta: ParameterProcess | None = None) -> Trajectory:
-    """Dispatch to the named scheme; used by convergence studies and the CLI."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; known: {sorted(SCHEMES)}")
-    if scheme in ("euler_maruyama", "heun") and path is None:
-        raise ValueError(f"scheme {scheme!r} needs a noise path")
-    if scheme == "euler_maruyama":
-        return euler_maruyama(model, x0, path)
-    if scheme == "heun":
-        return heun_strat(model, x0, path)
-    if scheme == "rk4":
+    """Integrate one path under the named scheme: on a noise path for
+    euler_maruyama and heun, on a grid (or a path's times) for rk4, and on a
+    parameter process eta for the RODE schemes."""
+    _check_scheme(model, scheme)
+    seed = None
+    if model.interpretation in ("ito", "stratonovich"):
+        if path is None:
+            raise ValueError(f"scheme {scheme!r} needs a noise path")
+        _check_path(model, path)
+        times, noise, seed = path.times, path.increments, path.seed
+    elif model.interpretation == "ode":
         if grid is None and path is None:
             raise ValueError("scheme 'rk4' needs a time grid or a path")
-        return rk4(model, x0, grid if grid is not None else path.times)
-    if eta is None:
-        raise ValueError(f"scheme {scheme!r} needs a parameter process eta")
-    return solve_rode(model, x0, eta, scheme=scheme)
+        times, noise = np.asarray(grid if grid is not None else path.times, dtype=float), None
+    else:
+        if eta is None:
+            raise ValueError(f"scheme {scheme!r} needs a parameter process eta")
+        _check_eta(model, eta)
+        times, noise = eta.times, eta.values
+    states = _scheme_states(model, scheme, np.asarray(x0, dtype=float), times, noise)
+    return Trajectory(times=times.copy(), states=states, model_name=model.name, seed=seed)
 
 
 def default_scheme(model: ModelSpec) -> str:
@@ -469,16 +437,16 @@ def _scheme_states(model, scheme, x0, times, noise, record=True):
     increment stack of a stochastic scheme, the (N+1, ...) eta values of a
     RODE scheme, and unused by rk4."""
     if scheme == "euler_maruyama":
-        return _em_states(model, x0, times, noise, record)
+        return _kernel_states(model, _em_advance, times, x0, noise, record)
     if scheme == "heun":
-        return _heun_states(model, x0, times, noise, record)
+        return _kernel_states(model, _heun_advance, times, x0, noise, record)
     if scheme == "rk4":
         return _rk4_states(model, x0, times, record)
     return _rode_states(model, x0, times, noise, euler=(scheme == "rode_euler"),
                         record=record)
 
 
-# Noise values one chunk draws per time block: 2**19 float64 values (4 MiB).
+# Noise values an ensemble draws per time block: 2**19 float64 values (4 MiB).
 # A run's memory then grows with the block, not with the horizon; blocked
 # normal draws equal one-shot draws bit for bit, so no result depends on it.
 _BLOCK_VALUES = 2**19
@@ -493,7 +461,6 @@ def run_ensemble(
     functionals: Sequence[ScalarField],
     T: float,
     h: float,
-    threads: int = 1,
     return_states: bool = False,
     observers: Sequence[Callable] = (),
 ):
@@ -503,18 +470,16 @@ def run_ensemble(
     (index, Generator) -> state drawing path-specific initial conditions from
     the derived sampler stream.  Each path k uses its own derived noise
     stream, so the output is a pure function of (model, x0, scheme, n_paths,
-    seed, functionals, T, h) and independent of the thread count.
+    seed, functionals, T, h).
 
-    Paths are split into one contiguous chunk per thread, and each chunk is
-    stepped in time blocks.  Every observer observe(k, paths, block) sees
-    each block in time order: the states of the paths in the slice `paths`
-    at grid rows k, k+1, ..., shaped (rows, paths, n), row 0 included.
-    Chunks call observers concurrently, on disjoint path slices.
+    All paths step together in time blocks.  Every observer observe(k, block)
+    sees each block in time order: the states of all paths at grid rows
+    k, k+1, ..., shaped (rows, n_paths, n), row 0 included.
 
     Returns EnsembleStats, or (EnsembleStats, states) with states of shape
     (n_paths, N+1, n) when return_states is set.  A non-finite state raises
-    IntegrationError for the earliest failing step, lowest global path index
-    at that step, carrying that path's states up to the failure.
+    IntegrationError for the earliest failing step, lowest path index at
+    that step, carrying that path's states up to the failure.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -524,40 +489,27 @@ def run_ensemble(
     observers = list(observers)
     values = np.empty((len(functionals), n_steps + 1, n_paths))
     if functionals:
-        def gather(k, paths, block):
+        def gather(k, block):
             for i, f in enumerate(functionals):
-                values[i, k:k + len(block), paths] = f.value(block)
+                values[i, k:k + len(block)] = f.value(block)
         observers.append(gather)
     if return_states:
         states = np.empty((n_steps + 1, n_paths, model.n))
 
-        def record(k, paths, block):
-            states[k:k + len(block), paths] = block
+        def record(k, block):
+            states[k:k + len(block)] = block
         observers.append(record)
-    errstate = np.geterr()  # worker threads would start from numpy's defaults
-
-    def run(paths, observers):
-        with np.errstate(**errstate):
-            return _run_chunk(model, x0, scheme, seed, times, paths, observers)
-
-    splits = np.array_split(np.arange(n_paths), max(1, min(threads, n_paths)))
-    chunks = [slice(int(c[0]), int(c[-1]) + 1) for c in splits if len(c)]
-    if len(chunks) == 1:
-        aborts = [run(chunks[0], observers)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            aborts = list(pool.map(lambda c: run(c, observers), chunks))
-    aborts = [a for a in aborts if a is not None]
-    if aborts:
-        step, p = min(aborts)
+    abort = _run_chunk(model, x0, scheme, seed, times, range(n_paths), observers)
+    if abort is not None:
+        step, p = abort
         if return_states:
             trace = states[:step + 2, p]
         else:  # replay the failing path alone; its stream depends on (seed, p) only
             trace = np.empty((step + 2, 1, model.n))
 
-            def record_failing(k, paths, block):
+            def record_failing(k, block):
                 trace[k:k + len(block)] = block
-            run(slice(p, p + 1), [record_failing])
+            _run_chunk(model, x0, scheme, seed, times, range(p, p + 1), [record_failing])
             trace = trace[:, 0]
         raise IntegrationError(
             f"ensemble path aborted: non-finite state at step {step} "
@@ -580,14 +532,13 @@ def run_ensemble(
     return stats
 
 
-def _run_chunk(model, x0, scheme, seed, times, paths, observers):
-    """Step the paths in the slice `paths` in time blocks of about
-    _BLOCK_VALUES noise values, handing each block to the observers.
+def _run_chunk(model, x0, scheme, seed, times, ks, observers):
+    """Step the paths with global indices ks (a range) in time blocks of
+    about _BLOCK_VALUES noise values, handing each block to the observers.
 
-    Returns None, or (step, global path index) of the chunk's first
-    non-finite state, after handing the observers the rows up to it.
+    Returns None, or (step, global path index) of the first non-finite
+    state, after handing the observers the rows up to it.
     """
-    ks = range(paths.start, paths.stop)
     n_steps, h = len(times) - 1, times[1]
     sd = np.sqrt(h)
     x = np.stack([
@@ -596,7 +547,7 @@ def _run_chunk(model, x0, scheme, seed, times, paths, observers):
         for k in ks
     ])
     for observe in observers:
-        observe(0, paths, x[None])
+        observe(0, x[None])
     if model.interpretation == "rode":
         eta = np.stack([_path_eta(model, seed, k, n_steps, h, times) for k in ks], axis=1)
     rngs = [stream(seed, DOMAIN_ENSEMBLE, k) for k in ks] \
@@ -614,10 +565,10 @@ def _run_chunk(model, x0, scheme, seed, times, paths, observers):
             block = _scheme_states(model, scheme, x, times[a:b + 1], noise)
         except IntegrationError as err:
             for observe in observers:
-                observe(a + 1, paths, err.states[1:])
-            return a + err.step, paths.start + err.path_index
+                observe(a + 1, err.states[1:])
+            return a + err.step, ks[err.path_index]
         for observe in observers:
-            observe(a + 1, paths, block[1:])
+            observe(a + 1, block[1:])
         x = block[-1].copy()
         del noise, block  # freed before the next block is drawn
     return None

@@ -4,6 +4,8 @@ All randomness flows through counter-based Philox streams keyed by
 (master seed, domain, index), so distinct purposes (base sampling, bridge
 refinement levels, ensemble paths) get independent, reproducible streams.
 Increments are the canonical storage; cumulative values are always derived.
+write_csv, the one writer of every CSV the package emits, lives here at the
+bottom of the import graph so that path_to_csv can use it too.
 """
 from __future__ import annotations
 
@@ -124,17 +126,26 @@ def coarse_sum(path: NoisePath) -> np.ndarray:
     return path.increments[0::2] + path.increments[1::2]
 
 
+def write_csv(file, header: str, columns, comment: str | None = None):
+    """Comma-separated columns under a mandatory header row, after one '# '
+    line per comment line.  str cells are written verbatim, every other cell
+    at 17 significant digits."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
+    with open(file, "w", newline="") as fh:
+        if comment:
+            for line in comment.rstrip("\n").split("\n"):
+                fh.write(f"# {line}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+
+
 def path_to_csv(path: NoisePath, file: str) -> None:
     """Write t (left endpoints) and dW columns at 17 significant digits."""
-    l = path.dims
-    header = "t," + ",".join(f"dW_{k + 1}" for k in range(l))
-    meta = f"# seed={path.seed} level={path.level} h={path.h:.17g} n_steps={path.n_steps}\n"
-    data = np.column_stack([path.times[:-1], path.increments])
-    with open(file, "w", newline="") as fh:
-        fh.write(meta)
-        fh.write(header + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(file, "t," + ",".join(f"dW_{k + 1}" for k in range(path.dims)),
+              [path.times[:-1]] + list(path.increments.T),
+              comment=f"seed={path.seed} level={path.level} h={path.h:.17g} "
+                      f"n_steps={path.n_steps}")
 
 
 def path_from_csv(file: str) -> NoisePath:

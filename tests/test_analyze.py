@@ -298,20 +298,6 @@ def test_equilibrium_attraction_trivial_cases():
         equilibrium_attraction(model, E3, eps=0.0, T=1.0, n_paths=4, x0=E3, seed=1)
 
 
-def test_stability_and_attraction_counts_do_not_depend_on_threads():
-    model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
-    counts = set()
-    for threads in (1, 2, 3):
-        stab = stability_probability(model, 0.01, 0.02, T=2.0, n_paths=40, seed=3,
-                                     threads=threads)
-        attr = equilibrium_attraction(model, [0.0], 2e-3, T=2.0, n_paths=40,
-                                      x0=[0.01], seed=3, h=1e-2, threads=threads)
-        counts.add((stab.n_exceed, attr.n_attracted))
-    assert len(counts) == 1
-    (n_exceed, n_attracted), = counts
-    assert 0 < n_exceed < 40 and 0 < n_attracted < 40
-
-
 def test_stability_and_attraction_honour_the_scheme():
     model = build_model("rode_ll")
     kw = dict(T=1.0, n_paths=20, seed=3, h=1e-2)

@@ -218,29 +218,6 @@ def test_stability_honours_the_config_scheme(tmp_path, load_csv):
     assert counts["rode_heun"] == (1, 8)
 
 
-def test_stability_passes_threads_to_both_estimators(tmp_path, monkeypatch):
-    import stochlab.cli as cli
-    seen = []
-
-    def spy(fn):
-        def wrapped(*args, **kwargs):
-            seen.append((fn.__name__, kwargs["threads"]))
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(cli, "stability_probability", spy(cli.stability_probability))
-    monkeypatch.setattr(cli, "equilibrium_attraction", spy(cli.equilibrium_attraction))
-    cfg = write_cfg(tmp_path, {
-        "version": 1, "seed": 4, "T": 1.0, "h": 1e-2, "n_paths": 6, "x0": [0.01],
-        "model": {"name": "scalar_linear", "params": {"a": -1.0, "b_scalar": 1.0}},
-        "analyses": [{"kind": "stability", "x0_radius": 0.01, "delta": 0.5},
-                     {"kind": "attraction", "target": [0.0], "eps": 0.1}],
-    })
-    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "run"),
-                 "--threads", "3"]) == 0
-    assert seen == [("stability_probability", 3), ("equilibrium_attraction", 3)]
-
-
 def test_integration_abort_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "version": 1, "seed": 1,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochlab.cli import main
-from stochlab.integrate import _em_states, _heun_states, euler_maruyama, heun_strat
+from stochlab.integrate import _scheme_states, euler_maruyama, heun_strat
 from stochlab.models import build_model
 from stochlab.noise import NoisePath
 
@@ -94,14 +94,14 @@ def _noise(model, n_steps, batch, seed):
 def test_one_path_alone_equals_the_same_path_in_a_batch(key):
     model = _model(key)
     ito = model.interpretation == "ito"
-    batch_states, single = (_em_states, euler_maruyama) if ito else (_heun_states, heun_strat)
+    scheme, single = ("euler_maruyama", euler_maruyama) if ito else ("heun", heun_strat)
     x0, incs, times = _noise(model, 60, 5, seed=len(key))
-    together = batch_states(model, x0, times, incs)
+    together = _scheme_states(model, scheme, x0, times, incs)
     for j in range(5):
         path = NoisePath(times=times, increments=incs[:, j, :], seed=0, level=0)
         alone = single(model, x0[j], path).states
         assert np.array_equal(alone, together[:, j, :])
-    terminal = batch_states(model, x0[2], times, incs[:, 2, :], record=False)
+    terminal = _scheme_states(model, scheme, x0[2], times, incs[:, 2, :], record=False)
     assert np.array_equal(terminal, together[-1, 2, :])
 
 
@@ -109,8 +109,9 @@ def test_one_path_alone_equals_the_same_path_in_a_batch(key):
                          [("stratonovich", "heun"), ("ito", "euler_maruyama")])
 def test_two_path_simulate_is_byte_identical_at_one_and_two_threads(
         tmp_path, interpretation, scheme):
-    # threads 2 splits the two paths into chunks of one, which step on
-    # Python floats; threads 1 steps both on arrays
+    # --threads changes nothing: both runs step the two paths on arrays.  A
+    # path stepped alone on floats is checked against the batch by
+    # test_one_path_alone_equals_the_same_path_in_a_batch and the abort replay
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump({
         "version": 1, "seed": 3, "T": 0.2, "h": 1e-3, "n_paths": 2, "x0": "sphere",
