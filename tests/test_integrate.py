@@ -280,12 +280,17 @@ def test_integration_error_carries_diagnostics():
     assert "non-finite" in str(err)
 
 
+@pytest.mark.parametrize("block_steps", [1, 2, 4])
 @pytest.mark.parametrize("starts,failing", [
     ({3: np.nan}, 3),                 # non-finite start: aborts at step 0
     ({3: 1e300, 6: 1e304}, 6),        # both overflow; path 6 does so first
 ], ids=["nan_start", "earliest_overflow"])
-def test_ensemble_abort_reports_the_global_path_and_its_states(starts, failing):
+def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, block_steps,
+                                                               starts, failing):
+    """The abort is found across time blocks of 1, 2 or 4 steps for 8 paths;
+    the failing path's replay alone steps in blocks 8 times as long."""
     model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 8)
 
     def start(k, rng):
         return np.array([starts.get(k, 1.0)])
@@ -302,7 +307,8 @@ def test_ensemble_abort_reports_the_global_path_and_its_states(starts, failing):
     assert np.all(np.isfinite(err.states[1:-1]))
 
 
-def test_streamed_abort_matches_a_recorded_run(monkeypatch):
+@pytest.mark.parametrize("block_steps", [1, 2])
+def test_streamed_abort_matches_a_recorded_run(monkeypatch, block_steps):
     model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
 
     def start(k, rng):
@@ -316,7 +322,7 @@ def test_streamed_abort_matches_a_recorded_run(monkeypatch):
         return info.value
 
     recorded = abort(True)
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 5 * 8)  # 5-step blocks
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 8)
     streamed = abort(False)
     assert recorded.path_index == streamed.path_index == 6
     assert streamed.step == recorded.step > 5
