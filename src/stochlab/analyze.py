@@ -17,6 +17,7 @@ from .integrate import (
     ModelSpec,
     Trajectory,
     _check_scheme,
+    _eta_rows,
     _scheme_states,
     apply_generator,
     default_scheme,
@@ -391,13 +392,22 @@ def _coupled_paths(seed: int, n_paths: int, T: float, h0: float, dims: int, leve
     return stacks, times, families
 
 
+def _check_study(model, scheme, levels):
+    """Raise ValueError unless a refinement study can run scheme on model."""
+    _check_scheme(model, scheme)
+    if levels < 3:
+        raise ValueError(f"need at least 3 levels, got {levels}")
+    if model.interpretation == "rode" and model.eta_builder is None:
+        raise ValueError("a RODE refinement study needs a model with an eta_builder")
+
+
 def _coupled_terminal(model, scheme, x0, increments, paths):
     """Terminal states of the coupled paths at one refinement level, given
     that level's stacked increments and its NoisePath of every path."""
     x0b = np.broadcast_to(x0, (len(paths),) + x0.shape)
     noise = increments
     if model.interpretation == "rode":
-        noise = np.stack([model.eta_builder(p).values for p in paths], axis=1)
+        noise = np.stack([_eta_rows(model.eta_builder(p)) for p in paths], axis=1)
     return _scheme_states(model, scheme, x0b, paths[0].times, noise, record=False)
 
 
@@ -422,9 +432,7 @@ def empirical_convergence_order(
     level (the gap keeps the reference error from contaminating the slope).
     Raises ValueError when scheme does not integrate the model's interpretation.
     """
-    _check_scheme(model, scheme)
-    if levels < 3:
-        raise ValueError(f"need at least 3 levels, got {levels}")
+    _check_study(model, scheme, levels)
     if oracle not in ("closed_form", "finest_refinement"):
         raise ValueError(f"unknown oracle {oracle!r}")
     if oracle == "closed_form" and closed_form is None:
@@ -466,9 +474,7 @@ def functional_drift_decay(
     """Decay order of the terminal first-integral drift E|F(x_T) - F(x_0)|
     under dyadic refinement of coupled paths.  Raises ValueError when scheme
     does not integrate the model's interpretation."""
-    _check_scheme(model, scheme)
-    if levels < 3:
-        raise ValueError(f"need at least 3 levels, got {levels}")
+    _check_study(model, scheme, levels)
     x0 = np.asarray(x0, dtype=float)
     f0 = float(F.value(x0))
     stacks, _, families = _coupled_paths(seed, n_paths, T, h0, max(model.noise_dim, 1),

@@ -134,6 +134,8 @@ def load_config(path: str, seed_override, task: str):
         model = build_model(str(model_cfg["name"]), **params)
     except (ValueError, TypeError) as exc:
         raise _fail(f"model: {exc}")
+    if model.interpretation == "rode" and model.eta_builder is None:
+        raise _fail("model: RODE runs need an eta_builder (rode_ll: scalar_eta: true)")
 
     scheme = raw.get("scheme") or default_scheme(model)
     _config_scheme(model, scheme, "scheme")
@@ -218,8 +220,6 @@ def _validate_analysis(kind, opts, model, where):
             raise _fail(f"{where}: unknown manifold {opts['manifold']!r}")
         if model.n != 3:
             raise _fail(f"{where}: sphere invariance needs a 3-dimensional model")
-        if model.interpretation == "rode" and model.eta_builder is None:
-            raise _fail(f"{where}: RODE invariance needs a model with a scalar eta")
         if int(opts["samples"]) < 1:
             raise _fail(f"{where}: samples must be >= 1")
     elif kind == "equilibrium":

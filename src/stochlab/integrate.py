@@ -7,10 +7,10 @@ infinitesimal generator, and reproducible ensemble execution.
 
 All steppers take states with the components on the last axis and broadcast
 over leading batch axes; ensembles integrate whole path batches at once.
-Euler-Maruyama and Heun step through the model's component-form kernel: on
-Python floats for a single path, on per-component batch arrays otherwise.
-Per-path arithmetic is elementwise, so a path stepped alone equals the same
-path stepped inside a batch, bit for bit.
+Every scheme is an advance function that one loop steps on the model's
+component-form kernel: on Python floats for a single path, on per-component
+batch arrays otherwise.  Per-path arithmetic is elementwise, so a path
+stepped alone equals the same path stepped inside a batch, bit for bit.
 """
 from __future__ import annotations
 
@@ -65,14 +65,15 @@ class ModelSpec:
     d sigma[i,k] / d x[j] indexed [i, k, j].  All callables must broadcast
     over leading batch axes of x.
 
-    kernel, optional for ito/stratonovich models, is the component form
-    (t, xs, ws) -> (f, g) that Euler-Maruyama and Heun step on: xs holds
-    the n state components and ws the noise_dim noise components, f the
-    drift components and g those of sigma(t, x) dW.  Each component is a
-    Python float (one path) or a (B,) array (a batch); the kernel must use
-    only +, -, * and constants, so both give bitwise-equal results and
-    inf/nan propagate without exceptions.  Without a kernel one is derived
-    from drift/diffusion (see _matrix_kernel).
+    kernel, optional, is the component form (t, xs, ws) -> (f, g) that every
+    scheme steps on: xs holds the n state components, f the drift's.  ws
+    holds the noise_dim components of dW and g those of sigma(t, x) dW for
+    ito/stratonovich models, the eta components for rode models (g unused);
+    ode models ignore ws and g.  Each component is a Python float (one path)
+    or a (B,) array (a batch); the kernel must use only +, -, * and
+    constants, so both give bitwise-equal results and inf/nan propagate
+    without exceptions.  Without a kernel one is derived from drift and
+    diffusion (see _matrix_kernel).
     """
 
     n: int
@@ -96,17 +97,17 @@ class ModelSpec:
                 raise ValueError(f"{self.interpretation} model needs a diffusion field")
         if self.interpretation in ("ode", "rode") and self.diffusion is not None:
             raise ValueError(f"{self.interpretation} model must not carry a state diffusion")
-        if self.kernel is not None and self.diffusion is None:
-            raise ValueError("a kernel needs a model with a state diffusion")
 
 
 def validate_model(model: ModelSpec, x=None, t: float = 0.0, eta=None) -> None:
     """Probe drift/diffusion shapes at one point; raise ValueError on mismatch."""
     x = np.ones(model.n) if x is None else np.asarray(x, dtype=float)
+    ws = [1.0] * model.noise_dim
     if model.interpretation == "rode":
         if eta is None:
             eta = 1.0 if model.eta_dim <= 1 else np.ones(model.eta_dim)
         fx = np.asarray(model.drift(t, x, eta))
+        ws = np.atleast_1d(eta).tolist()
     else:
         fx = np.asarray(model.drift(t, x))
     if fx.shape != x.shape:
@@ -123,9 +124,8 @@ def validate_model(model: ModelSpec, x=None, t: float = 0.0, eta=None) -> None:
         if jac.shape != expect:
             raise ValueError(f"diffusion_jacobian shape {jac.shape}, expected {expect}")
     if model.kernel is not None:
-        xs = [x[..., i] for i in range(model.n)]
-        f, g = model.kernel(t, xs, [1.0] * model.noise_dim)
-        if len(f) != model.n or len(g) != model.n:
+        f, g = model.kernel(t, [x[..., i] for i in range(model.n)], ws)
+        if len(f) != model.n or (model.diffusion is not None and len(g) != model.n):
             raise ValueError(f"kernel returned {len(f)} drift and {len(g)} noise "
                              f"components, expected {model.n}")
 
@@ -180,10 +180,6 @@ class EnsembleStats:
         write_csv(file, ",".join(header_parts), cols, comment=comment)
 
 
-def _matvec(sig, v):
-    return np.einsum("...il,...l->...i", sig, v)
-
-
 def _check_finite(x, k, t, times, states):
     if np.isfinite(x).all():
         return
@@ -199,73 +195,70 @@ def _check_finite(x, k, t, times, states):
     )
 
 
-def _run_steps(step, times, x0, record=True):
-    """Drive a per-step update callable on (..., n) states and collect them."""
-    x = np.asarray(x0, dtype=float).copy()
-    n_steps = len(times) - 1
-    states = np.empty((n_steps + 1,) + x.shape) if record else None
-    if record:
-        states[0] = x
-    for k in range(n_steps):
-        t = times[k]
-        h = times[k + 1] - times[k]
-        x = step(k, t, h, x)
-        if record:
-            states[k + 1] = x
-        _check_finite(x, k, t, times, states[: k + 2] if record else None)
-    return states if record else x
-
-
 def _matrix_kernel(model):
     """Kernel of a model given only in matrix form: stack the components,
-    evaluate drift and sigma dW, and split the results again."""
-    f, sig, n = model.drift, model.diffusion, model.n
+    evaluate the drift (at the stacked eta of a rode model) and sigma dW,
+    and split the results again."""
+    f, sig, n, interpretation = model.drift, model.diffusion, model.n, model.interpretation
+
+    def split(v):
+        return [v[..., i] for i in range(n)]
 
     def kernel(t, xs, ws):
         x = np.stack(xs, axis=-1)
-        fx = f(t, x)
-        gx = _matvec(sig(t, x), np.stack(ws, axis=-1))
-        return [fx[..., i] for i in range(n)], [gx[..., i] for i in range(n)]
+        if interpretation == "ode":
+            return split(f(t, x)), ()
+        if interpretation == "rode":
+            return split(f(t, x, ws[0] if len(ws) == 1 else np.stack(ws, axis=-1))), ()
+        return split(f(t, x)), split(np.einsum("...il,...l->...i", sig(t, x),
+                                               np.stack(ws, axis=-1)))
 
     return kernel
 
 
-def _kernel_states(model, advance, times, x0, increments, record=True):
-    """Drive advance(kernel, t, h, xs, ws) -> xs over the grid on state components.
+def _kernel_states(model, advance, times, x0, noise, record=True):
+    """Drive advance(kernel, t, h, xs, w, k) -> xs over the grid on state components.
 
-    increments has shape (N, ..., l) matching the batch axes of x0, or
-    (N, l) for noise shared by the whole batch.  A single path steps on
-    Python floats, converting one increment row per step; a batch steps on
-    (B,) component arrays.  Returns the states (N+1,) + x0.shape, or the
-    terminal state when record is off.
+    noise has shape (rows, ..., l) matching the batch axes of x0, or
+    (rows, l) for noise shared by the whole batch; w(k) gives the l
+    components of row k (see _scheme_states).  A single path steps on Python
+    floats, converting the rows its advance reads; a batch steps on (B,)
+    component arrays.  Returns the states (N+1,) + x0.shape, or the terminal
+    state when record is off.
     """
     kernel = model.kernel or _matrix_kernel(model)
     x0 = np.asarray(x0, dtype=float)
-    n, l = x0.shape[-1], increments.shape[-1]
+    n, l = x0.shape[-1], noise.shape[-1]
     n_steps = len(times) - 1
     tl = np.asarray(times, dtype=float).tolist()
     states = np.empty((n_steps + 1,) + x0.shape) if record else None
     if record:
         states[0] = x0
-    if x0.size == n and increments.size == n_steps * l:
+    if x0.size == n and noise.size == len(noise) * l:
         rows = states.reshape(n_steps + 1, n) if record else None
-        incs = increments.reshape(n_steps, l)
+        flat = noise.reshape(len(noise), l)
+
+        def w(k):
+            return flat[k].tolist()
         xs = x0.reshape(n).tolist()
         for k in range(n_steps):
             t = tl[k]
-            xs = advance(kernel, t, tl[k + 1] - t, xs, incs[k].tolist())
+            xs = advance(kernel, t, tl[k + 1] - t, xs, w, k)
             if record:
                 rows[k + 1] = xs
             if not all(map(math.isfinite, xs)):
                 _check_finite(np.reshape(xs, x0.shape), k, t, times,
                               states[: k + 2] if record else None)
         return states if record else np.reshape(xs, x0.shape)
+
+    def w(k):
+        row = noise[k]
+        return [row[..., j] for j in range(l)]
     last = x0.copy()
     xs = [x0[..., i] for i in range(n)]
     for k in range(n_steps):
         t = tl[k]
-        inc = increments[k]
-        xs = advance(kernel, t, tl[k + 1] - t, xs, [inc[..., j] for j in range(l)])
+        xs = advance(kernel, t, tl[k + 1] - t, xs, w, k)
         row = states[k + 1] if record else last
         for i, c in enumerate(xs):
             row[..., i] = c
@@ -273,17 +266,40 @@ def _kernel_states(model, advance, times, x0, increments, record=True):
     return states if record else last
 
 
-def _em_advance(kernel, t, h, xs, ws):
-    f, g = kernel(t, xs, ws)
+def _em_advance(kernel, t, h, xs, w, k):
+    f, g = kernel(t, xs, w(k))
     return [x + a * h + b for x, a, b in zip(xs, f, g)]
 
 
-def _heun_advance(kernel, t, h, xs, ws):
+def _heun_advance(kernel, t, h, xs, w, k):
+    ws = w(k)
     f0, g0 = kernel(t, xs, ws)
     xp = [x + a * h + b for x, a, b in zip(xs, f0, g0)]
     f1, g1 = kernel(t + h, xp, ws)
     hh = 0.5 * h
     return [x + hh * (a + c) + 0.5 * (b + d) for x, a, b, c, d in zip(xs, f0, g0, f1, g1)]
+
+
+def _rk4_advance(kernel, t, h, xs, w, k):
+    hh = 0.5 * h
+    k1 = kernel(t, xs, ())[0]
+    k2 = kernel(t + hh, [x + hh * a for x, a in zip(xs, k1)], ())[0]
+    k3 = kernel(t + hh, [x + hh * a for x, a in zip(xs, k2)], ())[0]
+    k4 = kernel(t + h, [x + h * a for x, a in zip(xs, k3)], ())[0]
+    h6 = h / 6.0
+    return [x + h6 * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
+
+
+def _rode_heun_advance(kernel, t, h, xs, w, k):
+    f0 = kernel(t, xs, w(k))[0]
+    f1 = kernel(t + h, [x + h * a for x, a in zip(xs, f0)], w(k + 1))[0]
+    hh = 0.5 * h
+    return [x + hh * (a + b) for x, a, b in zip(xs, f0, f1)]
+
+
+def _rode_euler_advance(kernel, t, h, xs, w, k):
+    f = kernel(t, xs, w(k))[0]
+    return [x + h * a for x, a in zip(xs, f)]
 
 
 def euler_maruyama(model: ModelSpec, x0, path: NoisePath) -> Trajectory:
@@ -306,19 +322,6 @@ def rk4(model: ModelSpec, x0, grid) -> Trajectory:
     return integrate_path(model, x0, "rk4", grid=grid)
 
 
-def _rk4_states(model, x0, times, record=True):
-    f = model.drift
-
-    def step(k, t, h, x):
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = f(t + h, x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    return _run_steps(step, times, x0, record)
-
-
 def solve_rode(model: ModelSpec, x0, eta: ParameterProcess, scheme: str = "rode_heun") -> Trajectory:
     """Pathwise deterministic integration of dx/dt = f(t, x, eta_t).
 
@@ -326,21 +329,6 @@ def solve_rode(model: ModelSpec, x0, eta: ParameterProcess, scheme: str = "rode_
     values are the sampled endpoints); 'rode_euler' freezes eta per step.
     """
     return integrate_path(model, x0, scheme, eta=eta)
-
-
-def _rode_states(model, x0, times, eta_values, euler=False, record=True):
-    f = model.drift
-
-    if euler:
-        def step(k, t, h, x):
-            return x + h * f(t, x, eta_values[k])
-    else:
-        def step(k, t, h, x):
-            k1 = f(t, x, eta_values[k])
-            k2 = f(t + h, x + h * k1, eta_values[k + 1])
-            return x + 0.5 * h * (k1 + k2)
-
-    return _run_steps(step, times, x0, record)
 
 
 def strat_to_ito(model: ModelSpec) -> ModelSpec:
@@ -404,12 +392,13 @@ def integrate_path(model: ModelSpec, x0, scheme: str, path: NoisePath | None = N
     elif model.interpretation == "ode":
         if grid is None and path is None:
             raise ValueError("scheme 'rk4' needs a time grid or a path")
-        times, noise = np.asarray(grid if grid is not None else path.times, dtype=float), None
+        times = np.asarray(grid if grid is not None else path.times, dtype=float)
+        noise = np.empty((len(times) - 1, 0))
     else:
         if eta is None:
             raise ValueError(f"scheme {scheme!r} needs a parameter process eta")
         _check_eta(model, eta)
-        times, noise = eta.times, eta.values
+        times, noise = eta.times, _eta_rows(eta)
     states = _scheme_states(model, scheme, np.asarray(x0, dtype=float), times, noise)
     return Trajectory(times=times.copy(), states=states, model_name=model.name, seed=seed)
 
@@ -432,18 +421,16 @@ def _check_scheme(model: ModelSpec, scheme: str) -> None:
         )
 
 
+# scheme id -> its advance function on the component form
+_ADVANCE = {"euler_maruyama": _em_advance, "heun": _heun_advance, "rk4": _rk4_advance,
+            "rode_heun": _rode_heun_advance, "rode_euler": _rode_euler_advance}
+
+
 def _scheme_states(model, scheme, x0, times, noise, record=True):
     """Integrate a batch under a checked scheme; noise is the (N, ..., l)
-    increment stack of a stochastic scheme, the (N+1, ...) eta values of a
-    RODE scheme, and unused by rk4."""
-    if scheme == "euler_maruyama":
-        return _kernel_states(model, _em_advance, times, x0, noise, record)
-    if scheme == "heun":
-        return _kernel_states(model, _heun_advance, times, x0, noise, record)
-    if scheme == "rk4":
-        return _rk4_states(model, x0, times, record)
-    return _rode_states(model, x0, times, noise, euler=(scheme == "rode_euler"),
-                        record=record)
+    increment stack of a stochastic scheme, the (N+1, ..., l) eta rows of a
+    RODE scheme (step k reads rows k and k+1), and unused by rk4."""
+    return _kernel_states(model, _ADVANCE[scheme], times, x0, noise, record)
 
 
 # Noise values an ensemble draws per time block: 2**19 float64 values (4 MiB).
@@ -484,15 +471,22 @@ def run_ensemble(
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     _check_scheme(model, scheme)
+    if model.interpretation == "rode" and model.eta_builder is None:
+        raise ValueError("RODE ensemble needs a model with an eta_builder")
     n_steps = _grid_steps(T, h)
     times = np.arange(n_steps + 1) * h
     observers = list(observers)
-    values = np.empty((len(functionals), n_steps + 1, n_paths))
+    # each row reduces only its own paths, so per-block reductions equal
+    # whole-array ones bit for bit
+    mean = np.empty((len(functionals), n_steps + 1))
+    var = np.empty_like(mean)
     if functionals:
-        def gather(k, block):
+        def reduce(k, block):
             for i, f in enumerate(functionals):
-                values[i, k:k + len(block)] = f.value(block)
-        observers.append(gather)
+                values = np.asarray(f.value(block))
+                mean[i, k:k + len(block)] = values.mean(axis=1)
+                var[i, k:k + len(block)] = values.var(axis=1)
+        observers.append(reduce)
     if return_states:
         states = np.empty((n_steps + 1, n_paths, model.n))
 
@@ -517,15 +511,9 @@ def run_ensemble(
             step=step, time=times[step], times=times, states=trace, path_index=p,
         )
 
-    names = tuple(f.name for f in functionals)
-    mean = np.empty((len(names), n_steps + 1))
-    var = np.empty_like(mean)
-    for i in range(len(names)):
-        mean[i] = values[i].mean(axis=1)
-        var[i] = values[i].var(axis=1)
     stats = EnsembleStats(
-        times=times, functional_names=names, mean=mean, variance=var,
-        n_paths=n_paths, seed=int(seed), scheme=scheme, model_name=model.name,
+        times=times, functional_names=tuple(f.name for f in functionals), mean=mean,
+        variance=var, n_paths=n_paths, seed=int(seed), scheme=scheme, model_name=model.name,
     )
     if return_states:
         return stats, np.swapaxes(states, 0, 1)
@@ -577,14 +565,17 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
 def _path_eta(model, seed, k, n_steps, h, times):
     # builders receive a 1-dim driving path; vector eta processes go through
     # solve_rode with an explicitly constructed ParameterProcess
-    if model.eta_builder is None:
-        raise ValueError("RODE ensemble needs a model with an eta_builder")
     rng = stream(seed, DOMAIN_ENSEMBLE, k)
     incs = rng.normal(0.0, np.sqrt(h), size=(n_steps, 1))
     path = NoisePath(times=times.copy(), increments=incs, seed=int(seed), level=0)
     eta = model.eta_builder(path)
     _check_eta(model, eta)
-    return np.asarray(eta.values)
+    return _eta_rows(eta)
+
+
+def _eta_rows(eta: ParameterProcess) -> np.ndarray:
+    """The samples of eta as (N+1, dim) rows of components, a RODE scheme's noise."""
+    return np.asarray(eta.values).reshape(len(eta.times), eta.dim)
 
 
 def _grid_steps(T, h):

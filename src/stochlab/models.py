@@ -2,12 +2,13 @@
 the Kubo oscillator, the scalar linear SDE and the isochronous oscillators.
 
 Every builder returns a validated ModelSpec.  Drift terms are written once,
-in component form (functions of the state components xs, see
-ModelSpec.kernel); the array drift, the drift terms and the kernel's drift
-are derived from them.  Stochastic entries also give the noise action
-sigma(t, x) dW in component form, next to the sigma matrix and the analytic
-diffusion Jacobian that the checkers and the Wong-Zakai conversion use, so
-that conversion never falls back to differencing.
+in component form (functions of the state components xs and, for RODE
+models, of the eta components ws, see ModelSpec.kernel); the array drift,
+the drift terms and the kernel are derived from them.  Stochastic entries
+also give the noise action sigma(t, x) dW in component form, next to the
+sigma matrix and the analytic diffusion Jacobian that the checkers and the
+Wong-Zakai conversion use, so that conversion never falls back to
+differencing.
 """
 from __future__ import annotations
 
@@ -117,12 +118,15 @@ def _scaled(s, v):
     return (s * v[0], s * v[1], s * v[2])
 
 
-def _stacked(fn):
-    """The (..., n)-array form (t, x, *rest) of a component-form fn(t, xs, *rest)."""
+def _stacked(fn, eta_dim=0):
+    """The (..., n)-array form (t, x[, eta]) of a component-form fn(t, xs[, ws]);
+    an eta of eta_dim > 1 components is split on its last axis like x."""
 
-    def field(t, x, *rest):
+    def field(t, x, *eta):
         x = np.asarray(x, dtype=float)
-        comps = fn(t, [x[..., i] for i in range(x.shape[-1])], *rest)
+        ws = [[e] if eta_dim == 1 else list(np.moveaxis(np.asarray(e, dtype=float), -1, 0))
+              for e in eta]
+        comps = fn(t, [x[..., i] for i in range(x.shape[-1])], *ws)
         shape = np.broadcast_shapes(x.shape[:-1], *(np.shape(c) for c in comps))
         out = np.empty(shape + (len(comps),))
         for i, c in enumerate(comps):
@@ -138,47 +142,58 @@ def _summed(fns):
     if not rest:
         return first
 
-    def total(t, x, *args):
-        out = first(t, x, *args)
+    def total(t, x, *ws):
+        out = first(t, x, *ws)
         for fn in rest:
-            out = [a + b for a, b in zip(out, fn(t, x, *args))]
+            out = [a + b for a, b in zip(out, fn(t, x, *ws))]
         return out
 
     return total
 
 
-def _spec(n, noise_dim, interpretation, terms, action=None, **fields) -> ModelSpec:
-    """ModelSpec from named component-form drift terms and noise action
-    (t, xs, ws) -> sigma(t, x) dW; array drift, drift terms and kernel derived."""
-    drift_c = _summed([fn for _, fn in terms])
-    kernel = None
-    if action is not None:
+def _spec(n, noise_dim, interpretation, terms, action=None, total=None, **fields) -> ModelSpec:
+    """ModelSpec from named component-form drift terms (t, xs, *ws) -> f,
+    and the noise action (t, xs, ws) -> sigma(t, x) dW of a stochastic model;
+    array drift, drift terms and kernel derived.  ws holds the eta
+    components of a RODE model; ODE terms ignore it.  total, if given, is
+    the sum of the terms in one pass, equal to their sum bit for bit."""
+    drift_c = total or _summed([fn for _, fn in terms])
+    if action is None:
+        def kernel(t, xs, ws):
+            return drift_c(t, xs, ws), ()
+    else:
         def kernel(t, xs, ws):
             return drift_c(t, xs), action(t, xs, ws)
+    eta_dim = fields.get("eta_dim", 0)
 
     return ModelSpec(
         n=n, noise_dim=noise_dim, interpretation=interpretation,
-        drift=_stacked(drift_c),
-        drift_terms=tuple((name, _stacked(fn)) for name, fn in terms),
+        drift=_stacked(drift_c, eta_dim),
+        drift_terms=tuple((name, _stacked(fn, eta_dim)) for name, fn in terms),
         kernel=kernel, **fields,
     )
 
 
-def _ll_terms(field, alpha):
-    """Precession -x ^ b and damping -alpha x ^ (x ^ b) for b = field(*rest)."""
+def _ll_drift(field, alpha):
+    """Precession -x ^ b and damping -alpha x ^ (x ^ b) for b = field(*ws),
+    and their total, which forms x ^ b once: -c + (-alpha) d and
+    -c - alpha d round alike."""
 
-    def precession(t, x, *rest):
-        c0, c1, c2 = _cross_c(x, field(*rest))
+    def precession(t, x, *ws):
+        c0, c1, c2 = _cross_c(x, field(*ws))
         return (-c0, -c1, -c2)
 
-    def damping(t, x, *rest):
-        return _scaled(-alpha, _cross_c(x, _cross_c(x, field(*rest))))
+    def damping(t, x, *ws):
+        return _scaled(-alpha, _cross_c(x, _cross_c(x, field(*ws))))
 
-    return (("precession", precession), ("damping", damping))
+    def total(t, x, *ws):
+        return _ll_c(x, field(*ws), alpha)
+
+    return {"terms": (("precession", precession), ("damping", damping)), "total": total}
 
 
 def _larmor_terms(b):
-    return (("precession", lambda t, x: _cross_c(x, b)),)
+    return (("precession", lambda t, x, *ws: _cross_c(x, b)),)
 
 
 def _sigma_etore(x, alpha):
@@ -258,7 +273,7 @@ def _build_larmor_preserving(b, gamma):
 def _build_ll(b, alpha):
     b = _field_vector(b, "ll")
     _check_nonneg("ll", alpha=alpha)
-    return _spec(3, 0, "ode", _ll_terms(lambda: b, alpha),
+    return _spec(3, 0, "ode", **_ll_drift(lambda *ws: b, alpha),
                  name="ll", params={"b": b, "alpha": alpha})
 
 
@@ -278,7 +293,7 @@ def _build_ell(b, alpha, eps, interpretation):
         return eps * _sigma_etore_jac(x, alpha)
 
     return _spec(
-        3, 3, interpretation, _ll_terms(lambda: b, alpha), action,
+        3, 3, interpretation, action=action, **_ll_drift(lambda *ws: b, alpha),
         diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name=f"ell_{interpretation}",
         params={"b": b, "alpha": alpha, "eps": eps},
@@ -366,16 +381,15 @@ def _build_rode_ll(b, alpha, scalar_eta, t_min):
 
     if scalar_eta:
         # equilibrium-preserving subfamily b_t = b0 eta_t with scalar eta
-        def effective_field(eta):
-            return _scaled(eta, b)
+        def effective_field(ws):
+            return _scaled(ws[0], b)
     else:
-        def effective_field(eta):
-            eta = np.asarray(eta, dtype=float)
-            return (eta[..., 0], eta[..., 1], eta[..., 2])
+        def effective_field(ws):
+            return tuple(ws)
 
     eta_builder = partial(iterated_log_eta, t_min=t_min) if scalar_eta else None
     return _spec(
-        3, 0, "rode", _ll_terms(effective_field, alpha),
+        3, 0, "rode", **_ll_drift(effective_field, alpha),
         eta_dim=1 if scalar_eta else 3,
         eta_builder=eta_builder,
         name="rode_ll",

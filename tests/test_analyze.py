@@ -25,7 +25,7 @@ from stochlab.analyze import (
     uniform_sphere_sampler,
 )
 from stochlab.analyze import _fit_order
-from stochlab.integrate import ModelSpec, Trajectory, strat_to_ito
+from stochlab.integrate import ModelSpec, Trajectory, run_ensemble, strat_to_ito
 from stochlab.models import build_model, kubo_exact, scalar_linear_exact
 from stochlab.noise import DOMAIN_SAMPLER, sample_brownian, stream
 from stochlab.vecalg import casimir_field, norm_squared_field, sphere_field
@@ -242,6 +242,16 @@ def test_convergence_studies_reject_a_scheme_of_another_interpretation():
                                     "finest_refinement", levels=3, n_paths=4, seed=7)
 
 
+def test_convergence_studies_reject_a_rode_model_without_an_eta_builder():
+    model = build_model("rode_ll", scalar_eta=False)
+    with pytest.raises(ValueError, match="eta_builder"):
+        empirical_convergence_order(model, [0.6, 0.0, 0.8], "rode_heun",
+                                    "finest_refinement", levels=3, n_paths=4, seed=7)
+    with pytest.raises(ValueError, match="eta_builder"):
+        functional_drift_decay(model, [0.6, 0.0, 0.8], sphere_field(), "rode_heun",
+                               levels=3, n_paths=4, seed=7)
+
+
 def test_convergence_order_honours_rode_euler():
     model = build_model("rode_ll")
     kw = dict(oracle="finest_refinement", levels=3, n_paths=8, seed=3, h0=2.0**-4)
@@ -328,6 +338,25 @@ def test_stability_probability_memory_is_bounded_by_the_time_block():
     finally:
         tracemalloc.stop()
     assert est.n_exceed == 5
+    assert peak < 30 * 2**20
+
+
+def test_run_ensemble_memory_is_bounded_by_the_time_block():
+    """tracemalloc peak at 200 paths x 20k steps with one functional
+    (scalar linear, a=-1, b=1).
+
+    Gathering every functional value as (1, N+1, n_paths) peaked at
+    62.5 MiB.  Reducing mean and variance per time block peaks at 21.3 MiB.
+    """
+    model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
+    tracemalloc.start()
+    try:
+        stats = run_ensemble(model, [1.0], "euler_maruyama", 200, 0,
+                             [norm_squared_field(dim=1)], T=20.0, h=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.mean.shape == (1, 20001)
     assert peak < 30 * 2**20
 
 

@@ -282,6 +282,15 @@ BAD_CONFIGS = {
         analyses=[{"kind": "attraction", "target": [0.0, 0.0, 1.0], "eps": 0.0}])),
     "symplecticity_needs_planar": ("check", base_cfg(
         analyses=[{"kind": "symplecticity", "tol": 1e-2}])),
+    "rode_without_eta_builder_simulate": ("simulate", base_cfg(
+        model={"name": "rode_ll", "params": {"scalar_eta": False}})),
+    "rode_without_eta_builder_stability": ("stability", base_cfg(
+        model={"name": "rode_ll", "params": {"scalar_eta": False}}, n_paths=4,
+        analyses=[{"kind": "stability", "x0_radius": 0.1, "delta": 0.5}])),
+    "rode_without_eta_builder_convergence": ("convergence", base_cfg(
+        model={"name": "rode_ll", "params": {"scalar_eta": False}},
+        analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                   "levels": 3, "n_paths": 8}])),
 }
 
 

@@ -24,7 +24,14 @@ from stochlab.integrate import (
     write_csv,
 )
 from stochlab.models import build_model, kubo_exact, scalar_linear_exact
-from stochlab.noise import DOMAIN_ENSEMBLE, NoisePath, constant_eta, sample_brownian, stream
+from stochlab.noise import (
+    DOMAIN_ENSEMBLE,
+    NoisePath,
+    ParameterProcess,
+    constant_eta,
+    sample_brownian,
+    stream,
+)
 from stochlab.vecalg import ScalarField, norm_squared_field
 
 
@@ -51,6 +58,37 @@ def test_validate_model_detects_shape_mismatch():
                     drift=lambda t, x: np.zeros(3))
     with pytest.raises(ValueError):
         validate_model(bad)
+
+
+def test_validate_model_probes_ode_and_rode_kernels():
+    for interpretation in ("ode", "rode"):
+        bad = ModelSpec(n=2, noise_dim=0, interpretation=interpretation,
+                        drift=lambda t, x, *eta: np.zeros(2),
+                        kernel=lambda t, xs, ws: ([0.0] * 3, ()))
+        with pytest.raises(ValueError, match="3 drift"):
+            validate_model(bad)
+
+
+@pytest.mark.parametrize("params,scheme", [
+    ({}, "rode_heun"), ({}, "rode_euler"), ({"scalar_eta": False}, "rode_heun"), (None, "rk4"),
+])
+def test_a_hand_built_model_steps_like_the_catalog_kernel(params, scheme):
+    """A model given only by its array drift gets a kernel derived from it,
+    which steps one path and a batch as the catalog kernel does, bit for bit."""
+    model = build_model("ll") if params is None else build_model("rode_ll", **params)
+    hand = ModelSpec(n=3, noise_dim=0, interpretation=model.interpretation,
+                     drift=model.drift, eta_dim=model.eta_dim)
+    rng = np.random.default_rng(2)
+    x0, times = rng.normal(size=(4, 3)), np.arange(41) * 0.01
+    if params is None:
+        run = dict(grid=times)
+    else:
+        values = rng.uniform(0.5, 2.0, size=(41, model.eta_dim))
+        run = dict(eta=ParameterProcess(times=times, values=values[:, 0] if model.eta_dim == 1
+                                        else values))
+    for x in (x0, x0[1]):
+        expected = integrate_path(model, x, scheme, **run).states
+        assert np.array_equal(integrate_path(hand, x, scheme, **run).states, expected)
 
 
 def test_write_csv_uses_17_significant_digits(tmp_path, load_csv):
@@ -363,22 +401,62 @@ def test_time_blocks_do_not_change_any_bit(monkeypatch, block_steps, name, param
     assert (b_exceed, b_attracted) == (n_exceed, n_attracted)
 
 
+def _array_reference(model, scheme, x0, seed, times):
+    """The paths of an ensemble stepped on the (paths, n) array drift,
+    each RODE path driven by the eta of its own stream."""
+    h, n_steps = times[1], len(times) - 1
+    f = model.drift
+    if model.interpretation == "rode":
+        etas = np.stack([model.eta_builder(NoisePath(
+            times=times, seed=seed, level=0,
+            increments=stream(seed, DOMAIN_ENSEMBLE, p).normal(0.0, np.sqrt(h), (n_steps, 1)),
+        )).values for p in range(len(x0))], axis=1)
+    x, states = x0, [x0]
+    for k in range(n_steps):
+        t, h = times[k], times[k + 1] - times[k]
+        if scheme == "rk4":
+            k1 = f(t, x)
+            k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = f(t + h, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        elif scheme == "rode_euler":
+            x = x + h * f(t, x, etas[k])
+        else:
+            k1 = f(t, x, etas[k])
+            x = x + 0.5 * h * (k1 + f(t + h, x + h * k1, etas[k + 1]))
+        states.append(x)
+    return np.swapaxes(np.array(states), 0, 1)
+
+
+@pytest.mark.parametrize("name,scheme", [
+    ("ll", "rk4"), ("rode_ll", "rode_heun"), ("rode_ll", "rode_euler"),
+])
+def test_run_ensemble_equals_the_array_reference(name, scheme):
+    """Every path of a 4-path ensemble and its statistics, bit for bit.  The
+    horizon passes t = 3, after which the eta of rode_ll varies."""
+    model = build_model(name, alpha=0.7)
+    seed, h, n_steps = 9, 0.01, 400
+    stats, states = run_ensemble(model, uniform_sphere_sampler, scheme, 4, seed,
+                                 [norm_squared_field()], T=n_steps * h, h=h,
+                                 return_states=True)
+    expected = _array_reference(model, scheme, states[:, 0], seed, stats.times)
+    assert np.array_equal(states, expected)
+    norm2 = np.sum(expected * expected, axis=-1)
+    assert np.array_equal(stats.mean[0], norm2.mean(axis=0))
+    assert np.array_equal(stats.variance[0], norm2.var(axis=0))
+
+
 def test_run_ensemble_honours_rode_euler():
     model = build_model("rode_ll")
-    x0, seed, h, n_steps = np.array([0.6, 0.0, 0.8]), 9, 0.01, 50
+    x0, seed, h, n_steps = np.array([0.6, 0.0, 0.8]), 9, 0.01, 400
     kw = dict(T=n_steps * h, h=h, return_states=True)
     _, heun = run_ensemble(model, x0, "rode_heun", 3, seed, (), **kw)
     _, euler = run_ensemble(model, x0, "rode_euler", 3, seed, (), **kw)
     assert not np.allclose(euler, heun, rtol=0.0, atol=1e-6)
-    # hand-rolled Euler on path 1, driven by the eta of its own stream
     times = np.arange(n_steps + 1) * h
-    incs = stream(seed, DOMAIN_ENSEMBLE, 1).normal(0.0, np.sqrt(h), size=(n_steps, 1))
-    eta = model.eta_builder(NoisePath(times=times, increments=incs, seed=seed, level=0))
-    x, expected = x0, [x0]
-    for k in range(n_steps):
-        x = x + (times[k + 1] - times[k]) * model.drift(times[k], x, eta.values[k])
-        expected.append(x)
-    assert np.array_equal(euler[1], np.array(expected))
+    expected = _array_reference(model, "rode_euler", np.stack([x0] * 3), seed, times)
+    assert np.array_equal(euler, expected)
 
 
 def test_scheme_table_is_consistent():

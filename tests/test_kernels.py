@@ -1,5 +1,6 @@
 """Component-form kernels: agreement with the matrix fields, and bitwise
-equality of the one-path float stepping with the batched array stepping."""
+equality of the one-path float stepping with the batched array stepping,
+under every scheme."""
 import numpy as np
 import pytest
 import yaml
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochlab.cli import main
-from stochlab.integrate import _scheme_states, euler_maruyama, heun_strat
-from stochlab.models import build_model
-from stochlab.noise import NoisePath
+from stochlab.integrate import SCHEMES, _scheme_states, integrate_path
+from stochlab.models import CATALOG, build_model
+from stochlab.noise import NoisePath, ParameterProcess
 
 B3 = (0.2, -1.0, 0.5)
 
@@ -28,9 +29,17 @@ STOCHASTIC = {
     "isochronous": ("isochronous", dict(omega=(1.0, 2.5), eps=(0.3, 0.1))),
 }
 
+# test id -> (catalog name, parameters); every ODE and RODE catalog model
+DETERMINISTIC = {
+    "larmor": ("larmor", dict(b=B3)),
+    "ll": ("ll", dict(b=B3, alpha=0.7)),
+    "rode_ll": ("rode_ll", dict(b=B3, alpha=0.7)),
+    "rode_ll_vector": ("rode_ll", dict(b=B3, alpha=0.7, scalar_eta=False)),
+}
+
 
 def _model(key):
-    name, params = STOCHASTIC[key]
+    name, params = {**STOCHASTIC, **DETERMINISTIC}[key]
     return build_model(name, **params)
 
 
@@ -60,12 +69,35 @@ def _assert_matches(model, t, x, w, f, g):
     assert np.all(np.max(np.abs(f - drift), axis=-1) <= 1e-13 * f_scale)
 
 
-def test_every_stochastic_catalog_model_has_a_kernel():
-    names = {name for name, _ in STOCHASTIC.values()}
-    assert names == {"larmor_external", "larmor_preserving", "ell", "etore_invariantized",
-                     "modified_etore", "kubo", "scalar_linear", "isochronous"}
-    for key in STOCHASTIC:
+def test_every_catalog_model_has_a_kernel():
+    names = {name for name, _ in [*STOCHASTIC.values(), *DETERMINISTIC.values()]}
+    assert names == set(CATALOG)
+    for key in [*STOCHASTIC, *DETERMINISTIC]:
         assert _model(key).kernel is not None
+
+
+@pytest.mark.parametrize("key", sorted(DETERMINISTIC))
+@given(data=st.data())
+def test_deterministic_kernel_drift_equals_the_array_drift(key, data):
+    """ODE and RODE kernels give the array drift bit for bit: both evaluate
+    the same component terms, on (4,) arrays and on floats."""
+    model = _model(key)
+    x = data.draw(arrays(np.float64, (4, 3), elements=st.floats(-3.0, 3.0)))
+    t = data.draw(st.floats(0.0, 5.0))
+    eta = data.draw(arrays(np.float64, (4, model.eta_dim), elements=st.floats(0.1, 3.0)))
+    rode = model.interpretation == "rode"
+
+    def drift(x, eta):
+        if not rode:
+            return model.drift(t, x)
+        return model.drift(t, x, eta[..., 0] if model.eta_dim == 1 else eta)
+
+    f, _ = model.kernel(t, _components(x), _components(eta))
+    assert np.array_equal(_stacked(f, (4,)), drift(x, eta))
+    for xj, ej in zip(x, eta):
+        f, _ = model.kernel(t, xj.tolist(), ej.tolist())
+        assert all(type(c) is float for c in f)
+        assert np.array_equal(np.array(f), drift(xj, ej))
 
 
 @pytest.mark.parametrize("key", sorted(STOCHASTIC))
@@ -84,25 +116,40 @@ def test_kernel_matches_matrix_fields_on_arrays_and_floats(key, data):
 
 
 def _noise(model, n_steps, batch, seed):
+    """Start states, per-path noise rows and the grid: N increments of
+    noise_dim components, N+1 eta samples of eta_dim components for a RODE
+    model, N empty rows for an ODE model."""
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(batch, model.n))
-    incs = rng.normal(0.0, 0.1, size=(n_steps, batch, model.noise_dim))
-    return x0, incs, np.arange(n_steps + 1) * 0.01
+    if model.interpretation == "rode":
+        noise = rng.uniform(0.5, 2.0, size=(n_steps + 1, batch, model.eta_dim))
+    else:
+        noise = rng.normal(0.0, 0.1, size=(n_steps, batch, model.noise_dim))
+    return x0, noise, np.arange(n_steps + 1) * 0.01
 
 
-@pytest.mark.parametrize("key", sorted(STOCHASTIC))
+def _alone(model, scheme, x0, times, noise):
+    """One path through integrate_path, from its (rows, l) noise."""
+    if model.interpretation == "ode":
+        return integrate_path(model, x0, scheme, grid=times).states
+    if model.interpretation == "rode":
+        eta = ParameterProcess(times=times, values=noise[:, 0] if noise.shape[1] == 1 else noise)
+        return integrate_path(model, x0, scheme, eta=eta).states
+    path = NoisePath(times=times, increments=noise, seed=0, level=0)
+    return integrate_path(model, x0, scheme, path=path).states
+
+
+@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC}))
 def test_one_path_alone_equals_the_same_path_in_a_batch(key):
     model = _model(key)
-    ito = model.interpretation == "ito"
-    scheme, single = ("euler_maruyama", euler_maruyama) if ito else ("heun", heun_strat)
-    x0, incs, times = _noise(model, 60, 5, seed=len(key))
-    together = _scheme_states(model, scheme, x0, times, incs)
-    for j in range(5):
-        path = NoisePath(times=times, increments=incs[:, j, :], seed=0, level=0)
-        alone = single(model, x0[j], path).states
-        assert np.array_equal(alone, together[:, j, :])
-    terminal = _scheme_states(model, scheme, x0[2], times, incs[:, 2, :], record=False)
-    assert np.array_equal(terminal, together[-1, 2, :])
+    x0, noise, times = _noise(model, 60, 5, seed=len(key))
+    for scheme in [s for s, interp in SCHEMES.items() if interp == model.interpretation]:
+        together = _scheme_states(model, scheme, x0, times, noise)
+        for j in range(5):
+            alone = _alone(model, scheme, x0[j], times, noise[:, j, :])
+            assert np.array_equal(alone, together[:, j, :])
+        terminal = _scheme_states(model, scheme, x0[2], times, noise[:, 2, :], record=False)
+        assert np.array_equal(terminal, together[-1, 2, :])
 
 
 @pytest.mark.parametrize("interpretation,scheme",

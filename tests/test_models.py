@@ -87,6 +87,22 @@ def test_ll_drift_terms_sum_to_drift():
     assert np.allclose(total, model.drift(0.0, x), atol=1e-15)
 
 
+@pytest.mark.parametrize("name,params,eta", [
+    ("ll", {}, ()),
+    ("ell", {"interpretation": "ito"}, ()),
+    ("rode_ll", {}, (np.linspace(0.1, 3.0, 50),)),
+    ("rode_ll", {"scalar_eta": False}, (np.linspace(-2.0, 2.0, 150).reshape(50, 3),)),
+])
+def test_ll_drift_total_equals_its_summed_terms_bit_for_bit(name, params, eta):
+    """The fused Landau-Lifshitz drift forms x ^ b once; the precession and
+    damping terms form it each, and their sum rounds the same."""
+    model = build_model(name, alpha=0.7, b=(0.2, -1.0, 0.5), **params)
+    x = np.random.default_rng(4).normal(size=(50, 3))
+    precession, damping = (term for _, term in model.drift_terms)
+    total = precession(0.0, x, *eta) + damping(0.0, x, *eta)
+    assert np.array_equal(total, model.drift(0.0, x, *eta))
+
+
 def test_ell_diffusion_frozen_matrix():
     model = build_model("ell", interpretation="stratonovich", alpha=0.7, eps=1.0)
     expected = np.array([
