@@ -18,6 +18,7 @@ from .integrate import (
     Trajectory,
     _check_scheme,
     _eta_rows,
+    _grid_steps,
     _scheme_states,
     apply_generator,
     default_scheme,
@@ -25,12 +26,16 @@ from .integrate import (
     run_ensemble,
 )
 from .noise import (
+    DOMAIN_BASE,
     DOMAIN_ENSEMBLE,
     NoisePath,
     ParameterProcess,
+    _fresh_streams,
     _n_steps,
+    _normal_rows,
+    derive_seed,
+    philox_keys,
     refine,
-    sample_brownian,
     stream,
     write_csv,
 )
@@ -46,12 +51,6 @@ from .vecalg import (
 )
 
 OFF_MANIFOLD_TOL = 1e-10
-
-
-def derive_seed(master: int, domain: int, index: int) -> int:
-    """Independent 64-bit child seed for (master, domain, index)."""
-    ss = np.random.SeedSequence(entropy=int(master), spawn_key=(int(domain), int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def fibonacci_sphere(n: int = 200) -> np.ndarray:
@@ -299,7 +298,8 @@ def check_equilibrium(
         worst = 0.0
         for t in ts:
             if model.interpretation == "rode":
-                for eta in eta_samples:
+                for sample in eta_samples:
+                    eta = np.full(model.eta_dim, sample) if model.eta_dim > 1 else sample
                     worst = max(worst, float(norm(np.asarray(term(float(t), x, eta)))))
             else:
                 worst = max(worst, float(norm(np.asarray(term(float(t), x)))))
@@ -372,24 +372,33 @@ def _fit_order(hs, errors) -> tuple[float, float]:
     return float(coef[0]), float(1.96 * math.sqrt(max(cov[0][0], 0.0)))
 
 
-def _coupled_paths(seed: int, n_paths: int, T: float, h0: float, dims: int, levels: int):
-    """Per-path dyadic refinement families sharing one Brownian motion each.
+def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
+    """Yield dyadic refinements of coupled Brownian paths one level at a time,
+    coarsest first, as (increments (N, P, dims), times).
 
-    Returns a list over levels; each entry stacks the n_paths increment
-    arrays as (N_level, n_paths, dims).
+    Path p is sample_brownian(seeds[p], T, h0, dims) refined once per level,
+    bit for bit; only the level being refined is held here.
     """
-    families = []
-    for p in range(n_paths):
-        path = sample_brownian(derive_seed(seed, DOMAIN_ENSEMBLE, p), T, h0, dims)
-        chain = [path]
-        for _ in range(levels - 1):
-            chain.append(refine(chain[-1]))
-        families.append(chain)
-    stacks = []
-    for lev in range(levels):
-        stacks.append(np.stack([fam[lev].increments for fam in families], axis=1))
-    times = [families[0][lev].times for lev in range(levels)]
-    return stacks, times, families
+    if len(seeds) < 1 or dims < 1:
+        raise ValueError(f"need at least one path and one noise dimension, "
+                         f"got {len(seeds)} and {dims}")
+    h = h0
+    n = _grid_steps(T, h)
+    keys = philox_keys(seeds, DOMAIN_BASE, 0)
+    increments = _normal_rows(_fresh_streams(keys), np.empty((len(keys), n, dims)),
+                              math.sqrt(h)).transpose(1, 0, 2)
+    for level in range(levels):
+        times = np.arange(len(increments) + 1) * h
+        yield increments, times
+        if level + 1 < levels:
+            increments = refine(increments, h, seeds, level)
+            h /= 2.0
+
+
+def _path_views(increments, times, seeds, level):
+    """NoisePath views of the paths stacked in increments (N, P, l)."""
+    return [NoisePath(times=times, increments=increments[:, p], seed=int(s), level=level)
+            for p, s in enumerate(seeds)]
 
 
 def _check_study(model, scheme, levels):
@@ -401,14 +410,15 @@ def _check_study(model, scheme, levels):
         raise ValueError("a RODE refinement study needs a model with an eta_builder")
 
 
-def _coupled_terminal(model, scheme, x0, increments, paths):
+def _coupled_terminal(model, scheme, x0, increments, times, seeds, level):
     """Terminal states of the coupled paths at one refinement level, given
-    that level's stacked increments and its NoisePath of every path."""
-    x0b = np.broadcast_to(x0, (len(paths),) + x0.shape)
+    that level's stacked increments, its grid and the paths' seeds."""
+    x0b = np.broadcast_to(x0, (increments.shape[1],) + x0.shape)
     noise = increments
     if model.interpretation == "rode":
-        noise = np.stack([_eta_rows(model.eta_builder(p)) for p in paths], axis=1)
-    return _scheme_states(model, scheme, x0b, paths[0].times, noise, record=False)
+        noise = np.stack([_eta_rows(model.eta_builder(p))
+                          for p in _path_views(increments, times, seeds, level)], axis=1)
+    return _scheme_states(model, scheme, x0b, times, noise, record=False)
 
 
 def empirical_convergence_order(
@@ -441,17 +451,18 @@ def empirical_convergence_order(
         raise ValueError(f"oracle_gap must be >= 1, got {oracle_gap}")
     x0 = np.asarray(x0, dtype=float)
     extra = oracle_gap if oracle == "finest_refinement" else 0
-    dims = max(model.noise_dim, 1)
-    stacks, _, families = _coupled_paths(seed, n_paths, T, h0, dims, levels + extra)
-
-    def terminal_at(lev):
-        return _coupled_terminal(model, scheme, x0, stacks[lev], [f[lev] for f in families])
-
-    terminal = [terminal_at(lev) for lev in range(levels)]
+    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
+    terminal = []
+    for lev, (increments, times) in enumerate(
+            _coupled_paths(seeds, T, h0, max(model.noise_dim, 1), levels + extra)):
+        if lev < levels:
+            terminal.append(_coupled_terminal(model, scheme, x0, increments, times, seeds, lev))
+    # the loop leaves increments and times at the finest level
     if oracle == "closed_form":
-        ref = np.stack([np.asarray(closed_form(x0, fam[-1])) for fam in families])
+        ref = np.stack([np.asarray(closed_form(x0, p))
+                        for p in _path_views(increments, times, seeds, lev)])
     else:
-        ref = terminal_at(levels + extra - 1)
+        ref = _coupled_terminal(model, scheme, x0, increments, times, seeds, lev)
     errors = np.array(
         [float(np.mean(np.linalg.norm(xT - ref, axis=-1))) for xT in terminal]
     )
@@ -477,11 +488,11 @@ def functional_drift_decay(
     _check_study(model, scheme, levels)
     x0 = np.asarray(x0, dtype=float)
     f0 = float(F.value(x0))
-    stacks, _, families = _coupled_paths(seed, n_paths, T, h0, max(model.noise_dim, 1),
-                                         levels)
+    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
     drifts = []
-    for lev in range(levels):
-        xT = _coupled_terminal(model, scheme, x0, stacks[lev], [f[lev] for f in families])
+    for lev, (increments, times) in enumerate(
+            _coupled_paths(seeds, T, h0, max(model.noise_dim, 1), levels)):
+        xT = _coupled_terminal(model, scheme, x0, increments, times, seeds, lev)
         drifts.append(float(np.mean(np.abs(np.asarray(F.value(xT)) - f0))))
     hs = h0 / 2.0 ** np.arange(levels)
     slope, half = _fit_order(hs, drifts)
@@ -542,14 +553,12 @@ def conversion_gap_decay(
     """Terminal strong gap between Heun on the Stratonovich model and EM on its
     Ito conversion, on the same coupled dyadic paths, one gap per level."""
     x0 = np.asarray(x0, dtype=float)
-    dims = model_strat.noise_dim
-    stacks, times, _ = _coupled_paths(seed, n_paths, T, h0, dims, levels)
+    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
+    x0b = np.broadcast_to(x0, (n_paths,) + x0.shape)
     gaps = []
-    for lev in range(levels):
-        x0b = np.broadcast_to(x0, (n_paths,) + x0.shape)
-        x_heun = _scheme_states(model_strat, "heun", x0b, times[lev], stacks[lev],
-                                record=False)
-        x_em = _scheme_states(model_ito, "euler_maruyama", x0b, times[lev], stacks[lev],
+    for increments, times in _coupled_paths(seeds, T, h0, model_strat.noise_dim, levels):
+        x_heun = _scheme_states(model_strat, "heun", x0b, times, increments, record=False)
+        x_em = _scheme_states(model_ito, "euler_maruyama", x0b, times, increments,
                               record=False)
         gaps.append(float(np.mean(np.linalg.norm(x_heun - x_em, axis=-1))))
     gaps = np.asarray(gaps)

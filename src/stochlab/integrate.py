@@ -25,8 +25,10 @@ from .noise import (
     DOMAIN_SAMPLER,
     NoisePath,
     ParameterProcess,
+    _fresh_streams,
     _n_steps,
-    stream,
+    _normal_rows,
+    philox_keys,
     write_csv,
 )
 from .vecalg import ScalarField
@@ -529,26 +531,32 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
     """
     n_steps, h = len(times) - 1, times[1]
     sd = np.sqrt(h)
-    x = np.stack([
-        np.asarray(x0(k, stream(seed, DOMAIN_SAMPLER, k)) if callable(x0) else x0,
-                   dtype=float)
-        for k in ks
-    ])
+    if callable(x0):
+        samplers = _fresh_streams(philox_keys(seed, DOMAIN_SAMPLER, ks))
+        x = np.stack([np.asarray(x0(k, rng), dtype=float) for k, rng in zip(ks, samplers)])
+    else:
+        x = np.stack([np.asarray(x0, dtype=float)] * len(ks))
     for observe in observers:
         observe(0, x[None])
+    keys = philox_keys(seed, DOMAIN_ENSEMBLE, ks)
+    stochastic = model.interpretation in ("ito", "stratonovich")
     if model.interpretation == "rode":
-        eta = np.stack([_path_eta(model, seed, k, n_steps, h, times) for k in ks], axis=1)
-    rngs = [stream(seed, DOMAIN_ENSEMBLE, k) for k in ks] \
-        if model.interpretation in ("ito", "stratonovich") else ()
+        eta = np.stack([_path_eta(model, rng, seed, n_steps, h, times)
+                        for rng in _fresh_streams(keys)], axis=1)
     block_steps = max(1, _BLOCK_VALUES // (len(ks) * max(model.n, model.noise_dim)))
+    if stochastic:
+        rngs = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+        # each path's block is drawn contiguously; the stepper gets the
+        # (steps, paths, l) transpose as a view
+        draws = np.empty((len(ks), min(block_steps, n_steps), model.noise_dim))
     for a in range(0, n_steps, block_steps):
         b = min(a + block_steps, n_steps)
         if model.interpretation == "rode":
             noise = eta[a:b + 1]
-        else:  # rk4 has no streams and ignores its empty noise
+        elif stochastic:
+            noise = _normal_rows(rngs, draws[:, :b - a], sd).transpose(1, 0, 2)
+        else:  # rk4 ignores its empty noise
             noise = np.empty((b - a, len(ks), model.noise_dim))
-            for j, rng in enumerate(rngs):
-                noise[:, j, :] = rng.normal(0.0, sd, size=(b - a, model.noise_dim))
         try:
             block = _scheme_states(model, scheme, x, times[a:b + 1], noise)
         except IntegrationError as err:
@@ -558,14 +566,13 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
         for observe in observers:
             observe(a + 1, block[1:])
         x = block[-1].copy()
-        del noise, block  # freed before the next block is drawn
+        del block  # freed before the next block is stepped
     return None
 
 
-def _path_eta(model, seed, k, n_steps, h, times):
+def _path_eta(model, rng, seed, n_steps, h, times):
     # builders receive a 1-dim driving path; vector eta processes go through
     # solve_rode with an explicitly constructed ParameterProcess
-    rng = stream(seed, DOMAIN_ENSEMBLE, k)
     incs = rng.normal(0.0, np.sqrt(h), size=(n_steps, 1))
     path = NoisePath(times=times.copy(), increments=incs, seed=int(seed), level=0)
     eta = model.eta_builder(path)

@@ -3,6 +3,13 @@
 All randomness flows through counter-based Philox streams keyed by
 (master seed, domain, index), so distinct purposes (base sampling, bridge
 refinement levels, ensemble paths) get independent, reproducible streams.
+philox_keys derives the keys of many streams in one vectorized pass, each
+equal to the key numpy's SeedSequence(entropy=seed, spawn_key=(domain,
+index)) would give.  Streams drawn from once (refinement levels, base
+draws of coupled paths, ensemble samplers) share one re-keyed Philox, and
+each path's draw lands contiguously in a stacked buffer: refine takes the
+(N, P, l) increments of P coupled paths at once, and a path refines alike
+alone or in a stack, bit for bit.
 Increments are the canonical storage; cumulative values are always derived.
 write_csv, the one writer of every CSV the package emits, lives here at the
 bottom of the import graph so that path_to_csv can use it too.
@@ -10,6 +17,7 @@ bottom of the import graph so that path_to_csv can use it too.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,12 +33,123 @@ DOMAIN_SAMPLER = 3
 PROVENANCES = ("constant", "brownian-functional", "sde-driven")
 
 
+# The hash constants of numpy's SeedSequence (O'Neill's seed_seq notes).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(values, n_words, what):
+    """Little-endian 32-bit words of integers in [0, 2**(32 n_words)): Python
+    ints for a scalar, uint64 arrays otherwise."""
+    if np.ndim(values) == 0:
+        v = operator.index(values)
+        bad = v < 0 or v >> (32 * n_words)
+    else:
+        v = np.asarray(values)
+        if v.dtype.kind in "fO" and not isinstance(values, np.ndarray):
+            # Python ints: numpy makes floats of lists mixing int64 and
+            # uint64 values, and objects of ints beyond 64 bits
+            v = np.array(values, dtype=object)
+            bad = any(operator.index(x) < 0 or x >> (32 * n_words) for x in v.flat)
+        elif v.dtype.kind in "iu":
+            bad = np.any(v < 0) or n_words == 1 and np.any(v > _MASK32)
+            v = v.astype(np.uint64)
+        else:
+            raise TypeError(f"{what} must be integers, got {v.dtype}")
+    if bad:
+        raise ValueError(f"{what} must be integers in [0, 2**{32 * n_words}), got {values}")
+    words = [(v >> (32 * j)) & _MASK32 for j in range(n_words)]
+    return [w.astype(np.uint64) if isinstance(w, np.ndarray) else w for w in words]
+
+
+def _hasher(init, mult):
+    """SeedSequence's hashmix: xor in a running constant, advance the constant,
+    multiply by it and fold the high half down.  Values are Python ints or
+    uint64 arrays of 32-bit words; a product of two such words fits in 64
+    bits, so masking gives the uint32 arithmetic."""
+    hc = init
+
+    def hashmix(value):
+        nonlocal hc
+        value = value ^ hc
+        hc = hc * mult & _MASK32
+        value = value * hc & _MASK32
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def philox_keys(seeds, domain, indices) -> np.ndarray:
+    """Philox keys of the streams (seeds, domain, indices), broadcast together,
+    as uint64 of shape broadcast + (2,).
+
+    Each key equals SeedSequence(entropy=seed, spawn_key=(domain, index))
+    .generate_state(2, np.uint64): this ports SeedSequence's mixing for
+    seeds below 2**128 and domains and indices below 2**32, where its padded
+    entropy pool is always (4 seed words, domain, index).  Other values
+    raise ValueError.
+    """
+    entropy = _words(seeds, 4, "seeds") + _words(domain, 1, "domain") \
+        + _words(indices, 1, "indices")
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # generate_state(2, np.uint64): four output words, paired little-endian
+    out = _hasher(_INIT_B, _MULT_B)
+    state = [out(w) for w in pool]
+    keys = [state[0] | (state[1] << 32), state[2] | (state[3] << 32)]
+    return np.moveaxis(np.array(keys, dtype=np.uint64), 0, -1)
+
+
+def derive_seed(master: int, domain: int, index):
+    """Independent 64-bit child seed for (master, domain, index): the first
+    word of that stream's Philox key.  An array of indices gives a uint64
+    array of seeds."""
+    words = philox_keys(master, domain, index)[..., 0]
+    return int(words) if words.ndim == 0 else words
+
+
 def stream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Derived generator for (seed, domain, index), counter-based (Philox)."""
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(domain), int(index)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(key=philox_keys(seed, domain, index)))
+
+
+def _fresh_streams(keys):
+    """Yield, for each Philox key, a generator as fresh as
+    Generator(Philox(key=key)), valid until the next one is yielded.  One
+    Philox is re-keyed throughout, a seventh of the cost of building one; it
+    suits streams drawn from once."""
+    bits = np.random.Philox(key=0)
+    state, gen = bits.state, np.random.Generator(bits)
+    for key in keys:
+        state["state"]["key"] = key
+        bits.state = state
+        yield gen
+
+
+def _normal_rows(gens, out, sd):
+    """Fill out[p] with gens[p].normal(0.0, sd, out[p].shape), bit for bit, and
+    return out.  Each C-contiguous row takes a standard normal draw in place
+    and the stack is scaled once: normal returns 0.0 + sd * z, and adding
+    0.0 changes no value but -0.0."""
+    for gen, row in zip(gens, out):
+        gen.standard_normal(out=row)
+    out *= sd
+    out += 0.0
+    return out
 
 
 def _n_steps(T: float, h: float) -> int:
@@ -88,8 +207,14 @@ def sample_brownian(seed: int, T: float, h: float, dims: int = 1) -> NoisePath:
     return NoisePath(times=times, increments=increments, seed=int(seed), level=0)
 
 
-def refine(path: NoisePath) -> NoisePath:
+def refine(path, h: float | None = None, seeds=None, level: int = 0):
     """Halve the step by Brownian-bridge conditioning.
+
+    path is one NoisePath, refined to the NoisePath one level finer, or the
+    (N, P, l) increment stack of P paths at refinement `level` on a grid of
+    step h, path p sampled from seeds[p], refined to the (2N, P, l) stack.
+    Each path draws its midpoint noise from its own (seed, DOMAIN_REFINE,
+    level + 1) stream, so a path refines alike alone or in a stack.
 
     Midpoint increments are parent/2 + xi with xi ~ N(0, h/4), so the two
     fine increments of every parent step sum back to the parent increment:
@@ -99,12 +224,16 @@ def refine(path: NoisePath) -> NoisePath:
     the midpoint deviation near |p|), and clipping would bias every strong
     convergence study run on refined families, so sub-ulp closure wins.
     """
-    h = path.h
-    parent = path.increments
-    n, l = parent.shape
-    rng = stream(path.seed, DOMAIN_REFINE, path.level + 1)
-    xi = rng.normal(0.0, math.sqrt(h) / 2.0, size=(n, l))
-    first = 0.5 * parent + xi
+    if isinstance(path, NoisePath):
+        fine = refine(path.increments[:, None], path.h, [path.seed], path.level)[:, 0]
+        times = np.arange(len(fine) + 1) * (path.h / 2.0)
+        return NoisePath(times=times, increments=fine, seed=path.seed, level=path.level + 1)
+    parent = path
+    n, p, l = parent.shape
+    keys = philox_keys(seeds, DOMAIN_REFINE, level + 1)
+    xi = _normal_rows(_fresh_streams(keys), np.empty((p, n, l)), math.sqrt(h) / 2.0)
+    first = 0.5 * parent + xi.transpose(1, 0, 2)
+    del xi
     second = parent - first
     # where the rounded pair misses the parent by an ulp, re-deriving first
     # from the stored complement restores exact closure on most such steps
@@ -112,11 +241,10 @@ def refine(path: NoisePath) -> NoisePath:
     bad = (first + second) != parent
     if np.any(bad):
         first = np.where(bad, parent - second, first)
-    fine = np.empty((2 * n, l))
+    fine = np.empty((2 * n, p, l))
     fine[0::2] = first
     fine[1::2] = second
-    times = np.arange(2 * n + 1) * (h / 2.0)
-    return NoisePath(times=times, increments=fine, seed=path.seed, level=path.level + 1)
+    return fine
 
 
 def coarse_sum(path: NoisePath) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Persistence checker, order-estimation, and stability analysis tests."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,10 +25,17 @@ from stochlab.analyze import (
     stability_probability,
     uniform_sphere_sampler,
 )
-from stochlab.analyze import _fit_order
+from stochlab.analyze import _coupled_paths, _fit_order
 from stochlab.integrate import ModelSpec, Trajectory, run_ensemble, strat_to_ito
 from stochlab.models import build_model, kubo_exact, scalar_linear_exact
-from stochlab.noise import DOMAIN_SAMPLER, sample_brownian, stream
+from stochlab.noise import (
+    DOMAIN_BASE,
+    DOMAIN_ENSEMBLE,
+    DOMAIN_REFINE,
+    DOMAIN_SAMPLER,
+    sample_brownian,
+    stream,
+)
 from stochlab.vecalg import casimir_field, norm_squared_field, sphere_field
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -40,6 +48,9 @@ def test_derive_seed_is_stable_and_separated():
     assert a != derive_seed(42, 2, 7)
     assert a != derive_seed(43, 1, 7)
     assert 0 <= a < 2**64
+    ss = np.random.SeedSequence(entropy=42, spawn_key=(1, 7))
+    assert a == int(ss.generate_state(1, np.uint64)[0])
+    assert derive_seed(42, 1, np.arange(9))[7] == a
 
 
 def test_fibonacci_sphere_points():
@@ -147,6 +158,19 @@ def test_equilibrium_ell_pole_blocked_by_diffusion():
     assert cols["column_3"].vanishes
 
 
+def test_equilibrium_broadcasts_eta_samples_over_a_vector_eta():
+    """rode_ll with eta = (s, s, s) has the drift of the scalar-eta model with
+    b = (1, 1, 1) at eta = s, so both reports agree, on and off the axis."""
+    vector = build_model("rode_ll", scalar_eta=False)
+    scalar = build_model("rode_ll", b=[1.0, 1.0, 1.0])
+    for point, verdict in ((np.ones(3) / np.sqrt(3.0), True), (E3, False)):
+        got = check_equilibrium(vector, point, tol=1e-9)
+        expected = check_equilibrium(scalar, point, tol=1e-9)
+        assert got.verdict == expected.verdict == verdict
+        assert [t.magnitude for t in got.drift_terms] == pytest.approx(
+            [t.magnitude for t in expected.drift_terms], rel=1e-12, abs=1e-15)
+
+
 def test_equilibrium_modified_etore_rescaling_reported():
     model = build_model("modified_etore")
     report = check_equilibrium(model, E3, tol=1e-12)
@@ -198,6 +222,9 @@ def test_empirical_convergence_order_validates_inputs():
     with pytest.raises(ValueError):
         empirical_convergence_order(model, [1.0], "euler_maruyama", "closed_form",
                                     levels=3, n_paths=10, seed=1, closed_form=None)
+    with pytest.raises(ValueError):
+        empirical_convergence_order(model, [1.0], "euler_maruyama", "finest_refinement",
+                                    levels=3, n_paths=0, seed=1)
 
 
 def test_empirical_convergence_order_em_half():
@@ -219,6 +246,79 @@ def test_empirical_convergence_order_heun_first_order_refinement_oracle():
     est = empirical_convergence_order(model, [1.0, 0.0], "heun", "finest_refinement",
                                       levels=3, n_paths=40, seed=7, h0=2.0**-5)
     assert 0.7 < est.slope < 1.4
+
+
+def _per_path_coupled_paths(seed, n_paths, T, h0, dims, levels):
+    """The coupled paths as built before they were stacked: each path's base
+    draw and bridge refinements on SeedSequence-keyed streams, one path at a
+    time, stacked per level as (increments, times)."""
+    def gen(s, domain, index):
+        ss = np.random.SeedSequence(entropy=s, spawn_key=(domain, index))
+        return np.random.Generator(np.random.Philox(ss))
+
+    n = math.ceil(T / h0 - 1e-9)
+    families = []
+    for p in range(n_paths):
+        s = int(np.random.SeedSequence(entropy=seed, spawn_key=(DOMAIN_ENSEMBLE, p))
+                .generate_state(1, np.uint64)[0])
+        h = h0
+        chain = [(gen(s, DOMAIN_BASE, 0).normal(0.0, math.sqrt(h), size=(n, dims)),
+                  np.arange(n + 1) * h)]
+        for level in range(levels - 1):
+            parent = chain[-1][0]
+            xi = gen(s, DOMAIN_REFINE, level + 1).normal(0.0, math.sqrt(h) / 2.0,
+                                                         size=parent.shape)
+            first = 0.5 * parent + xi
+            second = parent - first
+            bad = (first + second) != parent
+            if np.any(bad):
+                first = np.where(bad, parent - second, first)
+            fine = np.empty((2 * len(parent), dims))
+            fine[0::2] = first
+            fine[1::2] = second
+            times = np.arange(len(fine) + 1) * (h / 2.0)
+            h = float(times[1] - times[0])
+            chain.append((fine, times))
+        families.append(chain)
+    return [(np.stack([fam[lev][0] for fam in families], axis=1), families[0][lev][1])
+            for lev in range(levels)]
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_coupled_paths_equal_the_per_path_loop_at_every_level(dims):
+    seed, n_paths, T, h0, levels = 4, 5, 1.0, 2.0**-3, 4
+    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
+    expected = _per_path_coupled_paths(seed, n_paths, T, h0, dims, levels)
+    got = 0
+    for (increments, times), (ref_increments, ref_times) in zip(
+            _coupled_paths(seeds, T, h0, dims, levels), expected):
+        assert increments.shape == ref_increments.shape
+        assert np.array_equal(increments, ref_increments)
+        assert np.array_equal(times, ref_times)
+        got += 1
+    assert got == levels
+
+
+def test_convergence_study_memory_holds_two_levels():
+    """tracemalloc peak of the Kubo/Heun study at 1000 paths, 5 levels and an
+    oracle 3 halvings finer, from h0 = 1/16 (8 levels, 2048 finest steps).
+
+    Keeping every path's refinement family and the stacked levels peaked at
+    96.5 MiB, and keeping only the stacked levels at 47.8 MiB.  Refining the
+    stack one level at a time peaks at 40.2 MiB; the bound, 44 MiB, lies
+    between the last two.
+    """
+    model = build_model("kubo", a=1.0, sigma=0.5)
+    tracemalloc.start()
+    try:
+        est = empirical_convergence_order(model, [1.0, 0.0], "heun", "finest_refinement",
+                                          levels=5, n_paths=1000, seed=0, h0=2.0**-4,
+                                          oracle_gap=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(est.errors) == 5
+    assert peak < 44 * 2**20
 
 
 def test_functional_drift_decay_kubo_energy():

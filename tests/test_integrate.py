@@ -26,6 +26,7 @@ from stochlab.integrate import (
 from stochlab.models import build_model, kubo_exact, scalar_linear_exact
 from stochlab.noise import (
     DOMAIN_ENSEMBLE,
+    DOMAIN_SAMPLER,
     NoisePath,
     ParameterProcess,
     constant_eta,
@@ -399,6 +400,40 @@ def test_time_blocks_do_not_change_any_bit(monkeypatch, block_steps, name, param
     assert np.array_equal(b_stats.mean, stats.mean)
     assert np.array_equal(b_stats.variance, stats.variance)
     assert (b_exceed, b_attracted) == (n_exceed, n_attracted)
+
+
+def _seed_sequence_stream(seed, domain, index):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, index))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def test_ensemble_draws_equal_per_path_normal_draws_with_a_short_last_block(monkeypatch):
+    """30 steps of 4 paths in blocks of 8 steps leave a last block of 6.  The
+    noise of every block equals each path's normal(0, sd) draws from its
+    SeedSequence-keyed stream, and it reaches the stepper as a view of one
+    reused buffer; the initial states are the sampler's on its own streams."""
+    model = build_model("ell", interpretation="ito")
+    n_paths, seed, h, n_steps = 4, 5, 0.01, 30
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 8 * n_paths * 3)
+    seen = []
+    scheme_states = integrate._scheme_states
+
+    def spy(model, scheme, x0, times, noise, record=True):
+        seen.append((noise, noise.copy()))
+        return scheme_states(model, scheme, x0, times, noise, record)
+
+    monkeypatch.setattr(integrate, "_scheme_states", spy)
+    _, states = run_ensemble(model, uniform_sphere_sampler, "euler_maruyama", n_paths, seed,
+                             [], T=n_steps * h, h=h, return_states=True)
+    assert [len(drawn) for _, drawn in seen] == [8, 8, 8, 6]
+    assert all(np.shares_memory(view, seen[0][0]) for view, _ in seen)
+    drawn = np.concatenate([drawn for _, drawn in seen])
+    for p in range(n_paths):
+        expected = _seed_sequence_stream(seed, DOMAIN_ENSEMBLE, p).normal(
+            0.0, np.sqrt(h), (n_steps, 3))
+        assert np.array_equal(drawn[:, p], expected)
+        x0 = uniform_sphere_sampler(p, _seed_sequence_stream(seed, DOMAIN_SAMPLER, p))
+        assert np.array_equal(states[p, 0], x0)
 
 
 def _array_reference(model, scheme, x0, seed, times):

@@ -1,6 +1,8 @@
 """Noise path sampling, dyadic refinement, and parameter process tests."""
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stochlab.noise import (
     DOMAIN_BASE,
@@ -13,11 +15,19 @@ from stochlab.noise import (
     iterated_log_eta,
     parameter_sde,
     path_from_csv,
+    _normal_rows,
     path_to_csv,
+    philox_keys,
     refine,
     sample_brownian,
     stream,
 )
+
+
+def _seed_sequence_stream(seed, domain, index):
+    """The generator stream() built before its keys were derived in numpy."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, index))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def test_stream_is_deterministic_and_domain_separated():
@@ -29,6 +39,58 @@ def test_stream_is_deterministic_and_domain_separated():
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
     assert not np.array_equal(a, stream(43, DOMAIN_BASE, 0).normal(size=8))
+
+
+@given(seed=st.integers(0, 2**128 - 1), domain=st.integers(0, 3),
+       index=st.integers(0, 2**32 - 1))
+@example(seed=0, domain=0, index=0)
+@example(seed=2**32 - 1, domain=1, index=2**32 - 1)
+@example(seed=2**32, domain=2, index=1)
+@example(seed=2**64 - 1, domain=3, index=7)
+@example(seed=2**64, domain=0, index=2**32 - 1)
+@example(seed=2**128 - 1, domain=3, index=0)
+def test_philox_keys_equal_seed_sequence_bit_for_bit(seed, domain, index):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, index))
+    key = philox_keys(seed, domain, index)
+    assert key.dtype == np.uint64
+    assert np.array_equal(key, ss.generate_state(2, np.uint64))
+    # broadcast over an array of seeds and an array of indices alike
+    assert np.array_equal(philox_keys([seed, 5], domain, index)[0], key)
+    assert np.array_equal(philox_keys(seed, domain, [1, index])[1], key)
+    assert np.array_equal(stream(seed, domain, index).normal(size=16),
+                          _seed_sequence_stream(seed, domain, index).normal(size=16))
+
+
+def test_philox_keys_vectorize_over_uint64_seeds():
+    seeds = np.array([0, 1, 2**32, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+    keys = philox_keys(seeds, 1, np.arange(5))
+    assert keys.shape == (5, 2)
+    for p, s in enumerate(seeds):
+        ss = np.random.SeedSequence(entropy=int(s), spawn_key=(1, p))
+        assert np.array_equal(keys[p], ss.generate_state(2, np.uint64))
+
+
+@pytest.mark.parametrize("seed,domain,index", [
+    (2**128, 0, 0), (2**200, 1, 3), (-1, 0, 0), (0, 0, 2**32), (0, 0, -1),
+    (0, 2**32, 0), ([1, 2**128], 0, 0), (0, 0, np.array([0, 2**32])),
+])
+def test_philox_keys_reject_values_outside_the_ported_layout(seed, domain, index):
+    with pytest.raises(ValueError):
+        philox_keys(seed, domain, index)
+
+
+def test_normal_rows_scale_like_normal_even_at_negative_zero():
+    """normal(0, sd) returns 0.0 + sd * z, which has no -0.0; a standard
+    normal draw can be -0.0, so the scaled rows must not keep its sign."""
+    class Fixed:
+        def standard_normal(self, out):
+            out[...] = [-0.0, -1.5, 2.0]
+
+    z = np.array([-0.0, -1.5, 2.0])
+    rows = _normal_rows([Fixed(), Fixed()], np.empty((2, 3)), 0.3)
+    expected = 0.0 + 0.3 * z
+    assert np.array_equal(rows, [expected, expected])
+    assert np.array_equal(np.signbit(rows), [np.signbit(expected)] * 2)
 
 
 def test_sample_brownian_grid_and_shapes():
@@ -79,6 +141,20 @@ def test_refine_halves_grid_bitwise():
     assert f.level == 1
     assert f.n_steps == 2 * p.n_steps
     assert np.array_equal(f.times, np.arange(17) * 2.0**-4)
+
+
+def test_stacked_refine_equals_per_path_refine_bit_for_bit():
+    seeds = [3, 2**64 + 9, 17, 0]
+    paths = [sample_brownian(s, T=1.0, h=2.0**-4, dims=2) for s in seeds]
+    stack = np.stack([p.increments for p in paths], axis=1)
+    for level in range(3):
+        fine = refine(stack, paths[0].h, seeds, level)
+        paths = [refine(p) for p in paths]
+        assert fine.shape == (len(paths[0].increments), len(seeds), 2)
+        for j, p in enumerate(paths):
+            assert p.level == level + 1
+            assert np.array_equal(fine[:, j], p.increments)
+        stack = fine
 
 
 def test_refine_is_deterministic():
