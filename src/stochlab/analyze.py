@@ -18,7 +18,6 @@ from .integrate import (
     Trajectory,
     _check_scheme,
     _eta_rows,
-    _grid_steps,
     _scheme_states,
     apply_generator,
     default_scheme,
@@ -26,16 +25,13 @@ from .integrate import (
     run_ensemble,
 )
 from .noise import (
-    DOMAIN_BASE,
     DOMAIN_ENSEMBLE,
     NoisePath,
     ParameterProcess,
-    _fresh_streams,
+    _brownian_stack,
     _n_steps,
-    _normal_rows,
+    _refine_stack,
     derive_seed,
-    philox_keys,
-    refine,
     stream,
     write_csv,
 )
@@ -383,15 +379,12 @@ def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
         raise ValueError(f"need at least one path and one noise dimension, "
                          f"got {len(seeds)} and {dims}")
     h = h0
-    n = _grid_steps(T, h)
-    keys = philox_keys(seeds, DOMAIN_BASE, 0)
-    increments = _normal_rows(_fresh_streams(keys), np.empty((len(keys), n, dims)),
-                              math.sqrt(h)).transpose(1, 0, 2)
+    increments = _brownian_stack(seeds, T, h, dims)
     for level in range(levels):
         times = np.arange(len(increments) + 1) * h
         yield increments, times
         if level + 1 < levels:
-            increments = refine(increments, h, seeds, level)
+            increments = _refine_stack(increments, h, seeds, level)
             h /= 2.0
 
 

@@ -119,8 +119,8 @@ def load_config(path: str, seed_override, task: str):
     if seed is None:
         raise _fail("a seed is required (config key 'seed' or --seed)")
     seed = int(seed)
-    if seed < 0:
-        raise _fail(f"seed must be a nonnegative integer, got {seed}")
+    if not 0 <= seed < 2**128:
+        raise _fail(f"seed must be an integer in [0, 2**128), got {seed}")
 
     model_cfg = raw.get("model")
     if model_cfg is None:

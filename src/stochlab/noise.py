@@ -5,11 +5,12 @@ All randomness flows through counter-based Philox streams keyed by
 refinement levels, ensemble paths) get independent, reproducible streams.
 philox_keys derives the keys of many streams in one vectorized pass, each
 equal to the key numpy's SeedSequence(entropy=seed, spawn_key=(domain,
-index)) would give.  Streams drawn from once (refinement levels, base
-draws of coupled paths, ensemble samplers) share one re-keyed Philox, and
-each path's draw lands contiguously in a stacked buffer: refine takes the
-(N, P, l) increments of P coupled paths at once, and a path refines alike
-alone or in a stack, bit for bit.
+index)) would give.  Streams drawn from once (base draws, refinement
+levels, ensemble samplers) share one re-keyed Philox, and each path's draw
+lands contiguously in a stacked buffer: the base increments and the bridge
+refinements of P coupled paths are drawn as (N, P, l) stacks, and
+sample_brownian and refine are their one-path calls, so a path is drawn
+and refined alike alone or in a stack, bit for bit.
 Increments are the canonical storage; cumulative values are always derived.
 write_csv, the one writer of every CSV the package emits, lives here at the
 bottom of the import graph so that path_to_csv can use it too.
@@ -191,30 +192,36 @@ class NoisePath:
         return w
 
 
-def sample_brownian(seed: int, T: float, h: float, dims: int = 1) -> NoisePath:
-    """Sample N = ceil(T/h) i.i.d. N(0, h) increments per dimension.
-
-    Deterministic: identical arguments give bitwise-identical paths.
-    """
+def _brownian_stack(seeds, T: float, h: float, dims: int) -> np.ndarray:
+    """Base increments (N, P, dims) of the paths sampled from seeds: path p,
+    increments[:, p], is drawn from its own (seeds[p], DOMAIN_BASE, 0) stream
+    as normal(0, sqrt h) of shape (N, dims), N = ceil(T/h)."""
     if T <= 0 or h <= 0 or h > T:
         raise ValueError(f"need T > 0 and 0 < h <= T, got T={T}, h={h}")
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
-    n = _n_steps(T, h)
-    rng = stream(seed, DOMAIN_BASE, 0)
-    increments = rng.normal(0.0, math.sqrt(h), size=(n, dims))
-    times = np.arange(n + 1) * h
+    keys = philox_keys(seeds, DOMAIN_BASE, 0)
+    draws = np.empty((len(keys), _n_steps(T, h), dims))
+    return _normal_rows(_fresh_streams(keys), draws, math.sqrt(h)).transpose(1, 0, 2)
+
+
+def sample_brownian(seed: int, T: float, h: float, dims: int = 1) -> NoisePath:
+    """Sample N = ceil(T/h) i.i.d. N(0, h) increments per dimension.
+
+    Deterministic: identical arguments give bitwise-identical paths, equal to
+    the same seed's path in a stack of coupled paths.
+    """
+    increments = _brownian_stack([seed], T, h, dims)[:, 0]
+    times = np.arange(len(increments) + 1) * h
     return NoisePath(times=times, increments=increments, seed=int(seed), level=0)
 
 
-def refine(path, h: float | None = None, seeds=None, level: int = 0):
+def refine(path: NoisePath) -> NoisePath:
     """Halve the step by Brownian-bridge conditioning.
 
-    path is one NoisePath, refined to the NoisePath one level finer, or the
-    (N, P, l) increment stack of P paths at refinement `level` on a grid of
-    step h, path p sampled from seeds[p], refined to the (2N, P, l) stack.
-    Each path draws its midpoint noise from its own (seed, DOMAIN_REFINE,
-    level + 1) stream, so a path refines alike alone or in a stack.
+    The path draws its midpoint noise from its own (seed, DOMAIN_REFINE,
+    level + 1) stream, so it refines alike alone or in a stack of coupled
+    paths (_refine_stack), bit for bit.
 
     Midpoint increments are parent/2 + xi with xi ~ N(0, h/4), so the two
     fine increments of every parent step sum back to the parent increment:
@@ -224,11 +231,16 @@ def refine(path, h: float | None = None, seeds=None, level: int = 0):
     the midpoint deviation near |p|), and clipping would bias every strong
     convergence study run on refined families, so sub-ulp closure wins.
     """
-    if isinstance(path, NoisePath):
-        fine = refine(path.increments[:, None], path.h, [path.seed], path.level)[:, 0]
-        times = np.arange(len(fine) + 1) * (path.h / 2.0)
-        return NoisePath(times=times, increments=fine, seed=path.seed, level=path.level + 1)
-    parent = path
+    fine = _refine_stack(path.increments[:, None], path.h, [path.seed], path.level)[:, 0]
+    times = np.arange(len(fine) + 1) * (path.h / 2.0)
+    return NoisePath(times=times, increments=fine, seed=path.seed, level=path.level + 1)
+
+
+def _refine_stack(parent: np.ndarray, h: float, seeds, level: int) -> np.ndarray:
+    """refine on the (N, P, l) increments of P paths at refinement level
+    `level` on a grid of step h, path p sampled from seeds[p]: returns the
+    (2N, P, l) stack one level finer.  Each path draws its midpoint noise
+    contiguously; the bridge arithmetic runs once over the stack."""
     n, p, l = parent.shape
     keys = philox_keys(seeds, DOMAIN_REFINE, level + 1)
     xi = _normal_rows(_fresh_streams(keys), np.empty((p, n, l)), math.sqrt(h) / 2.0)

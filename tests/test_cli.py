@@ -78,6 +78,17 @@ def test_seed_flag_overrides_config(tmp_path):
     assert any(c == "# seed=6" for c in comments)
 
 
+def test_seed_range_ends_below_2_to_the_128(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_cfg(x0="sphere", T=0.01))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "top"),
+                 "--seed", str(2**128 - 1)]) == 0
+    out = tmp_path / "over"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--seed", str(2**128)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_check_invariance_stratonovich_passes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base_cfg(
         analyses=[{"kind": "invariance", "tol": 1e-9, "samples": 100}]))
@@ -238,6 +249,7 @@ BAD_CONFIGS = {
     "bad_version": ("simulate", base_cfg(version=2)),
     "missing_seed": ("simulate", {k: v for k, v in base_cfg().items() if k != "seed"}),
     "negative_seed": ("simulate", base_cfg(seed=-1)),
+    "seed_of_129_bits": ("simulate", base_cfg(seed=2**128)),
     "missing_model": ("simulate", {k: v for k, v in base_cfg().items() if k != "model"}),
     "unknown_model": ("simulate", base_cfg(model={"name": "perpetuum_mobile"})),
     "bad_model_param": ("simulate", base_cfg(

@@ -10,12 +10,14 @@ from stochlab.noise import (
     DOMAIN_REFINE,
     NoisePath,
     ParameterProcess,
+    _brownian_stack,
+    _normal_rows,
+    _refine_stack,
     coarse_sum,
     constant_eta,
     iterated_log_eta,
     parameter_sde,
     path_from_csv,
-    _normal_rows,
     path_to_csv,
     philox_keys,
     refine,
@@ -107,6 +109,17 @@ def test_sample_brownian_grid_and_shapes():
     assert np.allclose(w[-1], np.sum(p.increments, axis=0))
 
 
+@pytest.mark.parametrize("seed,T,h,dims", [(7, 1.0, 2.0**-6, 2), (2**64 + 3, 1.0, 1e-3, 1)])
+def test_sample_brownian_equals_the_old_normal_draw_and_its_stack_column(seed, T, h, dims):
+    p = sample_brownian(seed, T, h, dims)
+    old = _seed_sequence_stream(seed, DOMAIN_BASE, 0).normal(
+        0.0, np.sqrt(h), size=(p.n_steps, dims))
+    assert np.array_equal(p.increments, old)
+    stack = _brownian_stack([11, seed, 0], T, h, dims)
+    assert stack.shape == (p.n_steps, 3, dims)
+    assert np.array_equal(stack[:, 1], old)
+
+
 def test_sample_brownian_nondyadic_step_count():
     p = sample_brownian(7, T=1.0, h=1e-3)
     assert p.n_steps == 1000
@@ -148,7 +161,7 @@ def test_stacked_refine_equals_per_path_refine_bit_for_bit():
     paths = [sample_brownian(s, T=1.0, h=2.0**-4, dims=2) for s in seeds]
     stack = np.stack([p.increments for p in paths], axis=1)
     for level in range(3):
-        fine = refine(stack, paths[0].h, seeds, level)
+        fine = _refine_stack(stack, paths[0].h, seeds, level)
         paths = [refine(p) for p in paths]
         assert fine.shape == (len(paths[0].increments), len(seeds), 2)
         for j, p in enumerate(paths):
