@@ -17,7 +17,7 @@ from .integrate import (
     ModelSpec,
     Trajectory,
     _check_scheme,
-    _eta_rows,
+    _eta_stack,
     _scheme_states,
     apply_generator,
     default_scheme,
@@ -30,6 +30,7 @@ from .noise import (
     ParameterProcess,
     _brownian_stack,
     _n_steps,
+    _path_views,
     _refine_stack,
     derive_seed,
     stream,
@@ -388,12 +389,6 @@ def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
             h /= 2.0
 
 
-def _path_views(increments, times, seeds, level):
-    """NoisePath views of the paths stacked in increments (N, P, l)."""
-    return [NoisePath(times=times, increments=increments[:, p], seed=int(s), level=level)
-            for p, s in enumerate(seeds)]
-
-
 def _check_study(model, scheme, levels):
     """Raise ValueError unless a refinement study can run scheme on model."""
     _check_scheme(model, scheme)
@@ -409,8 +404,7 @@ def _coupled_terminal(model, scheme, x0, increments, times, seeds, level):
     x0b = np.broadcast_to(x0, (increments.shape[1],) + x0.shape)
     noise = increments
     if model.interpretation == "rode":
-        noise = np.stack([_eta_rows(model.eta_builder(p))
-                          for p in _path_views(increments, times, seeds, level)], axis=1)
+        noise = _eta_stack(model, increments, times, seeds, level)
     return _scheme_states(model, scheme, x0b, times, noise, record=False)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -71,6 +72,11 @@ _ANALYSES = {
     "stability": ("stability", {"x0_radius", "delta"}, {}),
     "attraction": ("stability", {"target", "eps"}, {}),
 }
+# numeric analysis option -> whether it is an integer; state vectors are lists
+_NUMBERS = {"tol": False, "samples": True, "eta_T": False, "eta_h": False,
+            "step_tol": False, "levels": True, "n_paths": True, "h0": False, "T": False,
+            "oracle_gap": True, "x0_radius": False, "delta": False, "eps": False}
+_VECTORS = ("point", "target")
 
 
 def _fail(msg: str) -> "ConfigError":
@@ -83,6 +89,34 @@ def _check_keys(mapping, allowed, where):
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise _fail(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _number(value, where, integer=False):
+    """A config value as a finite float, or as an int where integer is set.
+    Numeric strings count (YAML 1.1 reads 1e-3 as one); bools, other values
+    and, where an int is meant, non-integral numbers raise ConfigError."""
+    number = None
+    if isinstance(value, int) and not isinstance(value, bool):
+        number = value
+    elif isinstance(value, (float, str)):
+        try:
+            number = float(value)
+        except ValueError:
+            pass
+    if (number is None or (isinstance(number, float) and not math.isfinite(number))
+            or (integer and number != int(number))):
+        raise _fail(f"{where} must be {'an integer' if integer else 'a number'}, "
+                    f"got {value!r}")
+    return int(number) if integer else float(number)
+
+
+def _vector(value, n, where):
+    """A config state vector: a list of n numbers, as floats."""
+    if not isinstance(value, (list, tuple)):
+        raise _fail(f"{where} must be a list of {n} numbers, got {value!r}")
+    if len(value) != n:
+        raise _fail(f"{where} has {len(value)} components, model needs {n}")
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
 def _plain(obj):
@@ -118,7 +152,7 @@ def load_config(path: str, seed_override, task: str):
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
         raise _fail("a seed is required (config key 'seed' or --seed)")
-    seed = int(seed)
+    seed = _number(seed, "seed", integer=True)
     if not 0 <= seed < 2**128:
         raise _fail(f"seed must be an integer in [0, 2**128), got {seed}")
 
@@ -140,11 +174,11 @@ def load_config(path: str, seed_override, task: str):
     scheme = raw.get("scheme") or default_scheme(model)
     _config_scheme(model, scheme, "scheme")
 
-    T = float(raw.get("T", 10.0))
-    h = float(raw.get("h", 1e-4))
+    T = _number(raw.get("T", 10.0), "T")
+    h = _number(raw.get("h", 1e-4), "h")
     if not (T > 0 and 0 < h <= T):
         raise _fail(f"need T > 0 and 0 < h <= T, got T={T}, h={h}")
-    n_paths = int(raw.get("n_paths", 1))
+    n_paths = _number(raw.get("n_paths", 1), "n_paths", integer=True)
     if n_paths < 1:
         raise _fail(f"n_paths must be >= 1, got {n_paths}")
 
@@ -152,9 +186,7 @@ def load_config(path: str, seed_override, task: str):
     if x0 is not None and not (x0 == "sphere" or isinstance(x0, (list, tuple))):
         raise _fail("x0 must be a state vector or the string 'sphere'")
     if isinstance(x0, (list, tuple)):
-        if len(x0) != model.n:
-            raise _fail(f"x0 has {len(x0)} components, model needs {model.n}")
-        x0 = [float(v) for v in x0]
+        x0 = _vector(x0, model.n, "x0")
     if x0 == "sphere" and model.n != 3:
         raise _fail("x0 'sphere' needs a 3-dimensional model")
 
@@ -215,25 +247,33 @@ def load_config(path: str, seed_override, task: str):
 
 
 def _validate_analysis(kind, opts, model, where):
+    """Check one analysis's options, converting its numbers in place."""
+    for key, value in opts.items():
+        if key in _NUMBERS:
+            opts[key] = _number(value, f"{where}: {key}", _NUMBERS[key])
+        elif key in _VECTORS:
+            opts[key] = _vector(value, model.n, f"{where}: {key}")
     if kind == "invariance":
         if opts["manifold"] != "sphere":
             raise _fail(f"{where}: unknown manifold {opts['manifold']!r}")
         if model.n != 3:
             raise _fail(f"{where}: sphere invariance needs a 3-dimensional model")
-        if int(opts["samples"]) < 1:
+        if opts["samples"] < 1:
             raise _fail(f"{where}: samples must be >= 1")
-    elif kind == "equilibrium":
-        if len(opts["point"]) != model.n:
-            raise _fail(f"{where}: point has {len(opts['point'])} components, "
-                        f"model needs {model.n}")
+        if not 0 < opts["eta_h"] <= opts["eta_T"]:
+            raise _fail(f"{where}: need 0 < eta_h <= eta_T")
     elif kind in ("lyapunov", "first-integral"):
         _functional(str(opts["functional"]), model)
     elif kind == "symplecticity":
         if model.n != 2:
             raise _fail(f"{where}: symplecticity needs a 2-dimensional model")
     elif kind == "convergence":
-        if int(opts["levels"]) < 3:
+        if opts["levels"] < 3:
             raise _fail(f"{where}: need at least 3 levels")
+        if opts["n_paths"] < 1 or opts["oracle_gap"] < 1:
+            raise _fail(f"{where}: n_paths and oracle_gap must be >= 1")
+        if not 0 < opts["h0"] <= opts["T"]:
+            raise _fail(f"{where}: need 0 < h0 <= T")
         if opts["oracle"] not in ("closed_form", "finest_refinement"):
             raise _fail(f"{where}: unknown oracle {opts['oracle']!r}")
         if opts["oracle"] == "closed_form" and _closed_form(model) is None:
@@ -241,14 +281,11 @@ def _validate_analysis(kind, opts, model, where):
         if opts["scheme"] is not None:
             _config_scheme(model, opts["scheme"], where)
     elif kind == "stability":
-        if not (float(opts["delta"]) > float(opts["x0_radius"]) > 0):
+        if not opts["delta"] > opts["x0_radius"] > 0:
             raise _fail(f"{where}: need delta > x0_radius > 0")
     elif kind == "attraction":
-        if float(opts["eps"]) <= 0:
+        if opts["eps"] <= 0:
             raise _fail(f"{where}: eps must be positive")
-        if len(opts["target"]) != model.n:
-            raise _fail(f"{where}: target has {len(opts['target'])} components, "
-                        f"model needs {model.n}")
 
 
 def _config_scheme(model, scheme, where):
@@ -345,7 +382,7 @@ def cmd_simulate(cfg, model, out) -> int:
 
 
 def _rode_eta_samples(model, cfg, opts):
-    path = sample_brownian(cfg["seed"], float(opts["eta_T"]), float(opts["eta_h"]))
+    path = sample_brownian(cfg["seed"], opts["eta_T"], opts["eta_h"])
     return model.eta_builder(path)
 
 
@@ -356,15 +393,14 @@ def _run_check(kind, opts, cfg, model, out):
     if kind == "invariance":
         eta = _rode_eta_samples(model, cfg, opts) if model.interpretation == "rode" else None
         report = check_invariance(
-            model, sphere_field(), fibonacci_sphere(int(opts["samples"])),
-            tol=float(opts["tol"]), eta_samples=eta,
+            model, sphere_field(), fibonacci_sphere(opts["samples"]),
+            tol=opts["tol"], eta_samples=eta,
         )
         report_to_csv(report, dest, comment=comment)
         worst = max(c.max_residual for c in report.conditions)
         return report.verdict, f"max residual {worst:.3g}", dest
     if kind == "equilibrium":
-        report = check_equilibrium(model, [float(v) for v in opts["point"]],
-                                   tol=float(opts["tol"]))
+        report = check_equilibrium(model, opts["point"], tol=opts["tol"])
         report_to_csv(report, dest, comment=comment)
         bad = [t.name for t in report.drift_terms + report.diffusion_columns
                if not t.vanishes]
@@ -373,7 +409,7 @@ def _run_check(kind, opts, cfg, model, out):
     if kind == "lyapunov":
         V = _functional(str(opts["functional"]), model)
         traj = _single_trajectory(cfg, model)
-        stats = lyapunov_monotonicity(traj, V, step_tol=float(opts["step_tol"]))
+        stats = lyapunov_monotonicity(traj, V, step_tol=opts["step_tol"])
         write_csv(dest, "n_violations,max_increase,n_steps",
                   [[stats.n_violations], [stats.max_increase], [stats.n_steps]],
                   comment=comment)
@@ -386,7 +422,7 @@ def _run_check(kind, opts, cfg, model, out):
         drift = first_integral_drift(traj, F)
         write_csv(dest, "max_drift,terminal_drift",
                   [[drift.max_drift], [drift.terminal_drift]], comment=comment)
-        return (drift.max_drift <= float(opts["tol"]),
+        return (drift.max_drift <= opts["tol"],
                 f"max drift {drift.max_drift:.3g}", dest)
     # symplecticity
     path = None
@@ -395,7 +431,7 @@ def _run_check(kind, opts, cfg, model, out):
     defect = check_symplecticity(model, cfg["scheme"], np.asarray(cfg["x0"], dtype=float),
                                  h=cfg["h"], T=cfg["T"], path=path)
     write_csv(dest, "defect", [[defect]], comment=comment)
-    return defect <= float(opts["tol"]), f"defect {defect:.3g}", dest
+    return defect <= opts["tol"], f"defect {defect:.3g}", dest
 
 
 def cmd_check(cfg, model, out) -> int:
@@ -420,10 +456,10 @@ def cmd_convergence(cfg, model, out) -> int:
         scheme = entry["scheme"] or cfg["scheme"]
         est = empirical_convergence_order(
             model, np.asarray(cfg["x0"], dtype=float), scheme,
-            oracle=str(entry["oracle"]), levels=int(entry["levels"]),
-            n_paths=int(entry["n_paths"]), seed=cfg["seed"], T=float(entry["T"]),
-            h0=float(entry["h0"]), closed_form=_closed_form(model),
-            oracle_gap=int(entry["oracle_gap"]),
+            oracle=str(entry["oracle"]), levels=entry["levels"],
+            n_paths=entry["n_paths"], seed=cfg["seed"], T=entry["T"],
+            h0=entry["h0"], closed_form=_closed_form(model),
+            oracle_gap=entry["oracle_gap"],
         )
         name = "convergence.csv" if len(entries) == 1 else f"convergence_{i + 1}.csv"
         dest = os.path.join(out, name)
@@ -445,7 +481,7 @@ def cmd_stability(cfg, model, out) -> int:
         comment = _comment(f"stability {kind}", cfg)
         if kind == "stability":
             est = stability_probability(
-                model, float(entry["x0_radius"]), float(entry["delta"]),
+                model, entry["x0_radius"], entry["delta"],
                 T=cfg["T"], n_paths=cfg["n_paths"], seed=cfg["seed"], h=cfg["h"],
                 scheme=cfg["scheme"],
             )
@@ -456,7 +492,7 @@ def cmd_stability(cfg, model, out) -> int:
                   f"+/- {est.half_width:.4f} -> {dest}")
         else:
             est = equilibrium_attraction(
-                model, [float(v) for v in entry["target"]], float(entry["eps"]),
+                model, entry["target"], entry["eps"],
                 T=cfg["T"], n_paths=cfg["n_paths"], x0=_initial(cfg, model),
                 seed=cfg["seed"], h=cfg["h"], scheme=cfg["scheme"],
             )

@@ -28,6 +28,7 @@ from .noise import (
     _fresh_streams,
     _n_steps,
     _normal_rows,
+    _path_views,
     philox_keys,
     write_csv,
 )
@@ -546,8 +547,11 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
         rngs = [np.random.Generator(np.random.Philox(key=key))
                 for key in philox_keys(seed, DOMAIN_ENSEMBLE, ks)]
     if model.interpretation == "rode":
-        eta = np.stack([_path_eta(model, rng, seed, n_steps, h, times) for rng in rngs],
-                       axis=1)
+        # builders receive 1-dim driving paths; vector eta processes go
+        # through solve_rode with an explicitly constructed ParameterProcess
+        driving = _normal_rows(rngs, np.empty((len(ks), n_steps, 1)), sd).transpose(1, 0, 2)
+        eta = _eta_stack(model, driving, times.copy(), [seed] * len(ks), 0)
+        del driving  # freed before stepping
     block_steps = max(1, _BLOCK_VALUES // (len(ks) * max(model.n, model.noise_dim)))
     if stochastic:
         # each path's block is drawn contiguously; the stepper gets the
@@ -574,14 +578,17 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
     return None
 
 
-def _path_eta(model, rng, seed, n_steps, h, times):
-    # builders receive a 1-dim driving path; vector eta processes go through
-    # solve_rode with an explicitly constructed ParameterProcess
-    incs = rng.normal(0.0, np.sqrt(h), size=(n_steps, 1))
-    path = NoisePath(times=times.copy(), increments=incs, seed=int(seed), level=0)
-    eta = model.eta_builder(path)
-    _check_eta(model, eta)
-    return _eta_rows(eta)
+def _eta_stack(model, increments, times, seeds, level):
+    """Eta rows (N+1, P, eta_dim) of the RODE paths driven by the stacked
+    increments (N, P, 1): the model's eta_builder on each path's NoisePath."""
+    out = None
+    for p, path in enumerate(_path_views(increments, times, seeds, level)):
+        eta = model.eta_builder(path)
+        _check_eta(model, eta)
+        if out is None:
+            out = np.empty((len(times), len(seeds), eta.dim))
+        out[:, p] = _eta_rows(eta)
+    return out
 
 
 def _eta_rows(eta: ParameterProcess) -> np.ndarray:

@@ -5,10 +5,10 @@ Every builder returns a validated ModelSpec.  Drift terms are written once,
 in component form (functions of the state components xs and, for RODE
 models, of the eta components ws, see ModelSpec.kernel); the array drift,
 the drift terms and the kernel are derived from them.  Stochastic entries
-also give the noise action sigma(t, x) dW in component form, next to the
-sigma matrix and the analytic diffusion Jacobian that the checkers and the
-Wong-Zakai conversion use, so that conversion never falls back to
-differencing.
+write their noise once, as the component-form action sigma(t, x) dW that
+the schemes step on.  The sigma matrix and its Jacobian, which the checkers
+and the Wong-Zakai conversion use, are derived from that action: columns
+from unit increments, the Jacobian by the complex step, exact to rounding.
 """
 from __future__ import annotations
 
@@ -21,11 +21,10 @@ import numpy as np
 
 from .integrate import ModelSpec, validate_model
 from .noise import NoisePath, iterated_log_eta
-from .vecalg import cross, cross_matrix
 
-_EYE3 = np.eye(3)
-# d[x]_x / dx_j = [e_j]_x (the cross-product matrix is linear in x)
-_DCROSS = np.stack([cross_matrix(_EYE3[j]) for j in range(3)], axis=-1)
+# complex-step size: a power of two, so dividing by it is exact, and small
+# enough that its square underflows to zero
+_DELTA = 2.0**-600
 
 REQUIRED = object()
 
@@ -151,12 +150,47 @@ def _summed(fns):
     return total
 
 
+def _derived_noise(action, n, noise_dim):
+    """sigma(t, x) and d sigma[i,k] / d x[j] of a noise action, as the (..., n, l)
+    and (..., n, l, n) arrays of ModelSpec.diffusion and diffusion_jacobian.
+
+    The action is linear in dW, so column k of sigma is the action on the
+    unit vector e_k, exactly.  It is also a polynomial in xs (kernels use
+    only +, -, * and constants), so the complex step
+    Im action(t, xs + i delta e_j, e_k) / delta is its derivative to
+    rounding, with no differencing (Squire & Trapp, SIAM Review 40(1), 1998).
+    """
+    units = np.eye(noise_dim).tolist()
+
+    def columns(t, xs, out, part):
+        for k, w in enumerate(units):
+            for i, g in enumerate(action(t, xs, w)):
+                out[..., i, k] = part(g)
+        return out
+
+    def diffusion(t, x):
+        x = np.asarray(x, dtype=float)
+        return columns(t, [x[..., i] for i in range(n)],
+                       np.empty(x.shape[:-1] + (n, noise_dim)), lambda g: g)
+
+    def diffusion_jacobian(t, x):
+        x = np.asarray(x, dtype=float)
+        jac = np.empty(x.shape[:-1] + (n, noise_dim, n))
+        for j in range(n):
+            xs = [x[..., i] for i in range(n)]
+            xs[j] = xs[j] + complex(0.0, _DELTA)
+            columns(t, xs, jac[..., j], lambda g: np.imag(g) / _DELTA)
+        return jac
+
+    return diffusion, diffusion_jacobian
+
+
 def _spec(n, noise_dim, interpretation, terms, action=None, total=None, **fields) -> ModelSpec:
     """ModelSpec from named component-form drift terms (t, xs, *ws) -> f,
     and the noise action (t, xs, ws) -> sigma(t, x) dW of a stochastic model;
-    array drift, drift terms and kernel derived.  ws holds the eta
-    components of a RODE model; ODE terms ignore it.  total, if given, is
-    the sum of the terms in one pass, equal to their sum bit for bit."""
+    array drift, drift terms, kernel, sigma and its Jacobian derived.  ws
+    holds the eta components of a RODE model; ODE terms ignore it.  total, if
+    given, is the sum of the terms in one pass, equal to their sum bit for bit."""
     drift_c = total or _summed([fn for _, fn in terms])
     if action is None:
         def kernel(t, xs, ws):
@@ -164,6 +198,7 @@ def _spec(n, noise_dim, interpretation, terms, action=None, total=None, **fields
     else:
         def kernel(t, xs, ws):
             return drift_c(t, xs), action(t, xs, ws)
+        fields["diffusion"], fields["diffusion_jacobian"] = _derived_noise(action, n, noise_dim)
     eta_dim = fields.get("eta_dim", 0)
 
     return ModelSpec(
@@ -196,25 +231,6 @@ def _larmor_terms(b):
     return (("precession", lambda t, x, *ws: _cross_c(x, b)),)
 
 
-def _sigma_etore(x, alpha):
-    """sigma(t,x) = -x ^ . - alpha x ^ (x ^ .), shape (..., 3, 3)."""
-    x = np.asarray(x, dtype=float)
-    xxt = x[..., :, None] * x[..., None, :]
-    n2 = np.sum(x * x, axis=-1)[..., None, None]
-    return -cross_matrix(x) + alpha * (n2 * _EYE3 - xxt)
-
-
-def _sigma_etore_jac(x, alpha):
-    """d sigma[i,k] / d x[j] of _sigma_etore, shape (..., 3, 3, 3)."""
-    x = np.asarray(x, dtype=float)
-    jac = np.broadcast_to(-_DCROSS, x.shape[:-1] + (3, 3, 3)).copy()
-    # alpha * (2 x_j delta_ik - delta_ij x_k - x_i delta_kj)
-    jac += alpha * 2.0 * _EYE3[:, :, None] * x[..., None, None, :]
-    jac -= alpha * _EYE3[:, None, :] * x[..., None, :, None]
-    jac -= alpha * x[..., :, None, None] * _EYE3[None, :, :]
-    return jac
-
-
 def _build_larmor(b):
     b = _field_vector(b, "larmor")
     return _spec(3, 0, "ode", _larmor_terms(b), name="larmor", params={"b": b})
@@ -226,23 +242,14 @@ def _build_larmor_external(b, eps, sigma_mat):
     sm = np.eye(3) if sigma_mat is None else np.asarray(sigma_mat, dtype=float).reshape(3, 3)
     if np.all(sm == 0.0):
         raise ValueError("larmor_external: sigma_mat must be nonzero")
-    jac0 = eps * np.stack([cross_matrix(_EYE3[j]) @ sm for j in range(3)], axis=-1)
     rows = sm.tolist()
 
     def action(t, x, w):
         v = [r0 * w[0] + r1 * w[1] + r2 * w[2] for r0, r1, r2 in rows]
         return _scaled(eps, _cross_c(x, v))
 
-    def diffusion(t, x):
-        return eps * (cross_matrix(x) @ sm)
-
-    def diffusion_jacobian(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(jac0, x.shape[:-1] + (3, 3, 3)).copy()
-
     return _spec(
         3, 3, "stratonovich", _larmor_terms(b), action,
-        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name="larmor_external", params={"b": b, "eps": eps},
     )
 
@@ -251,21 +258,12 @@ def _build_larmor_preserving(b, gamma):
     b = _field_vector(b, "larmor_preserving")
     if gamma == 0:
         raise ValueError("larmor_preserving: gamma must be nonzero")
-    jac0 = (-gamma * cross_matrix(b))[:, None, :]  # (x ^ b) = -[b]_x x
 
     def action(t, x, w):
         return _scaled(gamma * w[0], _cross_c(x, b))
 
-    def diffusion(t, x):
-        return gamma * cross(x, b)[..., :, None]
-
-    def diffusion_jacobian(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(jac0, x.shape[:-1] + (3, 1, 3)).copy()
-
     return _spec(
         3, 1, "stratonovich", _larmor_terms(b), action,
-        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name="larmor_preserving", params={"b": b, "gamma": gamma},
     )
 
@@ -286,15 +284,8 @@ def _build_ell(b, alpha, eps, interpretation):
     def action(t, x, w):
         return _scaled(eps, _ll_c(x, w, alpha))
 
-    def diffusion(t, x):
-        return eps * _sigma_etore(x, alpha)
-
-    def diffusion_jacobian(t, x):
-        return eps * _sigma_etore_jac(x, alpha)
-
     return _spec(
         3, 3, interpretation, action=action, **_ll_drift(lambda *ws: b, alpha),
-        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name=f"ell_{interpretation}",
         params={"b": b, "alpha": alpha, "eps": eps},
     )
@@ -332,18 +323,8 @@ def _build_etore_invariantized(b, alpha, eps):
         s = math.sqrt(_rescale_rate(t, eps, alpha)[1])
         return _scaled(eps / s, _ll_c(x, w, alpha))
 
-    def diffusion(t, x):
-        _, den = _rescale_rate(t, eps, alpha)
-        return eps * _sigma_etore(x, alpha) / math.sqrt(den)
-
-    def diffusion_jacobian(t, x):
-        _, den = _rescale_rate(t, eps, alpha)
-        return eps * _sigma_etore_jac(x, alpha) / math.sqrt(den)
-
     return _spec(
-        3, 3, "ito", _etore_terms(b, alpha, eps), action,
-        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        name="etore_invariantized",
+        3, 3, "ito", _etore_terms(b, alpha, eps), action, name="etore_invariantized",
         params={"b": b, "alpha": alpha, "eps": eps},
     )
 
@@ -357,20 +338,8 @@ def _build_modified_etore(b, alpha, eps):
         s = math.sqrt(_rescale_rate(t, eps, alpha)[1])
         return _scaled(eps / s * w[0], _ll_c(x, b, alpha))
 
-    def diffusion(t, x):
-        _, den = _rescale_rate(t, eps, alpha)
-        col = np.einsum("...ik,k->...i", _sigma_etore(x, alpha), b)
-        return eps * col[..., :, None] / math.sqrt(den)
-
-    def diffusion_jacobian(t, x):
-        _, den = _rescale_rate(t, eps, alpha)
-        jac = np.einsum("...ikj,k->...ij", _sigma_etore_jac(x, alpha), b)
-        return eps * jac[..., :, None, :] / math.sqrt(den)
-
     return _spec(
-        3, 1, "ito", _etore_terms(b, alpha, eps), action,
-        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        name="modified_etore",
+        3, 1, "ito", _etore_terms(b, alpha, eps), action, name="modified_etore",
         params={"b": b, "alpha": alpha, "eps": eps},
     )
 
@@ -378,6 +347,8 @@ def _build_modified_etore(b, alpha, eps):
 def _build_rode_ll(b, alpha, scalar_eta, t_min):
     b = _field_vector(b, "rode_ll")
     _check_nonneg("rode_ll", alpha=alpha)
+    if scalar_eta and not t_min > math.e:  # iterated_log_eta's normalizer needs it
+        raise ValueError(f"rode_ll: t_min must exceed e ~ 2.718, got {t_min}")
 
     if scalar_eta:
         # equilibrium-preserving subfamily b_t = b0 eta_t with scalar eta
@@ -404,19 +375,8 @@ def _build_kubo(a, sigma):
     def action(t, x, w):
         return (-sigma * x[1] * w[0], sigma * x[0] * w[0])
 
-    def diffusion(t, x):
-        col = np.stack([-sigma * x[..., 1], sigma * x[..., 0]], axis=-1)
-        return col[..., :, None]
-
-    jac0 = np.array([[[0.0, -sigma]], [[sigma, 0.0]]])  # (n, l, n)
-
-    def diffusion_jacobian(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(jac0, x.shape[:-1] + (2, 1, 2)).copy()
-
     return _spec(
         2, 1, "stratonovich", (("rotation", rotation),), action,
-        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name="kubo", params={"a": a, "sigma": sigma},
     )
 
@@ -440,17 +400,8 @@ def _build_scalar_linear(a, b_scalar):
     def action(t, x, w):
         return (b_scalar * x[0] * w[0],)
 
-    def diffusion(t, x):
-        x = np.asarray(x, dtype=float)
-        return b_scalar * x[..., :, None]
-
-    def diffusion_jacobian(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.array([[[b_scalar]]]), x.shape[:-1] + (1, 1, 1)).copy()
-
     return _spec(
         1, 1, "ito", (("linear", linear),), action,
-        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
         name="scalar_linear", params={"a": a, "b_scalar": b_scalar},
     )
 
@@ -471,7 +422,6 @@ def _build_isochronous(omega, eps):
         raise ValueError("isochronous: noise amplitudes must be >= 0")
     # state is (I_1..I_m, theta_1..theta_m); dI = 0, d theta_i = omega_i dt + eps_i o dB
     rate = tuple(np.concatenate([np.zeros(m), omega]).tolist())
-    col = np.concatenate([np.zeros(m), amps])[:, None]
     still, amp_list = (0.0,) * m, amps.tolist()
 
     def frequency(t, x):
@@ -480,18 +430,8 @@ def _build_isochronous(omega, eps):
     def action(t, x, w):
         return still + tuple(amp * w[0] for amp in amp_list)
 
-    def diffusion(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(col, x.shape[:-1] + (2 * m, 1)).copy()
-
-    def diffusion_jacobian(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2 * m, 1, 2 * m))
-
     return _spec(
-        2 * m, 1, "stratonovich", (("frequency", frequency),), action,
-        diffusion=diffusion, diffusion_jacobian=diffusion_jacobian,
-        name="isochronous",
+        2 * m, 1, "stratonovich", (("frequency", frequency),), action, name="isochronous",
         params={"omega": tuple(omega), "eps": tuple(amps)},
     )
 

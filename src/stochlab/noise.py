@@ -192,6 +192,12 @@ class NoisePath:
         return w
 
 
+def _path_views(increments, times, seeds, level):
+    """NoisePath views of the paths stacked in increments (N, P, l)."""
+    return [NoisePath(times=times, increments=increments[:, p], seed=int(s), level=level)
+            for p, s in enumerate(seeds)]
+
+
 def _brownian_stack(seeds, T: float, h: float, dims: int) -> np.ndarray:
     """Base increments (N, P, dims) of the paths sampled from seeds: path p,
     increments[:, p], is drawn from its own (seeds[p], DOMAIN_BASE, 0) stream

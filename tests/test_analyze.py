@@ -1,4 +1,5 @@
 """Persistence checker, order-estimation, and stability analysis tests."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -33,6 +34,7 @@ from stochlab.noise import (
     DOMAIN_ENSEMBLE,
     DOMAIN_REFINE,
     DOMAIN_SAMPLER,
+    iterated_log_eta,
     sample_brownian,
     stream,
 )
@@ -350,6 +352,21 @@ def test_convergence_studies_reject_a_rode_model_without_an_eta_builder():
     with pytest.raises(ValueError, match="eta_builder"):
         functional_drift_decay(model, [0.6, 0.0, 0.8], sphere_field(), "rode_heun",
                                levels=3, n_paths=4, seed=7)
+
+
+def test_rode_studies_and_ensembles_check_the_built_eta_dimension():
+    # a scalar eta builder on the vector-eta model: every caller of the one
+    # eta helper raises, instead of stepping on the wrong number of components
+    model = dataclasses.replace(build_model("rode_ll", scalar_eta=False),
+                                eta_builder=iterated_log_eta)
+    with pytest.raises(ValueError, match="needs 3"):
+        empirical_convergence_order(model, [0.6, 0.0, 0.8], "rode_heun",
+                                    "finest_refinement", levels=3, n_paths=4, seed=7)
+    with pytest.raises(ValueError, match="needs 3"):
+        functional_drift_decay(model, [0.6, 0.0, 0.8], sphere_field(), "rode_heun",
+                               levels=3, n_paths=4, seed=7)
+    with pytest.raises(ValueError, match="needs 3"):
+        run_ensemble(model, np.array([0.6, 0.0, 0.8]), "rode_heun", 4, 7, (), T=1.0, h=0.1)
 
 
 def test_convergence_order_honours_rode_euler():

@@ -294,6 +294,33 @@ BAD_CONFIGS = {
         analyses=[{"kind": "attraction", "target": [0.0, 0.0, 1.0], "eps": 0.0}])),
     "symplecticity_needs_planar": ("check", base_cfg(
         analyses=[{"kind": "symplecticity", "tol": 1e-2}])),
+    "seed_not_a_number": ("simulate", base_cfg(seed="abc")),
+    "seed_not_integral": ("simulate", base_cfg(seed=1.5)),
+    "T_not_a_number": ("simulate", base_cfg(T="abc")),
+    "h_a_list": ("simulate", base_cfg(h=[1])),
+    "n_paths_not_integral": ("simulate", base_cfg(n_paths=2.5)),
+    "n_paths_a_bool": ("simulate", base_cfg(n_paths=True)),
+    "x0_not_numbers": ("simulate", base_cfg(x0=["a", "b", "c"])),
+    "x0_radius_not_a_number": ("stability", base_cfg(
+        analyses=[{"kind": "stability", "x0_radius": "abc", "delta": 0.5}])),
+    "equilibrium_point_not_a_list": ("check", base_cfg(
+        analyses=[{"kind": "equilibrium", "tol": 1e-9, "point": 1.0}])),
+    "eta_h_above_eta_T": ("check", base_cfg(
+        analyses=[{"kind": "invariance", "tol": 1e-9, "eta_T": 1.0, "eta_h": 2.0}])),
+    "levels_not_integral": ("convergence", base_cfg(
+        analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                   "levels": 3.7, "n_paths": 8}])),
+    "convergence_zero_paths": ("convergence", base_cfg(
+        analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                   "levels": 3, "n_paths": 0}])),
+    "convergence_zero_oracle_gap": ("convergence", base_cfg(
+        analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                   "levels": 3, "n_paths": 8, "oracle_gap": 0}])),
+    "convergence_negative_h0": ("convergence", base_cfg(
+        analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                   "levels": 3, "n_paths": 8, "h0": -1}])),
+    "rode_t_min_below_e": ("simulate", base_cfg(
+        model={"name": "rode_ll", "params": {"t_min": 2.0}})),
     "rode_without_eta_builder_simulate": ("simulate", base_cfg(
         model={"name": "rode_ll", "params": {"scalar_eta": False}})),
     "rode_without_eta_builder_stability": ("stability", base_cfg(
@@ -316,6 +343,17 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path, capsys, case):
     assert main([task, "--config", path, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_integral_floats_and_numeric_strings_resolve_like_numbers(tmp_path):
+    # YAML 1.1 reads 1e-3 as a string; both configs resolve to seed 5, h 0.001
+    outs = []
+    for i, over in enumerate(({}, {"seed": 5.0, "h": "1e-3"})):
+        cfg = write_cfg(tmp_path, base_cfg(T=0.01, **over), name=f"cfg{i}.yaml")
+        out = tmp_path / f"run{i}"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        outs.append((out / "trajectory.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

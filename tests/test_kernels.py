@@ -1,6 +1,7 @@
-"""Component-form kernels: agreement with the matrix fields, and bitwise
-equality of the one-path float stepping with the batched array stepping,
-under every scheme."""
+"""Component-form kernels: agreement with the matrix fields, the derived
+sigma Jacobian, evaluation on complex components, and bitwise equality of
+the one-path float stepping with the batched array stepping, under every
+scheme."""
 import numpy as np
 import pytest
 import yaml
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from stochlab.cli import main
 from stochlab.integrate import SCHEMES, _scheme_states, integrate_path
-from stochlab.models import CATALOG, build_model
+from stochlab.models import _DELTA, CATALOG, build_model
 from stochlab.noise import NoisePath, ParameterProcess
 
 B3 = (0.2, -1.0, 0.5)
@@ -113,6 +114,58 @@ def test_kernel_matches_matrix_fields_on_arrays_and_floats(key, data):
         f, g = model.kernel(t, xj.tolist(), wj.tolist())
         assert all(type(c) is float for c in list(f) + list(g))
         _assert_matches(model, t, xj, wj, f, g)
+
+
+@pytest.mark.parametrize("key", sorted(STOCHASTIC))
+def test_diffusion_jacobian_matches_finite_differences(key):
+    # every catalog sigma is at most quadratic in x, so central differences
+    # are exact at any step but for rounding, about 1e-16 |sigma| / step
+    model = _model(key)
+    x = np.random.default_rng(2).normal(size=model.n)
+    t, step = 0.7, 2.0**-8
+    jac = model.diffusion_jacobian(t, x)
+    for j in range(model.n):
+        e = np.zeros(model.n)
+        e[j] = step
+        fd = (model.diffusion(t, x + e) - model.diffusion(t, x - e)) / (2 * step)
+        assert np.allclose(jac[:, :, j], fd, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC}))
+@given(data=st.data())
+def test_kernel_runs_on_complex_components(key, data):
+    """A kernel of +, -, * and constants evaluates on a complex step
+    x + i delta e_j, and the real part equals the float evaluation bit for
+    bit up to the sign of a zero (complex products subtract an underflowed
+    +-0): the property that the derived sigma Jacobian relies on.
+
+    The whole kernel is checked on Python complex, one path; the noise
+    action also on complex (4,) arrays, as the derived Jacobian runs it.
+    numpy divides complex arrays by multiplying with a reciprocal, so an
+    array drift that divides by a function of t (the Etore rescaling) rounds
+    otherwise there."""
+    model = _model(key)
+    l = model.eta_dim if model.interpretation == "rode" else model.noise_dim
+    x = data.draw(arrays(np.float64, (4, model.n), elements=st.floats(-3.0, 3.0)))
+    w = data.draw(arrays(np.float64, (4, l), elements=st.floats(0.1, 3.0)))
+    t = data.draw(st.floats(0.0, 5.0))
+    j = data.draw(st.integers(0, model.n - 1))
+
+    def stepped(xs):
+        xs = list(xs)
+        xs[j] = xs[j] + complex(0.0, _DELTA)
+        return xs
+
+    def real(comps, batch_shape):
+        return _stacked([np.real(c) for c in comps], batch_shape)
+
+    f, g = model.kernel(t, x[0].tolist(), w[0].tolist())
+    fc, gc = model.kernel(t, stepped(x[0].tolist()), w[0].tolist())
+    assert np.array_equal(real(fc, ()), real(f, ()))
+    assert np.array_equal(real(gc, ()), real(g, ()))
+    _, g = model.kernel(t, _components(x), _components(w))
+    _, gc = model.kernel(t, stepped(_components(x)), _components(w))
+    assert np.array_equal(real(gc, (4,)), real(g, (4,)))
 
 
 def _noise(model, n_steps, batch, seed):

@@ -54,6 +54,8 @@ def test_build_model_rejects_unknown_and_missing():
         build_model("ll", b=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         build_model("ll", alpha=-1.0)
+    with pytest.raises(ValueError):
+        build_model("rode_ll", t_min=2.0)
 
 
 def test_catalog_entry_carries_params():
@@ -104,30 +106,26 @@ def test_ll_drift_total_equals_its_summed_terms_bit_for_bit(name, params, eta):
 
 
 def test_ell_diffusion_frozen_matrix():
+    # sigma = -[x]_x + alpha (|x|^2 I - x x^T); rtol=0, so that a relative
+    # error far below allclose's default 1e-5 in alpha still fails
     model = build_model("ell", interpretation="stratonovich", alpha=0.7, eps=1.0)
     expected = np.array([
         [0.7, 1.0, 0.0],
         [-1.0, 0.7, 0.0],
         [0.0, 0.0, 0.0],
     ])
-    assert np.allclose(model.diffusion(0.0, E3), expected, atol=1e-15)
+    np.testing.assert_allclose(model.diffusion(0.0, E3), expected, rtol=0, atol=1e-15)
     assert model.name == "ell_stratonovich"
+    off_pole = np.array([
+        [0.74375, 0.9125, -0.6],
+        [-1.0875, 0.875, 0.325],
+        [-0.1, -0.675, 0.21875],
+    ])
+    np.testing.assert_allclose(model.diffusion(0.0, np.array([0.5, 0.25, 1.0])), off_pole,
+                               rtol=0, atol=1e-15)
     half = build_model("ell", interpretation="ito", alpha=0.7, eps=0.5)
-    assert np.allclose(half.diffusion(0.0, E3), 0.5 * expected, atol=1e-15)
+    np.testing.assert_allclose(half.diffusion(0.0, E3), 0.5 * expected, rtol=0, atol=1e-15)
     assert half.name == "ell_ito"
-
-
-def test_ell_diffusion_jacobian_matches_finite_differences():
-    model = build_model("ell", interpretation="ito", alpha=0.8, eps=0.3)
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=3)
-    jac = model.diffusion_jacobian(0.0, x)
-    step = 1e-6
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = step
-        fd = (model.diffusion(0.0, x + e) - model.diffusion(0.0, x - e)) / (2 * step)
-        assert np.allclose(jac[:, :, j], fd, atol=1e-7)
 
 
 def test_ell_diffusion_is_tangent_to_spheres():
@@ -261,9 +259,10 @@ def test_larmor_preserving_diffusion_vanishes_at_equilibria():
 
 
 def test_larmor_external_diffusion_uses_supplied_matrix():
-    sigma = np.eye(3)
-    model = build_model("larmor_external", eps=0.2, sigma_mat=sigma)
-    x = np.array([0.0, 1.0, 0.0])
-    # columns are eps * x ^ (sigma e_k)
-    expected = 0.2 * np.stack([np.cross(x, sigma[:, k]) for k in range(3)], axis=1)
-    assert np.allclose(model.diffusion(0.0, x), expected, atol=1e-15)
+    # a non-symmetric sigma_mat tells its columns from its rows
+    for sigma in (np.eye(3), np.array([[1.0, 0.2, 0.0], [0.0, 0.7, -0.4], [0.3, 0.0, 1.1]])):
+        model = build_model("larmor_external", eps=0.2, sigma_mat=sigma)
+        x = np.array([0.0, 1.0, 0.0])
+        # columns are eps * x ^ (sigma e_k)
+        expected = 0.2 * np.stack([np.cross(x, sigma[:, k]) for k in range(3)], axis=1)
+        assert np.allclose(model.diffusion(0.0, x), expected, atol=1e-15)
