@@ -507,10 +507,9 @@ def one_step_generator_check(
         raise ValueError("one-step generator check needs an Ito model")
     x = np.asarray(x, dtype=float)
     rng = stream(seed, DOMAIN_ENSEMBLE, 0)
-    dw = rng.normal(0.0, math.sqrt(h), size=(n_samples, model.noise_dim))
-    fx = np.asarray(model.drift(t, x))
-    sig = np.asarray(model.diffusion(t, x))
-    x1 = x + fx * h + dw @ sig.T
+    dw = rng.normal(0.0, math.sqrt(h), size=(1, n_samples, model.noise_dim))
+    x1 = _scheme_states(model, "euler_maruyama", np.broadcast_to(x, (n_samples,) + x.shape),
+                        np.array([t, t + h]), dw, record=False)
     vals = np.asarray(V.value(x1))
     v0 = float(V.value(x))
     rate = float((vals.mean() - v0) / h)

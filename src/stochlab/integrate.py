@@ -15,7 +15,8 @@ stepped alone equals the same path stepped inside a batch, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,10 @@ from .noise import (
 from .vecalg import ScalarField
 
 INTERPRETATIONS = ("ode", "ito", "stratonovich", "rode")
+
+# complex-step size: a power of two, so dividing by it is exact, and small
+# enough that its square underflows to zero
+_DELTA = 2.0**-600
 
 # scheme id -> model interpretation it integrates
 SCHEMES = {
@@ -64,9 +69,8 @@ class ModelSpec:
 
     drift maps (t, x) -> state for ode/ito/stratonovich models and
     (t, x, eta) -> state for rode models.  diffusion maps (t, x) to an
-    (n, l) matrix; diffusion_jacobian to the (n, l, n) tensor of
-    d sigma[i,k] / d x[j] indexed [i, k, j].  All callables must broadcast
-    over leading batch axes of x.
+    (n, l) matrix.  All callables must broadcast over leading batch axes of
+    x; strat_to_ito evaluates the kernel's g (or diffusion) on complex x.
 
     kernel, optional, is the component form (t, xs, ws) -> (f, g) that every
     scheme steps on: xs holds the n state components, f the drift's.  ws
@@ -84,7 +88,6 @@ class ModelSpec:
     interpretation: str
     drift: Callable
     diffusion: Optional[Callable] = None
-    diffusion_jacobian: Optional[Callable] = None
     drift_terms: tuple = ()
     eta_dim: int = 0
     eta_builder: Optional[Callable] = None
@@ -121,11 +124,6 @@ def validate_model(model: ModelSpec, x=None, t: float = 0.0, eta=None) -> None:
             raise ValueError(
                 f"diffusion shape {sig.shape}, expected {(model.n, model.noise_dim)}"
             )
-    if model.diffusion_jacobian is not None:
-        jac = np.asarray(model.diffusion_jacobian(t, x))
-        expect = (model.n, model.noise_dim, model.n)
-        if jac.shape != expect:
-            raise ValueError(f"diffusion_jacobian shape {jac.shape}, expected {expect}")
     if model.kernel is not None:
         f, g = model.kernel(t, [x[..., i] for i in range(model.n)], ws)
         if len(f) != model.n or (model.diffusion is not None and len(g) != model.n):
@@ -198,11 +196,40 @@ def _check_finite(x, k, t, times, states):
     )
 
 
+def _stacked(fn, eta_dim=0):
+    """The (..., n)-array form (t, x[, eta]) of a component-form fn(t, xs[, ws]);
+    an eta of eta_dim > 1 components is split on its last axis like x."""
+
+    def field(t, x, *eta):
+        x = np.asarray(x, dtype=float)
+        ws = [[e] if eta_dim == 1 else list(np.moveaxis(np.asarray(e, dtype=float), -1, 0))
+              for e in eta]
+        comps = fn(t, [x[..., i] for i in range(x.shape[-1])], *ws)
+        shape = np.broadcast_shapes(x.shape[:-1], *(np.shape(c) for c in comps))
+        out = np.empty(shape + (len(comps),))
+        for i, c in enumerate(comps):
+            out[..., i] = c
+        return out
+
+    return field
+
+
+def _matrix_action(model):
+    """sigma(t, x) dW by components, of a model given only in matrix form."""
+
+    def action(t, xs, ws):
+        g = np.einsum("...il,...l->...i", model.diffusion(t, np.stack(xs, axis=-1)),
+                      np.stack(ws, axis=-1))
+        return [g[..., i] for i in range(model.n)]
+
+    return action
+
+
 def _matrix_kernel(model):
     """Kernel of a model given only in matrix form: stack the components,
     evaluate the drift (at the stacked eta of a rode model) and sigma dW,
     and split the results again."""
-    f, sig, n, interpretation = model.drift, model.diffusion, model.n, model.interpretation
+    f, n, interpretation, action = model.drift, model.n, model.interpretation, _matrix_action(model)
 
     def split(v):
         return [v[..., i] for i in range(n)]
@@ -213,8 +240,7 @@ def _matrix_kernel(model):
             return split(f(t, x)), ()
         if interpretation == "rode":
             return split(f(t, x, ws[0] if len(ws) == 1 else np.stack(ws, axis=-1))), ()
-        return split(f(t, x)), split(np.einsum("...il,...l->...i", sig(t, x),
-                                               np.stack(ws, axis=-1)))
+        return split(f(t, x)), action(t, xs, ws)
 
     return kernel
 
@@ -337,32 +363,40 @@ def solve_rode(model: ModelSpec, x0, eta: ParameterProcess, scheme: str = "rode_
 def strat_to_ito(model: ModelSpec) -> ModelSpec:
     """Wong-Zakai conversion: add the correction drift, flip the interpretation.
 
-    f_cor[i] = f[i] + 1/2 sum_k sum_j sigma[j,k] d sigma[i,k] / d x[j];
-    the diffusion is unchanged.
+    f_cor[i] = f[i] + 1/2 sum_k sum_j sigma[j,k] d sigma[i,k] / d x[j], where
+    the inner sum, the derivative of column k along itself, is one complex
+    step Im g_i(t, x + i delta sigma_k, e_k) / delta of the noise action g
+    (sigma_k = g(t, x, e_k)): exact to rounding for a kernel of +, -, * and
+    constants (Squire & Trapp, SIAM Review 40(1), 1998).  A diffusion that
+    drops the imaginary part raises ValueError.  The Ito model has a kernel.
     """
     _require(model, "stratonovich")
-    if model.diffusion_jacobian is None:
-        raise ValueError("strat_to_ito needs an analytic diffusion_jacobian")
-    sig, jac, f = model.diffusion, model.diffusion_jacobian, model.drift
+    kernel = model.kernel or _matrix_kernel(model)
+    action = (lambda t, xs, ws: kernel(t, xs, ws)[1]) if model.kernel else _matrix_action(model)
+    units = np.eye(model.noise_dim).tolist()
 
-    def correction(t, x):
-        return 0.5 * np.einsum("...jk,...ikj->...i", sig(t, x), jac(t, x))
+    def correction(t, xs):
+        total = [0.0] * len(xs)
+        for w in units:
+            g = action(t, [x + 1j * (_DELTA * c) for x, c in zip(xs, action(t, xs, w))], w)
+            total = [a + b.imag / _DELTA for a, b in zip(total, g)]
+        return [0.5 * a for a in total]
 
-    def drift(t, x):
-        return f(t, x) + correction(t, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            correction(0.0, [1.0] * model.n)
+        except np.exceptions.ComplexWarning as err:
+            raise ValueError(f"strat_to_ito: {model.name} drops imaginary parts of states") from err
 
-    terms = tuple(model.drift_terms) + (("wong-zakai", correction),)
-    return ModelSpec(
-        n=model.n,
-        noise_dim=model.noise_dim,
-        interpretation="ito",
-        drift=drift,
-        diffusion=sig,
-        diffusion_jacobian=jac,
-        drift_terms=terms,
-        name=model.name + "_ito",
-        params=dict(model.params),
-    )
+    def ito_kernel(t, xs, ws):
+        f, g = kernel(t, xs, ws)
+        return [a + c for a, c in zip(f, correction(t, xs))], g
+
+    f, wong_zakai = model.drift, _stacked(correction)
+    return replace(model, interpretation="ito", drift=lambda t, x: f(t, x) + wong_zakai(t, x),
+                   drift_terms=tuple(model.drift_terms) + (("wong-zakai", wong_zakai),),
+                   name=model.name + "_ito", params=dict(model.params), kernel=ito_kernel)
 
 
 def apply_generator(model: ModelSpec, V: ScalarField, t: float, x) -> float:

@@ -6,25 +6,23 @@ in component form (functions of the state components xs and, for RODE
 models, of the eta components ws, see ModelSpec.kernel); the array drift,
 the drift terms and the kernel are derived from them.  Stochastic entries
 write their noise once, as the component-form action sigma(t, x) dW that
-the schemes step on.  The sigma matrix and its Jacobian, which the checkers
-and the Wong-Zakai conversion use, are derived from that action: columns
-from unit increments, the Jacobian by the complex step, exact to rounding.
+the schemes step on.  The sigma matrix, which the checkers and the
+generator use, is derived from that action, one column per unit increment;
+the Wong-Zakai conversion (integrate.strat_to_ito) works on the action
+itself.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .integrate import ModelSpec, validate_model
+from .integrate import ModelSpec, _stacked, validate_model
 from .noise import NoisePath, iterated_log_eta
-
-# complex-step size: a power of two, so dividing by it is exact, and small
-# enough that its square underflows to zero
-_DELTA = 2.0**-600
 
 REQUIRED = object()
 
@@ -79,9 +77,22 @@ def build_model(entry, **overrides) -> ModelSpec:
             raise ValueError(f"{name}: missing required parameter {key!r}")
         else:
             resolved[key] = default
+        if key != "scalar_eta" and _bad_number(resolved[key]):
+            raise ValueError(f"{name}: {key} must hold finite numbers, got {resolved[key]!r}")
     model = _BUILDERS[name](**resolved)
     validate_model(model)
     return model
+
+
+def _bad_number(value):
+    """Whether value, a number or a nested sequence of them, holds a bool or
+    a number that is not a finite float (nan, inf, or an int beyond range)."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return any(map(_bad_number, np.asarray(value, dtype=object).flat))
+    if isinstance(value, np.generic):
+        value = value.item()
+    return isinstance(value, bool) or (
+        isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max)
 
 
 def _field_vector(b, who):
@@ -117,24 +128,6 @@ def _scaled(s, v):
     return (s * v[0], s * v[1], s * v[2])
 
 
-def _stacked(fn, eta_dim=0):
-    """The (..., n)-array form (t, x[, eta]) of a component-form fn(t, xs[, ws]);
-    an eta of eta_dim > 1 components is split on its last axis like x."""
-
-    def field(t, x, *eta):
-        x = np.asarray(x, dtype=float)
-        ws = [[e] if eta_dim == 1 else list(np.moveaxis(np.asarray(e, dtype=float), -1, 0))
-              for e in eta]
-        comps = fn(t, [x[..., i] for i in range(x.shape[-1])], *ws)
-        shape = np.broadcast_shapes(x.shape[:-1], *(np.shape(c) for c in comps))
-        out = np.empty(shape + (len(comps),))
-        for i, c in enumerate(comps):
-            out[..., i] = c
-        return out
-
-    return field
-
-
 def _summed(fns):
     """Componentwise sum of component-form terms."""
     first, rest = fns[0], fns[1:]
@@ -150,47 +143,20 @@ def _summed(fns):
     return total
 
 
-def _derived_noise(action, n, noise_dim):
-    """sigma(t, x) and d sigma[i,k] / d x[j] of a noise action, as the (..., n, l)
-    and (..., n, l, n) arrays of ModelSpec.diffusion and diffusion_jacobian.
-
-    The action is linear in dW, so column k of sigma is the action on the
-    unit vector e_k, exactly.  It is also a polynomial in xs (kernels use
-    only +, -, * and constants), so the complex step
-    Im action(t, xs + i delta e_j, e_k) / delta is its derivative to
-    rounding, with no differencing (Squire & Trapp, SIAM Review 40(1), 1998).
-    """
-    units = np.eye(noise_dim).tolist()
-
-    def columns(t, xs, out, part):
-        for k, w in enumerate(units):
-            for i, g in enumerate(action(t, xs, w)):
-                out[..., i, k] = part(g)
-        return out
-
-    def diffusion(t, x):
-        x = np.asarray(x, dtype=float)
-        return columns(t, [x[..., i] for i in range(n)],
-                       np.empty(x.shape[:-1] + (n, noise_dim)), lambda g: g)
-
-    def diffusion_jacobian(t, x):
-        x = np.asarray(x, dtype=float)
-        jac = np.empty(x.shape[:-1] + (n, noise_dim, n))
-        for j in range(n):
-            xs = [x[..., i] for i in range(n)]
-            xs[j] = xs[j] + complex(0.0, _DELTA)
-            columns(t, xs, jac[..., j], lambda g: np.imag(g) / _DELTA)
-        return jac
-
-    return diffusion, diffusion_jacobian
+def _derived_noise(action, noise_dim):
+    """sigma(t, x) of a noise action, as the (..., n, l) array of
+    ModelSpec.diffusion: the action is linear in dW, so column k of sigma
+    is the action on the unit vector e_k, exactly."""
+    columns = [_stacked(lambda t, xs, w=w: action(t, xs, w)) for w in np.eye(noise_dim).tolist()]
+    return lambda t, x: np.stack([column(t, x) for column in columns], axis=-1)
 
 
 def _spec(n, noise_dim, interpretation, terms, action=None, total=None, **fields) -> ModelSpec:
     """ModelSpec from named component-form drift terms (t, xs, *ws) -> f,
     and the noise action (t, xs, ws) -> sigma(t, x) dW of a stochastic model;
-    array drift, drift terms, kernel, sigma and its Jacobian derived.  ws
-    holds the eta components of a RODE model; ODE terms ignore it.  total, if
-    given, is the sum of the terms in one pass, equal to their sum bit for bit."""
+    array drift, drift terms, kernel and sigma derived.  ws holds the eta
+    components of a RODE model; ODE terms ignore it.  total, if given, is the
+    sum of the terms in one pass, equal to their sum bit for bit."""
     drift_c = total or _summed([fn for _, fn in terms])
     if action is None:
         def kernel(t, xs, ws):
@@ -198,7 +164,7 @@ def _spec(n, noise_dim, interpretation, terms, action=None, total=None, **fields
     else:
         def kernel(t, xs, ws):
             return drift_c(t, xs), action(t, xs, ws)
-        fields["diffusion"], fields["diffusion_jacobian"] = _derived_noise(action, n, noise_dim)
+        fields["diffusion"] = _derived_noise(action, noise_dim)
     eta_dim = fields.get("eta_dim", 0)
 
     return ModelSpec(

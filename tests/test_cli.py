@@ -319,6 +319,23 @@ BAD_CONFIGS = {
     "convergence_negative_h0": ("convergence", base_cfg(
         analyses=[{"kind": "convergence", "oracle": "finest_refinement",
                    "levels": 3, "n_paths": 8, "h0": -1}])),
+    "kubo_sigma_a_bool": ("simulate", base_cfg(
+        model={"name": "kubo", "params": {"sigma": True}}, scheme="heun", x0=[1.0, 0.0])),
+    "ell_eps_nan": ("simulate", base_cfg(
+        model={"name": "ell", "params": {"interpretation": "ito", "eps": float("nan")}},
+        scheme="euler_maruyama")),
+    "ll_alpha_inf": ("simulate", base_cfg(
+        model={"name": "ll", "params": {"alpha": float("inf")}}, scheme="rk4")),
+    "ll_b_nan": ("simulate", base_cfg(
+        model={"name": "ll", "params": {"b": [0.0, 0.0, float("nan")]}}, scheme="rk4")),
+    "ll_b_beyond_float": ("simulate", base_cfg(
+        model={"name": "ll", "params": {"b": [0, 0, 10**400]}}, scheme="rk4")),
+    "scalar_linear_a_bool": ("simulate", base_cfg(
+        model={"name": "scalar_linear", "params": {"a": True, "b_scalar": 0.5}},
+        scheme="euler_maruyama", x0=[1.0])),
+    "isochronous_omega_nan": ("simulate", base_cfg(
+        model={"name": "isochronous", "params": {"omega": [1.0, float("nan")]}},
+        scheme="heun", x0=[1.0, 1.0, 0.0, 0.0])),
     "rode_t_min_below_e": ("simulate", base_cfg(
         model={"name": "rode_ll", "params": {"t_min": 2.0}})),
     "rode_without_eta_builder_simulate": ("simulate", base_cfg(

@@ -175,12 +175,14 @@ def test_strat_to_ito_adds_correction_term():
     assert np.allclose(corr, -0.125 * x, atol=1e-15)
 
 
-def test_strat_to_ito_requires_jacobian():
+def test_strat_to_ito_rejects_a_diffusion_that_drops_the_imaginary_part():
+    # the correction is a complex step on sigma dW, which a cast to float loses
     model = ModelSpec(
         n=1, noise_dim=1, interpretation="stratonovich",
-        drift=lambda t, x: -x, diffusion=lambda t, x: np.ones(x.shape + (1,)),
+        drift=lambda t, x: -x,
+        diffusion=lambda t, x: 0.5 * np.asarray(x, dtype=float)[..., None],
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="imaginary part"):
         strat_to_ito(model)
 
 
@@ -190,7 +192,6 @@ def test_strat_to_ito_is_identity_for_additive_noise():
         n=2, noise_dim=1, interpretation="stratonovich",
         drift=lambda t, x: -np.asarray(x, dtype=float),
         diffusion=lambda t, x: np.broadcast_to([[0.3], [0.1]], x.shape[:-1] + (2, 1)).copy(),
-        diffusion_jacobian=lambda t, x: np.zeros(x.shape[:-1] + (2, 1, 2)),
     )
     ito = strat_to_ito(model)
     rng = np.random.default_rng(0)

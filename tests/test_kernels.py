@@ -1,7 +1,9 @@
-"""Component-form kernels: agreement with the matrix fields, the derived
-sigma Jacobian, evaluation on complex components, and bitwise equality of
-the one-path float stepping with the batched array stepping, under every
-scheme."""
+"""Component-form kernels: agreement with the matrix fields, the Wong-Zakai
+correction taken from the noise action, evaluation on complex components,
+and bitwise equality of the one-path float stepping with the batched array
+stepping, under every scheme and on the Ito conversions."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochlab.cli import main
-from stochlab.integrate import SCHEMES, _scheme_states, integrate_path
-from stochlab.models import _DELTA, CATALOG, build_model
+from stochlab.integrate import _DELTA, SCHEMES, _scheme_states, integrate_path, strat_to_ito
+from stochlab.models import CATALOG, build_model
 from stochlab.noise import NoisePath, ParameterProcess
 
 B3 = (0.2, -1.0, 0.5)
@@ -38,8 +40,14 @@ DETERMINISTIC = {
     "rode_ll_vector": ("rode_ll", dict(b=B3, alpha=0.7, scalar_eta=False)),
 }
 
+# test id -> Stratonovich entry; the Ito models strat_to_ito makes of them
+CONVERTED = {f"{key}_to_ito": key for key in (
+    "ell_stratonovich", "isochronous", "kubo", "larmor_external", "larmor_preserving")}
+
 
 def _model(key):
+    if key in CONVERTED:
+        return strat_to_ito(_model(CONVERTED[key]))
     name, params = {**STOCHASTIC, **DETERMINISTIC}[key]
     return build_model(name, **params)
 
@@ -101,7 +109,7 @@ def test_deterministic_kernel_drift_equals_the_array_drift(key, data):
         assert np.array_equal(np.array(f), drift(xj, ej))
 
 
-@pytest.mark.parametrize("key", sorted(STOCHASTIC))
+@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **CONVERTED}))
 @given(data=st.data())
 def test_kernel_matches_matrix_fields_on_arrays_and_floats(key, data):
     model = _model(key)
@@ -117,18 +125,22 @@ def test_kernel_matches_matrix_fields_on_arrays_and_floats(key, data):
 
 
 @pytest.mark.parametrize("key", sorted(STOCHASTIC))
-def test_diffusion_jacobian_matches_finite_differences(key):
+def test_wong_zakai_correction_matches_finite_differences(key):
     # every catalog sigma is at most quadratic in x, so central differences
-    # are exact at any step but for rounding, about 1e-16 |sigma| / step
-    model = _model(key)
+    # are exact at any step but for rounding, about 1e-16 |sigma| / step;
+    # the Ito entries are read as Stratonovich to convert them
+    model = replace(_model(key), interpretation="stratonovich")
     x = np.random.default_rng(2).normal(size=model.n)
     t, step = 0.7, 2.0**-8
-    jac = model.diffusion_jacobian(t, x)
+    sig = model.diffusion(t, x)
+    expect = np.zeros(model.n)
     for j in range(model.n):
         e = np.zeros(model.n)
         e[j] = step
-        fd = (model.diffusion(t, x + e) - model.diffusion(t, x - e)) / (2 * step)
-        assert np.allclose(jac[:, :, j], fd, rtol=0, atol=1e-12)
+        dsig = (model.diffusion(t, x + e) - model.diffusion(t, x - e)) / (2 * step)
+        expect += 0.5 * dsig @ sig[j]
+    correction = dict(strat_to_ito(model).drift_terms)["wong-zakai"](t, x)
+    assert np.allclose(correction, expect, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC}))
@@ -137,10 +149,10 @@ def test_kernel_runs_on_complex_components(key, data):
     """A kernel of +, -, * and constants evaluates on a complex step
     x + i delta e_j, and the real part equals the float evaluation bit for
     bit up to the sign of a zero (complex products subtract an underflowed
-    +-0): the property that the derived sigma Jacobian relies on.
+    +-0): the property that strat_to_ito's Wong-Zakai correction relies on.
 
     The whole kernel is checked on Python complex, one path; the noise
-    action also on complex (4,) arrays, as the derived Jacobian runs it.
+    action also on complex (4,) arrays, as the correction runs it.
     numpy divides complex arrays by multiplying with a reciprocal, so an
     array drift that divides by a function of t (the Etore rescaling) rounds
     otherwise there."""
@@ -192,7 +204,7 @@ def _alone(model, scheme, x0, times, noise):
     return integrate_path(model, x0, scheme, path=path).states
 
 
-@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC}))
+@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC, **CONVERTED}))
 def test_one_path_alone_equals_the_same_path_in_a_batch(key):
     model = _model(key)
     x0, noise, times = _noise(model, 60, 5, seed=len(key))
