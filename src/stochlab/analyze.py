@@ -14,14 +14,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .integrate import (
+    _DELTA,
     ModelSpec,
     Trajectory,
+    _check_path,
     _check_scheme,
     _eta_stack,
+    _grid_steps,
+    _holomorphic,
     _scheme_states,
     apply_generator,
     default_scheme,
-    integrate_path,
     run_ensemble,
 )
 from .noise import (
@@ -538,6 +541,11 @@ def conversion_gap_decay(
 ) -> GapDecay:
     """Terminal strong gap between Heun on the Stratonovich model and EM on its
     Ito conversion, on the same coupled dyadic paths, one gap per level."""
+    _check_scheme(model_strat, "heun")
+    _check_scheme(model_ito, "euler_maruyama")
+    if (model_strat.n, model_strat.noise_dim) != (model_ito.n, model_ito.noise_dim):
+        raise ValueError(f"{model_strat.name} and {model_ito.name} differ in state or noise "
+                         "dimension")
     x0 = np.asarray(x0, dtype=float)
     seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
     x0b = np.broadcast_to(x0, (n_paths,) + x0.shape)
@@ -653,37 +661,32 @@ def check_symplecticity(
     h: float,
     T: float,
     path: Optional[NoisePath] = None,
-    fd_step: float = 1e-6,
 ) -> float:
     """Frobenius defect ||DPhi^T J DPhi - J|| of the pathwise flow map on R^2.
 
-    DPhi is the Jacobian of x0 -> x_T along one fixed noise realization,
-    by central finite differences in the initial condition.
+    DPhi is the Jacobian of x0 -> x_T along one fixed noise realization, by
+    the complex step: column j is Im x_T / delta from x0 + i delta e_j (see
+    strat_to_ito), so the model's fields must accept complex states.  A
+    stochastic model needs a path, of n_steps(T, h) steps of size h.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if model.n != 2:
-        raise ValueError("symplecticity check needs a 2-dimensional model")
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    n_steps = _n_steps(T, h) if T > 0 else 0
-    if path is None and model.noise_dim and T == 0:
-        path = NoisePath(times=np.array([0.0]),
-                         increments=np.zeros((0, model.noise_dim)), seed=0, level=0)
-
-    def flow(y):
-        if model.interpretation == "ode":
-            grid = path.times if path is not None else np.arange(n_steps + 1) * h
-            return integrate_path(model, y, scheme, grid=grid).states[-1]
-        if path is None:
-            raise ValueError("stochastic symplecticity check needs a NoisePath")
-        return integrate_path(model, y, scheme, path=path).states[-1]
-
-    delta = fd_step * max(1.0, float(np.linalg.norm(x0)))
+    _check_scheme(model, scheme)
+    if model.n != 2 or model.interpretation == "rode":
+        raise ValueError("symplecticity check needs a planar ode, ito or stratonovich model")
+    n_steps = _grid_steps(T, h) if T else 0
+    times, noise = np.arange(n_steps + 1) * h, np.empty((n_steps, model.noise_dim))
+    if path is not None:
+        if path.n_steps != n_steps or (n_steps and path.h != h):
+            raise ValueError(f"path has {path.n_steps} steps up to t={path.times[-1]:g}, "
+                             f"not {n_steps} of h={h:g} up to T={T:g}")
+        _check_path(model, path)
+        times, noise = path.times, path.increments
+    elif model.noise_dim and n_steps:
+        raise ValueError("stochastic symplecticity check needs a NoisePath")
     dphi = np.empty((2, 2))
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = delta
-        dphi[:, j] = (flow(x0 + e) - flow(x0 - e)) / (2.0 * delta)
+    for j, e in enumerate(np.eye(2)):
+        x_T = _holomorphic(f"check_symplecticity: {model.name}", _scheme_states, model,
+                           scheme, x0 + 1j * _DELTA * e, times, noise, record=False)
+        dphi[:, j] = x_T.imag / _DELTA
     return float(np.linalg.norm(dphi.T @ _J2 @ dphi - _J2))
 
 

@@ -14,9 +14,11 @@ stepped alone equals the same path stepped inside a batch, bit for bit.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,17 +72,20 @@ class ModelSpec:
     drift maps (t, x) -> state for ode/ito/stratonovich models and
     (t, x, eta) -> state for rode models.  diffusion maps (t, x) to an
     (n, l) matrix.  All callables must broadcast over leading batch axes of
-    x; strat_to_ito evaluates the kernel's g (or diffusion) on complex x.
+    x and keep complex x complex: strat_to_ito and check_symplecticity take
+    complex steps through the kernel (or, without one, drift and diffusion),
+    and a field that casts complex states to float makes them raise
+    ValueError.
 
     kernel, optional, is the component form (t, xs, ws) -> (f, g) that every
     scheme steps on: xs holds the n state components, f the drift's.  ws
     holds the noise_dim components of dW and g those of sigma(t, x) dW for
     ito/stratonovich models, the eta components for rode models (g unused);
-    ode models ignore ws and g.  Each component is a Python float (one path)
-    or a (B,) array (a batch); the kernel must use only +, -, * and
-    constants, so both give bitwise-equal results and inf/nan propagate
-    without exceptions.  Without a kernel one is derived from drift and
-    diffusion (see _matrix_kernel).
+    ode models ignore ws and g.  Each component is a Python float (one path;
+    complex under a complex step) or a (B,) array (a batch); the kernel must
+    use only +, -, * and constants, so both give bitwise-equal results and
+    inf/nan propagate without exceptions.  Without a kernel one is derived
+    from drift and diffusion (see _matrix_kernel).
     """
 
     n: int
@@ -251,16 +256,16 @@ def _kernel_states(model, advance, times, x0, noise, record=True):
     noise has shape (rows, ..., l) matching the batch axes of x0, or
     (rows, l) for noise shared by the whole batch; w(k) gives the l
     components of row k (see _scheme_states).  A single path steps on Python
-    floats, converting the rows its advance reads; a batch steps on (B,)
-    component arrays.  Returns the states (N+1,) + x0.shape, or the terminal
-    state when record is off.
+    floats (complex ones for a complex x0), converting the rows its advance
+    reads; a batch steps on (B,) component arrays.  Returns the states
+    (N+1,) + x0.shape, or the terminal state when record is off.
     """
     kernel = model.kernel or _matrix_kernel(model)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=np.result_type(x0, float))
     n, l = x0.shape[-1], noise.shape[-1]
     n_steps = len(times) - 1
     tl = np.asarray(times, dtype=float).tolist()
-    states = np.empty((n_steps + 1,) + x0.shape) if record else None
+    states = np.empty((n_steps + 1,) + x0.shape, dtype=x0.dtype) if record else None
     if record:
         states[0] = x0
     if x0.size == n and noise.size == len(noise) * l:
@@ -275,7 +280,7 @@ def _kernel_states(model, advance, times, x0, noise, record=True):
             xs = advance(kernel, t, tl[k + 1] - t, xs, w, k)
             if record:
                 rows[k + 1] = xs
-            if not all(map(math.isfinite, xs)):
+            if not all(map(cmath.isfinite, xs)):
                 _check_finite(np.reshape(xs, x0.shape), k, t, times,
                               states[: k + 2] if record else None)
         return states if record else np.reshape(xs, x0.shape)
@@ -365,10 +370,13 @@ def strat_to_ito(model: ModelSpec) -> ModelSpec:
 
     f_cor[i] = f[i] + 1/2 sum_k sum_j sigma[j,k] d sigma[i,k] / d x[j], where
     the inner sum, the derivative of column k along itself, is one complex
-    step Im g_i(t, x + i delta sigma_k, e_k) / delta of the noise action g
-    (sigma_k = g(t, x, e_k)): exact to rounding for a kernel of +, -, * and
-    constants (Squire & Trapp, SIAM Review 40(1), 1998).  A diffusion that
-    drops the imaginary part raises ValueError.  The Ito model has a kernel.
+    step s Im g_i(t, x + i delta sigma_k / s, e_k) / delta of the noise
+    action g (sigma_k = g(t, x, e_k), s = _scale(sigma_k)): exact to rounding
+    for a kernel of +, -, * and constants (Squire & Trapp, SIAM Review 40(1),
+    1998).  A diffusion that drops the imaginary part raises ValueError.  The
+    Ito model has a kernel; the correction does not nest, so the model
+    rejects complex states (check_symplecticity's complex step) with
+    ValueError.
     """
     _require(model, "stratonovich")
     kernel = model.kernel or _matrix_kernel(model)
@@ -376,18 +384,17 @@ def strat_to_ito(model: ModelSpec) -> ModelSpec:
     units = np.eye(model.noise_dim).tolist()
 
     def correction(t, xs):
+        if np.iscomplexobj(xs[0]):  # a complex step on its own complex step
+            raise ValueError(f"{model.name}_ito: the Wong-Zakai correction takes no complex step")
         total = [0.0] * len(xs)
         for w in units:
-            g = action(t, [x + 1j * (_DELTA * c) for x, c in zip(xs, action(t, xs, w))], w)
-            total = [a + b.imag / _DELTA for a, b in zip(total, g)]
+            sigma = action(t, xs, w)
+            s = _scale(sigma)
+            g = action(t, [x + 1j * (_DELTA * (c / s)) for x, c in zip(xs, sigma)], w)
+            total = [a + (b.imag / _DELTA) * s for a, b in zip(total, g)]
         return [0.5 * a for a in total]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        try:
-            correction(0.0, [1.0] * model.n)
-        except np.exceptions.ComplexWarning as err:
-            raise ValueError(f"strat_to_ito: {model.name} drops imaginary parts of states") from err
+    _holomorphic(f"strat_to_ito: {model.name}", correction, 0.0, [1.0] * model.n)
 
     def ito_kernel(t, xs, ws):
         f, g = kernel(t, xs, ws)
@@ -397,6 +404,26 @@ def strat_to_ito(model: ModelSpec) -> ModelSpec:
     return replace(model, interpretation="ito", drift=lambda t, x: f(t, x) + wong_zakai(t, x),
                    drift_terms=tuple(model.drift_terms) + (("wong-zakai", wong_zakai),),
                    name=model.name + "_ito", params=dict(model.params), kernel=ito_kernel)
+
+
+def _scale(comps):
+    """Per path, the power of two s with s <= max_i |comps[i]| < 2 s (1/2 where
+    all vanish).  A complex step along comps / s, scaled back by s, rounds
+    like one along comps, but its step delta * comps / s underflows only
+    where a component is tiny against the largest."""
+    if all(isinstance(c, float) for c in comps):
+        return math.ldexp(0.5, math.frexp(max(map(abs, comps)))[1])
+    return np.ldexp(0.5, np.frexp(reduce(np.maximum, map(np.abs, comps)))[1])
+
+
+def _holomorphic(name, fn, *args, **kwargs):
+    """fn(*args, **kwargs), raising ValueError where a field casts complex states to float."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            return fn(*args, **kwargs)
+        except np.exceptions.ComplexWarning as err:
+            raise ValueError(f"{name} drops imaginary parts of states") from err
 
 
 def apply_generator(model: ModelSpec, V: ScalarField, t: float, x) -> float:

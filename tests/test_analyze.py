@@ -388,6 +388,19 @@ def test_conversion_gap_decay_shrinks():
     assert decay.gaps[0] > decay.gaps[-1]
 
 
+def test_conversion_gap_decay_checks_its_models():
+    strat = build_model("kubo")
+    ito = strat_to_ito(strat)
+    other = strat_to_ito(build_model("isochronous", omega=(1.0, 2.5), eps=(0.3, 0.1)))
+    kwargs = dict(x0=[1.0, 0.0], levels=2, n_paths=4, seed=5)
+    with pytest.raises(ValueError, match="scheme 'heun'"):
+        conversion_gap_decay(ito, strat, **kwargs)
+    with pytest.raises(ValueError, match="scheme 'euler_maruyama'"):
+        conversion_gap_decay(strat, strat, **kwargs)
+    with pytest.raises(ValueError, match="dimension"):
+        conversion_gap_decay(strat, other, **kwargs)
+
+
 def test_one_step_generator_check_frozen():
     model = build_model("ell", interpretation="ito", eps=0.1, alpha=1.0)
     V = norm_squared_field()
@@ -483,17 +496,68 @@ def test_check_symplecticity_kubo_and_edges():
     path = sample_brownian(21, 1.0, h, dims=1)
     defect = check_symplecticity(model, "heun", [1.0, 0.0], h=h, T=1.0, path=path)
     assert 0.0 < defect < 10.0 * h
-    # zero steps leaves the identity map; only finite-difference noise remains
+    # zero steps leave the identity map, and the complex step reads it exactly
     zero = check_symplecticity(model, "heun", [1.0, 0.0], h=h, T=0.0)
-    assert zero < 1e-9
+    assert zero == 0.0
+
+
+def test_check_symplecticity_is_stable_under_a_one_ulp_noise_shift():
+    # the complex step has no truncation error to amplify rounding: a central
+    # difference with step 1e-6 moved this defect by 6.1e-6 relative
+    model = build_model("kubo", a=1.0, sigma=0.5)
+    path = sample_brownian(7, 1.0, 1e-3, dims=1)
+    shifted = dataclasses.replace(path, increments=np.nextafter(path.increments, np.inf))
+    defect = check_symplecticity(model, "heun", [1.0, 0.0], h=1e-3, T=1.0, path=path)
+    moved = check_symplecticity(model, "heun", [1.0, 0.0], h=1e-3, T=1.0, path=shifted)
+    assert moved != defect
+    assert abs(moved - defect) < 1e-10 * defect
+
+
+def test_check_symplecticity_rejects_a_path_off_its_grid():
+    model = build_model("kubo", a=1.0, sigma=0.5)
+    path = sample_brownian(3, 4.0, 1e-2, dims=1)
+    check_symplecticity(model, "heun", [1.0, 0.0], h=1e-2, T=4.0, path=path)
+    for T, h in [(1.0, 1e-3), (1.0, 1e-2), (4.0, 2e-2), (2.0, 5e-3)]:
+        with pytest.raises(ValueError, match="steps"):
+            check_symplecticity(model, "heun", [1.0, 0.0], h=h, T=T, path=path)
+    with pytest.raises(ValueError, match="NoisePath"):
+        check_symplecticity(model, "heun", [1.0, 0.0], h=1e-2, T=4.0)
 
 
 def test_check_symplecticity_detects_contraction():
     model = ModelSpec(n=2, noise_dim=0, interpretation="ode",
-                      drift=lambda t, x: -np.asarray(x, dtype=float), name="contract")
+                      drift=lambda t, x: -x, name="contract")
     defect = check_symplecticity(model, "rk4", [1.0, 0.5], h=1e-3, T=1.0)
     expected = (1.0 - np.exp(-2.0)) * np.sqrt(2.0)
-    assert defect == pytest.approx(expected, rel=1e-3)
+    assert defect == pytest.approx(expected, rel=1e-12)
+
+
+def test_check_symplecticity_rejects_a_drift_that_drops_the_imaginary_part():
+    # the flow Jacobian is a complex step, which a cast to float loses
+    model = ModelSpec(n=2, noise_dim=0, interpretation="ode",
+                      drift=lambda t, x: -np.asarray(x, dtype=float), name="contract")
+    with pytest.raises(ValueError, match="imaginary part"):
+        check_symplecticity(model, "rk4", [1.0, 0.5], h=1e-3, T=1.0)
+
+
+def test_check_symplecticity_rejects_a_strat_to_ito_model():
+    # the Wong-Zakai correction is itself a complex step; a second one on top
+    # of it read 0.42 on a Kubo path at h = 1e-3, central differences 0.017
+    ito = strat_to_ito(build_model("kubo", a=1.0, sigma=0.5))
+    path = sample_brownian(7, 1.0, 1e-2, dims=1)
+    with pytest.raises(ValueError, match="correction takes no complex step"):
+        check_symplecticity(ito, "euler_maruyama", [1.0, 0.0], h=1e-2, T=1.0, path=path)
+
+
+def test_check_symplecticity_checks_the_scheme():
+    kubo = build_model("kubo", a=1.0, sigma=0.5)
+    path = sample_brownian(3, 1.0, 1e-2, dims=1)
+    with pytest.raises(ValueError, match="integrates"):
+        check_symplecticity(kubo, "euler_maruyama", [1.0, 0.0], h=1e-2, T=1.0, path=path)
+    rode = ModelSpec(n=2, noise_dim=0, interpretation="rode",
+                     drift=lambda t, x, eta: -x, name="rode2")
+    with pytest.raises(ValueError, match="ode, ito or stratonovich"):
+        check_symplecticity(rode, "rode_euler", [1.0, 0.0], h=1e-2, T=1.0)
 
 
 def test_check_symplecticity_needs_planar_state():

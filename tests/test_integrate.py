@@ -1,5 +1,7 @@
 """Integrator, conversion, generator, and ensemble tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,19 @@ def test_strat_to_ito_rejects_a_diffusion_that_drops_the_imaginary_part():
     )
     with pytest.raises(ValueError, match="imaginary part"):
         strat_to_ito(model)
+
+
+@pytest.mark.parametrize("x", [1e-130, 1e-200, 1e-300])
+def test_strat_to_ito_keeps_corrections_of_tiny_states(x):
+    # dx = 0.5 x o dW: the correction 0.125 x is exact, one path and batched,
+    # because the complex step goes along sigma scaled to a power of two near
+    # its size; along sigma itself, delta * sigma * d sigma underflowed
+    strat = replace(build_model("scalar_linear", a=0.0, b_scalar=0.5),
+                    interpretation="stratonovich")
+    ito = strat_to_ito(strat)
+    assert ito.kernel(0.0, [x], [0.0])[0] == [0.125 * x]
+    batch = dict(ito.drift_terms)["wong-zakai"](0.0, np.array([[x], [-2.0 * x], [0.0]]))
+    assert batch[:, 0].tolist() == [0.125 * x, -0.25 * x, 0.0]
 
 
 def test_strat_to_ito_is_identity_for_additive_noise():
