@@ -17,10 +17,11 @@ from .integrate import (
     _DELTA,
     ModelSpec,
     Trajectory,
+    _check_ensemble,
     _check_path,
     _check_scheme,
+    _check_state,
     _eta_stack,
-    _grid_steps,
     _holomorphic,
     _scheme_states,
     apply_generator,
@@ -32,7 +33,7 @@ from .noise import (
     NoisePath,
     ParameterProcess,
     _brownian_stack,
-    _n_steps,
+    _grid_steps,
     _path_views,
     _refine_stack,
     derive_seed,
@@ -226,8 +227,8 @@ def check_invariance(
     sampled eta values covering the process range.
     """
     pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != model.n:
-        raise ValueError(f"samples must have shape (m, {model.n})")
+    if pts.ndim != 2 or pts.shape[1] != model.n or len(pts) < 1:
+        raise ValueError(f"samples must have shape (m, {model.n}), m >= 1, got {pts.shape}")
     fvals = np.abs(np.asarray(F.value(pts)))
     if np.max(fvals) > OFF_MANIFOLD_TOL:
         raise ValueError(
@@ -291,6 +292,7 @@ def check_equilibrium(
     eta_samples: Sequence[float] = (0.5, 1.0, 2.0),
 ) -> EquilibriumReport:
     """Report the magnitude of every drift summand and diffusion column at a point."""
+    _check_state(model, point, "point")
     x = np.asarray(point, dtype=float)
     terms = model.drift_terms if model.drift_terms else (("drift", model.drift),)
     drift_results = []
@@ -379,9 +381,6 @@ def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
     Path p is sample_brownian(seeds[p], T, h0, dims) refined once per level,
     bit for bit; only the level being refined is held here.
     """
-    if len(seeds) < 1 or dims < 1:
-        raise ValueError(f"need at least one path and one noise dimension, "
-                         f"got {len(seeds)} and {dims}")
     h = h0
     increments = _brownian_stack(seeds, T, h, dims)
     for level in range(levels):
@@ -392,13 +391,23 @@ def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
             h /= 2.0
 
 
-def _check_study(model, scheme, levels):
-    """Raise ValueError unless a refinement study can run scheme on model."""
-    _check_scheme(model, scheme)
+def _check_study(model, scheme, levels, n_paths, T, h0):
+    """Raise ValueError unless a refinement study of levels >= 3 levels can
+    run n_paths paths of scheme on model, coarsest step h0 (_check_ensemble)."""
+    _check_ensemble(model, scheme, n_paths, T, h0)
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
-    if model.interpretation == "rode" and model.eta_builder is None:
-        raise ValueError("a RODE refinement study needs a model with an eta_builder")
+
+
+def _check_convergence(model, scheme, oracle, levels, n_paths, T, h0, closed_form, oracle_gap):
+    """_check_study, and the oracle rules of empirical_convergence_order."""
+    _check_study(model, scheme, levels, n_paths, T, h0)
+    if oracle not in ("closed_form", "finest_refinement"):
+        raise ValueError(f"unknown oracle {oracle!r}")
+    if oracle == "closed_form" and closed_form is None:
+        raise ValueError(f"the closed_form oracle needs a closed form; none for {model.name!r}")
+    if oracle_gap < 1:
+        raise ValueError(f"oracle_gap must be >= 1, got {oracle_gap}")
 
 
 def _coupled_terminal(model, scheme, x0, increments, times, seeds, level):
@@ -430,15 +439,10 @@ def empirical_convergence_order(
     evaluated on each path's finest refinement; 'finest_refinement' compares
     against the same scheme run oracle_gap halvings below the finest measured
     level (the gap keeps the reference error from contaminating the slope).
-    Raises ValueError when scheme does not integrate the model's interpretation.
+    Raises ValueError where _check_convergence does, and where x0 does not
+    have the model's n components.
     """
-    _check_study(model, scheme, levels)
-    if oracle not in ("closed_form", "finest_refinement"):
-        raise ValueError(f"unknown oracle {oracle!r}")
-    if oracle == "closed_form" and closed_form is None:
-        raise ValueError("closed_form oracle needs the closed_form callable")
-    if oracle_gap < 1:
-        raise ValueError(f"oracle_gap must be >= 1, got {oracle_gap}")
+    _check_convergence(model, scheme, oracle, levels, n_paths, T, h0, closed_form, oracle_gap)
     x0 = np.asarray(x0, dtype=float)
     extra = oracle_gap if oracle == "finest_refinement" else 0
     seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
@@ -473,9 +477,10 @@ def functional_drift_decay(
     h0: float = 2.0**-6,
 ) -> OrderEstimate:
     """Decay order of the terminal first-integral drift E|F(x_T) - F(x_0)|
-    under dyadic refinement of coupled paths.  Raises ValueError when scheme
-    does not integrate the model's interpretation."""
-    _check_study(model, scheme, levels)
+    under dyadic refinement of coupled paths.  Raises ValueError where
+    _check_study does, and where x0 does not have the model's n components."""
+    _check_study(model, scheme, levels, n_paths, T, h0)
+    _check_state(model, x0)
     x0 = np.asarray(x0, dtype=float)
     f0 = float(F.value(x0))
     seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
@@ -504,10 +509,12 @@ def one_step_generator_check(
 
     One Euler-Maruyama step from a fixed state; the standard error of the
     rate and the exact generator value let callers form the 4 s.e. + O(h)
-    acceptance band.
+    acceptance band.  Raises ValueError unless the model is Ito, h > 0 and
+    n_samples >= 2 (the standard error needs two).
     """
-    if model.interpretation != "ito":
-        raise ValueError("one-step generator check needs an Ito model")
+    _check_scheme(model, "euler_maruyama")
+    if not (h > 0 and n_samples >= 2):
+        raise ValueError(f"need h > 0 and n_samples >= 2, got h={h}, n_samples={n_samples}")
     x = np.asarray(x, dtype=float)
     rng = stream(seed, DOMAIN_ENSEMBLE, 0)
     dw = rng.normal(0.0, math.sqrt(h), size=(1, n_samples, model.noise_dim))
@@ -540,8 +547,10 @@ def conversion_gap_decay(
     h0: float = 2.0**-6,
 ) -> GapDecay:
     """Terminal strong gap between Heun on the Stratonovich model and EM on its
-    Ito conversion, on the same coupled dyadic paths, one gap per level."""
-    _check_scheme(model_strat, "heun")
+    Ito conversion, on the same coupled dyadic paths, one gap per level.
+    Raises ValueError where _check_ensemble does for heun on model_strat,
+    and unless model_ito is Ito with the same dimensions."""
+    _check_ensemble(model_strat, "heun", n_paths, T, h0)
     _check_scheme(model_ito, "euler_maruyama")
     if (model_strat.n, model_strat.noise_dim) != (model_ito.n, model_ito.noise_dim):
         raise ValueError(f"{model_strat.name} and {model_ito.name} differ in state or noise "
@@ -586,8 +595,7 @@ def stability_probability(
     Each path's sup-norm is a running maximum over the streamed time blocks,
     so memory does not grow with T.  scheme defaults to default_scheme(model).
     """
-    if not (delta > x0_radius > 0):
-        raise ValueError(f"need delta > x0_radius > 0, got delta={delta}, x0={x0_radius}")
+    _check_stability(x0_radius, delta)
     x0 = np.zeros(model.n)
     x0[0] = x0_radius
     sup = np.zeros(n_paths)
@@ -606,6 +614,11 @@ def stability_probability(
     p = n_exceed / n_paths
     half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
     return StabilityEstimate(p, half, n_paths, n_exceed)
+
+
+def _check_stability(x0_radius, delta):
+    if not (delta > x0_radius > 0):
+        raise ValueError(f"need delta > x0_radius > 0, got delta={delta}, x0_radius={x0_radius}")
 
 
 @dataclass(frozen=True)
@@ -632,8 +645,8 @@ def equilibrium_attraction(
     Only the terminal states are kept.  scheme defaults to
     default_scheme(model).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_attraction(eps)
+    _check_state(model, target, "target")
     target = np.asarray(target, dtype=float)
     terminal = np.empty((n_paths, model.n))
 
@@ -649,6 +662,11 @@ def equilibrium_attraction(
     frac = n_good / n_paths
     half = 1.96 * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_paths)
     return AttractionEstimate(frac, half, n_paths, n_good)
+
+
+def _check_attraction(eps):
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
 
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -667,11 +685,10 @@ def check_symplecticity(
     DPhi is the Jacobian of x0 -> x_T along one fixed noise realization, by
     the complex step: column j is Im x_T / delta from x0 + i delta e_j (see
     strat_to_ito), so the model's fields must accept complex states.  A
-    stochastic model needs a path, of n_steps(T, h) steps of size h.
+    stochastic model needs a path, of _grid_steps(T, h) steps of size h.
     """
-    _check_scheme(model, scheme)
-    if model.n != 2 or model.interpretation == "rode":
-        raise ValueError("symplecticity check needs a planar ode, ito or stratonovich model")
+    _check_symplectic(model, scheme)
+    _check_state(model, x0)
     n_steps = _grid_steps(T, h) if T else 0
     times, noise = np.arange(n_steps + 1) * h, np.empty((n_steps, model.noise_dim))
     if path is not None:
@@ -688,6 +705,13 @@ def check_symplecticity(
                            scheme, x0 + 1j * _DELTA * e, times, noise, record=False)
         dphi[:, j] = x_T.imag / _DELTA
     return float(np.linalg.norm(dphi.T @ _J2 @ dphi - _J2))
+
+
+def _check_symplectic(model, scheme):
+    """Raise ValueError unless check_symplecticity can run scheme on model."""
+    _check_scheme(model, scheme)
+    if model.n != 2 or model.interpretation == "rode":
+        raise ValueError("symplecticity check needs a planar ode, ito or stratonovich model")
 
 
 def ll_decomposition_residual(z, b, alpha: float) -> float:

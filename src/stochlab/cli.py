@@ -27,6 +27,10 @@ import yaml
 
 from . import __version__
 from .analyze import (
+    _check_attraction,
+    _check_convergence,
+    _check_stability,
+    _check_symplectic,
     check_equilibrium,
     check_invariance,
     check_symplecticity,
@@ -42,12 +46,13 @@ from .analyze import (
 from .integrate import (
     IntegrationError,
     Trajectory,
-    _check_scheme,
+    _check_ensemble,
+    _check_state,
     default_scheme,
     run_ensemble,
 )
 from .models import build_model, kubo_exact, scalar_linear_exact, wrap_angles
-from .noise import sample_brownian, write_csv
+from .noise import _grid_steps, sample_brownian, write_csv
 from .vecalg import ScalarField, norm_squared_field, sphere_field
 
 
@@ -79,16 +84,12 @@ _NUMBERS = {"tol": False, "samples": True, "eta_T": False, "eta_h": False,
 _VECTORS = ("point", "target")
 
 
-def _fail(msg: str) -> "ConfigError":
-    return ConfigError(msg)
-
-
 def _check_keys(mapping, allowed, where):
     if not isinstance(mapping, dict):
-        raise _fail(f"{where} must be a mapping")
+        raise ConfigError(f"{where} must be a mapping")
     unknown = set(mapping) - set(allowed)
     if unknown:
-        raise _fail(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _number(value, where, integer=False):
@@ -105,18 +106,17 @@ def _number(value, where, integer=False):
             pass
     if (number is None or (isinstance(number, float) and not math.isfinite(number))
             or (integer and number != int(number))):
-        raise _fail(f"{where} must be {'an integer' if integer else 'a number'}, "
-                    f"got {value!r}")
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
     return int(number) if integer else float(number)
 
 
-def _vector(value, n, where):
-    """A config state vector: a list of n numbers, as floats."""
+def _vector(value, model, where, key):
+    """The config state vector under key: a list of model.n numbers, as floats."""
     if not isinstance(value, (list, tuple)):
-        raise _fail(f"{where} must be a list of {n} numbers, got {value!r}")
-    if len(value) != n:
-        raise _fail(f"{where} has {len(value)} components, model needs {n}")
-    return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        raise ConfigError(f"{where}: {key} must be a list of {model.n} numbers, got {value!r}")
+    _api(where, _check_state, model, value, key)
+    return [_number(v, f"{where}: {key}[{i}]") for i, v in enumerate(value)]
 
 
 def _plain(obj):
@@ -142,80 +142,75 @@ def load_config(path: str, seed_override, task: str):
         with open(path) as fh:
             raw = yaml.safe_load(fh)
     except FileNotFoundError:
-        raise _fail(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
-        raise _fail(f"config is not valid YAML: {exc}")
+        raise ConfigError(f"config is not valid YAML: {exc}")
     _check_keys(raw, _TOP_KEYS, "config")
     if raw.get("version") != 1:
-        raise _fail(f"config version must be 1, got {raw.get('version')!r}")
+        raise ConfigError(f"config version must be 1, got {raw.get('version')!r}")
 
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
-        raise _fail("a seed is required (config key 'seed' or --seed)")
+        raise ConfigError("a seed is required (config key 'seed' or --seed)")
     seed = _number(seed, "seed", integer=True)
     if not 0 <= seed < 2**128:
-        raise _fail(f"seed must be an integer in [0, 2**128), got {seed}")
+        raise ConfigError(f"seed must be an integer in [0, 2**128), got {seed}")
 
     model_cfg = raw.get("model")
     if model_cfg is None:
-        raise _fail("config needs a 'model' section")
+        raise ConfigError("config needs a 'model' section")
     _check_keys(model_cfg, _MODEL_KEYS, "model")
     if "name" not in model_cfg:
-        raise _fail("model section needs a 'name'")
+        raise ConfigError("model section needs a 'name'")
     params = model_cfg.get("params") or {}
     _check_keys(params, set(params), "model.params")
     try:
         model = build_model(str(model_cfg["name"]), **params)
     except (ValueError, TypeError) as exc:
-        raise _fail(f"model: {exc}")
-    if model.interpretation == "rode" and model.eta_builder is None:
-        raise _fail("model: RODE runs need an eta_builder (rode_ll: scalar_eta: true)")
+        raise ConfigError(f"model: {exc}")
 
     scheme = raw.get("scheme") or default_scheme(model)
-    _config_scheme(model, scheme, "scheme")
-
     T = _number(raw.get("T", 10.0), "T")
     h = _number(raw.get("h", 1e-4), "h")
-    if not (T > 0 and 0 < h <= T):
-        raise _fail(f"need T > 0 and 0 < h <= T, got T={T}, h={h}")
     n_paths = _number(raw.get("n_paths", 1), "n_paths", integer=True)
-    if n_paths < 1:
-        raise _fail(f"n_paths must be >= 1, got {n_paths}")
+    _api("config", _check_ensemble, model, scheme, n_paths, T, h)
 
     x0 = raw.get("x0")
     if x0 is not None and not (x0 == "sphere" or isinstance(x0, (list, tuple))):
-        raise _fail("x0 must be a state vector or the string 'sphere'")
+        raise ConfigError("x0 must be a state vector or the string 'sphere'")
     if isinstance(x0, (list, tuple)):
-        x0 = _vector(x0, model.n, "x0")
+        x0 = _vector(x0, model, "config", "x0")
     if x0 == "sphere" and model.n != 3:
-        raise _fail("x0 'sphere' needs a 3-dimensional model")
+        raise ConfigError("x0 'sphere' needs a 3-dimensional model")
 
     functionals = raw.get("functionals", ["norm2"])
     if not isinstance(functionals, list) or not functionals:
-        raise _fail("functionals must be a nonempty list of names")
+        raise ConfigError("functionals must be a nonempty list of names")
     for name in functionals:
         _functional(str(name), model)  # raises ConfigError on unknown names
 
     analyses = raw.get("analyses", [])
     if not isinstance(analyses, list):
-        raise _fail("analyses must be a list")
+        raise ConfigError("analyses must be a list")
     resolved_analyses = []
     for i, entry in enumerate(analyses):
         where = f"analyses[{i}]"
         if not isinstance(entry, dict) or "kind" not in entry:
-            raise _fail(f"{where}: each analysis needs a 'kind'")
+            raise ConfigError(f"{where}: each analysis needs a 'kind'")
         kind = str(entry["kind"])
         if kind not in _ANALYSES:
-            raise _fail(f"{where}: unknown kind {kind!r}; known: {sorted(_ANALYSES)}")
+            raise ConfigError(f"{where}: unknown kind {kind!r}; known: {sorted(_ANALYSES)}")
         _, required, defaults = _ANALYSES[kind]
         _check_keys(entry, {"kind"} | required | set(defaults), where)
         missing = required - set(entry)
         if missing:
-            raise _fail(f"{where} ({kind}): missing options {sorted(missing)}")
+            raise ConfigError(f"{where} ({kind}): missing options {sorted(missing)}")
         opts = dict(defaults)
         opts.update({k: v for k, v in entry.items() if k != "kind"})
-        _validate_analysis(kind, opts, model, where)
+        _validate_analysis(kind, opts, model, scheme, where)
         resolved_analyses.append({"kind": kind, **opts})
+    if task != "simulate" and all(_ANALYSES[a["kind"]][0] != task for a in resolved_analyses):
+        raise ConfigError(f"{task}: the analyses list has no entry that {task} runs")
 
     needs_x0 = task == "simulate" or any(
         a["kind"] in ("lyapunov", "first-integral", "symplecticity", "attraction",
@@ -223,10 +218,10 @@ def load_config(path: str, seed_override, task: str):
         for a in resolved_analyses
     )
     if needs_x0 and x0 is None:
-        raise _fail(f"task {task!r} needs an x0")
+        raise ConfigError(f"task {task!r} needs an x0")
     needs_point = {"symplecticity", "convergence"} & {a["kind"] for a in resolved_analyses}
     if needs_point and not isinstance(x0, list):
-        raise _fail(f"{sorted(needs_point)[0]} analysis needs an explicit x0 vector")
+        raise ConfigError(f"{sorted(needs_point)[0]} analysis needs an explicit x0 vector")
 
     params_out = _plain(model.params)
     if "interpretation" in params:
@@ -246,54 +241,41 @@ def load_config(path: str, seed_override, task: str):
     return cfg, model, seed
 
 
-def _validate_analysis(kind, opts, model, where):
-    """Check one analysis's options, converting its numbers in place."""
+def _validate_analysis(kind, opts, model, scheme, where):
+    """Check one analysis's options, converting its numbers in place (API rules via _api)."""
     for key, value in opts.items():
         if key in _NUMBERS:
             opts[key] = _number(value, f"{where}: {key}", _NUMBERS[key])
         elif key in _VECTORS:
-            opts[key] = _vector(value, model.n, f"{where}: {key}")
+            opts[key] = _vector(value, model, where, key)
     if kind == "invariance":
         if opts["manifold"] != "sphere":
-            raise _fail(f"{where}: unknown manifold {opts['manifold']!r}")
+            raise ConfigError(f"{where}: unknown manifold {opts['manifold']!r}")
         if model.n != 3:
-            raise _fail(f"{where}: sphere invariance needs a 3-dimensional model")
+            raise ConfigError(f"{where}: sphere invariance needs a 3-dimensional model")
         if opts["samples"] < 1:
-            raise _fail(f"{where}: samples must be >= 1")
-        if not 0 < opts["eta_h"] <= opts["eta_T"]:
-            raise _fail(f"{where}: need 0 < eta_h <= eta_T")
+            raise ConfigError(f"{where}: samples must be >= 1")
+        _api(f"{where} (eta_T, eta_h)", _grid_steps, opts["eta_T"], opts["eta_h"])
     elif kind in ("lyapunov", "first-integral"):
         _functional(str(opts["functional"]), model)
     elif kind == "symplecticity":
-        if model.n != 2:
-            raise _fail(f"{where}: symplecticity needs a 2-dimensional model")
+        _api(where, _check_symplectic, model, scheme)
     elif kind == "convergence":
-        if opts["levels"] < 3:
-            raise _fail(f"{where}: need at least 3 levels")
-        if opts["n_paths"] < 1 or opts["oracle_gap"] < 1:
-            raise _fail(f"{where}: n_paths and oracle_gap must be >= 1")
-        if not 0 < opts["h0"] <= opts["T"]:
-            raise _fail(f"{where}: need 0 < h0 <= T")
-        if opts["oracle"] not in ("closed_form", "finest_refinement"):
-            raise _fail(f"{where}: unknown oracle {opts['oracle']!r}")
-        if opts["oracle"] == "closed_form" and _closed_form(model) is None:
-            raise _fail(f"{where}: no closed form known for model {model.name!r}")
-        if opts["scheme"] is not None:
-            _config_scheme(model, opts["scheme"], where)
+        _api(where, _check_convergence, model, opts["scheme"] or scheme, opts["oracle"],
+             opts["levels"], opts["n_paths"], opts["T"], opts["h0"], _closed_form(model),
+             opts["oracle_gap"])
     elif kind == "stability":
-        if not opts["delta"] > opts["x0_radius"] > 0:
-            raise _fail(f"{where}: need delta > x0_radius > 0")
+        _api(where, _check_stability, opts["x0_radius"], opts["delta"])
     elif kind == "attraction":
-        if opts["eps"] <= 0:
-            raise _fail(f"{where}: eps must be positive")
+        _api(where, _check_attraction, opts["eps"])
 
 
-def _config_scheme(model, scheme, where):
-    """_check_scheme, raising its ValueError as a ConfigError located at where."""
+def _api(where, check, *args):
+    """check(*args), raising its ValueError as a ConfigError located at where."""
     try:
-        _check_scheme(model, scheme)
+        check(*args)
     except ValueError as exc:
-        raise _fail(f"{where}: {exc}")
+        raise ConfigError(f"{where}: {exc}")
 
 
 def _functional(name: str, model) -> ScalarField:
@@ -311,7 +293,7 @@ def _functional(name: str, model) -> ScalarField:
     if name in ("align", "neg_align"):
         b = model.params.get("b")
         if b is None or model.n != 3:
-            raise _fail(f"functional {name!r} needs a 3-dimensional model with a "
+            raise ConfigError(f"functional {name!r} needs a 3-dimensional model with a "
                         "field parameter b")
         bhat = np.asarray(b, dtype=float)
         bhat = bhat / np.linalg.norm(bhat)
@@ -321,7 +303,7 @@ def _functional(name: str, model) -> ScalarField:
             gradient=lambda x: np.broadcast_to(sgn * bhat, np.shape(x)).copy(),
             name=name,
         )
-    raise _fail(f"unknown functional {name!r}; known: align, energy, neg_align, "
+    raise ConfigError(f"unknown functional {name!r}; known: align, energy, neg_align, "
                 "norm, norm2, sphere")
 
 
@@ -436,8 +418,6 @@ def _run_check(kind, opts, cfg, model, out):
 
 def cmd_check(cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]][0] == "check"]
-    if not entries:
-        raise _fail("check: the analyses list has no check-type entries")
     all_pass = True
     for entry in entries:
         kind = entry["kind"]
@@ -450,8 +430,6 @@ def cmd_check(cfg, model, out) -> int:
 
 def cmd_convergence(cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if a["kind"] == "convergence"]
-    if not entries:
-        raise _fail("convergence: the analyses list has no convergence entries")
     for i, entry in enumerate(entries):
         scheme = entry["scheme"] or cfg["scheme"]
         est = empirical_convergence_order(
@@ -472,8 +450,6 @@ def cmd_convergence(cfg, model, out) -> int:
 
 def cmd_stability(cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]][0] == "stability"]
-    if not entries:
-        raise _fail("stability: the analyses list has no stability/attraction entries")
     for i, entry in enumerate(entries):
         kind = entry["kind"]
         suffix = "" if sum(e["kind"] == kind for e in entries) == 1 else f"_{i + 1}"
@@ -531,7 +507,7 @@ def main(argv=None) -> int:
     try:
         cfg, model, _ = load_config(args.config, args.seed, args.task)
         if args.threads < 1:
-            raise _fail(f"threads must be >= 1, got {args.threads}")
+            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         os.makedirs(args.out, exist_ok=True)
         # Overflow to inf is the expected signature of a diverging path; the
         # finite-state check turns it into a diagnosable abort.

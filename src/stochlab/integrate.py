@@ -29,7 +29,7 @@ from .noise import (
     NoisePath,
     ParameterProcess,
     _fresh_streams,
-    _n_steps,
+    _grid_steps,
     _normal_rows,
     _path_views,
     philox_keys,
@@ -258,11 +258,13 @@ def _kernel_states(model, advance, times, x0, noise, record=True):
     components of row k (see _scheme_states).  A single path steps on Python
     floats (complex ones for a complex x0), converting the rows its advance
     reads; a batch steps on (B,) component arrays.  Returns the states
-    (N+1,) + x0.shape, or the terminal state when record is off.
+    (N+1,) + x0.shape, or the terminal state when record is off.  Raises
+    ValueError unless x0 holds model.n components on its last axis.
     """
+    _check_state(model, x0)
     kernel = model.kernel or _matrix_kernel(model)
     x0 = np.asarray(x0, dtype=np.result_type(x0, float))
-    n, l = x0.shape[-1], noise.shape[-1]
+    n, l = model.n, noise.shape[-1]
     n_steps = len(times) - 1
     tl = np.asarray(times, dtype=float).tolist()
     states = np.empty((n_steps + 1,) + x0.shape, dtype=x0.dtype) if record else None
@@ -485,6 +487,23 @@ def _check_scheme(model: ModelSpec, scheme: str) -> None:
         )
 
 
+def _check_ensemble(model: ModelSpec, scheme: str, n_paths: int, T: float, h: float) -> int:
+    """Raise ValueError unless n_paths paths of scheme can step model by h to T; return N."""
+    _check_scheme(model, scheme)
+    if model.interpretation == "rode" and model.eta_builder is None:
+        raise ValueError(f"RODE runs need a model with an eta_builder; {model.name} has none")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    return _grid_steps(T, h)
+
+
+def _check_state(model: ModelSpec, x, what: str = "x0") -> None:
+    """Raise ValueError unless the last axis of x holds the model's n components."""
+    k = np.shape(x)[-1:] or (0,)
+    if k != (model.n,):
+        raise ValueError(f"{what} has {k[0]} components, {model.name} needs {model.n}")
+
+
 # scheme id -> its advance function on the component form
 _ADVANCE = {"euler_maruyama": _em_advance, "heun": _heun_advance, "rk4": _rk4_advance,
             "rode_heun": _rode_heun_advance, "rode_euler": _rode_euler_advance}
@@ -529,16 +548,13 @@ def run_ensemble(
     k, k+1, ..., shaped (rows, n_paths, n), row 0 included.
 
     Returns EnsembleStats, or (EnsembleStats, states) with states of shape
-    (n_paths, N+1, n) when return_states is set.  A non-finite state raises
+    (n_paths, N+1, n) when return_states is set.  Raises ValueError where
+    _check_ensemble does, and where a start (x0, or a sampler's draw) does
+    not have model.n components.  A non-finite state raises
     IntegrationError for the earliest failing step, lowest path index at
     that step, carrying that path's states up to the failure.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    _check_scheme(model, scheme)
-    if model.interpretation == "rode" and model.eta_builder is None:
-        raise ValueError("RODE ensemble needs a model with an eta_builder")
-    n_steps = _grid_steps(T, h)
+    n_steps = _check_ensemble(model, scheme, n_paths, T, h)
     times = np.arange(n_steps + 1) * h
     observers = list(observers)
     # each row reduces only its own paths, so per-block reductions equal
@@ -601,6 +617,7 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
         x = np.stack([np.asarray(x0(k, rng), dtype=float) for k, rng in zip(ks, samplers)])
     else:
         x = np.stack([np.asarray(x0, dtype=float)] * len(ks))
+    _check_state(model, x)
     for observe in observers:
         observe(0, x[None])
     stochastic = model.interpretation in ("ito", "stratonovich")
@@ -655,12 +672,6 @@ def _eta_stack(model, increments, times, seeds, level):
 def _eta_rows(eta: ParameterProcess) -> np.ndarray:
     """The samples of eta as (N+1, dim) rows of components, a RODE scheme's noise."""
     return np.asarray(eta.values).reshape(len(eta.times), eta.dim)
-
-
-def _grid_steps(T, h):
-    if T <= 0 or h <= 0 or h > T:
-        raise ValueError(f"need T > 0 and 0 < h <= T, got T={T}, h={h}")
-    return _n_steps(T, h)
 
 
 def _require(model: ModelSpec, interpretation: str):

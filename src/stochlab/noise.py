@@ -153,7 +153,11 @@ def _normal_rows(gens, out, sd):
     return out
 
 
-def _n_steps(T: float, h: float) -> int:
+def _grid_steps(T: float, h: float) -> int:
+    """Step count N = ceil(T/h) of the grid of step h on [0, T]; raises
+    ValueError unless T > 0 and 0 < h <= T."""
+    if not (T > 0 and 0 < h <= T):
+        raise ValueError(f"need T > 0 and 0 < h <= T, got T={T}, h={h}")
     # ceil with a guard against T/h landing just above an integer in floats
     return int(math.ceil(T / h - 1e-9))
 
@@ -202,12 +206,11 @@ def _brownian_stack(seeds, T: float, h: float, dims: int) -> np.ndarray:
     """Base increments (N, P, dims) of the paths sampled from seeds: path p,
     increments[:, p], is drawn from its own (seeds[p], DOMAIN_BASE, 0) stream
     as normal(0, sqrt h) of shape (N, dims), N = ceil(T/h)."""
-    if T <= 0 or h <= 0 or h > T:
-        raise ValueError(f"need T > 0 and 0 < h <= T, got T={T}, h={h}")
+    n_steps = _grid_steps(T, h)
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
     keys = philox_keys(seeds, DOMAIN_BASE, 0)
-    draws = np.empty((len(keys), _n_steps(T, h), dims))
+    draws = np.empty((len(keys), n_steps, dims))
     return _normal_rows(_fresh_streams(keys), draws, math.sqrt(h)).transpose(1, 0, 2)
 
 

@@ -123,6 +123,12 @@ def test_invariance_rejects_off_manifold_samples():
         check_invariance(model, sphere_field(), bad, tol=1e-9)
 
 
+def test_invariance_rejects_an_empty_sample():
+    model = build_model("ell", interpretation="stratonovich")
+    with pytest.raises(ValueError, match="m >= 1"):
+        check_invariance(model, sphere_field(), np.empty((0, 3)), tol=1e-9)
+
+
 def test_invariance_report_text_and_csv(tmp_path):
     model = build_model("ell", interpretation="stratonovich")
     report = check_invariance(model, sphere_field(), fibonacci_sphere(32), tol=1e-9)
@@ -369,6 +375,31 @@ def test_rode_studies_and_ensembles_check_the_built_eta_dimension():
         run_ensemble(model, np.array([0.6, 0.0, 0.8]), "rode_heun", 4, 7, (), T=1.0, h=0.1)
 
 
+KUBO = build_model("kubo")
+SCALAR = build_model("scalar_linear", a=-1.0, b_scalar=0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: empirical_convergence_order(KUBO, [1.0, 0.0, 0.0], "heun", "finest_refinement",
+                                        3, 4, 1),
+    lambda: empirical_convergence_order(SCALAR, [1.0, 0.0], "euler_maruyama",
+                                        "finest_refinement", 3, 4, 1),
+    lambda: functional_drift_decay(KUBO, [1.0, 0.0, 0.0], casimir_field(dim=2), "heun",
+                                   levels=3, n_paths=4, seed=1),
+    lambda: conversion_gap_decay(KUBO, strat_to_ito(KUBO), [1.0, 0.0, 0.0], levels=2,
+                                 n_paths=4, seed=1),
+    lambda: check_symplecticity(KUBO, "heun", np.array([1.0, 0.0, 0.0]), h=0.1, T=1.0,
+                                path=sample_brownian(1, 1.0, 0.1)),
+    lambda: check_equilibrium(KUBO, [0.0], tol=1e-9),
+    lambda: equilibrium_attraction(KUBO, [0.0, 0.0, 0.0], 0.1, T=1.0, n_paths=4,
+                                   x0=[1.0, 0.0], seed=1, h=0.1),
+], ids=["convergence", "convergence_scalar", "drift_decay", "gap_decay", "symplecticity",
+        "equilibrium_point", "attraction_target"])
+def test_analyses_reject_a_state_of_the_wrong_length(call):
+    with pytest.raises(ValueError, match=r"has \d components, \w+ needs [12]$"):
+        call()
+
+
 def test_convergence_order_honours_rode_euler():
     model = build_model("rode_ll")
     kw = dict(oracle="finest_refinement", levels=3, n_paths=8, seed=3, h0=2.0**-4)
@@ -419,6 +450,14 @@ def test_one_step_generator_check_requires_ito():
     with pytest.raises(ValueError):
         one_step_generator_check(model, norm_squared_field(dim=2), [1.0, 0.0],
                                  h=1e-3, n_samples=100, seed=1)
+
+
+@pytest.mark.parametrize("h, n_samples", [(1e-3, 1), (1e-3, 0), (0.0, 100), (-1e-3, 100)])
+def test_one_step_generator_check_rejects_bad_sizes(h, n_samples):
+    model = build_model("ell", interpretation="ito")
+    with pytest.raises(ValueError, match="need h > 0 and n_samples >= 2"):
+        one_step_generator_check(model, norm_squared_field(), [0.6, 0.0, 0.8],
+                                 h=h, n_samples=n_samples, seed=1)
 
 
 def test_stability_probability_edges():

@@ -3,7 +3,10 @@ import numpy as np
 import pytest
 import yaml
 
+from stochlab.analyze import empirical_convergence_order, stability_probability
 from stochlab.cli import main
+from stochlab.integrate import run_ensemble
+from stochlab.models import build_model
 
 
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -347,6 +350,20 @@ BAD_CONFIGS = {
         model={"name": "rode_ll", "params": {"scalar_eta": False}},
         analyses=[{"kind": "convergence", "oracle": "finest_refinement",
                    "levels": 3, "n_paths": 8}])),
+    "invariance_zero_samples": ("check", base_cfg(
+        analyses=[{"kind": "invariance", "tol": 1e-9, "samples": 0}])),
+    "invariance_unknown_manifold": ("check", base_cfg(
+        analyses=[{"kind": "invariance", "tol": 1e-9, "manifold": "torus"}])),
+    "invariance_planar_model": ("check", base_cfg(
+        model={"name": "kubo"}, scheme="heun", x0=[1.0, 0.0],
+        analyses=[{"kind": "invariance", "tol": 1e-9}])),
+    "zero_x0_radius": ("stability", base_cfg(
+        analyses=[{"kind": "stability", "x0_radius": 0.0, "delta": 0.5}])),
+    "h0_above_analysis_T": ("convergence", base_cfg(
+        analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                   "levels": 3, "n_paths": 8, "h0": 2.0, "T": 1.0}])),
+    "attraction_target_wrong_length": ("stability", base_cfg(
+        analyses=[{"kind": "attraction", "target": [0.0, 1.0], "eps": 0.1}])),
 }
 
 
@@ -360,6 +377,28 @@ def test_invalid_config_exits_2_and_writes_nothing(tmp_path, capsys, case):
     assert main([task, "--config", path, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+ELL = build_model("ell", interpretation="stratonovich", eps=0.1, alpha=1.0)
+
+
+@pytest.mark.parametrize("task, cfg, call", [
+    ("simulate", base_cfg(h=2.0),
+     lambda: run_ensemble(ELL, [0.6, 0.0, 0.8], "heun", 1, 5, (), T=1.0, h=2.0)),
+    ("convergence", base_cfg(analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                                        "levels": 2, "n_paths": 8}]),
+     lambda: empirical_convergence_order(ELL, [0.6, 0.0, 0.8], "heun", "finest_refinement",
+                                         levels=2, n_paths=8, seed=5)),
+    ("stability", base_cfg(analyses=[{"kind": "stability", "x0_radius": 0.5, "delta": 0.5}]),
+     lambda: stability_probability(ELL, 0.5, 0.5, T=1.0, n_paths=1, seed=5)),
+], ids=["grid", "convergence", "stability"])
+def test_config_errors_print_the_api_message(tmp_path, capsys, task, cfg, call):
+    with pytest.raises(ValueError) as info:
+        call()
+    out = tmp_path / "out"
+    assert main([task, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f": {info.value}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integral_floats_and_numeric_strings_resolve_like_numbers(tmp_path):

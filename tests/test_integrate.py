@@ -287,6 +287,19 @@ def test_grid_validation():
         run_ensemble(model, [1.0], "rk4", 4, 1, (), T=1.0, h=0.1)
 
 
+@pytest.mark.parametrize("return_states", [False, True])
+def test_run_ensemble_and_integrate_path_reject_a_state_of_the_wrong_length(return_states):
+    kubo = build_model("kubo")
+    with pytest.raises(ValueError, match="x0 has 3 components, kubo needs 2"):
+        run_ensemble(kubo, [1.0, 0.0, 0.0], "heun", 4, 1, (), T=1.0, h=0.1,
+                     return_states=return_states)
+    with pytest.raises(ValueError, match="x0 has 3 components, kubo needs 2"):
+        run_ensemble(kubo, lambda k, rng: rng.normal(size=3), "heun", 4, 1, (), T=1.0,
+                     h=0.1, return_states=return_states)
+    with pytest.raises(ValueError, match="x0 has 3 components, kubo needs 2"):
+        integrate_path(kubo, [1.0, 0.0, 0.0], "heun", path=sample_brownian(1, 1.0, 0.1))
+
+
 def test_run_ensemble_statistics_match_states():
     model = build_model("ell", interpretation="ito")
     F = norm_squared_field()
