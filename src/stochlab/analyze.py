@@ -596,6 +596,8 @@ def stability_probability(
     so memory does not grow with T.  scheme defaults to default_scheme(model).
     """
     _check_stability(x0_radius, delta)
+    scheme = default_scheme(model) if scheme is None else scheme
+    _check_ensemble(model, scheme, n_paths, T, h)
     x0 = np.zeros(model.n)
     x0[0] = x0_radius
     sup = np.zeros(n_paths)
@@ -607,7 +609,7 @@ def stability_probability(
         np.maximum(sup, np.sqrt(sq), out=sup)
 
     run_ensemble(
-        model, x0, scheme or default_scheme(model), n_paths, seed,
+        model, x0, scheme, n_paths, seed,
         functionals=(), T=T, h=h, observers=[running_sup],
     )
     n_exceed = int(np.sum(sup > delta))
@@ -647,6 +649,8 @@ def equilibrium_attraction(
     """
     _check_attraction(eps)
     _check_state(model, target, "target")
+    scheme = default_scheme(model) if scheme is None else scheme
+    _check_ensemble(model, scheme, n_paths, T, h)
     target = np.asarray(target, dtype=float)
     terminal = np.empty((n_paths, model.n))
 
@@ -654,7 +658,7 @@ def equilibrium_attraction(
         terminal[:] = block[-1]
 
     run_ensemble(
-        model, x0, scheme or default_scheme(model), n_paths, seed,
+        model, x0, scheme, n_paths, seed,
         functionals=(), T=T, h=h, observers=[keep_last],
     )
     dist = np.linalg.norm(terminal - target, axis=-1)

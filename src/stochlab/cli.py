@@ -169,7 +169,9 @@ def load_config(path: str, seed_override, task: str):
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"model: {exc}")
 
-    scheme = raw.get("scheme") or default_scheme(model)
+    scheme = raw.get("scheme")
+    if scheme is None:
+        scheme = default_scheme(model)
     T = _number(raw.get("T", 10.0), "T")
     h = _number(raw.get("h", 1e-4), "h")
     n_paths = _number(raw.get("n_paths", 1), "n_paths", integer=True)
@@ -261,13 +263,26 @@ def _validate_analysis(kind, opts, model, scheme, where):
     elif kind == "symplecticity":
         _api(where, _check_symplectic, model, scheme)
     elif kind == "convergence":
-        _api(where, _check_convergence, model, opts["scheme"] or scheme, opts["oracle"],
+        _api(where, _check_convergence, model, _entry_scheme(opts, scheme), opts["oracle"],
              opts["levels"], opts["n_paths"], opts["T"], opts["h0"], _closed_form(model),
              opts["oracle_gap"])
     elif kind == "stability":
         _api(where, _check_stability, opts["x0_radius"], opts["delta"])
     elif kind == "attraction":
         _api(where, _check_attraction, opts["eps"])
+
+
+def _entry_scheme(entry, scheme):
+    """An analysis entry's own scheme, or the config's where it sets none."""
+    return scheme if entry["scheme"] is None else entry["scheme"]
+
+
+def _output(out, entries, i):
+    """Path of entries[i]'s CSV: {kind}.csv, or {kind}_{i+1}.csv where the
+    kind repeats among entries, so no entry overwrites another's file."""
+    kind = entries[i]["kind"]
+    suffix = "" if sum(e["kind"] == kind for e in entries) == 1 else f"_{i + 1}"
+    return os.path.join(out, f"{kind}{suffix}.csv")
 
 
 def _api(where, check, *args):
@@ -368,10 +383,9 @@ def _rode_eta_samples(model, cfg, opts):
     return model.eta_builder(path)
 
 
-def _run_check(kind, opts, cfg, model, out):
-    """Run one check analysis; returns (passed, summary, dest)."""
+def _run_check(kind, opts, cfg, model, dest):
+    """Run one check analysis, writing dest; returns (passed, summary)."""
     comment = _comment(f"check {kind}", cfg)
-    dest = os.path.join(out, f"{kind}.csv")
     if kind == "invariance":
         eta = _rode_eta_samples(model, cfg, opts) if model.interpretation == "rode" else None
         report = check_invariance(
@@ -380,14 +394,14 @@ def _run_check(kind, opts, cfg, model, out):
         )
         report_to_csv(report, dest, comment=comment)
         worst = max(c.max_residual for c in report.conditions)
-        return report.verdict, f"max residual {worst:.3g}", dest
+        return report.verdict, f"max residual {worst:.3g}"
     if kind == "equilibrium":
         report = check_equilibrium(model, opts["point"], tol=opts["tol"])
         report_to_csv(report, dest, comment=comment)
         bad = [t.name for t in report.drift_terms + report.diffusion_columns
                if not t.vanishes]
         note = "all terms vanish" if report.verdict else f"nonzero: {', '.join(bad)}"
-        return report.verdict, note, dest
+        return report.verdict, note
     if kind == "lyapunov":
         V = _functional(str(opts["functional"]), model)
         traj = _single_trajectory(cfg, model)
@@ -396,16 +410,14 @@ def _run_check(kind, opts, cfg, model, out):
                   [[stats.n_violations], [stats.max_increase], [stats.n_steps]],
                   comment=comment)
         return (stats.n_violations == 0,
-                f"{stats.n_violations} violations, max increase {stats.max_increase:.3g}",
-                dest)
+                f"{stats.n_violations} violations, max increase {stats.max_increase:.3g}")
     if kind == "first-integral":
         F = _functional(str(opts["functional"]), model)
         traj = _single_trajectory(cfg, model)
         drift = first_integral_drift(traj, F)
         write_csv(dest, "max_drift,terminal_drift",
                   [[drift.max_drift], [drift.terminal_drift]], comment=comment)
-        return (drift.max_drift <= opts["tol"],
-                f"max drift {drift.max_drift:.3g}", dest)
+        return drift.max_drift <= opts["tol"], f"max drift {drift.max_drift:.3g}"
     # symplecticity
     path = None
     if model.noise_dim:
@@ -413,16 +425,17 @@ def _run_check(kind, opts, cfg, model, out):
     defect = check_symplecticity(model, cfg["scheme"], np.asarray(cfg["x0"], dtype=float),
                                  h=cfg["h"], T=cfg["T"], path=path)
     write_csv(dest, "defect", [[defect]], comment=comment)
-    return defect <= opts["tol"], f"defect {defect:.3g}", dest
+    return defect <= opts["tol"], f"defect {defect:.3g}"
 
 
 def cmd_check(cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]][0] == "check"]
     all_pass = True
-    for entry in entries:
+    for i, entry in enumerate(entries):
         kind = entry["kind"]
         opts = {k: v for k, v in entry.items() if k != "kind"}
-        passed, note, dest = _run_check(kind, opts, cfg, model, out)
+        dest = _output(out, entries, i)
+        passed, note = _run_check(kind, opts, cfg, model, dest)
         all_pass &= passed
         print(f"check {kind}: {'pass' if passed else 'FAIL'} ({note}) -> {dest}")
     return 0 if all_pass else 1
@@ -431,16 +444,14 @@ def cmd_check(cfg, model, out) -> int:
 def cmd_convergence(cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if a["kind"] == "convergence"]
     for i, entry in enumerate(entries):
-        scheme = entry["scheme"] or cfg["scheme"]
         est = empirical_convergence_order(
-            model, np.asarray(cfg["x0"], dtype=float), scheme,
+            model, np.asarray(cfg["x0"], dtype=float), _entry_scheme(entry, cfg["scheme"]),
             oracle=str(entry["oracle"]), levels=entry["levels"],
             n_paths=entry["n_paths"], seed=cfg["seed"], T=entry["T"],
             h0=entry["h0"], closed_form=_closed_form(model),
             oracle_gap=entry["oracle_gap"],
         )
-        name = "convergence.csv" if len(entries) == 1 else f"convergence_{i + 1}.csv"
-        dest = os.path.join(out, name)
+        dest = _output(out, entries, i)
         comment = (_comment("convergence", cfg)
                    + f"\nslope={est.slope:.17g} half_width={est.half_width:.17g}")
         write_csv(dest, "step_size,error", [est.step_sizes, est.errors], comment=comment)
@@ -452,8 +463,7 @@ def cmd_stability(cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]][0] == "stability"]
     for i, entry in enumerate(entries):
         kind = entry["kind"]
-        suffix = "" if sum(e["kind"] == kind for e in entries) == 1 else f"_{i + 1}"
-        dest = os.path.join(out, f"{kind}{suffix}.csv")
+        dest = _output(out, entries, i)
         comment = _comment(f"stability {kind}", cfg)
         if kind == "stability":
             est = stability_probability(

@@ -18,7 +18,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -67,73 +67,89 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A drift/diffusion model under a fixed interpretation.
+    """A model under a fixed interpretation, stated once by its kernel.
 
-    drift maps (t, x) -> state for ode/ito/stratonovich models and
-    (t, x, eta) -> state for rode models.  diffusion maps (t, x) to an
-    (n, l) matrix.  All callables must broadcast over leading batch axes of
-    x and keep complex x complex: strat_to_ito and check_symplecticity take
-    complex steps through the kernel (or, without one, drift and diffusion),
-    and a field that casts complex states to float makes them raise
-    ValueError.
-
-    kernel, optional, is the component form (t, xs, ws) -> (f, g) that every
-    scheme steps on: xs holds the n state components, f the drift's.  ws
-    holds the noise_dim components of dW and g those of sigma(t, x) dW for
+    kernel is the component form (t, xs, ws) -> (f, g) that every scheme
+    steps on: xs holds the n state components, f the drift's.  ws holds the
+    noise_dim components of dW and g those of sigma(t, x) dW for
     ito/stratonovich models, the eta components for rode models (g unused);
     ode models ignore ws and g.  Each component is a Python float (one path;
     complex under a complex step) or a (B,) array (a batch); the kernel must
     use only +, -, * and constants, so both give bitwise-equal results and
-    inf/nan propagate without exceptions.  Without a kernel one is derived
-    from drift and diffusion (see _matrix_kernel).
+    inf/nan propagate without exceptions.  It must keep complex components
+    complex: strat_to_ito and check_symplecticity take complex steps through
+    it, and a kernel that casts complex states to float makes them raise
+    ValueError.
+
+    drift and diffusion, the array forms that the checkers and the generator
+    use, are derived from the kernel: drift(t, x) (drift(t, x, eta) for rode
+    models) is its f, and column k of the (n, l) matrix diffusion(t, x) of an
+    ito/stratonovich model is its g on dW = e_k.  Both broadcast over leading
+    batch axes of x.  A value passed for either is kept as given; a derived
+    one is derived again whenever a ModelSpec is made, so
+    dataclasses.replace(model, kernel=k) derives both from k.
     """
 
     n: int
     noise_dim: int
     interpretation: str
-    drift: Callable
+    kernel: Callable
+    drift: Optional[Callable] = None
     diffusion: Optional[Callable] = None
     drift_terms: tuple = ()
     eta_dim: int = 0
     eta_builder: Optional[Callable] = None
     name: str = "model"
     params: dict = field(default_factory=dict)
-    kernel: Optional[Callable] = None
 
     def __post_init__(self):
         if self.interpretation not in INTERPRETATIONS:
             raise ValueError(f"unknown interpretation {self.interpretation!r}")
-        if self.interpretation in ("ito", "stratonovich"):
-            if self.diffusion is None:
-                raise ValueError(f"{self.interpretation} model needs a diffusion field")
-        if self.interpretation in ("ode", "rode") and self.diffusion is not None:
+        stochastic = self.interpretation in ("ito", "stratonovich")
+        if self.diffusion is None or isinstance(self.diffusion, _Derived):
+            object.__setattr__(self, "diffusion", _kernel_sigma(self) if stochastic else None)
+        elif not stochastic:
             raise ValueError(f"{self.interpretation} model must not carry a state diffusion")
+        if self.drift is None or isinstance(self.drift, _Derived):
+            object.__setattr__(self, "drift", _kernel_drift(self))
+
+
+class _Derived(partial):
+    """An array form of ModelSpec derived from its kernel (see ModelSpec): a
+    partial that binds no argument, marked as derived by its type alone."""
+
+
+def _kernel_drift(model):
+    """drift(t, x[, eta]) of model: the kernel's f, at dW = 0 for a stochastic model."""
+    kernel, zero = model.kernel, [0.0] * model.noise_dim
+
+    def f(t, xs, ws=zero):
+        return kernel(t, xs, ws)[0]
+
+    return _Derived(_stacked(f, model.eta_dim))
+
+
+def _kernel_sigma(model):
+    """sigma(t, x) of model, as an (..., n, l) array: the kernel's g is linear
+    in dW, so column k of sigma is g on the unit vector e_k, exactly."""
+    kernel = model.kernel
+    columns = [_stacked(lambda t, xs, w=w: kernel(t, xs, w)[1])
+               for w in np.eye(model.noise_dim).tolist()]
+    return _Derived(lambda t, x: np.stack([column(t, x) for column in columns], axis=-1))
 
 
 def validate_model(model: ModelSpec, x=None, t: float = 0.0, eta=None) -> None:
-    """Probe drift/diffusion shapes at one point; raise ValueError on mismatch."""
+    """Probe the kernel at one point; raise ValueError unless it returns the
+    model's n drift components (and n noise components for ito/stratonovich)."""
     x = np.ones(model.n) if x is None else np.asarray(x, dtype=float)
+    _check_state(model, x, "x")
     ws = [1.0] * model.noise_dim
     if model.interpretation == "rode":
-        if eta is None:
-            eta = 1.0 if model.eta_dim <= 1 else np.ones(model.eta_dim)
-        fx = np.asarray(model.drift(t, x, eta))
-        ws = np.atleast_1d(eta).tolist()
-    else:
-        fx = np.asarray(model.drift(t, x))
-    if fx.shape != x.shape:
-        raise ValueError(f"drift shape {fx.shape} does not match state shape {x.shape}")
-    if model.diffusion is not None:
-        sig = np.asarray(model.diffusion(t, x))
-        if sig.shape != (model.n, model.noise_dim):
-            raise ValueError(
-                f"diffusion shape {sig.shape}, expected {(model.n, model.noise_dim)}"
-            )
-    if model.kernel is not None:
-        f, g = model.kernel(t, [x[..., i] for i in range(model.n)], ws)
-        if len(f) != model.n or (model.diffusion is not None and len(g) != model.n):
-            raise ValueError(f"kernel returned {len(f)} drift and {len(g)} noise "
-                             f"components, expected {model.n}")
+        ws = [1.0] * max(model.eta_dim, 1) if eta is None else np.atleast_1d(eta).tolist()
+    f, g = model.kernel(t, [x[..., i] for i in range(model.n)], ws)
+    if len(f) != model.n or (model.diffusion is not None and len(g) != model.n):
+        raise ValueError(f"kernel returned {len(f)} drift and {len(g)} noise "
+                         f"components, expected {model.n}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +223,7 @@ def _stacked(fn, eta_dim=0):
 
     def field(t, x, *eta):
         x = np.asarray(x, dtype=float)
-        ws = [[e] if eta_dim == 1 else list(np.moveaxis(np.asarray(e, dtype=float), -1, 0))
+        ws = [[e] if eta_dim <= 1 else list(np.moveaxis(np.asarray(e, dtype=float), -1, 0))
               for e in eta]
         comps = fn(t, [x[..., i] for i in range(x.shape[-1])], *ws)
         shape = np.broadcast_shapes(x.shape[:-1], *(np.shape(c) for c in comps))
@@ -217,37 +233,6 @@ def _stacked(fn, eta_dim=0):
         return out
 
     return field
-
-
-def _matrix_action(model):
-    """sigma(t, x) dW by components, of a model given only in matrix form."""
-
-    def action(t, xs, ws):
-        g = np.einsum("...il,...l->...i", model.diffusion(t, np.stack(xs, axis=-1)),
-                      np.stack(ws, axis=-1))
-        return [g[..., i] for i in range(model.n)]
-
-    return action
-
-
-def _matrix_kernel(model):
-    """Kernel of a model given only in matrix form: stack the components,
-    evaluate the drift (at the stacked eta of a rode model) and sigma dW,
-    and split the results again."""
-    f, n, interpretation, action = model.drift, model.n, model.interpretation, _matrix_action(model)
-
-    def split(v):
-        return [v[..., i] for i in range(n)]
-
-    def kernel(t, xs, ws):
-        x = np.stack(xs, axis=-1)
-        if interpretation == "ode":
-            return split(f(t, x)), ()
-        if interpretation == "rode":
-            return split(f(t, x, ws[0] if len(ws) == 1 else np.stack(ws, axis=-1))), ()
-        return split(f(t, x)), action(t, xs, ws)
-
-    return kernel
 
 
 def _kernel_states(model, advance, times, x0, noise, record=True):
@@ -262,7 +247,7 @@ def _kernel_states(model, advance, times, x0, noise, record=True):
     ValueError unless x0 holds model.n components on its last axis.
     """
     _check_state(model, x0)
-    kernel = model.kernel or _matrix_kernel(model)
+    kernel = model.kernel
     x0 = np.asarray(x0, dtype=np.result_type(x0, float))
     n, l = model.n, noise.shape[-1]
     n_steps = len(times) - 1
@@ -375,14 +360,14 @@ def strat_to_ito(model: ModelSpec) -> ModelSpec:
     step s Im g_i(t, x + i delta sigma_k / s, e_k) / delta of the noise
     action g (sigma_k = g(t, x, e_k), s = _scale(sigma_k)): exact to rounding
     for a kernel of +, -, * and constants (Squire & Trapp, SIAM Review 40(1),
-    1998).  A diffusion that drops the imaginary part raises ValueError.  The
-    Ito model has a kernel; the correction does not nest, so the model
-    rejects complex states (check_symplecticity's complex step) with
-    ValueError.
+    1998).  An action that drops the imaginary part raises ValueError.  The
+    Ito model's kernel adds the correction to f, and its drift is derived
+    from that kernel, even where model was given an explicit drift.  The
+    correction does not nest, so the model rejects complex states
+    (check_symplecticity's complex step) with ValueError.
     """
     _require(model, "stratonovich")
-    kernel = model.kernel or _matrix_kernel(model)
-    action = (lambda t, xs, ws: kernel(t, xs, ws)[1]) if model.kernel else _matrix_action(model)
+    kernel = model.kernel
     units = np.eye(model.noise_dim).tolist()
 
     def correction(t, xs):
@@ -390,9 +375,9 @@ def strat_to_ito(model: ModelSpec) -> ModelSpec:
             raise ValueError(f"{model.name}_ito: the Wong-Zakai correction takes no complex step")
         total = [0.0] * len(xs)
         for w in units:
-            sigma = action(t, xs, w)
+            sigma = kernel(t, xs, w)[1]
             s = _scale(sigma)
-            g = action(t, [x + 1j * (_DELTA * (c / s)) for x, c in zip(xs, sigma)], w)
+            g = kernel(t, [x + 1j * (_DELTA * (c / s)) for x, c in zip(xs, sigma)], w)[1]
             total = [a + (b.imag / _DELTA) * s for a, b in zip(total, g)]
         return [0.5 * a for a in total]
 
@@ -402,10 +387,9 @@ def strat_to_ito(model: ModelSpec) -> ModelSpec:
         f, g = kernel(t, xs, ws)
         return [a + c for a, c in zip(f, correction(t, xs))], g
 
-    f, wong_zakai = model.drift, _stacked(correction)
-    return replace(model, interpretation="ito", drift=lambda t, x: f(t, x) + wong_zakai(t, x),
-                   drift_terms=tuple(model.drift_terms) + (("wong-zakai", wong_zakai),),
-                   name=model.name + "_ito", params=dict(model.params), kernel=ito_kernel)
+    return replace(model, interpretation="ito", kernel=ito_kernel, drift=None,
+                   drift_terms=tuple(model.drift_terms) + (("wong-zakai", _stacked(correction)),),
+                   name=model.name + "_ito", params=dict(model.params))
 
 
 def _scale(comps):
@@ -419,12 +403,14 @@ def _scale(comps):
 
 
 def _holomorphic(name, fn, *args, **kwargs):
-    """fn(*args, **kwargs), raising ValueError where a field casts complex states to float."""
+    """fn(*args, **kwargs), raising ValueError where a kernel casts complex
+    states to float: numpy warns when it casts a complex array, and raises
+    TypeError, as float() does, when it casts Python complex components."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         try:
             return fn(*args, **kwargs)
-        except np.exceptions.ComplexWarning as err:
+        except (np.exceptions.ComplexWarning, TypeError) as err:
             raise ValueError(f"{name} drops imaginary parts of states") from err
 
 
@@ -478,7 +464,7 @@ def default_scheme(model: ModelSpec) -> str:
 
 def _check_scheme(model: ModelSpec, scheme: str) -> None:
     """Raise ValueError unless scheme is known and integrates the model's interpretation."""
-    if scheme not in SCHEMES:
+    if not isinstance(scheme, str) or scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; known: {sorted(SCHEMES)}")
     if SCHEMES[scheme] != model.interpretation:
         raise ValueError(

@@ -3,13 +3,12 @@ the Kubo oscillator, the scalar linear SDE and the isochronous oscillators.
 
 Every builder returns a validated ModelSpec.  Drift terms are written once,
 in component form (functions of the state components xs and, for RODE
-models, of the eta components ws, see ModelSpec.kernel); the array drift,
-the drift terms and the kernel are derived from them.  Stochastic entries
-write their noise once, as the component-form action sigma(t, x) dW that
-the schemes step on.  The sigma matrix, which the checkers and the
-generator use, is derived from that action, one column per unit increment;
-the Wong-Zakai conversion (integrate.strat_to_ito) works on the action
-itself.
+models, of the eta components ws, see ModelSpec.kernel); the drift terms
+and the kernel are derived from them.  Stochastic entries write their noise
+once, as the component-form action sigma(t, x) dW that the schemes step on.
+ModelSpec derives the array drift and the sigma matrix, which the checkers
+and the generator use, from the kernel; the Wong-Zakai conversion
+(integrate.strat_to_ito) works on the action itself.
 """
 from __future__ import annotations
 
@@ -143,20 +142,13 @@ def _summed(fns):
     return total
 
 
-def _derived_noise(action, noise_dim):
-    """sigma(t, x) of a noise action, as the (..., n, l) array of
-    ModelSpec.diffusion: the action is linear in dW, so column k of sigma
-    is the action on the unit vector e_k, exactly."""
-    columns = [_stacked(lambda t, xs, w=w: action(t, xs, w)) for w in np.eye(noise_dim).tolist()]
-    return lambda t, x: np.stack([column(t, x) for column in columns], axis=-1)
-
-
 def _spec(n, noise_dim, interpretation, terms, action=None, total=None, **fields) -> ModelSpec:
     """ModelSpec from named component-form drift terms (t, xs, *ws) -> f,
     and the noise action (t, xs, ws) -> sigma(t, x) dW of a stochastic model;
-    array drift, drift terms, kernel and sigma derived.  ws holds the eta
-    components of a RODE model; ODE terms ignore it.  total, if given, is the
-    sum of the terms in one pass, equal to their sum bit for bit."""
+    kernel and drift terms derived (ModelSpec derives drift and diffusion
+    from the kernel).  ws holds the eta components of a RODE model; ODE terms
+    ignore it.  total, if given, is the sum of the terms in one pass, equal
+    to their sum bit for bit."""
     drift_c = total or _summed([fn for _, fn in terms])
     if action is None:
         def kernel(t, xs, ws):
@@ -164,14 +156,11 @@ def _spec(n, noise_dim, interpretation, terms, action=None, total=None, **fields
     else:
         def kernel(t, xs, ws):
             return drift_c(t, xs), action(t, xs, ws)
-        fields["diffusion"] = _derived_noise(action, noise_dim)
     eta_dim = fields.get("eta_dim", 0)
 
     return ModelSpec(
-        n=n, noise_dim=noise_dim, interpretation=interpretation,
-        drift=_stacked(drift_c, eta_dim),
-        drift_terms=tuple((name, _stacked(fn, eta_dim)) for name, fn in terms),
-        kernel=kernel, **fields,
+        n=n, noise_dim=noise_dim, interpretation=interpretation, kernel=kernel,
+        drift_terms=tuple((name, _stacked(fn, eta_dim)) for name, fn in terms), **fields,
     )
 
 

@@ -155,9 +155,9 @@ def _normal_rows(gens, out, sd):
 
 def _grid_steps(T: float, h: float) -> int:
     """Step count N = ceil(T/h) of the grid of step h on [0, T]; raises
-    ValueError unless T > 0 and 0 < h <= T."""
-    if not (T > 0 and 0 < h <= T):
-        raise ValueError(f"need T > 0 and 0 < h <= T, got T={T}, h={h}")
+    ValueError unless T > 0, 0 < h <= T and T/h is finite."""
+    if not (T > 0 and 0 < h <= T and math.isfinite(T / h)):
+        raise ValueError(f"need T > 0, 0 < h <= T and a finite T/h, got T={T}, h={h}")
     # ceil with a guard against T/h landing just above an integer in floats
     return int(math.ceil(T / h - 1e-9))
 

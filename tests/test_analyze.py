@@ -477,6 +477,15 @@ def test_equilibrium_attraction_trivial_cases():
         equilibrium_attraction(model, E3, eps=0.0, T=1.0, n_paths=4, x0=E3, seed=1)
 
 
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_stability_and_attraction_check_n_paths_before_allocating(n_paths):
+    model = build_model("ll")
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        stability_probability(model, 0.5, 1.0, T=1.0, n_paths=n_paths, seed=1)
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        equilibrium_attraction(model, E3, 1e-2, T=1.0, n_paths=n_paths, x0=E3, seed=1)
+
+
 def test_stability_and_attraction_honour_the_scheme():
     model = build_model("rode_ll")
     kw = dict(T=1.0, n_paths=20, seed=3, h=1e-2)
@@ -490,6 +499,9 @@ def test_stability_and_attraction_honour_the_scheme():
     assert equilibrium_attraction(model, E3, 1e-3, scheme="rode_euler", **kw).n_attracted == 0
     with pytest.raises(ValueError):
         equilibrium_attraction(model, E3, 1e-3, scheme="rk4", **kw)
+    for scheme in ("", ["rode_heun"]):  # only None means the default
+        with pytest.raises(ValueError, match="unknown scheme"):
+            equilibrium_attraction(model, E3, 1e-3, scheme=scheme, **kw)
 
 
 def test_stability_probability_memory_is_bounded_by_the_time_block():
@@ -565,7 +577,7 @@ def test_check_symplecticity_rejects_a_path_off_its_grid():
 
 def test_check_symplecticity_detects_contraction():
     model = ModelSpec(n=2, noise_dim=0, interpretation="ode",
-                      drift=lambda t, x: -x, name="contract")
+                      kernel=lambda t, xs, ws: ([-x for x in xs], ()), name="contract")
     defect = check_symplecticity(model, "rk4", [1.0, 0.5], h=1e-3, T=1.0)
     expected = (1.0 - np.exp(-2.0)) * np.sqrt(2.0)
     assert defect == pytest.approx(expected, rel=1e-12)
@@ -573,8 +585,8 @@ def test_check_symplecticity_detects_contraction():
 
 def test_check_symplecticity_rejects_a_drift_that_drops_the_imaginary_part():
     # the flow Jacobian is a complex step, which a cast to float loses
-    model = ModelSpec(n=2, noise_dim=0, interpretation="ode",
-                      drift=lambda t, x: -np.asarray(x, dtype=float), name="contract")
+    model = ModelSpec(n=2, noise_dim=0, interpretation="ode", name="contract",
+                      kernel=lambda t, xs, ws: (list(-np.asarray(xs, dtype=float)), ()))
     with pytest.raises(ValueError, match="imaginary part"):
         check_symplecticity(model, "rk4", [1.0, 0.5], h=1e-3, T=1.0)
 
@@ -594,7 +606,7 @@ def test_check_symplecticity_checks_the_scheme():
     with pytest.raises(ValueError, match="integrates"):
         check_symplecticity(kubo, "euler_maruyama", [1.0, 0.0], h=1e-2, T=1.0, path=path)
     rode = ModelSpec(n=2, noise_dim=0, interpretation="rode",
-                     drift=lambda t, x, eta: -x, name="rode2")
+                     kernel=lambda t, xs, ws: ([-x for x in xs], ()), name="rode2")
     with pytest.raises(ValueError, match="ode, ito or stratonovich"):
         check_symplecticity(rode, "rode_euler", [1.0, 0.0], h=1e-2, T=1.0)
 

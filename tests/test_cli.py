@@ -134,6 +134,20 @@ def test_check_lyapunov_and_equilibrium_on_damped_precession(tmp_path):
     assert rows[0][0] == "0"
 
 
+def test_repeated_kinds_write_one_file_each(tmp_path):
+    points = ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    cfg = write_cfg(tmp_path, base_cfg(
+        model={"name": "ll", "params": {"alpha": 1.0}},
+        analyses=[{"kind": "first-integral", "functional": "norm2", "tol": 1e-3}]
+        + [{"kind": "equilibrium", "point": p, "tol": 1e-12} for p in points]))
+    out = tmp_path / "run"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+    assert sorted(f.name for f in out.iterdir()) == [
+        "equilibrium_2.csv", "equilibrium_3.csv", "first-integral.csv"]
+    verdicts = [read_rows(out / f"equilibrium_{i}.csv")[2][-1][-1] for i in (2, 3)]
+    assert verdicts == ["1", "0"]
+
+
 def test_check_rode_invariance(tmp_path):
     cfg = write_cfg(tmp_path, {
         "version": 1, "seed": 3,
@@ -258,6 +272,15 @@ BAD_CONFIGS = {
     "bad_model_param": ("simulate", base_cfg(
         model={"name": "ll", "params": {"gamma_factor": 2}})),
     "unknown_scheme": ("simulate", base_cfg(scheme="leapfrog")),
+    "scheme_a_list": ("simulate", base_cfg(scheme=["heun"])),
+    "scheme_zero": ("simulate", base_cfg(scheme=0)),
+    "scheme_false": ("simulate", base_cfg(scheme=False)),
+    "scheme_empty": ("simulate", base_cfg(scheme="")),
+    "convergence_scheme_zero": ("convergence", base_cfg(
+        analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                   "levels": 3, "n_paths": 8, "scheme": 0}])),
+    "grid_overflow": ("simulate", base_cfg(T=1e300, h=1e-300)),
+    "negative_paths": ("simulate", base_cfg(n_paths=-1)),
     "scheme_mismatch": ("simulate", base_cfg(scheme="euler_maruyama")),
     "nonpositive_T": ("simulate", base_cfg(T=0.0)),
     "h_above_T": ("simulate", base_cfg(h=2.0)),

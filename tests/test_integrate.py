@@ -41,57 +41,66 @@ from stochlab.vecalg import ScalarField, norm_squared_field
 def _decay_ode(n=1, rate=1.0):
     return ModelSpec(
         n=n, noise_dim=0, interpretation="ode",
-        drift=lambda t, x: -rate * np.asarray(x, dtype=float),
+        kernel=lambda t, xs, ws: ([-rate * x for x in xs], ()),
         name="decay",
     )
 
 
+def _identity(t, xs, ws):
+    return list(xs), [x * w for x, w in zip(xs, ws)]
+
+
 def test_model_spec_validation():
+    with pytest.raises(TypeError, match="kernel"):
+        ModelSpec(n=1, noise_dim=0, interpretation="ode", drift=lambda t, x: x)
     with pytest.raises(ValueError):
-        ModelSpec(n=1, noise_dim=0, interpretation="quantum", drift=lambda t, x: x)
-    with pytest.raises(ValueError):
-        ModelSpec(n=1, noise_dim=1, interpretation="ito", drift=lambda t, x: x)
+        ModelSpec(n=1, noise_dim=0, interpretation="quantum", kernel=_identity)
     with pytest.raises(ValueError):
         ModelSpec(n=1, noise_dim=0, interpretation="ode",
-                  drift=lambda t, x: x, diffusion=lambda t, x: x[..., None])
+                  kernel=_identity, diffusion=lambda t, x: x[..., None])
 
 
 def test_validate_model_detects_shape_mismatch():
-    bad = ModelSpec(n=2, noise_dim=0, interpretation="ode",
-                    drift=lambda t, x: np.zeros(3))
-    with pytest.raises(ValueError):
+    bad = ModelSpec(n=2, noise_dim=1, interpretation="ito",
+                    kernel=lambda t, xs, ws: ([0.0] * 2, [0.0] * 3))
+    with pytest.raises(ValueError, match="3 noise"):
         validate_model(bad)
+    with pytest.raises(ValueError, match="x has 3 components"):
+        validate_model(_decay_ode(n=2), x=np.ones(3))
 
 
 def test_validate_model_probes_ode_and_rode_kernels():
     for interpretation in ("ode", "rode"):
         bad = ModelSpec(n=2, noise_dim=0, interpretation=interpretation,
-                        drift=lambda t, x, *eta: np.zeros(2),
                         kernel=lambda t, xs, ws: ([0.0] * 3, ()))
         with pytest.raises(ValueError, match="3 drift"):
             validate_model(bad)
 
 
-@pytest.mark.parametrize("params,scheme", [
-    ({}, "rode_heun"), ({}, "rode_euler"), ({"scalar_eta": False}, "rode_heun"), (None, "rk4"),
-])
-def test_a_hand_built_model_steps_like_the_catalog_kernel(params, scheme):
-    """A model given only by its array drift gets a kernel derived from it,
-    which steps one path and a batch as the catalog kernel does, bit for bit."""
-    model = build_model("ll") if params is None else build_model("rode_ll", **params)
-    hand = ModelSpec(n=3, noise_dim=0, interpretation=model.interpretation,
-                     drift=model.drift, eta_dim=model.eta_dim)
-    rng = np.random.default_rng(2)
-    x0, times = rng.normal(size=(4, 3)), np.arange(41) * 0.01
-    if params is None:
-        run = dict(grid=times)
-    else:
-        values = rng.uniform(0.5, 2.0, size=(41, model.eta_dim))
-        run = dict(eta=ParameterProcess(times=times, values=values[:, 0] if model.eta_dim == 1
-                                        else values))
-    for x in (x0, x0[1]):
-        expected = integrate_path(model, x, scheme, **run).states
-        assert np.array_equal(integrate_path(hand, x, scheme, **run).states, expected)
+def test_replacing_the_kernel_derives_drift_and_diffusion_again():
+    model = build_model("kubo", a=1.0, sigma=0.5)
+    fast = replace(model, kernel=lambda t, xs, ws: (
+        [-2.0 * xs[1], 2.0 * xs[0]], [-3.0 * xs[1] * ws[0], 3.0 * xs[0] * ws[0]]))
+    x = np.array([0.5, -0.25])
+    assert fast.drift(0.0, x).tolist() == [0.5, 1.0]
+    assert fast.diffusion(0.0, x).tolist() == [[0.75], [1.5]]
+    assert model.drift(0.0, x).tolist() == [0.25, 0.5]
+
+
+def test_an_explicit_drift_and_diffusion_are_kept():
+    model = build_model("kubo", a=1.0, sigma=0.5)
+    drift, diffusion = (lambda t, x: np.zeros(2)), (lambda t, x: np.ones((2, 1)))
+    given = replace(model, drift=drift, diffusion=diffusion)
+    assert given.drift is drift and given.diffusion is diffusion
+    assert replace(given, name="again").drift is drift
+    # the kernel still steps the model
+    path = sample_brownian(3, T=0.1, h=0.01)
+    assert np.array_equal(heun_strat(given, [1.0, 0.0], path).states,
+                          heun_strat(model, [1.0, 0.0], path).states)
+    # the Ito model's drift is its own kernel's, with the correction
+    ito = strat_to_ito(given)
+    assert ito.drift(0.0, np.array([0.4, -0.2])) == pytest.approx([0.15, 0.425], abs=1e-15)
+    assert ito.diffusion is diffusion
 
 
 def test_write_csv_uses_17_significant_digits(tmp_path, load_csv):
@@ -181,8 +190,8 @@ def test_strat_to_ito_rejects_a_diffusion_that_drops_the_imaginary_part():
     # the correction is a complex step on sigma dW, which a cast to float loses
     model = ModelSpec(
         n=1, noise_dim=1, interpretation="stratonovich",
-        drift=lambda t, x: -x,
-        diffusion=lambda t, x: 0.5 * np.asarray(x, dtype=float)[..., None],
+        kernel=lambda t, xs, ws: ([-x for x in xs],
+                                  list(0.5 * np.asarray(xs, dtype=float) * ws[0])),
     )
     with pytest.raises(ValueError, match="imaginary part"):
         strat_to_ito(model)
@@ -205,8 +214,7 @@ def test_strat_to_ito_is_identity_for_additive_noise():
     # constant diffusion has zero jacobian, so the correction vanishes
     model = ModelSpec(
         n=2, noise_dim=1, interpretation="stratonovich",
-        drift=lambda t, x: -np.asarray(x, dtype=float),
-        diffusion=lambda t, x: np.broadcast_to([[0.3], [0.1]], x.shape[:-1] + (2, 1)).copy(),
+        kernel=lambda t, xs, ws: ([-x for x in xs], [0.3 * ws[0], 0.1 * ws[0]]),
     )
     ito = strat_to_ito(model)
     rng = np.random.default_rng(0)

@@ -95,6 +95,12 @@ def test_normal_rows_scale_like_normal_even_at_negative_zero():
     assert np.array_equal(np.signbit(rows), [np.signbit(expected)] * 2)
 
 
+@pytest.mark.parametrize("T, h", [(1e300, 1e-300), (float("inf"), 1.0)])
+def test_a_grid_without_a_finite_step_count_is_rejected(T, h):
+    with pytest.raises(ValueError, match="finite T/h"):
+        sample_brownian(1, T=T, h=h)
+
+
 def test_sample_brownian_grid_and_shapes():
     p = sample_brownian(7, T=1.0, h=2.0**-6, dims=2)
     assert p.n_steps == 64
