@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .integrate import (
-    _DELTA,
     ModelSpec,
     Trajectory,
     _check_ensemble,
@@ -22,7 +22,6 @@ from .integrate import (
     _check_scheme,
     _check_state,
     _eta_stack,
-    _holomorphic,
     _scheme_states,
     apply_generator,
     default_scheme,
@@ -45,6 +44,7 @@ from .vecalg import (
     PoissonStructure,
     ScalarField,
     cross,
+    derivative,
     double_bracket_vf,
     hamiltonian_vf,
     linear_field,
@@ -188,12 +188,6 @@ class EquilibriumReport:
         return out
 
 
-def _hessian_rows(F: ScalarField, x: np.ndarray) -> np.ndarray:
-    if F.hessian is None:
-        raise ValueError("Ito invariance check needs the Hessian of F")
-    return np.asarray(F.hessian(x))
-
-
 def _eta_coverage(eta_samples) -> tuple[np.ndarray, str]:
     if eta_samples is None:
         raise ValueError("RODE invariance check needs eta samples")
@@ -262,13 +256,12 @@ def check_invariance(
         conditions.append(ConditionResult("diffusion_tangency", worst, worst <= tol))
 
     if model.interpretation == "ito":
+        hess = np.asarray(F.hessian(pts))
         worst = 0.0
         for t in ts:
             sig = np.asarray(model.diffusion(float(t), pts))
             a = np.einsum("...il,...jl->...ij", sig, sig)
-            for k in range(pts.shape[0]):
-                hess = _hessian_rows(F, pts[k])
-                worst = max(worst, abs(0.5 * float(np.sum(hess * a[k]))))
+            worst = max(worst, float(np.max(np.abs(0.5 * np.sum(hess * a, axis=(-2, -1))))))
         conditions.append(ConditionResult("second_order_trace", worst, worst <= tol))
 
     verdict = all(c.passed for c in conditions)
@@ -686,13 +679,14 @@ def check_symplecticity(
 ) -> float:
     """Frobenius defect ||DPhi^T J DPhi - J|| of the pathwise flow map on R^2.
 
-    DPhi is the Jacobian of x0 -> x_T along one fixed noise realization, by
-    the complex step: column j is Im x_T / delta from x0 + i delta e_j (see
-    strat_to_ito), so the model's fields must accept complex states.  A
-    stochastic model needs a path, of _grid_steps(T, h) steps of size h.
+    DPhi is the Jacobian of x0 -> x_T along one fixed noise realization,
+    column j the complex step vecalg.derivative along e_j (nested for a model
+    from strat_to_ito), so the model's fields must keep complex states
+    complex.  A stochastic model needs a path, of _grid_steps(T, h) steps.
     """
     _check_symplectic(model, scheme)
     _check_state(model, x0)
+    x0 = np.asarray(x0, dtype=float)
     n_steps = _grid_steps(T, h) if T else 0
     times, noise = np.arange(n_steps + 1) * h, np.empty((n_steps, model.noise_dim))
     if path is not None:
@@ -703,11 +697,8 @@ def check_symplecticity(
         times, noise = path.times, path.increments
     elif model.noise_dim and n_steps:
         raise ValueError("stochastic symplecticity check needs a NoisePath")
-    dphi = np.empty((2, 2))
-    for j, e in enumerate(np.eye(2)):
-        x_T = _holomorphic(f"check_symplecticity: {model.name}", _scheme_states, model,
-                           scheme, x0 + 1j * _DELTA * e, times, noise, record=False)
-        dphi[:, j] = x_T.imag / _DELTA
+    flow = partial(_scheme_states, model, scheme, times=times, noise=noise, record=False)
+    dphi = np.stack([derivative(flow, x0, e) for e in np.eye(2)], axis=-1)
     return float(np.linalg.norm(dphi.T @ _J2 @ dphi - _J2))
 
 

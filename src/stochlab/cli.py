@@ -53,7 +53,7 @@ from .integrate import (
 )
 from .models import build_model, kubo_exact, scalar_linear_exact, wrap_angles
 from .noise import _grid_steps, sample_brownian, write_csv
-from .vecalg import ScalarField, norm_squared_field, sphere_field
+from .vecalg import ScalarField, linear_field, norm, norm_squared_field, sphere_field
 
 
 class ConfigError(Exception):
@@ -300,11 +300,7 @@ def _functional(name: str, model) -> ScalarField:
     if name == "sphere":
         return dataclasses.replace(sphere_field(dim=model.n), name=name)
     if name == "norm":
-        return ScalarField(
-            value=lambda x: np.linalg.norm(x, axis=-1),
-            gradient=lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True),
-            name="norm",
-        )
+        return ScalarField(norm, name="norm")
     if name in ("align", "neg_align"):
         b = model.params.get("b")
         if b is None or model.n != 3:
@@ -312,12 +308,7 @@ def _functional(name: str, model) -> ScalarField:
                         "field parameter b")
         bhat = np.asarray(b, dtype=float)
         bhat = bhat / np.linalg.norm(bhat)
-        sgn = 1.0 if name == "align" else -1.0
-        return ScalarField(
-            value=lambda x: sgn * np.sum(x * bhat, axis=-1),
-            gradient=lambda x: np.broadcast_to(sgn * bhat, np.shape(x)).copy(),
-            name=name,
-        )
+        return linear_field((1.0 if name == "align" else -1.0) * bhat, name=name)
     raise ConfigError(f"unknown functional {name!r}; known: align, energy, neg_align, "
                 "norm, norm2, sphere")
 

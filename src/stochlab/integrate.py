@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,13 +34,9 @@ from .noise import (
     philox_keys,
     write_csv,
 )
-from .vecalg import ScalarField
+from .vecalg import ScalarField, _Derived, derivative
 
 INTERPRETATIONS = ("ode", "ito", "stratonovich", "rode")
-
-# complex-step size: a power of two, so dividing by it is exact, and small
-# enough that its square underflows to zero
-_DELTA = 2.0**-600
 
 # scheme id -> model interpretation it integrates
 SCHEMES = {
@@ -112,11 +107,6 @@ class ModelSpec:
             raise ValueError(f"{self.interpretation} model must not carry a state diffusion")
         if self.drift is None or isinstance(self.drift, _Derived):
             object.__setattr__(self, "drift", _kernel_drift(self))
-
-
-class _Derived(partial):
-    """An array form of ModelSpec derived from its kernel (see ModelSpec): a
-    partial that binds no argument, marked as derived by its type alone."""
 
 
 def _kernel_drift(model):
@@ -202,19 +192,21 @@ class EnsembleStats:
         write_csv(file, ",".join(header_parts), cols, comment=comment)
 
 
-def _check_finite(x, k, t, times, states):
+def _check_finite(x, k, t, times, states, last=None):
+    """Raise IntegrationError unless x, the state after step k, is finite; the
+    message of a single path names last, the state before that step."""
     if np.isfinite(x).all():
         return
-    if x.ndim > 1:
-        bad = int(np.argwhere(~np.isfinite(x).all(axis=-1))[0][0])
-        raise IntegrationError(
-            f"non-finite state at step {k} (t={t:g}), path index {bad}",
-            step=k, time=t, times=times, states=states, path_index=bad,
-        )
+    bad = int(np.argwhere(~np.isfinite(x).all(axis=-1))[0][0]) if x.ndim > 1 else None
     raise IntegrationError(
-        f"non-finite state at step {k} (t={t:g})",
-        step=k, time=t, times=times, states=states,
+        f"non-finite state at step {k} (t={t:g}), "
+        + (_last_finite(last) if bad is None else f"path index {bad}"),
+        step=k, time=t, times=times, states=states, path_index=bad,
     )
+
+
+def _last_finite(x):
+    return "last finite state [" + ", ".join(f"{v:.17g}" for v in np.ravel(x)) + "]"
 
 
 def _stacked(fn, eta_dim=0):
@@ -264,12 +256,12 @@ def _kernel_states(model, advance, times, x0, noise, record=True):
         xs = x0.reshape(n).tolist()
         for k in range(n_steps):
             t = tl[k]
-            xs = advance(kernel, t, tl[k + 1] - t, xs, w, k)
+            last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
             if record:
                 rows[k + 1] = xs
             if not all(map(cmath.isfinite, xs)):
                 _check_finite(np.reshape(xs, x0.shape), k, t, times,
-                              states[: k + 2] if record else None)
+                              states[: k + 2] if record else None, last)
         return states if record else np.reshape(xs, x0.shape)
 
     def w(k):
@@ -357,31 +349,28 @@ def strat_to_ito(model: ModelSpec) -> ModelSpec:
 
     f_cor[i] = f[i] + 1/2 sum_k sum_j sigma[j,k] d sigma[i,k] / d x[j], where
     the inner sum, the derivative of column k along itself, is one complex
-    step s Im g_i(t, x + i delta sigma_k / s, e_k) / delta of the noise
+    step s D g(t, x, e_k)[sigma_k / s] (vecalg.derivative) of the noise
     action g (sigma_k = g(t, x, e_k), s = _scale(sigma_k)): exact to rounding
-    for a kernel of +, -, * and constants (Squire & Trapp, SIAM Review 40(1),
-    1998).  An action that drops the imaginary part raises ValueError.  The
-    Ito model's kernel adds the correction to f, and its drift is derived
-    from that kernel, even where model was given an explicit drift.  The
-    correction does not nest, so the model rejects complex states
-    (check_symplecticity's complex step) with ValueError.
+    for a kernel of +, -, * and constants.  An action that drops the
+    imaginary part raises ValueError.  The Ito model's kernel adds the
+    correction to f, and its drift is derived from that kernel, even where
+    model was given an explicit drift.  On complex states the correction
+    steps along the second unit, so check_symplecticity checks the model.
     """
     _require(model, "stratonovich")
     kernel = model.kernel
     units = np.eye(model.noise_dim).tolist()
 
     def correction(t, xs):
-        if np.iscomplexobj(xs[0]):  # a complex step on its own complex step
-            raise ValueError(f"{model.name}_ito: the Wong-Zakai correction takes no complex step")
         total = [0.0] * len(xs)
         for w in units:
             sigma = kernel(t, xs, w)[1]
             s = _scale(sigma)
-            g = kernel(t, [x + 1j * (_DELTA * (c / s)) for x, c in zip(xs, sigma)], w)[1]
-            total = [a + (b.imag / _DELTA) * s for a, b in zip(total, g)]
+            dg = derivative(lambda ys: kernel(t, ys, w)[1], xs, [c / s for c in sigma])
+            total = [a + d * s for a, d in zip(total, dg)]
         return [0.5 * a for a in total]
 
-    _holomorphic(f"strat_to_ito: {model.name}", correction, 0.0, [1.0] * model.n)
+    correction(0.0, [1.0] * model.n)  # raises ValueError if the action drops imaginary parts
 
     def ito_kernel(t, xs, ws):
         f, g = kernel(t, xs, ws)
@@ -393,35 +382,23 @@ def strat_to_ito(model: ModelSpec) -> ModelSpec:
 
 
 def _scale(comps):
-    """Per path, the power of two s with s <= max_i |comps[i]| < 2 s (1/2 where
-    all vanish).  A complex step along comps / s, scaled back by s, rounds
-    like one along comps, but its step delta * comps / s underflows only
-    where a component is tiny against the largest."""
-    if all(isinstance(c, float) for c in comps):
-        return math.ldexp(0.5, math.frexp(max(map(abs, comps)))[1])
-    return np.ldexp(0.5, np.frexp(reduce(np.maximum, map(np.abs, comps)))[1])
-
-
-def _holomorphic(name, fn, *args, **kwargs):
-    """fn(*args, **kwargs), raising ValueError where a kernel casts complex
-    states to float: numpy warns when it casts a complex array, and raises
-    TypeError, as float() does, when it casts Python complex components."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        try:
-            return fn(*args, **kwargs)
-        except (np.exceptions.ComplexWarning, TypeError) as err:
-            raise ValueError(f"{name} drops imaginary parts of states") from err
+    """Per path, the power of two s with s <= max_i |Re comps[i]| < 2 s (1/2
+    where all vanish).  A complex step along comps / s, scaled back by s,
+    rounds like one along comps, but its step delta * comps / s underflows
+    only where a component is tiny against the largest."""
+    if all(isinstance(c, (float, complex)) for c in comps):
+        return math.ldexp(0.5, math.frexp(max(abs(c.real) for c in comps))[1])
+    return np.ldexp(0.5, np.frexp(reduce(np.maximum, (np.abs(np.real(c)) for c in comps)))[1])
 
 
 def apply_generator(model: ModelSpec, V: ScalarField, t: float, x) -> float:
     """Generator L V = grad V . f + 1/2 sum_ij (d2 V / dx_i dx_j) (sigma sigma^T)_ij.
 
-    Fields here are time-independent, so the dV/dt term vanishes.
+    Fields here are time-independent, so the dV/dt term vanishes.  Raises
+    ValueError unless x has the model's n components and the model is Ito.
     """
+    _check_state(model, x, "x")
     _require(model, "ito")
-    if V.hessian is None:
-        raise ValueError("apply_generator needs the Hessian of V")
     x = np.asarray(x, dtype=float)
     sig = np.asarray(model.diffusion(t, x))
     first = float(np.sum(V.gradient(x) * model.drift(t, x)))
@@ -538,7 +515,8 @@ def run_ensemble(
     _check_ensemble does, and where a start (x0, or a sampler's draw) does
     not have model.n components.  A non-finite state raises
     IntegrationError for the earliest failing step, lowest path index at
-    that step, carrying that path's states up to the failure.
+    that step, carrying that path's states up to the failure and naming its
+    last finite state.
     """
     n_steps = _check_ensemble(model, scheme, n_paths, T, h)
     times = np.arange(n_steps + 1) * h
@@ -574,7 +552,7 @@ def run_ensemble(
             trace = trace[:, 0]
         raise IntegrationError(
             f"ensemble path aborted: non-finite state at step {step} "
-            f"(t={times[step]:g}), path index {p}",
+            f"(t={times[step]:g}), path index {p}, {_last_finite(trace[-2])}",
             step=step, time=times[step], times=times, states=trace, path_index=p,
         )
 

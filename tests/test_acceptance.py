@@ -5,7 +5,9 @@ one-line verdict in the summary (see conftest).  Measured values are
 asserted at the stated tolerances; nothing is tuned to pass.
 """
 import math
+import runpy
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from stochlab.vecalg import (
 )
 
 E3 = np.array([0.0, 0.0, 1.0])
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _random_quadratic(rng):
@@ -353,6 +356,13 @@ _REPRO_RUNS = [
         "analyses": [{"kind": "stability", "x0_radius": 0.01, "delta": 0.5},
                      {"kind": "attraction", "target": [0.0], "eps": 0.1}]}),
 ]
+
+
+def test_outputs_match_the_committed_digests():
+    # a change that moves a CSV updates tests/repro_digests.txt and says why
+    tool = runpy.run_path(str(ROOT / "tools" / "repro_digests.py"))
+    lines = [f"{digest}  {name}" for digest, name in tool["digests"](_REPRO_RUNS)]
+    assert lines == (ROOT / "tests" / "repro_digests.txt").read_text().splitlines()
 
 
 def test_outputs_reproduce_across_runs_and_threads(tmp_path, acceptance):

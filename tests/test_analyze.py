@@ -27,7 +27,14 @@ from stochlab.analyze import (
     uniform_sphere_sampler,
 )
 from stochlab.analyze import _coupled_paths, _fit_order
-from stochlab.integrate import ModelSpec, Trajectory, run_ensemble, strat_to_ito
+from stochlab.integrate import (
+    ModelSpec,
+    Trajectory,
+    _scheme_states,
+    apply_generator,
+    run_ensemble,
+    strat_to_ito,
+)
 from stochlab.models import build_model, kubo_exact, scalar_linear_exact
 from stochlab.noise import (
     DOMAIN_BASE,
@@ -38,7 +45,7 @@ from stochlab.noise import (
     sample_brownian,
     stream,
 )
-from stochlab.vecalg import casimir_field, norm_squared_field, sphere_field
+from stochlab.vecalg import casimir_field, norm_squared_field, quadratic_field, sphere_field
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -376,6 +383,7 @@ def test_rode_studies_and_ensembles_check_the_built_eta_dimension():
 
 
 KUBO = build_model("kubo")
+ELL_ITO = build_model("ell", interpretation="ito")
 SCALAR = build_model("scalar_linear", a=-1.0, b_scalar=0.5)
 
 
@@ -393,10 +401,16 @@ SCALAR = build_model("scalar_linear", a=-1.0, b_scalar=0.5)
     lambda: check_equilibrium(KUBO, [0.0], tol=1e-9),
     lambda: equilibrium_attraction(KUBO, [0.0, 0.0, 0.0], 0.1, T=1.0, n_paths=4,
                                    x0=[1.0, 0.0], seed=1, h=0.1),
+    lambda: apply_generator(build_model("scalar_linear", a=-1.0, b_scalar=1.0),
+                            quadratic_field(2.0 * np.eye(2)), 0.0, [0.7, 5.0]),
+    lambda: apply_generator(ELL_ITO, norm_squared_field(), 0.0, [0.6, 0.8]),
+    lambda: generator_amplitude_sweep(lambda amp: ELL_ITO, norm_squared_field(),
+                                      [[0.6, 0.8]], [0.1]),
 ], ids=["convergence", "convergence_scalar", "drift_decay", "gap_decay", "symplecticity",
-        "equilibrium_point", "attraction_target"])
+        "equilibrium_point", "attraction_target", "generator_scalar", "generator_ell",
+        "generator_sweep"])
 def test_analyses_reject_a_state_of_the_wrong_length(call):
-    with pytest.raises(ValueError, match=r"has \d components, \w+ needs [12]$"):
+    with pytest.raises(ValueError, match=r"has \d components, \w+ needs [123]$"):
         call()
 
 
@@ -591,13 +605,37 @@ def test_check_symplecticity_rejects_a_drift_that_drops_the_imaginary_part():
         check_symplecticity(model, "rk4", [1.0, 0.5], h=1e-3, T=1.0)
 
 
-def test_check_symplecticity_rejects_a_strat_to_ito_model():
-    # the Wong-Zakai correction is itself a complex step; a second one on top
-    # of it read 0.42 on a Kubo path at h = 1e-3, central differences 0.017
+def _central_symplectic_defect(model, scheme, x0, path, step=1e-6):
+    """check_symplecticity's defect with DPhi by central differences."""
+    noise = path.increments
+    cols = [(_scheme_states(model, scheme, x0 + step * e, path.times, noise, record=False)
+             - _scheme_states(model, scheme, x0 - step * e, path.times, noise, record=False))
+            / (2.0 * step) for e in np.eye(2)]
+    dphi = np.stack(cols, axis=-1)
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return float(np.linalg.norm(dphi.T @ J @ dphi - J))
+
+
+def test_check_symplecticity_of_a_strat_to_ito_model_matches_central_differences():
+    # the Wong-Zakai correction's own complex step nests inside the flow's,
+    # along the second unit; central differences agree to their own error
+    # (0.0170137699 against 0.0170137696 at h = 1e-3)
     ito = strat_to_ito(build_model("kubo", a=1.0, sigma=0.5))
-    path = sample_brownian(7, 1.0, 1e-2, dims=1)
-    with pytest.raises(ValueError, match="correction takes no complex step"):
-        check_symplecticity(ito, "euler_maruyama", [1.0, 0.0], h=1e-2, T=1.0, path=path)
+    for h in (1e-3, 1e-2):
+        path = sample_brownian(7, 1.0, h, dims=1)
+        defect = check_symplecticity(ito, "euler_maruyama", [1.0, 0.0], h=h, T=1.0, path=path)
+        central = _central_symplectic_defect(ito, "euler_maruyama", np.array([1.0, 0.0]), path)
+        assert defect == pytest.approx(central, rel=1e-7)
+
+
+def test_check_symplecticity_of_a_strat_to_ito_model_is_stable_under_a_one_ulp_noise_shift():
+    ito = strat_to_ito(build_model("kubo", a=1.0, sigma=0.5))
+    path = sample_brownian(7, 1.0, 1e-3, dims=1)
+    shifted = dataclasses.replace(path, increments=np.nextafter(path.increments, np.inf))
+    defect = check_symplecticity(ito, "euler_maruyama", [1.0, 0.0], h=1e-3, T=1.0, path=path)
+    moved = check_symplecticity(ito, "euler_maruyama", [1.0, 0.0], h=1e-3, T=1.0,
+                                path=shifted)
+    assert abs(moved - defect) < 1e-10 * defect
 
 
 def test_check_symplecticity_checks_the_scheme():

@@ -5,7 +5,7 @@ import yaml
 
 from stochlab.analyze import empirical_convergence_order, stability_probability
 from stochlab.cli import main
-from stochlab.integrate import run_ensemble
+from stochlab.integrate import IntegrationError, run_ensemble
 from stochlab.models import build_model
 
 
@@ -257,6 +257,12 @@ def test_integration_abort_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "integration aborted" in err
     assert "non-finite" in err
+    # the message names the failing path's last finite state, to 17 digits
+    model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
+    with pytest.raises(IntegrationError) as info:
+        run_ensemble(model, [1.0], "euler_maruyama", 1, 1, (), T=50.0, h=0.1)
+    assert np.isfinite(info.value.states[-2]).all()
+    assert err.rstrip().endswith(f"last finite state [{info.value.states[-2][0]:.17g}]")
 
 
 BAD_CONFIGS = {

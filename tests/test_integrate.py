@@ -232,14 +232,15 @@ def test_apply_generator_scalar_linear_identity():
         assert lv == pytest.approx(expected, rel=1e-13)
 
 
-def test_apply_generator_requires_ito_and_hessian():
+def test_apply_generator_requires_ito_and_derives_the_hessian():
     strat = build_model("kubo")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ito model"):
         apply_generator(strat, norm_squared_field(dim=2), 0.0, np.array([1.0, 0.0]))
-    ito = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
-    flat = ScalarField(value=lambda x: x[..., 0], gradient=lambda x: np.ones_like(x))
-    with pytest.raises(ValueError):
-        apply_generator(ito, flat, 0.0, np.array([1.0]))
+    # V = 3 x + 3/2 x^2, stated by its value alone: L V = (3 + 3 x) a x
+    # + 3/2 b^2 x^2, which is -16.5 at x = 2
+    ito = build_model("scalar_linear", a=-1.0, b_scalar=0.5)
+    V = ScalarField(value=lambda x: 3.0 * x[..., 0] + 1.5 * x[..., 0] * x[..., 0])
+    assert apply_generator(ito, V, 0.0, np.array([2.0])) == pytest.approx(-16.5, rel=1e-15)
 
 
 def test_integrate_path_dispatch_and_defaults():

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochlab.cli import main
-from stochlab.integrate import _DELTA, SCHEMES, _scheme_states, integrate_path, strat_to_ito
+from stochlab.integrate import SCHEMES, _scheme_states, integrate_path, strat_to_ito
 from stochlab.models import CATALOG, build_model
 from stochlab.noise import NoisePath, ParameterProcess
+from stochlab.vecalg import _DELTA
 
 B3 = (0.2, -1.0, 0.5)
 

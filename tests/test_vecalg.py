@@ -1,4 +1,6 @@
 """Vector algebra and bracket structure unit tests."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,17 +10,16 @@ from hypothesis.extra.numpy import arrays
 from stochlab.vecalg import (
     DoubleBracketStructure,
     PoissonStructure,
-    ScalarField,
     bracket_field,
     casimir_field,
     casimir_residual,
     constant_field,
     cross,
     cross_matrix,
+    derivative,
     dot,
     double_bracket,
     double_bracket_vf,
-    fd_gradient,
     field_product,
     hamiltonian_vf,
     linear_field,
@@ -64,9 +65,13 @@ def test_norm_and_dot():
 
 
 @given(mat3, vec3, scalars, vec3)
-def test_quadratic_field_gradient_matches_fd(A, b, c, x):
+def test_quadratic_field_derivatives_match_closed_forms(A, b, c, x):
     F = quadratic_field(A, b, c)
-    assert np.allclose(F.gradient(x), fd_gradient(F, x), atol=1e-5)
+    A = 0.5 * (A + A.T)
+    assert np.allclose(F.gradient(x), x @ A.T + b, rtol=0, atol=1e-14)
+    assert np.allclose(F.hessian(x), A, rtol=0, atol=1e-14)
+    batch = np.stack([x, 2.0 * x])
+    assert np.allclose(F.hessian(batch), np.stack([A, A]), rtol=0, atol=1e-14)
 
 
 @given(mat3, vec3, vec3)
@@ -93,7 +98,35 @@ def test_field_product_rule():
     FG = field_product(F, G)
     x = rng.normal(size=3)
     assert FG(x) == pytest.approx(F(x) * G(x))
-    assert np.allclose(FG.gradient(x), fd_gradient(FG, x), atol=1e-5)
+    expect = F(x) * G.gradient(x) + G(x) * F.gradient(x)
+    assert np.allclose(FG.gradient(x), expect, rtol=1e-14, atol=1e-14)
+
+
+def test_derived_forms_follow_a_replaced_value():
+    F = dataclasses.replace(norm_squared_field(), value=lambda x: 3.0 * dot(x, x))
+    x = np.array([1.0, -2.0, 0.5])
+    assert np.array_equal(F.gradient(x), 6.0 * x)
+    assert np.array_equal(F.hessian(x), 6.0 * np.eye(3))
+
+
+def test_derivative_nests_two_steps_deep():
+    # second derivatives at y = 2, the outer step along 1j, the inner along J:
+    # 6 y of y^3, (6 y^2 - 2) / (y^2 + 1)^3 of 1 / (y^2 + 1) and
+    # (2 y^3 - 6 y) / (y^2 + 1)^3 of y / (y^2 + 1)
+    def second(fn, y):
+        return derivative(lambda x: derivative(fn, x, 1.0), y, 1.0)
+
+    assert second(lambda y: y * y * y, 2.0) == 12.0
+    assert second(lambda y: 1.0 / (y * y + 1.0), 2.0) == pytest.approx(22.0 / 125.0, rel=1e-15)
+    assert second(lambda y: y / (y * y + 1.0) - 1.0, 2.0) == pytest.approx(0.032, rel=1e-14)
+
+
+def test_derivative_rejects_a_third_nested_step():
+    def third(x):
+        return derivative(lambda y: derivative(lambda z: z * z, y, 1.0), x, 1.0)
+
+    with pytest.raises(ValueError, match="nest only two deep"):
+        derivative(third, 1.0, 1.0)
 
 
 def test_poisson_structure_validates_sign():
@@ -154,13 +187,9 @@ def test_bracket_field_gradient_matches_fd():
     F, G, _ = _random_quadratics(rng)
     BF = bracket_field(F, G, PoissonStructure(-1))
     z = rng.normal(size=3)
-    assert np.allclose(BF.gradient(z), fd_gradient(BF, z), atol=1e-4)
-
-
-def test_bracket_field_requires_hessians():
-    F = ScalarField(value=lambda x: x[..., 0], gradient=lambda x: x * 0)
-    with pytest.raises(ValueError):
-        bracket_field(F, norm_squared_field(), PoissonStructure(-1))
+    step = 1e-6
+    fd = [(BF(z + step * e) - BF(z - step * e)) / (2.0 * step) for e in np.eye(3)]
+    assert np.allclose(BF.gradient(z), fd, atol=1e-8)
 
 
 @pytest.mark.parametrize("sign", [-1, +1])
