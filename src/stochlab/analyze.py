@@ -358,11 +358,22 @@ class OrderEstimate:
     half_width: float
 
 
+class EstimateError(ValueError):
+    """An estimate that its Monte Carlo data cannot give, such as a log-log
+    fit to a non-finite error; the CLI reports it with exit code 1."""
+
+
 def _fit_order(hs, errors) -> tuple[float, float]:
+    """Slope of log errors against log hs and its 95% half-width; raises
+    EstimateError, naming the first such level, unless every error is
+    positive and finite."""
     hs = np.asarray(hs, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if np.any(errors <= 0):
-        raise ValueError("strong errors must be positive for a log-log fit")
+    bad = np.flatnonzero(~(np.isfinite(errors) & (errors > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise EstimateError(f"errors must be positive and finite for a log-log fit; "
+                            f"level {i} (h={hs[i]:g}) has {errors[i]:g}")
     coef, cov = np.polyfit(np.log(hs), np.log(errors), 1, cov=True)
     return float(coef[0]), float(1.96 * math.sqrt(max(cov[0][0], 0.0)))
 
@@ -587,9 +598,23 @@ def stability_probability(
 
     Each path's sup-norm is a running maximum over the streamed time blocks,
     so memory does not grow with T.  scheme defaults to default_scheme(model).
+    Raises ValueError unless delta > x0_radius > 0, and where
+    _check_ensemble does.
     """
-    _check_stability(x0_radius, delta)
     scheme = default_scheme(model) if scheme is None else scheme
+    (est,) = _estimates([_stability_estimator(model, scheme, n_paths, T, h, x0_radius, delta)],
+                        model, scheme, n_paths, T, h, seed)
+    return est
+
+
+def _check_stability(x0_radius, delta):
+    if not (delta > x0_radius > 0):
+        raise ValueError(f"need delta > x0_radius > 0, got delta={delta}, x0_radius={x0_radius}")
+
+
+def _stability_estimator(model, scheme, n_paths, T, h, x0_radius, delta):
+    """(start, observer, finish) of stability_probability, after its checks."""
+    _check_stability(x0_radius, delta)
     _check_ensemble(model, scheme, n_paths, T, h)
     x0 = np.zeros(model.n)
     x0[0] = x0_radius
@@ -601,19 +626,13 @@ def stability_probability(
         sq = np.add.reduce(block * block, axis=-1).max(axis=0)
         np.maximum(sup, np.sqrt(sq), out=sup)
 
-    run_ensemble(
-        model, x0, scheme, n_paths, seed,
-        functionals=(), T=T, h=h, observers=[running_sup],
-    )
-    n_exceed = int(np.sum(sup > delta))
-    p = n_exceed / n_paths
-    half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
-    return StabilityEstimate(p, half, n_paths, n_exceed)
+    def finish():
+        n_exceed = int(np.sum(sup > delta))
+        p = n_exceed / n_paths
+        half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n_paths)
+        return StabilityEstimate(p, half, n_paths, n_exceed)
 
-
-def _check_stability(x0_radius, delta):
-    if not (delta > x0_radius > 0):
-        raise ValueError(f"need delta > x0_radius > 0, got delta={delta}, x0_radius={x0_radius}")
+    return x0, running_sup, finish
 
 
 @dataclass(frozen=True)
@@ -638,11 +657,24 @@ def equilibrium_attraction(
     """Fraction of paths with ||x_T - target|| <= eps; x0 a point or sampler.
 
     Only the terminal states are kept.  scheme defaults to
-    default_scheme(model).
+    default_scheme(model).  Raises ValueError unless eps > 0, where target
+    does not have the model's n components, and where _check_ensemble does.
     """
+    scheme = default_scheme(model) if scheme is None else scheme
+    (est,) = _estimates([_attraction_estimator(model, scheme, n_paths, T, h, x0, target, eps)],
+                        model, scheme, n_paths, T, h, seed)
+    return est
+
+
+def _check_attraction(eps):
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+
+
+def _attraction_estimator(model, scheme, n_paths, T, h, x0, target, eps):
+    """(start, observer, finish) of equilibrium_attraction, after its checks."""
     _check_attraction(eps)
     _check_state(model, target, "target")
-    scheme = default_scheme(model) if scheme is None else scheme
     _check_ensemble(model, scheme, n_paths, T, h)
     target = np.asarray(target, dtype=float)
     terminal = np.empty((n_paths, model.n))
@@ -650,20 +682,40 @@ def equilibrium_attraction(
     def keep_last(k, block):
         terminal[:] = block[-1]
 
-    run_ensemble(
-        model, x0, scheme, n_paths, seed,
-        functionals=(), T=T, h=h, observers=[keep_last],
-    )
-    dist = np.linalg.norm(terminal - target, axis=-1)
-    n_good = int(np.sum(dist <= eps))
-    frac = n_good / n_paths
-    half = 1.96 * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_paths)
-    return AttractionEstimate(frac, half, n_paths, n_good)
+    def finish():
+        dist = np.linalg.norm(terminal - target, axis=-1)
+        n_good = int(np.sum(dist <= eps))
+        frac = n_good / n_paths
+        half = 1.96 * math.sqrt(max(frac * (1.0 - frac), 0.0) / n_paths)
+        return AttractionEstimate(frac, half, n_paths, n_good)
+
+    return x0, keep_last, finish
 
 
-def _check_attraction(eps):
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+def _start_key(start):
+    """What two estimators must share to share a pass: a sampler itself
+    (compared by identity), a state its float64 bytes, so 0.0 and -0.0 do
+    not share."""
+    return start if callable(start) else np.asarray(start, dtype=float).tobytes()
+
+
+def _estimates(estimators, model, scheme, n_paths, T, h, seed):
+    """Yield the estimate of each (start, observer, finish) estimator in order.
+
+    Estimators with the same _start_key share one run_ensemble pass, run
+    when the first of them is reached.  Every observer sees the states it
+    would see in a pass of its own, so each estimate is the same bit for bit,
+    and an IntegrationError aborts where the first of them would.
+    """
+    keys = [_start_key(start) for start, _, _ in estimators]
+    done = {}
+    for i, (start, _, _) in enumerate(estimators):
+        if i not in done:
+            group = [j for j in range(i, len(estimators)) if keys[j] == keys[i]]
+            run_ensemble(model, start, scheme, n_paths, seed, functionals=(), T=T, h=h,
+                         observers=[estimators[j][1] for j in group])
+            done.update((j, estimators[j][2]()) for j in group)
+        yield done.pop(i)
 
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])

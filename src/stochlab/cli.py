@@ -11,8 +11,9 @@ entries of the `analyses` list run:
 
 Every output file carries the full resolved config and seed in '# ' comment
 lines; identical (config, seed) give byte-identical files.  Exit codes:
-0 success, 1 failed check or integration abort, 2 invalid configuration
-(nothing written).
+0 success, 1 failed check, integration abort or estimate that the paths
+cannot give (a non-finite strong error), 2 invalid configuration (nothing
+written).
 """
 from __future__ import annotations
 
@@ -27,20 +28,22 @@ import yaml
 
 from . import __version__
 from .analyze import (
+    EstimateError,
+    _attraction_estimator,
     _check_attraction,
     _check_convergence,
     _check_stability,
     _check_symplectic,
+    _estimates,
+    _stability_estimator,
     check_equilibrium,
     check_invariance,
     check_symplecticity,
     empirical_convergence_order,
-    equilibrium_attraction,
     fibonacci_sphere,
     first_integral_drift,
     lyapunov_monotonicity,
     report_to_csv,
-    stability_probability,
     uniform_sphere_sampler,
 )
 from .integrate import (
@@ -451,28 +454,28 @@ def cmd_convergence(cfg, model, out) -> int:
 
 
 def cmd_stability(cfg, model, out) -> int:
+    """Run the stability and attraction entries in order; entries whose starts
+    are bitwise equal share one ensemble pass (analyze._estimates)."""
     entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]][0] == "stability"]
-    for i, entry in enumerate(entries):
+    ensemble = (model, cfg["scheme"], cfg["n_paths"], cfg["T"], cfg["h"])
+    estimators = [
+        _stability_estimator(*ensemble, entry["x0_radius"], entry["delta"])
+        if entry["kind"] == "stability" else
+        _attraction_estimator(*ensemble, _initial(cfg, model), entry["target"], entry["eps"])
+        for entry in entries
+    ]
+    estimates = _estimates(estimators, *ensemble, cfg["seed"])
+    for i, (entry, est) in enumerate(zip(entries, estimates)):
         kind = entry["kind"]
         dest = _output(out, entries, i)
         comment = _comment(f"stability {kind}", cfg)
         if kind == "stability":
-            est = stability_probability(
-                model, entry["x0_radius"], entry["delta"],
-                T=cfg["T"], n_paths=cfg["n_paths"], seed=cfg["seed"], h=cfg["h"],
-                scheme=cfg["scheme"],
-            )
             write_csv(dest, "probability,half_width,n_paths,n_exceed",
                       [[est.probability], [est.half_width], [est.n_paths],
                        [est.n_exceed]], comment=comment)
             print(f"stability: exceedance {est.probability:.4f} "
                   f"+/- {est.half_width:.4f} -> {dest}")
         else:
-            est = equilibrium_attraction(
-                model, entry["target"], entry["eps"],
-                T=cfg["T"], n_paths=cfg["n_paths"], x0=_initial(cfg, model),
-                seed=cfg["seed"], h=cfg["h"], scheme=cfg["scheme"],
-            )
             write_csv(dest, "fraction,half_width,n_paths,n_attracted",
                       [[est.fraction], [est.half_width], [est.n_paths],
                        [est.n_attracted]], comment=comment)
@@ -519,6 +522,9 @@ def main(argv=None) -> int:
         return 2
     except IntegrationError as exc:
         print(f"integration aborted: {exc}", file=sys.stderr)
+        return 1
+    except EstimateError as exc:
+        print(f"estimate failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -192,15 +192,19 @@ class EnsembleStats:
         write_csv(file, ",".join(header_parts), cols, comment=comment)
 
 
-def _check_finite(x, k, t, times, states, last=None):
-    """Raise IntegrationError unless x, the state after step k, is finite; the
-    message of a single path names last, the state before that step."""
+def _check_finite(x, k, t, times, states, last):
+    """Raise IntegrationError unless x, the state after step k, is finite.
+    last holds the n state components before that step (numbers, or arrays
+    over x's batch axes); the message names the failing path's, and its
+    index on the first batch axis."""
     if np.isfinite(x).all():
         return
-    bad = int(np.argwhere(~np.isfinite(x).all(axis=-1))[0][0]) if x.ndim > 1 else None
+    where = tuple(np.argwhere(~np.isfinite(x).all(axis=-1))[0])
+    bad = int(where[0]) if where else None
+    before = [np.broadcast_to(c, x.shape[:-1])[where] for c in last]
     raise IntegrationError(
         f"non-finite state at step {k} (t={t:g}), "
-        + (_last_finite(last) if bad is None else f"path index {bad}"),
+        + ("" if bad is None else f"path index {bad}, ") + _last_finite(before),
         step=k, time=t, times=times, states=states, path_index=bad,
     )
 
@@ -267,16 +271,16 @@ def _kernel_states(model, advance, times, x0, noise, record=True):
     def w(k):
         row = noise[k]
         return [row[..., j] for j in range(l)]
-    last = x0.copy()
+    out = x0.copy()
     xs = [x0[..., i] for i in range(n)]
     for k in range(n_steps):
         t = tl[k]
-        xs = advance(kernel, t, tl[k + 1] - t, xs, w, k)
-        row = states[k + 1] if record else last
+        last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
+        row = states[k + 1] if record else out
         for i, c in enumerate(xs):
             row[..., i] = c
-        _check_finite(row, k, t, times, states[: k + 2] if record else None)
-    return states if record else last
+        _check_finite(row, k, t, times, states[: k + 2] if record else None, last)
+    return states if record else out
 
 
 def _em_advance(kernel, t, h, xs, w, k):

@@ -83,8 +83,10 @@ def derivative(fn, x, v):
     is exact to rounding (Squire & Trapp, SIAM Review 40(1), 1998) where fn
     keeps the unit; the unit is chosen by x alone, so fn may hold numbers that
     carry 1j only where x does too.  Raises ValueError on an x that carries
-    both units, and where fn casts stepped states to float (numpy warns when
-    it casts a complex array; float() raises TypeError).
+    both units, where fn casts stepped states to float (numpy warns when it
+    casts a complex array; float() raises TypeError), and, with numpy's
+    TypeError as the cause, where a nested step meets a numpy function other
+    than +, -, * and / (np.sqrt, say), which has no method on _Bicomplex.
     """
     level = _level(x)
     if level == 2:
@@ -101,6 +103,11 @@ def derivative(fn, x, v):
             y = fn([along(a, b) for a, b in zip(x, v)] if isinstance(x, (list, tuple))
                    else along(x, v))
         except (np.exceptions.ComplexWarning, TypeError) as err:
+            # numpy maps a ufunc on objects to their method of its name and
+            # chains the AttributeError where there is none
+            if isinstance(err.__cause__, AttributeError):
+                raise ValueError(f"derivative: fn applies {err.__cause__.name}, which has no "
+                                 "nested complex step (only +, -, * and / do)") from err
             raise ValueError("derivative: fn drops imaginary parts of states") from err
     return [part(c) for c in y] if isinstance(y, (list, tuple)) else part(y)
 

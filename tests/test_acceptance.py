@@ -355,6 +355,15 @@ _REPRO_RUNS = [
         "model": {"name": "scalar_linear", "params": {"a": -1.0, "b_scalar": 1.0}},
         "analyses": [{"kind": "stability", "x0_radius": 0.01, "delta": 0.5},
                      {"kind": "attraction", "target": [0.0], "eps": 0.1}]}),
+    # the attraction start differs from the first stability start and equals
+    # the second's, so the entries take two ensemble passes, not three
+    ("stability", {
+        "version": 1, "seed": 9, "T": 2.0, "h": 1e-2, "n_paths": 50,
+        "x0": [0.02],
+        "model": {"name": "scalar_linear", "params": {"a": -1.0, "b_scalar": 1.0}},
+        "analyses": [{"kind": "stability", "x0_radius": 0.01, "delta": 0.025},
+                     {"kind": "attraction", "target": [0.0], "eps": 0.01},
+                     {"kind": "stability", "x0_radius": 0.02, "delta": 0.025}]}),
 ]
 
 

@@ -26,7 +26,7 @@ from stochlab.analyze import (
     stability_probability,
     uniform_sphere_sampler,
 )
-from stochlab.analyze import _coupled_paths, _fit_order
+from stochlab.analyze import _coupled_paths, _fit_order, _start_key
 from stochlab.integrate import (
     ModelSpec,
     Trajectory,
@@ -498,6 +498,13 @@ def test_stability_and_attraction_check_n_paths_before_allocating(n_paths):
         stability_probability(model, 0.5, 1.0, T=1.0, n_paths=n_paths, seed=1)
     with pytest.raises(ValueError, match="n_paths must be >= 1"):
         equilibrium_attraction(model, E3, 1e-2, T=1.0, n_paths=n_paths, x0=E3, seed=1)
+
+
+def test_start_keys_are_bitwise():
+    assert _start_key([0.5, 0.0]) == _start_key(np.array([0.5, 0.0]))
+    assert _start_key([0.5, 0.0]) != _start_key([0.5, -0.0])
+    assert _start_key(uniform_sphere_sampler) == _start_key(uniform_sphere_sampler)
+    assert _start_key(uniform_sphere_sampler) != _start_key(lambda k, rng: E3)
 
 
 def test_stability_and_attraction_honour_the_scheme():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import yaml
 
+from stochlab import analyze
 from stochlab.analyze import empirical_convergence_order, stability_probability
 from stochlab.cli import main
 from stochlab.integrate import IntegrationError, run_ensemble
@@ -263,6 +264,96 @@ def test_integration_abort_exits_1(tmp_path, capsys):
         run_ensemble(model, [1.0], "euler_maruyama", 1, 1, (), T=50.0, h=0.1)
     assert np.isfinite(info.value.states[-2]).all()
     assert err.rstrip().endswith(f"last finite state [{info.value.states[-2][0]:.17g}]")
+
+
+def test_refinement_study_abort_names_the_last_finite_state(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "version": 1, "seed": 1, "x0": [1.0],
+        "model": {"name": "scalar_linear", "params": {"a": 1e4, "b_scalar": 1.0}},
+        "analyses": [{"kind": "convergence", "oracle": "finest_refinement",
+                      "levels": 3, "n_paths": 4, "h0": 1.0, "T": 100.0}],
+    })
+    out = tmp_path / "run"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("integration aborted: non-finite state at step ")
+    last = err.split("last finite state [")[1].split("]")[0]
+    assert np.isfinite(float(last)) and float(last) > 1e300
+    assert not (out / "convergence.csv").exists()
+
+
+def test_non_finite_strong_error_exits_1_without_a_csv(tmp_path, capsys):
+    # exp(a T) overflows, so the closed-form oracle is inf while EM stays finite
+    cfg = write_cfg(tmp_path, {
+        "version": 1, "seed": 1, "x0": [1.0],
+        "model": {"name": "scalar_linear", "params": {"a": 1e4, "b_scalar": 1.0}},
+        "analyses": [{"kind": "convergence", "oracle": "closed_form",
+                      "levels": 3, "n_paths": 8, "h0": 1 / 16, "T": 1.0}],
+    })
+    out = tmp_path / "run"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("estimate failed: errors must be positive and finite for a "
+                            "log-log fit; level 0 (h=0.0625) has inf\n")
+    assert not (out / "convergence.csv").exists()
+
+
+def _stability_cfg(x0, analyses):
+    return {
+        "version": 1, "seed": 4, "T": 0.5, "h": 1e-2, "n_paths": 20, "x0": x0,
+        "model": {"name": "scalar_linear", "params": {"a": -1.0, "b_scalar": 1.0}},
+        "analyses": analyses,
+    }
+
+
+_STABILITY = {"kind": "stability", "x0_radius": 0.01, "delta": 0.012}
+_ATTRACTION = {"kind": "attraction", "target": [0.0], "eps": 0.01}
+
+
+@pytest.mark.parametrize("x0, passes", [([0.01], 1), ([0.02], 2), ([-0.01], 2)],
+                         ids=["equal_starts", "distinct_starts", "negated_start"])
+def test_stability_entries_share_one_pass_per_start(tmp_path, capsys, monkeypatch,
+                                                     x0, passes):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return run_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(analyze, "run_ensemble", counted)
+    cfg = write_cfg(tmp_path, _stability_cfg(x0, [_STABILITY, _ATTRACTION]))
+    shared = tmp_path / "shared"
+    assert main(["stability", "--config", cfg, "--out", str(shared)]) == 0
+    assert len(calls) == passes
+    stdout = capsys.readouterr().out
+    # the same config with every entry in a pass of its own writes the same bytes
+    monkeypatch.setattr(analyze, "_start_key", lambda start: object())
+    alone = tmp_path / "alone"
+    assert main(["stability", "--config", cfg, "--out", str(alone)]) == 0
+    assert len(calls) == passes + 2
+    assert capsys.readouterr().out == stdout.replace(str(shared), str(alone))
+    for name in ("stability.csv", "attraction.csv"):
+        assert (shared / name).read_bytes() == (alone / name).read_bytes()
+    # and a config holding one entry alone writes the same rows
+    for entry, name in ((_STABILITY, "stability.csv"), (_ATTRACTION, "attraction.csv")):
+        single = tmp_path / name
+        path = write_cfg(tmp_path, _stability_cfg(x0, [entry]), name=f"{name}.yaml")
+        assert main(["stability", "--config", path, "--out", str(single)]) == 0
+        assert read_rows(single / name)[1:] == read_rows(shared / name)[1:]
+
+
+def test_stability_abort_keeps_the_files_of_earlier_entries(tmp_path, capsys):
+    # x0 = 0 stays at 0, while the stability start at 0.01 overflows
+    cfg = write_cfg(tmp_path, {
+        "version": 1, "seed": 1, "T": 50.0, "h": 0.1, "n_paths": 4, "x0": [0.0],
+        "model": {"name": "scalar_linear", "params": {"a": 100.0, "b_scalar": 0.0}},
+        "analyses": [_ATTRACTION, _STABILITY],
+    })
+    out = tmp_path / "run"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 1
+    assert "integration aborted" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["attraction.csv"]
 
 
 BAD_CONFIGS = {

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from stochlab.vecalg import (
     DoubleBracketStructure,
     PoissonStructure,
+    ScalarField,
     bracket_field,
     casimir_field,
     casimir_residual,
@@ -127,6 +128,33 @@ def test_derivative_rejects_a_third_nested_step():
 
     with pytest.raises(ValueError, match="nest only two deep"):
         derivative(third, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("cast", [float, lambda y: np.asarray(y, dtype=float)],
+                         ids=["float", "asarray"])
+@pytest.mark.parametrize("nested", [False, True])
+def test_derivative_names_a_cast_to_float(cast, nested):
+    def fn(y):
+        return cast(y) * 2.0
+
+    def outer(x):
+        return derivative(fn, x, 1.0)
+
+    with pytest.raises(ValueError, match="fn drops imaginary parts of states"):
+        derivative(outer, 1.0, 1.0) if nested else derivative(fn, 1.0, 1.0)
+
+
+def test_derivative_names_an_operation_with_no_nested_step():
+    # the norm's sqrt has a complex step but no bicomplex one, so its
+    # gradient is derived and its Hessian is not
+    F = ScalarField(norm)
+    x = np.array([1.0, 2.0, 3.0])
+    assert np.allclose(F.gradient(x), x / np.sqrt(14.0), rtol=1e-15)
+    with pytest.raises(ValueError, match="fn applies sqrt, which has no nested complex step") \
+            as info:
+        F.hessian(x)
+    assert isinstance(info.value.__cause__, TypeError)
+    assert "sqrt" in str(info.value.__cause__)
 
 
 def test_poisson_structure_validates_sign():
