@@ -21,7 +21,7 @@ from .integrate import (
     _check_path,
     _check_scheme,
     _check_state,
-    _eta_stack,
+    _eta_block,
     _scheme_states,
     apply_generator,
     default_scheme,
@@ -33,7 +33,6 @@ from .noise import (
     ParameterProcess,
     _brownian_stack,
     _grid_steps,
-    _path_views,
     _refine_stack,
     derive_seed,
     stream,
@@ -414,13 +413,13 @@ def _check_convergence(model, scheme, oracle, levels, n_paths, T, h0, closed_for
         raise ValueError(f"oracle_gap must be >= 1, got {oracle_gap}")
 
 
-def _coupled_terminal(model, scheme, x0, increments, times, seeds, level):
+def _coupled_terminal(model, scheme, x0, increments, times):
     """Terminal states of the coupled paths at one refinement level, given
-    that level's stacked increments, its grid and the paths' seeds."""
+    that level's stacked increments (N, P, l) and its grid."""
     x0b = np.broadcast_to(x0, (increments.shape[1],) + x0.shape)
     noise = increments
     if model.interpretation == "rode":
-        noise = _eta_stack(model, increments, times, seeds, level)
+        noise = _eta_block(model, times, np.zeros(increments.shape[1]), increments)[0]
     return _scheme_states(model, scheme, x0b, times, noise, record=False)
 
 
@@ -454,13 +453,13 @@ def empirical_convergence_order(
     for lev, (increments, times) in enumerate(
             _coupled_paths(seeds, T, h0, max(model.noise_dim, 1), levels + extra)):
         if lev < levels:
-            terminal.append(_coupled_terminal(model, scheme, x0, increments, times, seeds, lev))
+            terminal.append(_coupled_terminal(model, scheme, x0, increments, times))
     # the loop leaves increments and times at the finest level
     if oracle == "closed_form":
-        ref = np.stack([np.asarray(closed_form(x0, p))
-                        for p in _path_views(increments, times, seeds, lev)])
+        ref = np.stack([np.asarray(closed_form(x0, NoisePath(times, increments[:, p], int(s), lev)))
+                        for p, s in enumerate(seeds)])
     else:
-        ref = _coupled_terminal(model, scheme, x0, increments, times, seeds, lev)
+        ref = _coupled_terminal(model, scheme, x0, increments, times)
     errors = np.array(
         [float(np.mean(np.linalg.norm(xT - ref, axis=-1))) for xT in terminal]
     )
@@ -489,9 +488,8 @@ def functional_drift_decay(
     f0 = float(F.value(x0))
     seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
     drifts = []
-    for lev, (increments, times) in enumerate(
-            _coupled_paths(seeds, T, h0, max(model.noise_dim, 1), levels)):
-        xT = _coupled_terminal(model, scheme, x0, increments, times, seeds, lev)
+    for increments, times in _coupled_paths(seeds, T, h0, max(model.noise_dim, 1), levels):
+        xT = _coupled_terminal(model, scheme, x0, increments, times)
         drifts.append(float(np.mean(np.abs(np.asarray(F.value(xT)) - f0))))
     hs = h0 / 2.0 ** np.arange(levels)
     slope, half = _fit_order(hs, drifts)

@@ -55,7 +55,7 @@ from .integrate import (
     run_ensemble,
 )
 from .models import build_model, kubo_exact, scalar_linear_exact, wrap_angles
-from .noise import _grid_steps, sample_brownian, write_csv
+from .noise import ParameterProcess, _grid_steps, sample_brownian, write_csv
 from .vecalg import ScalarField, linear_field, norm, norm_squared_field, sphere_field
 
 
@@ -374,7 +374,8 @@ def cmd_simulate(cfg, model, out) -> int:
 
 def _rode_eta_samples(model, cfg, opts):
     path = sample_brownian(cfg["seed"], opts["eta_T"], opts["eta_h"])
-    return model.eta_builder(path)
+    values = model.eta_builder(path.times, path.cumulative())[:, 0]
+    return ParameterProcess(path.times, values, provenance="brownian-functional")
 
 
 def _run_check(kind, opts, cfg, model, dest):

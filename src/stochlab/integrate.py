@@ -30,7 +30,6 @@ from .noise import (
     _fresh_streams,
     _grid_steps,
     _normal_rows,
-    _path_views,
     philox_keys,
     write_csv,
 )
@@ -83,6 +82,10 @@ class ModelSpec:
     batch axes of x.  A value passed for either is kept as given; a derived
     one is derived again whenever a ModelSpec is made, so
     dataclasses.replace(model, kernel=k) derives both from k.
+
+    eta_builder, which RODE ensembles and studies need, maps times (rows,)
+    and the driving Brownian values W (rows, P) of P paths at those times,
+    one time block at a time, to their eta, (rows, P) or (rows, P, eta_dim).
     """
 
     n: int
@@ -414,7 +417,7 @@ def integrate_path(model: ModelSpec, x0, scheme: str, path: NoisePath | None = N
                    grid=None, eta: ParameterProcess | None = None) -> Trajectory:
     """Integrate one path under the named scheme: on a noise path for
     euler_maruyama and heun, on a grid (or a path's times) for rk4, and on a
-    parameter process eta for the RODE schemes."""
+    parameter process eta for the RODE schemes.  x0 must be finite."""
     _check_scheme(model, scheme)
     seed = None
     if model.interpretation in ("ito", "stratonovich"):
@@ -430,9 +433,12 @@ def integrate_path(model: ModelSpec, x0, scheme: str, path: NoisePath | None = N
     else:
         if eta is None:
             raise ValueError(f"scheme {scheme!r} needs a parameter process eta")
-        _check_eta(model, eta)
-        times, noise = eta.times, _eta_rows(eta)
-    states = _scheme_states(model, scheme, np.asarray(x0, dtype=float), times, noise)
+        _check_eta(model, eta.dim)
+        times, noise = eta.times, np.asarray(eta.values).reshape(len(eta.times), eta.dim)
+    x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    states = _scheme_states(model, scheme, x0, times, noise)
     return Trajectory(times=times.copy(), states=states, model_name=model.name, seed=seed)
 
 
@@ -517,7 +523,7 @@ def run_ensemble(
     Returns EnsembleStats, or (EnsembleStats, states) with states of shape
     (n_paths, N+1, n) when return_states is set.  Raises ValueError where
     _check_ensemble does, and where a start (x0, or a sampler's draw) does
-    not have model.n components.  A non-finite state raises
+    not have model.n finite components.  A non-finite state raises
     IntegrationError for the earliest failing step, lowest path index at
     that step, carrying that path's states up to the failure and naming its
     last finite state.
@@ -586,31 +592,29 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
     else:
         x = np.stack([np.asarray(x0, dtype=float)] * len(ks))
     _check_state(model, x)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=-1))
+    if bad.size:
+        raise ValueError(f"start of path index {ks[bad[0]]} is not finite: {x[bad[0]].tolist()}")
     for observe in observers:
         observe(0, x[None])
     stochastic = model.interpretation in ("ito", "stratonovich")
-    if stochastic or model.interpretation == "rode":
+    block_steps = max(1, _BLOCK_VALUES // (len(ks) * max(model.n, model.noise_dim)))
+    if model.interpretation != "ode":
         rngs = [np.random.Generator(np.random.Philox(key=key))
                 for key in philox_keys(seed, DOMAIN_ENSEMBLE, ks)]
-    if model.interpretation == "rode":
-        # builders receive 1-dim driving paths; vector eta processes go
-        # through solve_rode with an explicitly constructed ParameterProcess
-        driving = _normal_rows(rngs, np.empty((len(ks), n_steps, 1)), sd).transpose(1, 0, 2)
-        eta = _eta_stack(model, driving, times.copy(), [seed] * len(ks), 0)
-        del driving  # freed before stepping
-    block_steps = max(1, _BLOCK_VALUES // (len(ks) * max(model.n, model.noise_dim)))
-    if stochastic:
         # each path's block is drawn contiguously; the stepper gets the
-        # (steps, paths, l) transpose as a view
-        draws = np.empty((len(ks), min(block_steps, n_steps), model.noise_dim))
+        # (steps, paths, l) transpose as a view.  A RODE path draws the
+        # increments of its one driving W, whose value w is carried over.
+        draws = np.empty((len(ks), min(block_steps, n_steps), model.noise_dim if stochastic else 1))
+        w = np.zeros(len(ks))
     for a in range(0, n_steps, block_steps):
         b = min(a + block_steps, n_steps)
-        if model.interpretation == "rode":
-            noise = eta[a:b + 1]
-        elif stochastic:
-            noise = _normal_rows(rngs, draws[:, :b - a], sd).transpose(1, 0, 2)
-        else:  # rk4 ignores its empty noise
+        if model.interpretation == "ode":  # rk4 ignores its empty noise
             noise = np.empty((b - a, len(ks), model.noise_dim))
+        else:
+            noise = _normal_rows(rngs, draws[:, :b - a], sd).transpose(1, 0, 2)
+        if model.interpretation == "rode":
+            noise, w = _eta_block(model, times[a:b + 1], w, noise)
         try:
             block = _scheme_states(model, scheme, x, times[a:b + 1], noise)
         except IntegrationError as err:
@@ -624,22 +628,19 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
     return None
 
 
-def _eta_stack(model, increments, times, seeds, level):
-    """Eta rows (N+1, P, eta_dim) of the RODE paths driven by the stacked
-    increments (N, P, 1): the model's eta_builder on each path's NoisePath."""
-    out = None
-    for p, path in enumerate(_path_views(increments, times, seeds, level)):
-        eta = model.eta_builder(path)
-        _check_eta(model, eta)
-        if out is None:
-            out = np.empty((len(times), len(seeds), eta.dim))
-        out[:, p] = _eta_rows(eta)
-    return out
-
-
-def _eta_rows(eta: ParameterProcess) -> np.ndarray:
-    """The samples of eta as (N+1, dim) rows of components, a RODE scheme's noise."""
-    return np.asarray(eta.values).reshape(len(eta.times), eta.dim)
+def _eta_block(model, times, w0, increments):
+    """Eta rows (rows, P, eta_dim) of P RODE paths at times (rows,), and W at
+    times[-1]: W is w0 (P,) at times[0] and moves by the stacked increments
+    (rows - 1, P, 1).  W is summed in order, so any blocking of a path gives
+    its whole-path values bit for bit."""
+    w = np.empty((len(times), len(w0)))
+    w[0] = w0
+    w[1:] = increments[..., 0]
+    np.cumsum(w, axis=0, out=w)
+    eta = np.asarray(model.eta_builder(times, w), dtype=float)
+    eta = eta.reshape(w.shape + (-1,))
+    _check_eta(model, eta.shape[-1])
+    return eta, w[-1]
 
 
 def _require(model: ModelSpec, interpretation: str):
@@ -656,8 +657,8 @@ def _check_path(model: ModelSpec, path: NoisePath):
         )
 
 
-def _check_eta(model: ModelSpec, eta: ParameterProcess):
-    if model.eta_dim and eta.dim != model.eta_dim:
+def _check_eta(model: ModelSpec, dim: int):
+    if model.eta_dim and dim != model.eta_dim:
         raise ValueError(
-            f"parameter process has dimension {eta.dim}, model needs {model.eta_dim}"
+            f"parameter process has dimension {dim}, model needs {model.eta_dim}"
         )

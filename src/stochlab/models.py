@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .integrate import ModelSpec, _stacked, validate_model
-from .noise import NoisePath, iterated_log_eta
+from .noise import NoisePath, iterated_log
 
 REQUIRED = object()
 
@@ -302,7 +302,7 @@ def _build_modified_etore(b, alpha, eps):
 def _build_rode_ll(b, alpha, scalar_eta, t_min):
     b = _field_vector(b, "rode_ll")
     _check_nonneg("rode_ll", alpha=alpha)
-    if scalar_eta and not t_min > math.e:  # iterated_log_eta's normalizer needs it
+    if scalar_eta and not t_min > math.e:  # iterated_log's normalizer needs it
         raise ValueError(f"rode_ll: t_min must exceed e ~ 2.718, got {t_min}")
 
     if scalar_eta:
@@ -313,7 +313,7 @@ def _build_rode_ll(b, alpha, scalar_eta, t_min):
         def effective_field(ws):
             return tuple(ws)
 
-    eta_builder = partial(iterated_log_eta, t_min=t_min) if scalar_eta else None
+    eta_builder = partial(iterated_log, t_min=t_min) if scalar_eta else None
     return _spec(
         3, 0, "rode", **_ll_drift(effective_field, alpha),
         eta_dim=1 if scalar_eta else 3,

@@ -196,12 +196,6 @@ class NoisePath:
         return w
 
 
-def _path_views(increments, times, seeds, level):
-    """NoisePath views of the paths stacked in increments (N, P, l)."""
-    return [NoisePath(times=times, increments=increments[:, p], seed=int(s), level=level)
-            for p, s in enumerate(seeds)]
-
-
 def _brownian_stack(seeds, T: float, h: float, dims: int) -> np.ndarray:
     """Base increments (N, P, dims) of the paths sampled from seeds: path p,
     increments[:, p], is drawn from its own (seeds[p], DOMAIN_BASE, 0) stream
@@ -371,25 +365,30 @@ def constant_eta(times: np.ndarray, value) -> ParameterProcess:
     )
 
 
-def iterated_log_eta(path: NoisePath, t_min: float = 3.0) -> ParameterProcess:
-    """eta_t = exp(B_t / sqrt(2 t log log t)) for t > t_min, 1 before.
+def iterated_log(times: np.ndarray, w: np.ndarray, t_min: float = 3.0) -> np.ndarray:
+    """eta_t = exp(W_t / sqrt(2 t log log t)) for t > t_min, 1 before, at the
+    times (rows,) of the Brownian values w (rows, P) of P paths: (rows, P).
 
     The normalizer is undefined for t <= e, hence the clamp; by the law of
     the iterated logarithm the exponent is bounded, so eta is a bounded,
     strictly positive process.
     """
-    if path.dims != 1:
-        raise ValueError("iterated_log_eta needs a 1-dimensional path")
     if t_min <= math.e:
         raise ValueError(f"t_min must exceed e ~ 2.718, got {t_min}")
-    t = path.times
-    w = path.cumulative()[:, 0]
-    values = np.ones_like(t)
-    late = t > t_min
-    denom = np.sqrt(2.0 * t[late] * np.log(np.log(t[late])))
-    values[late] = np.exp(w[late] / denom)
+    values = np.ones_like(w)
+    late = times > t_min
+    t = times[late]
+    values[late] = np.exp(w[late] / np.sqrt(2.0 * t * np.log(np.log(t)))[:, None])
+    return values
+
+
+def iterated_log_eta(path: NoisePath, t_min: float = 3.0) -> ParameterProcess:
+    """iterated_log on one 1-dimensional path, with its maximum as the bound."""
+    if path.dims != 1:
+        raise ValueError("iterated_log_eta needs a 1-dimensional path")
+    values = iterated_log(path.times, path.cumulative(), t_min)[:, 0]
     return ParameterProcess(
-        times=t.copy(),
+        times=path.times.copy(),
         values=values,
         provenance="brownian-functional",
         bound=float(np.max(np.abs(values))),

@@ -364,6 +364,11 @@ _REPRO_RUNS = [
         "analyses": [{"kind": "stability", "x0_radius": 0.01, "delta": 0.025},
                      {"kind": "attraction", "target": [0.0], "eps": 0.01},
                      {"kind": "stability", "x0_radius": 0.02, "delta": 0.025}]}),
+    # past t_min = 3, where the eta of rode_ll moves and the ensemble draws
+    # its driving noise per time block
+    ("simulate", {
+        "version": 1, "seed": 10, "T": 5.0, "h": 0.01, "x0": "sphere", "n_paths": 16,
+        "model": {"name": "rode_ll"}}),
 ]
 
 

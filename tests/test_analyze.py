@@ -41,7 +41,7 @@ from stochlab.noise import (
     DOMAIN_ENSEMBLE,
     DOMAIN_REFINE,
     DOMAIN_SAMPLER,
-    iterated_log_eta,
+    iterated_log,
     sample_brownian,
     stream,
 )
@@ -371,7 +371,7 @@ def test_rode_studies_and_ensembles_check_the_built_eta_dimension():
     # a scalar eta builder on the vector-eta model: every caller of the one
     # eta helper raises, instead of stepping on the wrong number of components
     model = dataclasses.replace(build_model("rode_ll", scalar_eta=False),
-                                eta_builder=iterated_log_eta)
+                                eta_builder=iterated_log)
     with pytest.raises(ValueError, match="needs 3"):
         empirical_convergence_order(model, [0.6, 0.0, 0.8], "rode_heun",
                                     "finest_refinement", levels=3, n_paths=4, seed=7)

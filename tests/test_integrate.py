@@ -1,5 +1,6 @@
 """Integrator, conversion, generator, and ensemble tests."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from stochlab.noise import (
     NoisePath,
     ParameterProcess,
     constant_eta,
+    iterated_log_eta,
     sample_brownian,
     stream,
 )
@@ -309,6 +311,18 @@ def test_run_ensemble_and_integrate_path_reject_a_state_of_the_wrong_length(retu
         integrate_path(kubo, [1.0, 0.0, 0.0], "heun", path=sample_brownian(1, 1.0, 0.1))
 
 
+def test_run_ensemble_and_integrate_path_reject_a_non_finite_start():
+    model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
+
+    def start(k, rng):
+        return np.array([np.nan if k == 1 else 1.0])
+
+    with pytest.raises(ValueError, match=r"start of path index 1 is not finite: \[nan\]"):
+        run_ensemble(model, start, "euler_maruyama", 4, 1, (), T=1.0, h=0.1)
+    with pytest.raises(ValueError, match=r"x0 must be finite, got \[inf\]"):
+        integrate_path(model, [np.inf], "euler_maruyama", path=sample_brownian(1, 1.0, 0.1))
+
+
 def test_run_ensemble_statistics_match_states():
     model = build_model("ell", interpretation="ito")
     F = norm_squared_field()
@@ -359,9 +373,8 @@ def test_integration_error_carries_diagnostics():
 
 @pytest.mark.parametrize("block_steps", [1, 2, 4])
 @pytest.mark.parametrize("starts,failing", [
-    ({3: np.nan}, 3),                 # non-finite start: aborts at step 0
     ({3: 1e300, 6: 1e304}, 6),        # both overflow; path 6 does so first
-], ids=["nan_start", "earliest_overflow"])
+], ids=["earliest_overflow"])
 def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, block_steps,
                                                                starts, failing):
     """The abort is found across time blocks of 1, 2 or 4 steps for 8 paths;
@@ -379,7 +392,7 @@ def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, bloc
     assert err.path_index == failing
     assert f"path index {failing}" in str(err)
     assert err.states.shape == (err.step + 2, 1)
-    assert np.array_equal(err.states[0], [starts[failing]], equal_nan=True)
+    assert np.array_equal(err.states[0], [starts[failing]])
     assert not np.isfinite(err.states[-1, 0])
     assert np.all(np.isfinite(err.states[1:-1]))
 
@@ -476,14 +489,14 @@ def test_ensemble_draws_equal_per_path_normal_draws_with_a_short_last_block(monk
 
 def _array_reference(model, scheme, x0, seed, times):
     """The paths of an ensemble stepped on the (paths, n) array drift,
-    each RODE path driven by the eta of its own stream."""
+    each RODE path driven by the whole-path eta of its own stream."""
     h, n_steps = times[1], len(times) - 1
     f = model.drift
     if model.interpretation == "rode":
-        etas = np.stack([model.eta_builder(NoisePath(
+        etas = np.stack([iterated_log_eta(NoisePath(
             times=times, seed=seed, level=0,
             increments=stream(seed, DOMAIN_ENSEMBLE, p).normal(0.0, np.sqrt(h), (n_steps, 1)),
-        )).values for p in range(len(x0))], axis=1)
+        ), t_min=model.params["t_min"]).values for p in range(len(x0))], axis=1)
     x, states = x0, [x0]
     for k in range(n_steps):
         t, h = times[k], times[k + 1] - times[k]
@@ -502,12 +515,18 @@ def _array_reference(model, scheme, x0, seed, times):
     return np.swapaxes(np.array(states), 0, 1)
 
 
-@pytest.mark.parametrize("name,scheme", [
-    ("ll", "rk4"), ("rode_ll", "rode_heun"), ("rode_ll", "rode_euler"),
-])
-def test_run_ensemble_equals_the_array_reference(name, scheme):
-    """Every path of a 4-path ensemble and its statistics, bit for bit.  The
-    horizon passes t = 3, after which the eta of rode_ll varies."""
+@pytest.mark.parametrize("name,scheme,block_steps", [
+    ("ll", "rk4", 400), ("rode_ll", "rode_heun", 400), ("rode_ll", "rode_euler", 400),
+    ("rode_ll", "rode_heun", 1), ("rode_ll", "rode_heun", 7),
+    ("rode_ll", "rode_euler", 1), ("rode_ll", "rode_euler", 7),
+], ids=["ll-rk4", "rode_ll-rode_heun", "rode_ll-rode_euler", "rode_ll-rode_heun-1",
+        "rode_ll-rode_heun-7", "rode_ll-rode_euler-1", "rode_ll-rode_euler-7"])
+def test_run_ensemble_equals_the_array_reference(monkeypatch, name, scheme, block_steps):
+    """Every path of a 4-path ensemble and its statistics, bit for bit, in
+    time blocks of 1, 7 or all 400 steps.  The horizon passes t = 3, after
+    which the eta of rode_ll varies, so a RODE run carries its driving W
+    across block boundaries where eta moves."""
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 4 * 3)
     model = build_model(name, alpha=0.7)
     seed, h, n_steps = 9, 0.01, 400
     stats, states = run_ensemble(model, uniform_sphere_sampler, scheme, 4, seed,
@@ -530,6 +549,27 @@ def test_run_ensemble_honours_rode_euler():
     times = np.arange(n_steps + 1) * h
     expected = _array_reference(model, "rode_euler", np.stack([x0] * 3), seed, times)
     assert np.array_equal(euler, expected)
+
+
+def test_rode_ensemble_memory_is_bounded_by_the_time_block(monkeypatch):
+    """tracemalloc peak of rode_ll under rode_heun, 8 paths, h = 1e-3, in
+    blocks of 2**10 values, at T = 1 and T = 4.  Built for the whole horizon
+    before stepping, eta and its driving noise grew the peak from 203 to
+    778 KiB.  Built per block it grows from 37 to 94 KiB: the time grid
+    costs 8 bytes a step, and making it briefly takes twice that."""
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 2**10)
+    model = build_model("rode_ll")
+
+    def peak(T):
+        tracemalloc.start()
+        try:
+            run_ensemble(model, [0.6, 0.0, 0.8], "rode_heun", 8, 3, (), T=T, h=1e-3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1.0)  # warm-up: first-call allocations are not the run's
+    assert peak(4.0) - peak(1.0) < 100 * 2**10
 
 
 def test_scheme_table_is_consistent():

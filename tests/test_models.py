@@ -11,7 +11,7 @@ from stochlab.models import (
     scalar_linear_exact,
     wrap_angles,
 )
-from stochlab.noise import sample_brownian
+from stochlab.noise import iterated_log_eta, sample_brownian
 from stochlab.vecalg import norm_squared_field
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -188,9 +188,11 @@ def test_rode_ll_eta_builder_is_bounded_iterated_log():
     model = build_model("rode_ll")
     assert model.eta_dim == 1
     path = sample_brownian(9, T=10.0, h=0.01)
-    eta = model.eta_builder(path)
-    assert np.all(eta.values > 0.0)
-    assert np.all(eta.values[path.times <= 3.0] == 1.0)
+    eta = model.eta_builder(path.times, path.cumulative())
+    assert eta.shape == (len(path.times), 1)
+    assert np.all(eta > 0.0)
+    assert np.all(eta[path.times <= 3.0] == 1.0)
+    assert np.array_equal(eta[:, 0], iterated_log_eta(path).values)
 
 
 def test_kubo_drift_and_corrected_form():
