@@ -373,18 +373,25 @@ def test_integration_error_carries_diagnostics():
 
 @pytest.mark.parametrize("block_steps", [1, 2, 4])
 @pytest.mark.parametrize("starts,failing", [
+    ({3: np.nan}, 3),                 # non-finite start: rejected before any step
     ({3: 1e300, 6: 1e304}, 6),        # both overflow; path 6 does so first
-], ids=["earliest_overflow"])
+], ids=["nan_start", "earliest_overflow"])
 def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, block_steps,
                                                                starts, failing):
     """The abort is found across time blocks of 1, 2 or 4 steps for 8 paths;
-    the failing path's replay alone steps in blocks 8 times as long."""
+    the failing path's replay alone steps in blocks 8 times as long. A
+    non-finite start is rejected, under its path index, before any block."""
     model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
     monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 8)
 
     def start(k, rng):
         return np.array([starts.get(k, 1.0)])
 
+    if not np.isfinite(starts[failing]):
+        with pytest.raises(ValueError,
+                           match=rf"start of path index {failing} is not finite: \[nan\]"):
+            run_ensemble(model, start, "euler_maruyama", 8, 1, (), T=1.0, h=0.01)
+        return
     with pytest.raises(IntegrationError) as info, \
             np.errstate(over="ignore", invalid="ignore"):
         run_ensemble(model, start, "euler_maruyama", 8, 1, (), T=1.0, h=0.01)
