@@ -66,7 +66,7 @@ def fibonacci_sphere(n: int = 200) -> np.ndarray:
 def uniform_sphere_sampler(index: int, rng: np.random.Generator) -> np.ndarray:
     """Per-path uniform point on the unit sphere (for ensemble x0 sampling)."""
     v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))  # np.linalg.norm(v), bit for bit
 
 
 def sphere_minus_cap(n: int, axis, cap_radius: float, boundary: int = 16) -> np.ndarray:

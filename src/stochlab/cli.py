@@ -299,9 +299,9 @@ def _api(where, check, *args):
 def _functional(name: str, model) -> ScalarField:
     """Named state functionals for CSV columns and check analyses."""
     if name in ("norm2", "energy"):
-        return dataclasses.replace(norm_squared_field(dim=model.n), name=name)
+        return dataclasses.replace(norm_squared_field(), name=name)
     if name == "sphere":
-        return dataclasses.replace(sphere_field(dim=model.n), name=name)
+        return dataclasses.replace(sphere_field(), name=name)
     if name == "norm":
         return ScalarField(norm, name="norm")
     if name in ("align", "neg_align"):

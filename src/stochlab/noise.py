@@ -5,9 +5,10 @@ All randomness flows through counter-based Philox streams keyed by
 refinement levels, ensemble paths) get independent, reproducible streams.
 philox_keys derives the keys of many streams in one vectorized pass, each
 equal to the key numpy's SeedSequence(entropy=seed, spawn_key=(domain,
-index)) would give.  Streams drawn from once (base draws, refinement
-levels, ensemble samplers) share one re-keyed Philox, and each path's draw
-lands contiguously in a stacked buffer: the base increments and the bridge
+index)) would give; _keyed builds a stream on its key without reading OS
+entropy.  Streams drawn from once (base draws, refinement levels, ensemble
+samplers) share one re-keyed Philox, and each path's draw lands
+contiguously in a stacked buffer: the base increments and the bridge
 refinements of P coupled paths are drawn as (N, P, l) stacks, and
 sample_brownian and refine are their one-path calls, so a path is drawn
 and refined alike alone or in a stack, bit for bit.
@@ -32,6 +33,7 @@ DOMAIN_ENSEMBLE = 2
 DOMAIN_SAMPLER = 3
 
 PROVENANCES = ("constant", "brownian-functional", "sde-driven")
+_KeySeed = None  # the seed sequence class of _keyed, made at its first call
 
 
 # The hash constants of numpy's SeedSequence (O'Neill's seed_seq notes).
@@ -44,7 +46,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 def _words(values, n_words, what):
     """Little-endian 32-bit words of integers in [0, 2**(32 n_words)): Python
     ints for a scalar, uint64 arrays otherwise."""
-    if np.ndim(values) == 0:
+    if isinstance(values, int) or np.ndim(values) == 0:
         v = operator.index(values)
         bad = v < 0 or v >> (32 * n_words)
     else:
@@ -111,8 +113,8 @@ def philox_keys(seeds, domain, indices) -> np.ndarray:
     # generate_state(2, np.uint64): four output words, paired little-endian
     out = _hasher(_INIT_B, _MULT_B)
     state = [out(w) for w in pool]
-    keys = [state[0] | (state[1] << 32), state[2] | (state[3] << 32)]
-    return np.moveaxis(np.array(keys, dtype=np.uint64), 0, -1)
+    keys = np.array([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], dtype=np.uint64)
+    return keys if keys.ndim == 1 else np.moveaxis(keys, 0, -1)
 
 
 def derive_seed(master: int, domain: int, index):
@@ -123,18 +125,32 @@ def derive_seed(master: int, domain: int, index):
     return int(words) if words.ndim == 0 else words
 
 
+def _keyed(key) -> np.random.Generator:
+    """Generator(Philox(key=key)) for a 2-word uint64 key, bit for bit, on a
+    seed sequence whose state is the key: Philox(key=) reads OS entropy too."""
+    global _KeySeed
+    if _KeySeed is None:  # numpy loads numpy.random lazily; importing it costs setup
+        from numpy.random.bit_generator import ISeedSequence
+        class _KeySeed(ISeedSequence):
+            def __init__(self, key):
+                self.key = key
+
+            def generate_state(self, n_words, dtype=None):
+                return self.key  # Philox asks for its 2-word uint64 key
+    return np.random.Generator(np.random.Philox(_KeySeed(key)))
+
+
 def stream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Derived generator for (seed, domain, index), counter-based (Philox)."""
-    return np.random.Generator(np.random.Philox(key=philox_keys(seed, domain, index)))
+    return _keyed(philox_keys(seed, domain, index))
 
 
 def _fresh_streams(keys):
-    """Yield, for each Philox key, a generator as fresh as
-    Generator(Philox(key=key)), valid until the next one is yielded.  One
-    Philox is re-keyed throughout, a seventh of the cost of building one; it
-    suits streams drawn from once."""
-    bits = np.random.Philox(key=0)
-    state, gen = bits.state, np.random.Generator(bits)
+    """Yield, for each Philox key, a generator as fresh as _keyed(key), valid
+    until the next one is yielded.  One Philox is re-keyed throughout, a
+    third of the cost of building one; it suits streams drawn from once."""
+    gen = _keyed(np.zeros(2, np.uint64))
+    bits, state = gen.bit_generator, gen.bit_generator.state
     for key in keys:
         state["state"]["key"] = key
         bits.state = state

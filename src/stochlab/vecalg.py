@@ -147,8 +147,12 @@ def cross_matrix(x):
 
 
 def dot(u, v):
-    """Euclidean inner product over the last axis."""
-    return np.sum(np.asarray(u) * np.asarray(v), axis=-1)
+    """Euclidean inner product over the last axis, np.sum(u * v, axis=-1) bit for bit:
+    equal last axes under 8, which numpy sums in sequence, by components from 0.0."""
+    u, v = np.asarray(u), np.asarray(v)
+    if not 0 < u.shape[-1] == v.shape[-1] < 8:
+        return np.sum(u * v, axis=-1)
+    return sum((u[..., i] * v[..., i] for i in range(u.shape[-1])), 0.0)
 
 
 def norm(u):
@@ -203,19 +207,19 @@ def quadratic_field(A, b=None, c: float = 0.0, name: str | None = None) -> Scala
     return ScalarField(lambda x: 0.5 * dot(x, x @ A.T) + dot(x, b) + c, name=name or "quadratic")
 
 
-def norm_squared_field(dim: int = 3) -> ScalarField:
+def norm_squared_field() -> ScalarField:
     """F(z) = ||z||^2."""
-    return quadratic_field(2.0 * np.eye(dim), name="norm2")
+    return ScalarField(lambda x: dot(x, x), name="norm2")
 
 
-def sphere_field(dim: int = 3) -> ScalarField:
+def sphere_field() -> ScalarField:
     """F(z) = ||z||^2 - 1, the unit-sphere level function."""
-    return quadratic_field(2.0 * np.eye(dim), c=-1.0, name="norm2-1")
+    return ScalarField(lambda x: dot(x, x) - 1.0, name="norm2-1")
 
 
-def casimir_field(dim: int = 3) -> ScalarField:
+def casimir_field() -> ScalarField:
     """F(z) = ||z||^2 / 2, Casimir of the rigid-body bracket."""
-    return quadratic_field(np.eye(dim), name="norm2/2")
+    return ScalarField(lambda x: 0.5 * dot(x, x), name="norm2/2")
 
 
 def field_product(F: ScalarField, G: ScalarField) -> ScalarField:

@@ -133,7 +133,7 @@ def test_conversion_gap_shrinks_on_coupled_paths(acceptance):
 
 def test_kubo_energy_decay_order_and_symplectic_defect(acceptance):
     kubo = build_model("kubo", a=1.0, sigma=0.5)
-    est = functional_drift_decay(kubo, [1.0, 0.0], casimir_field(dim=2), "heun",
+    est = functional_drift_decay(kubo, [1.0, 0.0], casimir_field(), "heun",
                                  levels=4, n_paths=300, seed=13)
     h = 1e-3
     path = sample_brownian(21, 1.0, h, dims=1)
@@ -369,6 +369,13 @@ _REPRO_RUNS = [
     ("simulate", {
         "version": 1, "seed": 10, "T": 5.0, "h": 0.01, "x0": "sphere", "n_paths": 16,
         "model": {"name": "rode_ll"}}),
+    # the paper's Ito experiment with every norm functional, over two time
+    # blocks of the ensemble
+    ("simulate", {
+        "version": 1, "seed": 12, "T": 0.3, "h": 1e-3, "x0": "sphere", "n_paths": 700,
+        "functionals": ["norm2", "sphere", "energy", "norm", "align"],
+        "model": {"name": "ell", "params": {"interpretation": "ito",
+                                            "eps": 0.1, "alpha": 1.0}}}),
 ]
 
 

@@ -206,10 +206,10 @@ def test_first_integral_and_monotonicity_on_synthetic_path():
     times = np.arange(4) * 1.0
     states = np.array([[1.0, 0.0], [1.1, 0.0], [0.9, 0.0], [1.0, 0.0]])
     traj = Trajectory(times=times, states=states)
-    drift = first_integral_drift(traj, norm_squared_field(dim=2))
+    drift = first_integral_drift(traj, norm_squared_field())
     assert drift.max_drift == pytest.approx(0.21)
     assert drift.terminal_drift == pytest.approx(0.0)
-    V = norm_squared_field(dim=2)
+    V = norm_squared_field()
     stats = lyapunov_monotonicity(traj, V, step_tol=1e-12)
     assert stats.n_steps == 3
     assert stats.n_violations == 2  # 1.0 -> 1.21 and 0.81 -> 1.0
@@ -338,7 +338,7 @@ def test_convergence_study_memory_holds_two_levels():
 
 def test_functional_drift_decay_kubo_energy():
     model = build_model("kubo")
-    H0 = casimir_field(dim=2)
+    H0 = casimir_field()
     est = functional_drift_decay(model, [1.0, 0.0], H0, "heun",
                                  levels=3, n_paths=60, seed=13, T=1.0, h0=2.0**-5)
     assert est.slope > 0.7
@@ -350,7 +350,7 @@ def test_convergence_studies_reject_a_scheme_of_another_interpretation():
         empirical_convergence_order(kubo, [1.0, 0.0], "euler_maruyama",
                                     "finest_refinement", levels=3, n_paths=4, seed=7)
     with pytest.raises(ValueError, match="integrates ito models"):
-        functional_drift_decay(kubo, [1.0, 0.0], casimir_field(dim=2), "euler_maruyama",
+        functional_drift_decay(kubo, [1.0, 0.0], casimir_field(), "euler_maruyama",
                                levels=3, n_paths=4, seed=13)
     with pytest.raises(ValueError, match="unknown scheme"):
         empirical_convergence_order(kubo, [1.0, 0.0], "leapfrog",
@@ -392,7 +392,7 @@ SCALAR = build_model("scalar_linear", a=-1.0, b_scalar=0.5)
                                         3, 4, 1),
     lambda: empirical_convergence_order(SCALAR, [1.0, 0.0], "euler_maruyama",
                                         "finest_refinement", 3, 4, 1),
-    lambda: functional_drift_decay(KUBO, [1.0, 0.0, 0.0], casimir_field(dim=2), "heun",
+    lambda: functional_drift_decay(KUBO, [1.0, 0.0, 0.0], casimir_field(), "heun",
                                    levels=3, n_paths=4, seed=1),
     lambda: conversion_gap_decay(KUBO, strat_to_ito(KUBO), [1.0, 0.0, 0.0], levels=2,
                                  n_paths=4, seed=1),
@@ -462,7 +462,7 @@ def test_one_step_generator_check_frozen():
 def test_one_step_generator_check_requires_ito():
     model = build_model("kubo")
     with pytest.raises(ValueError):
-        one_step_generator_check(model, norm_squared_field(dim=2), [1.0, 0.0],
+        one_step_generator_check(model, norm_squared_field(), [1.0, 0.0],
                                  h=1e-3, n_samples=100, seed=1)
 
 
@@ -554,7 +554,7 @@ def test_run_ensemble_memory_is_bounded_by_the_time_block():
     tracemalloc.start()
     try:
         stats = run_ensemble(model, [1.0], "euler_maruyama", 200, 0,
-                             [norm_squared_field(dim=1)], T=20.0, h=1e-3)
+                             [norm_squared_field()], T=20.0, h=1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -676,7 +676,7 @@ def test_generator_amplitude_sweep_threshold():
         return build_model("scalar_linear", a=-1.0, b_scalar=amplitude)
 
     sweep = generator_amplitude_sweep(
-        build, norm_squared_field(dim=1),
+        build, norm_squared_field(),
         points=[np.array([0.5]), np.array([-1.5])],
         amplitudes=[0.5, 1.0, 1.4, 1.5],
     )

@@ -1,4 +1,9 @@
 """End-to-end command line tests: exit codes, CSV artifacts, reproducibility."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -37,6 +42,18 @@ def read_rows(path):
     comments = [ln for ln in lines if ln.startswith("#")]
     body = [ln for ln in lines if not ln.startswith("#")]
     return comments, body[0].split(","), [ln.split(",") for ln in body[1:]]
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily; importing it would add to every CLI run's setup
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, stochlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_simulate_trajectory_stays_on_sphere(tmp_path, load_csv):

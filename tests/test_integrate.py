@@ -124,7 +124,7 @@ def test_trajectory_csv_with_functionals(tmp_path, load_csv):
     states = np.arange(8.0).reshape(4, 2)
     traj = Trajectory(times=times, states=states, model_name="probe", seed=3)
     dest = tmp_path / "traj.csv"
-    traj.to_csv(str(dest), functionals=[norm_squared_field(dim=2)], comment="hi")
+    traj.to_csv(str(dest), functionals=[norm_squared_field()], comment="hi")
     comments, names, data = load_csv(str(dest))
     assert names == ["t", "x1", "x2", "norm2"]
     assert np.allclose(data[:, 0], times)
@@ -227,7 +227,7 @@ def test_strat_to_ito_is_identity_for_additive_noise():
 
 def test_apply_generator_scalar_linear_identity():
     model = build_model("scalar_linear", a=-0.7, b_scalar=0.4)
-    V = norm_squared_field(dim=1)
+    V = norm_squared_field()
     for x in (0.3, -1.7, 2.5):
         lv = apply_generator(model, V, 0.0, np.array([x]))
         expected = (2.0 * -0.7 + 0.4**2) * x * x
@@ -237,7 +237,7 @@ def test_apply_generator_scalar_linear_identity():
 def test_apply_generator_requires_ito_and_derives_the_hessian():
     strat = build_model("kubo")
     with pytest.raises(ValueError, match="ito model"):
-        apply_generator(strat, norm_squared_field(dim=2), 0.0, np.array([1.0, 0.0]))
+        apply_generator(strat, norm_squared_field(), 0.0, np.array([1.0, 0.0]))
     # V = 3 x + 3/2 x^2, stated by its value alone: L V = (3 + 3 x) a x
     # + 3/2 b^2 x^2, which is -16.5 at x = 2
     ito = build_model("scalar_linear", a=-1.0, b_scalar=0.5)
@@ -592,7 +592,7 @@ def test_scheme_table_is_consistent():
 def test_ensemble_stats_csv(tmp_path, load_csv):
     model = build_model("scalar_linear", a=-1.0, b_scalar=0.5)
     stats = run_ensemble(model, [1.0], "euler_maruyama", 8, 11,
-                         [norm_squared_field(dim=1)], T=0.2, h=0.05)
+                         [norm_squared_field()], T=0.2, h=0.05)
     dest = tmp_path / "stats.csv"
     stats.to_csv(str(dest), comment="ens")
     comments, names, data = load_csv(str(dest))

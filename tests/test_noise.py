@@ -11,6 +11,8 @@ from stochlab.noise import (
     NoisePath,
     ParameterProcess,
     _brownian_stack,
+    _fresh_streams,
+    _keyed,
     _normal_rows,
     _refine_stack,
     coarse_sum,
@@ -61,6 +63,31 @@ def test_philox_keys_equal_seed_sequence_bit_for_bit(seed, domain, index):
     assert np.array_equal(philox_keys(seed, domain, [1, index])[1], key)
     assert np.array_equal(stream(seed, domain, index).normal(size=16),
                           _seed_sequence_stream(seed, domain, index).normal(size=16))
+
+
+@given(key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+       sizes=st.lists(st.integers(0, 9), min_size=2, max_size=5))
+@example(key=(0, 0), sizes=[1, 3, 5])
+@example(key=(2**64 - 1, 2**64 - 1), sizes=[4, 0, 7])
+@example(key=(0, 2**64 - 1), sizes=[2, 2])
+def test_keyed_generator_equals_philox_of_the_key_draw_for_draw(key, sizes):
+    key = np.array(key, dtype=np.uint64)
+    ours, numpys = _keyed(key), np.random.Generator(np.random.Philox(key=key))
+    fresh = next(_fresh_streams([key]))
+    for size in sizes:  # successive draws cross the 4-word Philox buffer
+        a, b, c = np.empty(size), np.empty(size), np.empty(size)
+        ours.standard_normal(out=a)
+        numpys.standard_normal(out=b)
+        fresh.standard_normal(out=c)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.array_equal(c.view(np.uint64), b.view(np.uint64))
+
+
+def test_philox_keys_of_one_stream_are_a_pair_of_words():
+    key = philox_keys(7, DOMAIN_ENSEMBLE, 5)
+    assert key.shape == (2,) and key.dtype == np.uint64
+    assert np.array_equal(key, philox_keys(np.uint64(7), DOMAIN_ENSEMBLE, np.int32(5)))
+    assert np.array_equal(key, philox_keys([7], DOMAIN_ENSEMBLE, 5)[0])
 
 
 def test_philox_keys_vectorize_over_uint64_seeds():

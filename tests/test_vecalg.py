@@ -82,6 +82,56 @@ def test_quadratic_field_hessian_symmetric(A, b, x):
     assert np.allclose(H, H.T)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _dot_pairs(draw):
+    """(u, v) with an equal last axis of 1 to 3, each 1-D or a batch, over
+    every float: +-0.0, subnormals, +-inf and nan included."""
+    n = draw(st.integers(1, 3))
+    batch = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    shapes = draw(st.sampled_from([(batch, batch), ((), batch), (batch, ())]))
+    every = st.floats(allow_nan=True, allow_infinity=True)
+    return tuple(draw(arrays(np.float64, shape + (n,), elements=every)) for shape in shapes)
+
+
+@given(_dot_pairs())
+def test_dot_by_components_equals_numpy_sum_bit_for_bit(pair):
+    u, v = pair
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(dot(u, v)), _bits(np.sum(u * v, axis=-1)))
+
+
+@pytest.mark.parametrize("u, v", [
+    ([-0.0], [1.0]), ([-0.0, -0.0, -0.0], [1.0, 1.0, 1.0]), ([-0.0, 2.0], [3.0, -0.0]),
+    ([np.inf, 1.0], [1.0, 0.0]), ([np.inf, -np.inf], [1.0, 1.0]),
+    ([np.nan, 1.0, 2.0], [0.0, 1.0, 1.0]),
+    # empty, long (summed pairwise by numpy) and broadcast last axes
+    (np.zeros((4, 0)), np.zeros((4, 0))), (np.zeros(0), np.zeros((4, 0))),
+    (np.ones((2, 9)), np.arange(9.0)), (np.ones((2, 3)), np.ones((2, 1))),
+])
+def test_dot_keeps_signed_zeros_non_finite_values_and_odd_shapes(u, v):
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    with np.errstate(all="ignore"):
+        out, expected = dot(u, v), np.sum(u * v, axis=-1)
+    assert np.shape(out) == np.shape(expected)
+    assert np.array_equal(_bits(out), _bits(expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (7,), (4, 5)])
+def test_norm_fields_equal_their_quadratic_forms_bit_for_bit(n, batch):
+    x = np.random.default_rng(n + len(batch)).normal(size=batch + (n,))
+    pairs = [(norm_squared_field(), quadratic_field(2.0 * np.eye(n))),
+             (sphere_field(), quadratic_field(2.0 * np.eye(n), c=-1.0)),
+             (casimir_field(), quadratic_field(np.eye(n)))]
+    for new, old in pairs:
+        for form in ("value", "gradient", "hessian"):
+            assert np.array_equal(_bits(getattr(new, form)(x)), _bits(getattr(old, form)(x)))
+
+
 def test_named_fields_values():
     x = np.array([1.0, 2.0, 2.0])
     assert norm_squared_field()(x) == pytest.approx(9.0)
