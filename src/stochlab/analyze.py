@@ -44,6 +44,7 @@ from .vecalg import (
     ScalarField,
     cross,
     derivative,
+    dot,
     double_bracket_vf,
     hamiltonian_vf,
     linear_field,
@@ -619,9 +620,9 @@ def _stability_estimator(model, scheme, n_paths, T, h, x0_radius, delta):
     sup = np.zeros(n_paths)
 
     def running_sup(k, block):
-        # sqrt is monotone, so the root of the largest squared norm is the
-        # largest np.linalg.norm(block, axis=-1) bit for bit, at one root a path
-        sq = np.add.reduce(block * block, axis=-1).max(axis=0)
+        # sqrt is monotone, so the root of the largest squared norm (by components)
+        # is the largest np.linalg.norm(block, axis=-1) bit for bit, one root a path
+        sq = dot(block, block).max(axis=0)
         np.maximum(sup, np.sqrt(sq), out=sup)
 
     def finish():

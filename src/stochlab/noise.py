@@ -285,18 +285,32 @@ def coarse_sum(path: NoisePath) -> np.ndarray:
     return path.increments[0::2] + path.increments[1::2]
 
 
+# dtype kind -> printf cell: text verbatim, bool/int/float at 17 significant digits
+_CELLS = {"U": "%s", "b": "%.17g", "i": "%.17g", "u": "%.17g", "f": "%.17g"}
+
+
 def write_csv(file, header: str, columns, comment: str | None = None):
     """Comma-separated columns under a mandatory header row, after one '# '
-    line per comment line.  str cells are written verbatim, every other cell
-    at 17 significant digits."""
-    rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
+    line per comment line.  Text cells (dtype kind U) are written verbatim,
+    bool, int and float cells at 17 significant digits, one format per row.
+    Raises ValueError, before the file is opened, for columns of unequal
+    lengths or of any other dtype kind (complex, object, bytes)."""
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    for j, c in enumerate(columns):
+        if c.dtype.kind not in _CELLS:
+            raise ValueError(f"column {j} has dtype {c.dtype}; write_csv takes text, bool, "
+                             "int or float columns")
+        if len(c) != n_rows:
+            raise ValueError(f"columns have unequal lengths {n_rows} and {len(c)}")
+    row = ",".join(_CELLS[c.dtype.kind] for c in columns) + "\n"
     with open(file, "w", newline="") as fh:
         if comment:
             for line in comment.rstrip("\n").split("\n"):
                 fh.write(f"# {line}\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+        for i in range(0, n_rows, 1024):  # Python numbers for 1024 rows at a time
+            fh.writelines(map(row.__mod__, zip(*(c[i:i + 1024].tolist() for c in columns))))
 
 
 def path_to_csv(path: NoisePath, file: str) -> None:

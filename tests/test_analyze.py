@@ -1,5 +1,6 @@
 """Persistence checker, order-estimation, and stability analysis tests."""
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -26,7 +27,7 @@ from stochlab.analyze import (
     stability_probability,
     uniform_sphere_sampler,
 )
-from stochlab.analyze import _coupled_paths, _fit_order, _start_key
+from stochlab.analyze import _coupled_paths, _fit_order, _stability_estimator, _start_key
 from stochlab.integrate import (
     ModelSpec,
     Trajectory,
@@ -523,6 +524,26 @@ def test_stability_and_attraction_honour_the_scheme():
     for scheme in ("", ["rode_heun"]):  # only None means the default
         with pytest.raises(ValueError, match="unknown scheme"):
             equilibrium_attraction(model, E3, 1e-3, scheme=scheme, **kw)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])  # 9 takes dot's np.sum fallback
+def test_stability_running_sup_is_the_largest_linalg_norm_bit_for_bit(n):
+    model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
+    _, running_sup, _ = _stability_estimator(model, "euler_maruyama", 64, 1.0, 0.1, 0.5, 1.0)
+    rng = np.random.default_rng(n)
+    blocks = [rng.standard_normal((4, 64, n)) * 10.0 ** rng.integers(-2, 3, (4, 64, n))
+              for _ in range(3)]
+    blocks[1][2, 1, 0] = np.inf
+    blocks[2][0, 2, -1] = np.nan
+    blocks[0][3, 3, 0] = -np.inf
+    blocks[2][1, 3, 0] = np.nan  # nan after an inf in an earlier block
+    blocks[0][:, 4] = -0.0
+    for k, block in enumerate(blocks):
+        running_sup(k, block)
+    sup = inspect.getclosurevars(running_sup).nonlocals["sup"]
+    expected = np.max([np.linalg.norm(b, axis=-1) for b in blocks], axis=(0, 1))
+    assert sup.tobytes() == expected.tobytes()
+    assert np.isinf(sup[1]) and np.isnan(sup[2]) and np.isnan(sup[3])
 
 
 def test_stability_probability_memory_is_bounded_by_the_time_block():

@@ -1,10 +1,14 @@
 """Integrator, conversion, generator, and ensemble tests."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stochlab import integrate
 from stochlab.analyze import equilibrium_attraction, stability_probability, uniform_sphere_sampler
@@ -117,6 +121,82 @@ def test_write_csv_uses_17_significant_digits(tmp_path, load_csv):
     # text cells verbatim, int cells through the same 17-digit format
     write_csv(str(dest), "name,value,passed", [["drift:a", "x"], [0.001, 0.1], [1, 0]])
     assert dest.read_text() == "name,value,passed\ndrift:a,0.001,1\nx,0.10000000000000001,0\n"
+
+
+def _per_value_csv(file, header, columns, comment=None):
+    """The former write_csv, one f-string a value: the reference for its bytes."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
+    with open(file, "w", newline="") as fh:
+        if comment:
+            for line in comment.rstrip("\n").split("\n"):
+                fh.write(f"# {line}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+
+
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072009e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, float(2**53 + 1), 1.0 / 3.0]
+_CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                     max_size=6)
+
+
+def _csv_column(kind, n_rows):
+    if kind == "text":
+        return st.lists(_CELL_TEXT, min_size=n_rows, max_size=n_rows)
+    if kind == "float":
+        return arrays(np.float64, n_rows, elements=st.floats() | st.sampled_from(_EDGE_FLOATS))
+    return arrays(kind, n_rows)
+
+
+def _same_text_as_per_value(dest, columns, comment):
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    write_csv(dest / "new.csv", header, columns, comment=comment)
+    _per_value_csv(dest / "old.csv", header, columns, comment=comment)
+    assert (dest / "new.csv").read_bytes() == (dest / "old.csv").read_bytes()
+
+
+@given(data=st.data())
+def test_write_csv_writes_the_text_of_the_per_value_formula(tmp_path_factory, data):
+    n_rows = data.draw(st.integers(0, 6))
+    kinds = data.draw(st.lists(st.sampled_from(
+        ["float", np.float32, np.int64, np.uint64, np.int8, np.bool_, "text"]), max_size=4))
+    columns = [data.draw(_csv_column(kind, n_rows)) for kind in kinds]
+    comment = data.draw(st.none() | _CELL_TEXT)
+    _same_text_as_per_value(tmp_path_factory.mktemp("csv"), columns, comment)
+
+
+def test_write_csv_edge_values_match_the_per_value_formula(tmp_path):
+    n = 2 * 1024 + 3  # rows are formatted 1024 at a time
+    columns = [np.resize(_EDGE_FLOATS, n), np.arange(n) - 5, np.arange(n) % 2 == 0,
+               [2**63 - 1] * n, ["x,y"] * n, np.random.default_rng(1).standard_normal(n)]
+    _same_text_as_per_value(tmp_path, columns, "two\nlines\n")
+    lines = (tmp_path / "new.csv").read_text().splitlines()
+    assert len(lines) == 3 + n
+    # ints pass through the float format, as they did one value at a time
+    assert lines[3].startswith("0,-5,1,9.2233720368547758e+18,x,y,")
+
+
+def test_write_csv_of_no_rows_or_no_columns(tmp_path):
+    dest = tmp_path / "x.csv"
+    write_csv(dest, "a,b", [np.empty(0), []], comment="seed=1\nrun=2")
+    assert dest.read_text() == "# seed=1\n# run=2\na,b\n"
+    write_csv(dest, "", [])
+    assert dest.read_text() == "\n"
+
+
+@pytest.mark.parametrize("columns, message", [
+    ([[1.0, 2.0, 3.0], [1.0]], "unequal lengths 3 and 1"),
+    ([[1.0], ["a", "b"]], "unequal lengths 1 and 2"),
+    ([[1.0], [1 + 2j]], "column 1 has dtype complex128"),
+    ([[None]], "column 0 has dtype object"),
+    ([np.array([b"x"])], "column 0 has dtype |S1"),
+])
+def test_write_csv_rejects_bad_columns_before_opening_the_file(tmp_path, columns, message):
+    dest = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_csv(dest, "a,b", columns)
+    assert not dest.exists()
 
 
 def test_trajectory_csv_with_functionals(tmp_path, load_csv):
