@@ -296,20 +296,17 @@ def write_csv(file, header: str, columns, comment: str | None = None):
     Raises ValueError, before the file is opened, for columns of unequal
     lengths or of any other dtype kind (complex, object, bytes)."""
     columns = [np.asarray(c) for c in columns]
-    n_rows = len(columns[0]) if columns else 0
-    for j, c in enumerate(columns):
-        if c.dtype.kind not in _CELLS:
-            raise ValueError(f"column {j} has dtype {c.dtype}; write_csv takes text, bool, "
-                             "int or float columns")
-        if len(c) != n_rows:
-            raise ValueError(f"columns have unequal lengths {n_rows} and {len(c)}")
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1 or any(c.dtype.kind not in _CELLS for c in columns):
+        raise ValueError("write_csv takes text, bool, int or float columns of equal lengths, got "
+                         + ", ".join(f"column {j}: {len(c)} x {c.dtype}" for j, c in enumerate(columns)))
     row = ",".join(_CELLS[c.dtype.kind] for c in columns) + "\n"
     with open(file, "w", newline="") as fh:
         if comment:
             for line in comment.rstrip("\n").split("\n"):
                 fh.write(f"# {line}\n")
         fh.write(header + "\n")
-        for i in range(0, n_rows, 1024):  # Python numbers for 1024 rows at a time
+        for i in range(0, max(lengths, default=0), 1024):  # Python numbers, 1024 rows at a time
             fh.writelines(map(row.__mod__, zip(*(c[i:i + 1024].tolist() for c in columns))))
 
 

@@ -186,11 +186,8 @@ def test_write_csv_of_no_rows_or_no_columns(tmp_path):
 
 
 @pytest.mark.parametrize("columns, message", [
-    ([[1.0, 2.0, 3.0], [1.0]], "unequal lengths 3 and 1"),
-    ([[1.0], ["a", "b"]], "unequal lengths 1 and 2"),
-    ([[1.0], [1 + 2j]], "column 1 has dtype complex128"),
-    ([[None]], "column 0 has dtype object"),
-    ([np.array([b"x"])], "column 0 has dtype |S1"),
+    ([[1.0, 2.0, 3.0], [1.0]], "got column 0: 3 x float64, column 1: 1 x float64"),
+    ([[1.0], [1 + 2j]], "got column 0: 1 x float64, column 1: 1 x complex128"),
 ])
 def test_write_csv_rejects_bad_columns_before_opening_the_file(tmp_path, columns, message):
     dest = tmp_path / "x.csv"

@@ -3,14 +3,12 @@
 Runs each entry of `_REPRO_RUNS` (tests/test_acceptance.py) through
 `stochlab.cli.main` in a temporary directory and prints one
 `sha256  task/run/file.csv` line per output file, in run order.
+`tests/repro_digests.txt` holds this output; the tier-1 test that compares
+it, line for line, with the CSVs of the tree is one command:
 
-With `--check` it prints nothing for digests equal, line for line, to the
-committed `tests/repro_digests.txt`; otherwise it prints each differing line
-of both and exits 1.  A refactor that must keep the CSVs byte-identical runs
+    python -m pytest tests/test_acceptance.py -k committed_digests
 
-    python tools/repro_digests.py --check
-
-and a change that moves a CSV rewrites the committed file with
+A change that moves a CSV on purpose rewrites the committed file with
 
     python tools/repro_digests.py > tests/repro_digests.txt
 
@@ -18,9 +16,7 @@ The source tree next to this script is the one imported.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
-import difflib
 import hashlib
 import io
 import sys
@@ -53,17 +49,5 @@ def digests(runs):
 if __name__ == "__main__":
     from test_acceptance import _REPRO_RUNS
 
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare with tests/repro_digests.txt; exit 1 on a mismatch")
-    args = parser.parse_args()
-    lines = [f"{digest}  {name}" for digest, name in digests(_REPRO_RUNS)]
-    if args.check:
-        committed = (ROOT / "tests" / "repro_digests.txt").read_text().splitlines()
-        diff = list(difflib.unified_diff(committed, lines, "tests/repro_digests.txt",
-                                         "this tree", n=0, lineterm=""))
-        for line in diff:
-            print(line)
-        raise SystemExit(1 if diff else 0)
-    for line in lines:
-        print(line)
+    for digest, name in digests(_REPRO_RUNS):
+        print(f"{digest}  {name}")
