@@ -395,17 +395,25 @@ def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
             h /= 2.0
 
 
-def _check_study(model, scheme, levels, n_paths, T, h0):
+def _check_study(model, scheme, levels, n_paths, T, h0, extra=0):
     """Raise ValueError unless a refinement study of levels >= 3 levels can
-    run n_paths paths of scheme on model, coarsest step h0 (_check_ensemble)."""
-    _check_ensemble(model, scheme, n_paths, T, h0)
+    run n_paths paths of scheme on model, coarsest step h0 (_check_ensemble),
+    and its finest stack, extra levels below the last, can be indexed."""
+    n_steps = _check_ensemble(model, scheme, n_paths, T, h0)
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
+    # by bit lengths, so that a huge level count forms no huge power of 2
+    halvings, dims = levels + extra - 1, max(model.noise_dim, 1)
+    if (n_steps * int(n_paths) * dims).bit_length() + halvings > np.iinfo(np.intp).max.bit_length():
+        raise ValueError(f"the finest refinement, {n_steps} x 2**{halvings} steps of "
+                         f"{n_paths} paths x {dims} noise dimensions, "
+                         "holds more values than an array can index")
 
 
 def _check_convergence(model, scheme, oracle, levels, n_paths, T, h0, closed_form, oracle_gap):
     """_check_study, and the oracle rules of empirical_convergence_order."""
-    _check_study(model, scheme, levels, n_paths, T, h0)
+    _check_study(model, scheme, levels, n_paths, T, h0,
+                 oracle_gap if oracle == "finest_refinement" else 0)
     if oracle not in ("closed_form", "finest_refinement"):
         raise ValueError(f"unknown oracle {oracle!r}")
     if oracle == "closed_form" and closed_form is None:

@@ -8,10 +8,10 @@ equal to the key numpy's SeedSequence(entropy=seed, spawn_key=(domain,
 index)) would give; _keyed builds a stream on its key without reading OS
 entropy.  Streams drawn from once (base draws, refinement levels, ensemble
 samplers) share one re-keyed Philox, and each path's draw lands
-contiguously in a stacked buffer: the base increments and the bridge
-refinements of P coupled paths are drawn as (N, P, l) stacks, and
-sample_brownian and refine are their one-path calls, so a path is drawn
-and refined alike alone or in a stack, bit for bit.
+contiguously in a buffer: the base increments of P coupled paths in one
+(N, P, l) stack, their bridge refinements chunk by chunk of paths.
+sample_brownian and refine are the one-path calls, so a path is drawn and
+refined alike alone or in a stack, bit for bit.
 Increments are the canonical storage; cumulative values are always derived.
 write_csv, the one writer of every CSV the package emits, lives here at the
 bottom of the import graph so that path_to_csv can use it too.
@@ -33,6 +33,7 @@ DOMAIN_ENSEMBLE = 2
 DOMAIN_SAMPLER = 3
 
 PROVENANCES = ("constant", "brownian-functional", "sde-driven")
+_REFINE_CHUNK = 2**16  # noise values _refine_stack draws and refines at a time (512 KiB)
 _KeySeed = None  # the seed sequence class of _keyed, made at its first call
 
 
@@ -162,7 +163,7 @@ def _normal_rows(gens, out, sd):
     return out.  Each C-contiguous row takes a standard normal draw in place
     and the stack is scaled once: normal returns 0.0 + sd * z, and adding
     0.0 changes no value but -0.0."""
-    for gen, row in zip(gens, out):
+    for row, gen in zip(out, gens):  # rows first: a longer gens loses no stream
         gen.standard_normal(out=row)
     out *= sd
     out += 0.0
@@ -258,23 +259,29 @@ def refine(path: NoisePath) -> NoisePath:
 def _refine_stack(parent: np.ndarray, h: float, seeds, level: int) -> np.ndarray:
     """refine on the (N, P, l) increments of P paths at refinement level
     `level` on a grid of step h, path p sampled from seeds[p]: returns the
-    (2N, P, l) stack one level finer.  Each path draws its midpoint noise
-    contiguously; the bridge arithmetic runs once over the stack."""
+    (2N, P, l) stack one level finer.  Paths are refined in chunks of about
+    _REFINE_CHUNK noise values: each path of a chunk draws its midpoint noise
+    contiguously into one reused buffer, and the bridge arithmetic runs on
+    that chunk alone, so nothing full-size is held but parent and the output."""
     n, p, l = parent.shape
-    keys = philox_keys(seeds, DOMAIN_REFINE, level + 1)
-    xi = _normal_rows(_fresh_streams(keys), np.empty((p, n, l)), math.sqrt(h) / 2.0)
-    first = 0.5 * parent + xi.transpose(1, 0, 2)
-    del xi
-    second = parent - first
-    # where the rounded pair misses the parent by an ulp, re-deriving first
-    # from the stored complement restores exact closure on most such steps
-    # without touching the bridge statistics
-    bad = (first + second) != parent
-    if np.any(bad):
-        first = np.where(bad, parent - second, first)
+    streams = _fresh_streams(philox_keys(seeds, DOMAIN_REFINE, level + 1))
+    step = max(1, _REFINE_CHUNK // max(n * l, 1))
+    buf = np.empty((min(step, p), n, l))
     fine = np.empty((2 * n, p, l))
-    fine[0::2] = first
-    fine[1::2] = second
+    for c in range(0, p, step):
+        d = min(c + step, p)
+        xi = _normal_rows(streams, buf[:d - c], math.sqrt(h) / 2.0).transpose(1, 0, 2)
+        coarse = parent[:, c:d]
+        first = 0.5 * coarse + xi
+        second = coarse - first
+        # where the rounded pair misses the parent by an ulp, re-deriving
+        # first from the stored complement restores exact closure on most
+        # such steps without touching the bridge statistics
+        bad = (first + second) != coarse
+        if np.any(bad):
+            first = np.where(bad, coarse - second, first)
+        fine[0::2, c:d] = first
+        fine[1::2, c:d] = second
     return fine
 
 

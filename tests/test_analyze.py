@@ -27,7 +27,8 @@ from stochlab.analyze import (
     stability_probability,
     uniform_sphere_sampler,
 )
-from stochlab.analyze import _coupled_paths, _fit_order, _stability_estimator, _start_key
+from stochlab.analyze import (_check_convergence, _coupled_paths, _fit_order,
+                              _stability_estimator, _start_key)
 from stochlab.integrate import (
     ModelSpec,
     Trajectory,
@@ -321,8 +322,11 @@ def test_convergence_study_memory_holds_two_levels():
 
     Keeping every path's refinement family and the stacked levels peaked at
     96.5 MiB, and keeping only the stacked levels at 47.8 MiB.  Refining the
-    stack one level at a time peaks at 40.2 MiB; the bound, 44 MiB, lies
-    between the last two.
+    stack one level at a time peaked at 40.2 to 40.9 MiB, with the whole
+    level's midpoint draw and bridge temporaries beside it.  Streaming each
+    refinement in path chunks peaks at 26.1 MiB, the finest level and its
+    parent (23.4 MiB) and a chunk; the bound, 30 MiB, lies between the last
+    two.
     """
     model = build_model("kubo", a=1.0, sigma=0.5)
     tracemalloc.start()
@@ -334,7 +338,22 @@ def test_convergence_study_memory_holds_two_levels():
     finally:
         tracemalloc.stop()
     assert len(est.errors) == 5
-    assert peak < 44 * 2**20
+    assert peak < 30 * 2**20
+
+
+def test_a_study_whose_finest_stack_cannot_be_indexed_is_rejected():
+    # 64 steps x 2**(levels + oracle_gap - 1) of one 1-dimensional path: 2**62
+    # values fit np.intp, 2**63 do not; no such stack is ever made
+    kubo = build_model("kubo")
+    _check_convergence(kubo, "heun", "finest_refinement", 54, 1, 1.0, 2.0**-6, None, 3)
+    _check_convergence(kubo, "heun", "closed_form", 57, 1, 1.0, 2.0**-6, kubo_exact, 3)
+    with pytest.raises(ValueError, match="more values than an array can index"):
+        _check_convergence(kubo, "heun", "finest_refinement", 55, 1, 1.0, 2.0**-6, None, 3)
+    with pytest.raises(ValueError, match="more values than an array can index"):
+        _check_convergence(kubo, "heun", "finest_refinement", 3, 1, 1.0, 2.0**-6, None, 10**30)
+    with pytest.raises(ValueError, match="more values than an array can index"):
+        functional_drift_decay(kubo, [1.0, 0.0], casimir_field(), "heun", levels=58,
+                               n_paths=1, seed=0, h0=2.0**-6)
 
 
 def test_functional_drift_decay_kubo_energy():

@@ -538,6 +538,26 @@ def test_config_errors_print_the_api_message(tmp_path, capsys, task, cfg, call):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("opts", [{"levels": 60}, {"levels": 3, "oracle_gap": 10**30}],
+                         ids=["levels_60", "oracle_gap_1e30"])
+def test_a_study_beyond_array_indexing_exits_2_before_any_refinement(tmp_path, capsys,
+                                                                     monkeypatch, opts):
+    """levels: 60 from h0 = 2**-6 asks for a finest stack of 64 x 2**62 steps;
+    it used to pass load_config and then run for more than a minute."""
+    def no_study(*args):
+        raise AssertionError("a study ran")
+
+    monkeypatch.setattr(analyze, "_coupled_paths", no_study)
+    cfg = base_cfg(analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                              "n_paths": 8, **opts}])
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "more values than an array can index" in err[0]
+    assert not out.exists()
+
+
 def test_integral_floats_and_numeric_strings_resolve_like_numbers(tmp_path):
     # YAML 1.1 reads 1e-3 as a string; both configs resolve to seed 5, h 0.001
     outs = []

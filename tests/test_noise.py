@@ -1,4 +1,6 @@
 """Noise path sampling, dyadic refinement, and parameter process tests."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -10,6 +12,7 @@ from stochlab.noise import (
     DOMAIN_REFINE,
     NoisePath,
     ParameterProcess,
+    _REFINE_CHUNK,
     _brownian_stack,
     _fresh_streams,
     _keyed,
@@ -122,6 +125,16 @@ def test_normal_rows_scale_like_normal_even_at_negative_zero():
     assert np.array_equal(np.signbit(rows), [np.signbit(expected)] * 2)
 
 
+def test_normal_rows_take_one_stream_per_row_from_a_shared_iterator():
+    keys = philox_keys(np.arange(5), DOMAIN_REFINE, 1)
+    whole = _normal_rows(_fresh_streams(keys), np.empty((5, 4, 2)), 0.5)
+    streams = _fresh_streams(keys)
+    split = np.concatenate([_normal_rows(streams, np.empty((2, 4, 2)), 0.5),
+                            _normal_rows(streams, np.empty((3, 4, 2)), 0.5)])
+    assert np.array_equal(whole, split)
+    assert next(streams, None) is None
+
+
 @pytest.mark.parametrize("T, h", [(1e300, 1e-300), (float("inf"), 1.0)])
 def test_a_grid_without_a_finite_step_count_is_rejected(T, h):
     with pytest.raises(ValueError, match="finite T/h"):
@@ -201,6 +214,37 @@ def test_stacked_refine_equals_per_path_refine_bit_for_bit():
             assert p.level == level + 1
             assert np.array_equal(fine[:, j], p.increments)
         stack = fine
+
+
+@pytest.mark.parametrize("dims, per_chunk", [(2, 2), (3, 1)])
+def test_chunked_refine_equals_per_path_refine_bit_for_bit(dims, per_chunk):
+    # 2**14 steps: a chunk holds per_chunk paths, and 5 paths leave a short last chunk
+    seeds = [3, 2**64 + 9, 17, 0, 8]
+    paths = [sample_brownian(s, T=1.0, h=2.0**-14, dims=dims) for s in seeds]
+    assert _REFINE_CHUNK // (2**14 * dims) == per_chunk
+    fine = _refine_stack(np.stack([p.increments for p in paths], axis=1), paths[0].h, seeds, 0)
+    for j, p in enumerate(paths):
+        assert np.array_equal(fine[:, j], refine(p).increments)
+
+
+def test_refine_of_a_path_without_noise_dimensions_is_empty():
+    p = NoisePath(times=np.arange(4) * 0.5, increments=np.zeros((3, 0)), seed=0)
+    assert refine(p).increments.shape == (6, 0)
+
+
+def test_refine_holds_nothing_full_size_but_its_parent_and_output():
+    """A level's whole midpoint draw and bridge temporaries beside the output
+    peaked near three times the output's bytes."""
+    seeds = np.arange(1000)
+    parent = _brownian_stack(seeds, 1.0, 2.0**-10, 1)
+    tracemalloc.start()
+    try:
+        fine = _refine_stack(parent, 2.0**-10, seeds, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fine.shape == (2048, 1000, 1)
+    assert peak < fine.nbytes + 4 * 2**20
 
 
 def test_refine_is_deterministic():
