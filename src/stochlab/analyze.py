@@ -395,13 +395,14 @@ def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
             h /= 2.0
 
 
-def _check_study(model, scheme, levels, n_paths, T, h0, extra=0):
-    """Raise ValueError unless a refinement study of levels >= 3 levels can
-    run n_paths paths of scheme on model, coarsest step h0 (_check_ensemble),
-    and its finest stack, extra levels below the last, can be indexed."""
+def _check_study(model, scheme, levels, n_paths, T, h0, extra=0, min_levels=3):
+    """Raise ValueError unless a refinement study of levels >= min_levels
+    levels can run n_paths paths of scheme on model, coarsest step h0
+    (_check_ensemble), and its finest stack, extra levels below the last, can
+    be indexed."""
     n_steps = _check_ensemble(model, scheme, n_paths, T, h0)
-    if levels < 3:
-        raise ValueError(f"need at least 3 levels, got {levels}")
+    if levels < min_levels:
+        raise ValueError(f"need at least {min_levels} levels, got {levels}")
     # by bit lengths, so that a huge level count forms no huge power of 2
     halvings, dims = levels + extra - 1, max(model.noise_dim, 1)
     if (n_steps * int(n_paths) * dims).bit_length() + halvings > np.iinfo(np.intp).max.bit_length():
@@ -559,9 +560,10 @@ def conversion_gap_decay(
 ) -> GapDecay:
     """Terminal strong gap between Heun on the Stratonovich model and EM on its
     Ito conversion, on the same coupled dyadic paths, one gap per level.
-    Raises ValueError where _check_ensemble does for heun on model_strat,
-    and unless model_ito is Ito with the same dimensions."""
-    _check_ensemble(model_strat, "heun", n_paths, T, h0)
+    Raises ValueError where _check_study does for heun on model_strat, with
+    at least 2 levels (one ratio needs two gaps), and unless model_ito is Ito
+    with the same dimensions."""
+    _check_study(model_strat, "heun", levels, n_paths, T, h0, min_levels=2)
     _check_scheme(model_ito, "euler_maruyama")
     if (model_strat.n, model_strat.noise_dim) != (model_ito.n, model_ito.noise_dim):
         raise ValueError(f"{model_strat.name} and {model_ito.name} differ in state or noise "
@@ -784,35 +786,6 @@ def ll_decomposition_residual(z, b, alpha: float) -> float:
     rhs = -cross(z, b) - alpha * cross(z, cross(z, b))
     scale = max(float(norm(rhs)), np.finfo(float).tiny)
     return float(norm(total - rhs)) / scale
-
-
-@dataclass(frozen=True)
-class AmplitudeSweep:
-    amplitudes: np.ndarray
-    max_generator: np.ndarray
-    largest_stable: Optional[float]
-
-
-def generator_amplitude_sweep(
-    build: Callable[[float], ModelSpec],
-    V: ScalarField,
-    points,
-    amplitudes,
-    t: float = 0.0,
-) -> AmplitudeSweep:
-    """Largest noise amplitude at which max LV stays <= 0 on the sampled points."""
-    pts = np.asarray(points, dtype=float)
-    amps = np.asarray(amplitudes, dtype=float)
-    worst = np.empty(len(amps))
-    for i, amp in enumerate(amps):
-        model = build(float(amp))
-        worst[i] = max(apply_generator(model, V, t, x) for x in pts)
-    stable = [a for a, w in zip(amps, worst) if w <= 0.0]
-    return AmplitudeSweep(
-        amplitudes=amps,
-        max_generator=worst,
-        largest_stable=float(max(stable)) if stable else None,
-    )
 
 
 def report_to_csv(report, file, comment: str | None = None):

@@ -375,7 +375,7 @@ def cmd_simulate(cfg, model, out) -> int:
 def _rode_eta_samples(model, cfg, opts):
     path = sample_brownian(cfg["seed"], opts["eta_T"], opts["eta_h"])
     values = model.eta_builder(path.times, path.cumulative())[:, 0]
-    return ParameterProcess(path.times, values, provenance="brownian-functional")
+    return ParameterProcess(path.times, values)
 
 
 def _run_check(kind, opts, cfg, model, dest):

@@ -323,35 +323,6 @@ def _rode_euler_advance(kernel, t, h, xs, w, k):
     return [x + h * a for x, a in zip(xs, f)]
 
 
-def euler_maruyama(model: ModelSpec, x0, path: NoisePath) -> Trajectory:
-    """Ito integration: x_{k+1} = x_k + f(t_k, x_k) h + sigma(t_k, x_k) dW_k."""
-    return integrate_path(model, x0, "euler_maruyama", path=path)
-
-
-def heun_strat(model: ModelSpec, x0, path: NoisePath) -> Trajectory:
-    """Stratonovich integration by the predictor-corrector stochastic Heun scheme.
-
-    Predictor: xp = x + f(t, x) h + sigma(t, x) dW.
-    Corrector: x' = x + (f(t, x) + f(t+h, xp)) h/2
-                     + (sigma(t, x) + sigma(t+h, xp)) dW / 2.
-    """
-    return integrate_path(model, x0, "heun", path=path)
-
-
-def rk4(model: ModelSpec, x0, grid) -> Trajectory:
-    """Classical 4th-order Runge-Kutta on a deterministic model."""
-    return integrate_path(model, x0, "rk4", grid=grid)
-
-
-def solve_rode(model: ModelSpec, x0, eta: ParameterProcess, scheme: str = "rode_heun") -> Trajectory:
-    """Pathwise deterministic integration of dx/dt = f(t, x, eta_t).
-
-    Default is Heun on the piecewise-linear interpolant of eta (the stage
-    values are the sampled endpoints); 'rode_euler' freezes eta per step.
-    """
-    return integrate_path(model, x0, scheme, eta=eta)
-
-
 def strat_to_ito(model: ModelSpec) -> ModelSpec:
     """Wong-Zakai conversion: add the correction drift, flip the interpretation.
 

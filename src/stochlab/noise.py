@@ -14,15 +14,13 @@ sample_brownian and refine are the one-path calls, so a path is drawn and
 refined alike alone or in a stack, bit for bit.
 Increments are the canonical storage; cumulative values are always derived.
 write_csv, the one writer of every CSV the package emits, lives here at the
-bottom of the import graph so that path_to_csv can use it too.
+bottom of the import graph, where integrate, analyze and cli all import it.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 # Stream domains. Distinct first entries of the spawn key keep base paths,
@@ -32,7 +30,6 @@ DOMAIN_REFINE = 1
 DOMAIN_ENSEMBLE = 2
 DOMAIN_SAMPLER = 3
 
-PROVENANCES = ("constant", "brownian-functional", "sde-driven")
 _REFINE_CHUNK = 2**16  # noise values _refine_stack draws and refines at a time (512 KiB)
 _KeySeed = None  # the seed sequence class of _keyed, made at its first call
 
@@ -285,13 +282,6 @@ def _refine_stack(parent: np.ndarray, h: float, seeds, level: int) -> np.ndarray
     return fine
 
 
-def coarse_sum(path: NoisePath) -> np.ndarray:
-    """Pairwise sums of increments: the parent increments of a refined path."""
-    if path.n_steps % 2 != 0:
-        raise ValueError("coarse_sum needs an even number of steps")
-    return path.increments[0::2] + path.increments[1::2]
-
-
 # dtype kind -> printf cell: text verbatim, bool/int/float at 17 significant digits
 _CELLS = {"U": "%s", "b": "%.17g", "i": "%.17g", "u": "%.17g", "f": "%.17g"}
 
@@ -317,86 +307,25 @@ def write_csv(file, header: str, columns, comment: str | None = None):
             fh.writelines(map(row.__mod__, zip(*(c[i:i + 1024].tolist() for c in columns))))
 
 
-def path_to_csv(path: NoisePath, file: str) -> None:
-    """Write t (left endpoints) and dW columns at 17 significant digits."""
-    write_csv(file, "t," + ",".join(f"dW_{k + 1}" for k in range(path.dims)),
-              [path.times[:-1]] + list(path.increments.T),
-              comment=f"seed={path.seed} level={path.level} h={path.h:.17g} "
-                      f"n_steps={path.n_steps}")
-
-
-def path_from_csv(file: str) -> NoisePath:
-    """Read a path written by path_to_csv; increments round-trip exactly."""
-    seed, level, h = 0, 0, None
-    rows = []
-    with open(file) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line.lstrip("# ").split():
-                    key, _, val = tok.partition("=")
-                    if key == "seed":
-                        seed = int(val)
-                    elif key == "level":
-                        level = int(val)
-                    elif key == "h":
-                        h = float(val)
-                continue
-            if line.startswith("t,"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ValueError(f"{file}: expected columns t, dW_1..dW_l")
-    if h is None:
-        h = float(data[1, 0] - data[0, 0]) if data.shape[0] > 1 else float(data[0, 0])
-    n = data.shape[0]
-    times = np.arange(n + 1) * h
-    return NoisePath(times=times, increments=data[:, 1:].copy(), seed=seed, level=level)
-
-
 @dataclass(frozen=True)
 class ParameterProcess:
     """Sampled parameter process eta on a NoisePath grid.
 
     values has shape (N+1,) for scalar processes or (N+1, d) otherwise.
-    Bounded variants carry an explicit bound respected by every sample.
     """
 
     times: np.ndarray
     values: np.ndarray
-    provenance: str = "constant"
-    bound: Optional[float] = None
 
     def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.values.shape[0] != self.times.shape[0]:
             raise ValueError("values must carry one sample per grid time")
-        if self.bound is not None and np.any(np.abs(self.values) > self.bound):
-            raise ValueError("samples exceed the declared bound")
         self.times.flags.writeable = False
         self.values.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return 1 if self.values.ndim == 1 else self.values.shape[1]
-
-
-def constant_eta(times: np.ndarray, value) -> ParameterProcess:
-    value = np.asarray(value, dtype=float)
-    if value.ndim == 0:
-        vals = np.full(len(times), float(value))
-    else:
-        vals = np.tile(value, (len(times), 1))
-    return ParameterProcess(
-        times=np.asarray(times, dtype=float),
-        values=vals,
-        provenance="constant",
-        bound=float(np.max(np.abs(value))),
-    )
 
 
 def iterated_log(times: np.ndarray, w: np.ndarray, t_min: float = 3.0) -> np.ndarray:
@@ -417,48 +346,9 @@ def iterated_log(times: np.ndarray, w: np.ndarray, t_min: float = 3.0) -> np.nda
 
 
 def iterated_log_eta(path: NoisePath, t_min: float = 3.0) -> ParameterProcess:
-    """iterated_log on one 1-dimensional path, with its maximum as the bound."""
+    """iterated_log on one 1-dimensional path."""
     if path.dims != 1:
         raise ValueError("iterated_log_eta needs a 1-dimensional path")
     values = iterated_log(path.times, path.cumulative(), t_min)[:, 0]
-    return ParameterProcess(
-        times=path.times.copy(),
-        values=values,
-        provenance="brownian-functional",
-        bound=float(np.max(np.abs(values))),
-    )
+    return ParameterProcess(times=path.times.copy(), values=values)
 
-
-def parameter_sde(
-    g: Callable,
-    sigma: Callable,
-    eta0,
-    path: NoisePath,
-) -> ParameterProcess:
-    """Euler-Maruyama sample of d eta = g(t,eta) dt + sigma(t,eta) dW on the grid."""
-    eta0 = np.atleast_1d(np.asarray(eta0, dtype=float))
-    scalar = np.asarray(eta0).size == 1 and np.ndim(eta0) <= 1
-    d = eta0.shape[0]
-    sig0 = np.atleast_2d(np.asarray(sigma(float(path.times[0]), eta0), dtype=float))
-    if sig0.shape != (d, path.dims):
-        raise ValueError(
-            f"sigma must map R^{d} to a {d}x{path.dims} matrix, got shape {sig0.shape}"
-        )
-    h = path.h
-    values = np.empty((path.n_steps + 1, d))
-    values[0] = eta0
-    eta = eta0.copy()
-    for k in range(path.n_steps):
-        t = float(path.times[k])
-        drift = np.atleast_1d(np.asarray(g(t, eta), dtype=float))
-        diff = np.atleast_2d(np.asarray(sigma(t, eta), dtype=float))
-        eta = eta + drift * h + diff @ path.increments[k]
-        values[k + 1] = eta
-    if scalar and d == 1:
-        values = values[:, 0]
-    return ParameterProcess(
-        times=path.times.copy(),
-        values=values,
-        provenance="sde-driven",
-        bound=None,
-    )

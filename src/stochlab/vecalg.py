@@ -133,19 +133,6 @@ def cross(u, v):
     return out
 
 
-def cross_matrix(x):
-    """Matrix [x]_ with [x]_ v = x ^ v, shape (..., 3, 3)."""
-    x = np.asarray(x)
-    m = np.zeros(x.shape[:-1] + (3, 3), dtype=np.result_type(x, float))
-    m[..., 0, 1] = -x[..., 2]
-    m[..., 0, 2] = x[..., 1]
-    m[..., 1, 0] = x[..., 2]
-    m[..., 1, 2] = -x[..., 0]
-    m[..., 2, 0] = -x[..., 1]
-    m[..., 2, 1] = x[..., 0]
-    return m
-
-
 def dot(u, v):
     """Euclidean inner product over the last axis, np.sum(u * v, axis=-1) bit for bit:
     equal last axes under 8, which numpy sums in sequence, by components from 0.0."""
@@ -187,10 +174,6 @@ class ScalarField:
 
     def __call__(self, x):
         return self.value(np.asarray(x, dtype=float))
-
-
-def constant_field(c: float) -> ScalarField:
-    return ScalarField(lambda x: np.full(x.shape[:-1], float(c)), name=f"const({c})")
 
 
 def linear_field(b, name: str | None = None) -> ScalarField:
@@ -263,12 +246,6 @@ def hamiltonian_vf(H: ScalarField, z, s: PoissonStructure):
     """The vector field X_H with X_H[G] = {G,H}_s; closed form -sign * z ^ grad H."""
     z = np.asarray(z, dtype=float)
     return -s.sign * cross(z, H.gradient(z))
-
-
-def double_bracket(F: ScalarField, G: ScalarField, z, d: DoubleBracketStructure) -> float:
-    """{{F,G}}(z) = alpha * (z ^ grad F(z)) . (z ^ grad G(z))."""
-    z = np.asarray(z, dtype=float)
-    return d.alpha * dot(cross(z, F.gradient(z)), cross(z, G.gradient(z)))
 
 
 def double_bracket_vf(H: ScalarField, z, d: DoubleBracketStructure):

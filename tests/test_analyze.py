@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stochlab import analyze
 from stochlab.analyze import (
     check_equilibrium,
     check_invariance,
@@ -18,7 +19,6 @@ from stochlab.analyze import (
     fibonacci_sphere,
     first_integral_drift,
     functional_drift_decay,
-    generator_amplitude_sweep,
     ll_decomposition_residual,
     lyapunov_monotonicity,
     one_step_generator_check,
@@ -424,11 +424,8 @@ SCALAR = build_model("scalar_linear", a=-1.0, b_scalar=0.5)
     lambda: apply_generator(build_model("scalar_linear", a=-1.0, b_scalar=1.0),
                             quadratic_field(2.0 * np.eye(2)), 0.0, [0.7, 5.0]),
     lambda: apply_generator(ELL_ITO, norm_squared_field(), 0.0, [0.6, 0.8]),
-    lambda: generator_amplitude_sweep(lambda amp: ELL_ITO, norm_squared_field(),
-                                      [[0.6, 0.8]], [0.1]),
 ], ids=["convergence", "convergence_scalar", "drift_decay", "gap_decay", "symplecticity",
-        "equilibrium_point", "attraction_target", "generator_scalar", "generator_ell",
-        "generator_sweep"])
+        "equilibrium_point", "attraction_target", "generator_scalar", "generator_ell"])
 def test_analyses_reject_a_state_of_the_wrong_length(call):
     with pytest.raises(ValueError, match=r"has \d components, \w+ needs [123]$"):
         call()
@@ -465,6 +462,24 @@ def test_conversion_gap_decay_checks_its_models():
     with pytest.raises(ValueError, match="dimension"):
         conversion_gap_decay(strat, other, **kwargs)
 
+
+def test_conversion_gap_decay_needs_two_levels_and_an_indexable_stack(monkeypatch):
+    """One ratio needs two gaps; a huge level count is rejected before any
+    path is drawn, so no study runs at that size."""
+    strat = build_model("kubo")
+    ito = strat_to_ito(strat)
+    kwargs = dict(x0=[1.0, 0.0], n_paths=4, seed=5)
+    for levels in (0, 1, -3):
+        with pytest.raises(ValueError, match=f"need at least 2 levels, got {levels}"):
+            conversion_gap_decay(strat, ito, levels=levels, **kwargs)
+
+    def no_draws(*args):
+        raise AssertionError("paths drawn for a study that should be rejected")
+
+    monkeypatch.setattr(analyze, "_coupled_paths", no_draws)
+    for levels in (60, 10**30):
+        with pytest.raises(ValueError, match="more values than an array can index"):
+            conversion_gap_decay(strat, ito, levels=levels, **kwargs)
 
 def test_one_step_generator_check_frozen():
     model = build_model("ell", interpretation="ito", eps=0.1, alpha=1.0)
@@ -710,17 +725,3 @@ def test_ll_decomposition_residual_cases():
     assert ll_decomposition_residual([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 1.0) == 0.0
     assert ll_decomposition_residual([1.0, 0.0, 0.0], E3, 0.0) <= 1e-14
 
-
-def test_generator_amplitude_sweep_threshold():
-    def build(amplitude):
-        return build_model("scalar_linear", a=-1.0, b_scalar=amplitude)
-
-    sweep = generator_amplitude_sweep(
-        build, norm_squared_field(),
-        points=[np.array([0.5]), np.array([-1.5])],
-        amplitudes=[0.5, 1.0, 1.4, 1.5],
-    )
-    # L x^2 = (2a + b^2) x^2 changes sign between b = 1.4 and b = 1.5
-    assert sweep.largest_stable == 1.4
-    assert np.all(sweep.max_generator[:3] <= 0.0)
-    assert sweep.max_generator[3] > 0.0

@@ -20,12 +20,8 @@ from stochlab.integrate import (
     Trajectory,
     apply_generator,
     default_scheme,
-    euler_maruyama,
-    heun_strat,
     integrate_path,
-    rk4,
     run_ensemble,
-    solve_rode,
     strat_to_ito,
     validate_model,
     write_csv,
@@ -36,7 +32,6 @@ from stochlab.noise import (
     DOMAIN_SAMPLER,
     NoisePath,
     ParameterProcess,
-    constant_eta,
     iterated_log_eta,
     sample_brownian,
     stream,
@@ -101,8 +96,8 @@ def test_an_explicit_drift_and_diffusion_are_kept():
     assert replace(given, name="again").drift is drift
     # the kernel still steps the model
     path = sample_brownian(3, T=0.1, h=0.01)
-    assert np.array_equal(heun_strat(given, [1.0, 0.0], path).states,
-                          heun_strat(model, [1.0, 0.0], path).states)
+    assert np.array_equal(integrate_path(given, [1.0, 0.0], "heun", path=path).states,
+                          integrate_path(model, [1.0, 0.0], "heun", path=path).states)
     # the Ito model's drift is its own kernel's, with the correction
     ito = strat_to_ito(given)
     assert ito.drift(0.0, np.array([0.4, -0.2])) == pytest.approx([0.15, 0.425], abs=1e-15)
@@ -212,7 +207,7 @@ def test_trajectory_csv_with_functionals(tmp_path, load_csv):
 def test_euler_maruyama_tracks_closed_form():
     model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
     path = sample_brownian(42, T=1.0, h=2.0**-10)
-    traj = euler_maruyama(model, [1.0], path)
+    traj = integrate_path(model, [1.0], "euler_maruyama", path=path)
     exact = scalar_linear_exact(-1.0, 1.0, 1.0, path)
     assert traj.states.shape == (path.n_steps + 1, 1)
     assert abs(traj.states[-1, 0] - exact[-1]) < 5e-3
@@ -221,7 +216,7 @@ def test_euler_maruyama_tracks_closed_form():
 def test_heun_tracks_kubo_closed_form():
     model = build_model("kubo", a=1.0, sigma=0.5)
     path = sample_brownian(7, T=1.0, h=2.0**-8)
-    traj = heun_strat(model, [1.0, 0.0], path)
+    traj = integrate_path(model, [1.0, 0.0], "heun", path=path)
     exact = kubo_exact(1.0, 0.5, [1.0, 0.0], path)
     assert np.max(np.abs(traj.states[-1] - exact[-1])) < 1e-3
 
@@ -229,7 +224,7 @@ def test_heun_tracks_kubo_closed_form():
 def test_rk4_order_on_exponential_decay():
     model = _decay_ode()
     grid = np.arange(101) * 0.01
-    traj = rk4(model, [1.0], grid)
+    traj = integrate_path(model, [1.0], "rk4", grid=grid)
     assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 1e-8
 
 
@@ -238,18 +233,18 @@ def test_scheme_interpretation_guards():
     strat = build_model("kubo")
     path = sample_brownian(1, T=1.0, h=0.25)
     with pytest.raises(ValueError):
-        heun_strat(ito, [1.0], path)
+        integrate_path(ito, [1.0], "heun", path=path)
     with pytest.raises(ValueError):
-        euler_maruyama(strat, [1.0, 0.0], path)
+        integrate_path(strat, [1.0, 0.0], "euler_maruyama", path=path)
     with pytest.raises(ValueError):
-        rk4(strat, [1.0, 0.0], path.times)
+        integrate_path(strat, [1.0, 0.0], "rk4", grid=path.times)
 
 
 def test_path_dimension_guard():
     model = build_model("ell", interpretation="ito")  # needs 3 channels
     path = sample_brownian(1, T=1.0, h=0.25, dims=1)
     with pytest.raises(ValueError):
-        euler_maruyama(model, [0.0, 0.6, 0.8], path)
+        integrate_path(model, [0.0, 0.6, 0.8], "euler_maruyama", path=path)
 
 
 def test_strat_to_ito_adds_correction_term():
@@ -331,9 +326,6 @@ def test_integrate_path_dispatch_and_defaults():
     assert default_scheme(strat) == "heun"
     assert default_scheme(ode) == "rk4"
     assert default_scheme(build_model("rode_ll")) == "rode_heun"
-    t1 = integrate_path(ito, [1.0], "euler_maruyama", path=path)
-    t2 = euler_maruyama(ito, [1.0], path)
-    assert np.array_equal(t1.states, t2.states)
     with pytest.raises(ValueError):
         integrate_path(ito, [1.0], "heun", path=path)
     with pytest.raises(ValueError):
@@ -343,23 +335,23 @@ def test_integrate_path_dispatch_and_defaults():
 def test_solve_rode_constant_eta_reduces_to_ode():
     rode = build_model("rode_ll")
     times = np.arange(201) * 0.01
-    eta = constant_eta(times, 1.0)
-    traj = solve_rode(rode, [0.6, 0.0, 0.8], eta)
+    eta = ParameterProcess(times, np.ones(len(times)))
+    traj = integrate_path(rode, [0.6, 0.0, 0.8], "rode_heun", eta=eta)
     ll = build_model("ll")
-    ref = rk4(ll, [0.6, 0.0, 0.8], times)
+    ref = integrate_path(ll, [0.6, 0.0, 0.8], "rk4", grid=times)
     assert np.max(np.abs(traj.states[-1] - ref.states[-1])) < 1e-3
 
 
 def test_solve_rode_euler_is_coarser_than_heun():
     rode = build_model("rode_ll")
     times = np.arange(101) * 0.01
-    eta = constant_eta(times, 1.0)
+    eta = ParameterProcess(times, np.ones(len(times)))
     ll = build_model("ll")
-    ref = rk4(ll, [0.6, 0.0, 0.8], times).states[-1]
-    heun_err = np.max(np.abs(solve_rode(rode, [0.6, 0.0, 0.8], eta).states[-1] - ref))
+    ref = integrate_path(ll, [0.6, 0.0, 0.8], "rk4", grid=times).states[-1]
+    heun_err = np.max(np.abs(
+        integrate_path(rode, [0.6, 0.0, 0.8], "rode_heun", eta=eta).states[-1] - ref))
     euler_err = np.max(np.abs(
-        solve_rode(rode, [0.6, 0.0, 0.8], eta, scheme="rode_euler").states[-1] - ref
-    ))
+        integrate_path(rode, [0.6, 0.0, 0.8], "rode_euler", eta=eta).states[-1] - ref))
     assert heun_err < euler_err / 5.0
 
 
