@@ -235,7 +235,7 @@ def _stacked(fn, eta_dim=0):
     return field
 
 
-def _kernel_states(model, advance, times, x0, noise, record=True):
+def _kernel_states(model, advance, times, x0, noise, record=True, out=None):
     """Drive advance(kernel, t, h, xs, w, k) -> xs over the grid on state components.
 
     noise has shape (rows, ..., l) matching the batch axes of x0, or
@@ -243,8 +243,10 @@ def _kernel_states(model, advance, times, x0, noise, record=True):
     components of row k (see _scheme_states).  A single path steps on Python
     floats (complex ones for a complex x0), converting the rows its advance
     reads; a batch steps on (B,) component arrays.  Returns the states
-    (N+1,) + x0.shape, or the terminal state when record is off.  Raises
-    ValueError unless x0 holds model.n components on its last axis.
+    (N+1,) + x0.shape, recorded into out (a C-contiguous array of that shape
+    and x0's dtype; x0 may be out[0]) where given, or the terminal state when
+    record is off.  Raises ValueError unless x0 holds model.n components on
+    its last axis.
     """
     _check_state(model, x0)
     kernel = model.kernel
@@ -252,8 +254,9 @@ def _kernel_states(model, advance, times, x0, noise, record=True):
     n, l = model.n, noise.shape[-1]
     n_steps = len(times) - 1
     tl = np.asarray(times, dtype=float).tolist()
-    states = np.empty((n_steps + 1,) + x0.shape, dtype=x0.dtype) if record else None
+    states = None
     if record:
+        states = np.empty((n_steps + 1,) + x0.shape, dtype=x0.dtype) if out is None else out
         states[0] = x0
     if x0.size == n and noise.size == len(noise) * l:
         rows = states.reshape(n_steps + 1, n) if record else None
@@ -275,16 +278,16 @@ def _kernel_states(model, advance, times, x0, noise, record=True):
     def w(k):
         row = noise[k]
         return [row[..., j] for j in range(l)]
-    out = x0.copy()
+    terminal = x0.copy()
     xs = [x0[..., i] for i in range(n)]
     for k in range(n_steps):
         t = tl[k]
         last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
-        row = states[k + 1] if record else out
+        row = states[k + 1] if record else terminal
         for i, c in enumerate(xs):
             row[..., i] = c
         _check_finite(row, k, t, times, states[: k + 2] if record else None, last)
-    return states if record else out
+    return states if record else terminal
 
 
 def _em_advance(kernel, t, h, xs, w, k):
@@ -454,17 +457,23 @@ _ADVANCE = {"euler_maruyama": _em_advance, "heun": _heun_advance, "rk4": _rk4_ad
             "rode_heun": _rode_heun_advance, "rode_euler": _rode_euler_advance}
 
 
-def _scheme_states(model, scheme, x0, times, noise, record=True):
+def _scheme_states(model, scheme, x0, times, noise, record=True, out=None):
     """Integrate a batch under a checked scheme; noise is the (N, ..., l)
     increment stack of a stochastic scheme, the (N+1, ..., l) eta rows of a
-    RODE scheme (step k reads rows k and k+1), and unused by rk4."""
-    return _kernel_states(model, _ADVANCE[scheme], times, x0, noise, record)
+    RODE scheme (step k reads rows k and k+1), and unused by rk4.  The
+    states are recorded into out where given (see _kernel_states)."""
+    return _kernel_states(model, _ADVANCE[scheme], times, x0, noise, record, out)
 
 
 # Noise values an ensemble draws per time block: 2**19 float64 values (4 MiB).
 # A run's memory then grows with the block, not with the horizon; blocked
 # normal draws equal one-shot draws bit for bit, so no result depends on it.
 _BLOCK_VALUES = 2**19
+# State values an ensemble steps per sub-block of a time block: 2**17 float64
+# values (1 MiB), so the one reused state buffer and what the observers read
+# of it stay in a 2 MiB L2.  Stepping is elementwise per path and per step,
+# so no result depends on it either.
+_STEP_VALUES = 2**17
 
 
 def run_ensemble(
@@ -490,7 +499,9 @@ def run_ensemble(
 
     All paths step together in time blocks.  Every observer observe(k, block)
     sees each block in time order: the states of all paths at grid rows
-    k, k+1, ..., shaped (rows, n_paths, n), row 0 included.
+    k, k+1, ..., shaped (rows, n_paths, n), row 0 included.  block is a view
+    of a buffer the run reuses, valid only during the call: an observer
+    copies what it keeps.
 
     Returns EnsembleStats, or (EnsembleStats, states) with states of shape
     (n_paths, N+1, n) when return_states is set.  Raises ValueError where
@@ -549,7 +560,9 @@ def run_ensemble(
 
 def _run_chunk(model, x0, scheme, seed, times, ks, observers):
     """Step the paths with global indices ks (a range) in time blocks of
-    about _BLOCK_VALUES noise values, handing each block to the observers.
+    about _BLOCK_VALUES noise values, drawn per block, and step each block
+    in sub-blocks of about _STEP_VALUES state values through one reused
+    (sub + 1, paths, n) buffer, handing each sub-block to the observers.
 
     Returns None, or (step, global path index) of the first non-finite
     state, after handing the observers the rows up to it.
@@ -571,6 +584,8 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
         observe(0, x[None])
     stochastic = model.interpretation in ("ito", "stratonovich")
     block_steps = max(1, _BLOCK_VALUES // (len(ks) * max(model.n, model.noise_dim)))
+    # capped by the block, so the buffer does not grow with the horizon
+    sub = min(block_steps, max(1, _STEP_VALUES // (len(ks) * model.n)))
     if model.interpretation != "ode":
         rngs = [_keyed(key) for key in philox_keys(seed, DOMAIN_ENSEMBLE, ks)]
         # each path's block is drawn contiguously; the stepper gets the
@@ -578,6 +593,10 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
         # increments of its one driving W, whose value w is carried over.
         draws = np.empty((len(ks), min(block_steps, n_steps), model.noise_dim if stochastic else 1))
         w = np.zeros(len(ks))
+    # row 0 holds the state a sub-block starts from: the last row of the one before
+    states = np.empty((min(sub, n_steps) + 1,) + x.shape)
+    states[0] = x
+    eta_row = int(model.interpretation == "rode")  # a RODE step reads rows k and k+1
     for a in range(0, n_steps, block_steps):
         b = min(a + block_steps, n_steps)
         if model.interpretation == "ode":  # rk4 ignores its empty noise
@@ -586,16 +605,19 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
             noise = _normal_rows(rngs, draws[:, :b - a], sd).transpose(1, 0, 2)
         if model.interpretation == "rode":
             noise, w = _eta_block(model, times[a:b + 1], w, noise)
-        try:
-            block = _scheme_states(model, scheme, x, times[a:b + 1], noise)
-        except IntegrationError as err:
+        for c in range(a, b, sub):
+            d = min(c + sub, b)
+            out = states[:d - c + 1]
+            try:
+                _scheme_states(model, scheme, out[0], times[c:d + 1],
+                               noise[c - a:d - a + eta_row], out=out)
+            except IntegrationError as err:
+                for observe in observers:
+                    observe(c + 1, err.states[1:])
+                return c + err.step, ks[err.path_index]
             for observe in observers:
-                observe(a + 1, err.states[1:])
-            return a + err.step, ks[err.path_index]
-        for observe in observers:
-            observe(a + 1, block[1:])
-        x = block[-1].copy()
-        del block  # freed before the next block is stepped
+                observe(c + 1, out[1:])
+            states[0] = out[-1]
     return None
 
 

@@ -282,14 +282,15 @@ def _refine_stack(parent: np.ndarray, h: float, seeds, level: int) -> np.ndarray
     return fine
 
 
-# dtype kind -> printf cell: text verbatim, bool/int/float at 17 significant digits
-_CELLS = {"U": "%s", "b": "%.17g", "i": "%.17g", "u": "%.17g", "f": "%.17g"}
+# dtype kind -> printf cell: text verbatim, ints exactly, bool/float at 17 significant digits
+_CELLS = {"U": "%s", "b": "%.17g", "i": "%d", "u": "%d", "f": "%.17g"}
 
 
 def write_csv(file, header: str, columns, comment: str | None = None):
     """Comma-separated columns under a mandatory header row, after one '# '
     line per comment line.  Text cells (dtype kind U) are written verbatim,
-    bool, int and float cells at 17 significant digits, one format per row.
+    int cells exactly, bool and float cells at 17 significant digits, one
+    format per row.
     Raises ValueError, before the file is opened, for columns of unequal
     lengths or of any other dtype kind (complex, object, bytes)."""
     columns = [np.asarray(c) for c in columns]

@@ -584,7 +584,8 @@ def test_stability_probability_memory_is_bounded_by_the_time_block():
     """tracemalloc peak at 200 paths x 20k steps (scalar linear, a=-1, b=1).
 
     Kept whole, the increments and states of this run peaked at 122.9 MiB.
-    Stepped in time blocks with a running sup-norm it peaks at 17.0 MiB.
+    Stepped in time blocks with a running sup-norm it peaked at 12.3 MiB,
+    and stepped in sub-blocks through one reused state buffer at 6.3 MiB.
     The bound, 30 MiB, is 4.1x below the first figure.
     """
     model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
@@ -603,7 +604,8 @@ def test_run_ensemble_memory_is_bounded_by_the_time_block():
     (scalar linear, a=-1, b=1).
 
     Gathering every functional value as (1, N+1, n_paths) peaked at
-    62.5 MiB.  Reducing mean and variance per time block peaks at 21.3 MiB.
+    62.5 MiB.  Reducing mean and variance per time block peaked at 16.7 MiB,
+    and per sub-block of one reused state buffer at 7.7 MiB.
     """
     model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
     tracemalloc.start()
@@ -615,6 +617,43 @@ def test_run_ensemble_memory_is_bounded_by_the_time_block():
         tracemalloc.stop()
     assert stats.mean.shape == (1, 20001)
     assert peak < 30 * 2**20
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stability_probability_memory_is_bounded_by_the_step_sub_block():
+    """tracemalloc peak at 1000 paths x 2000 steps (scalar linear, a=-1, b=1).
+
+    A fresh states array per 524-step time block, and the sup-norm's
+    temporaries of that size, peaked at 13.6 MiB.  Stepping 131-step
+    sub-blocks through one reused state buffer peaks at 7.6 MiB, of which
+    the block's 4 MiB of draws are the most.
+    """
+    model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
+    est, peak = _traced_peak(lambda: stability_probability(
+        model, 0.01, 0.03, T=2.0, n_paths=1000, seed=0, h=1e-3))
+    assert est.n_exceed == 26
+    assert peak < 9 * 2**20
+
+
+def test_wide_ensemble_memory_is_bounded_by_the_step_sub_block():
+    """tracemalloc peak of ell/ito at 4000 sphere starts x 250 steps with
+    norm2, the sizes of the ensemble_wide benchmark.  A fresh states array
+    per 43-step time block peaked at 14.0 MiB; 10-step sub-blocks through
+    one reused state buffer peak at 9.0 MiB."""
+    model = build_model("ell", interpretation="ito")
+    stats, peak = _traced_peak(lambda: run_ensemble(
+        model, uniform_sphere_sampler, "euler_maruyama", 4000, 0, [norm_squared_field()],
+        T=0.25, h=1e-3))
+    assert stats.mean.shape == (1, 251)
+    assert peak < 11.5 * 2**20
 
 
 def test_check_symplecticity_kubo_and_edges():

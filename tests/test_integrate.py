@@ -113,13 +113,20 @@ def test_write_csv_uses_17_significant_digits(tmp_path, load_csv):
     comments, names, data = load_csv(str(dest))
     assert names == ["a", "b"]
     assert data[0, 0] == 1.0 / 3.0  # round-trips exactly at 17 digits
-    # text cells verbatim, int cells through the same 17-digit format
+    # text cells verbatim, int cells exactly, bool cells as 1 and 0
     write_csv(str(dest), "name,value,passed", [["drift:a", "x"], [0.001, 0.1], [1, 0]])
     assert dest.read_text() == "name,value,passed\ndrift:a,0.001,1\nx,0.10000000000000001,0\n"
 
 
+def _per_value_cell(v):
+    if isinstance(v, str):
+        return v
+    return f"{v:d}" if type(v) is int else f"{v:.17g}"  # a bool is no int here
+
+
 def _per_value_csv(file, header, columns, comment=None):
-    """The former write_csv, one f-string a value: the reference for its bytes."""
+    """The former write_csv, one f-string a value (ints exactly): the
+    reference for its bytes."""
     rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
     with open(file, "w", newline="") as fh:
         if comment:
@@ -127,7 +134,7 @@ def _per_value_csv(file, header, columns, comment=None):
                 fh.write(f"# {line}\n")
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+            fh.write(",".join(map(_per_value_cell, row)) + "\n")
 
 
 _EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072009e-308,
@@ -168,8 +175,8 @@ def test_write_csv_edge_values_match_the_per_value_formula(tmp_path):
     _same_text_as_per_value(tmp_path, columns, "two\nlines\n")
     lines = (tmp_path / "new.csv").read_text().splitlines()
     assert len(lines) == 3 + n
-    # ints pass through the float format, as they did one value at a time
-    assert lines[3].startswith("0,-5,1,9.2233720368547758e+18,x,y,")
+    # ints are written exactly, beyond the 17 digits of the float format
+    assert lines[3].startswith("0,-5,1,9223372036854775807,x,y,")
 
 
 def test_write_csv_of_no_rows_or_no_columns(tmp_path):
@@ -440,18 +447,22 @@ def test_integration_error_carries_diagnostics():
     assert "non-finite" in str(err)
 
 
-@pytest.mark.parametrize("block_steps", [1, 2, 4])
+@pytest.mark.parametrize("block_steps,sub_steps", [(1, None), (2, None), (4, None), (7, 1), (7, 3)],
+                         ids=["1", "2", "4", "7-1", "7-3"])
 @pytest.mark.parametrize("starts,failing", [
     ({3: np.nan}, 3),                 # non-finite start: rejected before any step
     ({3: 1e300, 6: 1e304}, 6),        # both overflow; path 6 does so first
 ], ids=["nan_start", "earliest_overflow"])
 def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, block_steps,
-                                                               starts, failing):
-    """The abort is found across time blocks of 1, 2 or 4 steps for 8 paths;
-    the failing path's replay alone steps in blocks 8 times as long. A
-    non-finite start is rejected, under its path index, before any block."""
+                                                               sub_steps, starts, failing):
+    """The abort is found across time blocks of 1, 2 or 4 steps for 8 paths,
+    and across sub-blocks of 1 or 3 steps in blocks of 7; the failing path's
+    replay alone steps in blocks 8 times as long. A non-finite start is
+    rejected, under its path index, before any block."""
     model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
     monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 8)
+    if sub_steps:
+        monkeypatch.setattr(integrate, "_STEP_VALUES", sub_steps * 8)
 
     def start(k, rng):
         return np.array([starts.get(k, 1.0)])
@@ -473,8 +484,11 @@ def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, bloc
     assert np.all(np.isfinite(err.states[1:-1]))
 
 
-@pytest.mark.parametrize("block_steps", [1, 2])
-def test_streamed_abort_matches_a_recorded_run(monkeypatch, block_steps):
+@pytest.mark.parametrize("block_steps,sub_steps", [
+    (1, None), (2, None), (7, 1), (7, 3),
+    (10, 3),  # the abort, at step 14, falls inside the second sub-block of [10, 20)
+], ids=["1", "2", "7-1", "7-3", "10-3"])
+def test_streamed_abort_matches_a_recorded_run(monkeypatch, block_steps, sub_steps):
     model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
 
     def start(k, rng):
@@ -489,6 +503,8 @@ def test_streamed_abort_matches_a_recorded_run(monkeypatch, block_steps):
 
     recorded = abort(True)
     monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 8)
+    if sub_steps:
+        monkeypatch.setattr(integrate, "_STEP_VALUES", sub_steps * 8)
     streamed = abort(False)
     assert recorded.path_index == streamed.path_index == 6
     assert streamed.step == recorded.step > 5
@@ -498,15 +514,18 @@ def test_streamed_abort_matches_a_recorded_run(monkeypatch, block_steps):
     assert streamed.states.shape == (streamed.step + 2, 1)
 
 
-@pytest.mark.parametrize("block_steps", [1, 7])
+@pytest.mark.parametrize("block_steps,sub_steps", [(1, None), (7, None), (7, 1), (7, 3)],
+                         ids=["1", "7", "7-1", "7-3"])
 @pytest.mark.parametrize("name,params,scheme", [
     ("ell", {"interpretation": "ito"}, "euler_maruyama"),
     ("ell", {"interpretation": "stratonovich"}, "heun"),
     ("ll", {}, "rk4"),
     ("rode_ll", {}, "rode_heun"),
 ])
-def test_time_blocks_do_not_change_any_bit(monkeypatch, block_steps, name, params, scheme):
-    """50 steps in blocks of 1 or 7 steps against one block, on 6 paths."""
+def test_time_blocks_do_not_change_any_bit(monkeypatch, block_steps, sub_steps, name, params,
+                                          scheme):
+    """50 steps in blocks of 1 or 7 steps, the latter also stepped in
+    sub-blocks of 1 or 3 steps, against one block, on 6 paths."""
     model = build_model(name, **params)
     e3 = np.array([0.0, 0.0, 1.0])
     kw = dict(T=0.5, h=0.01)
@@ -522,6 +541,8 @@ def test_time_blocks_do_not_change_any_bit(monkeypatch, block_steps, name, param
 
     stats, states, n_exceed, n_attracted = outputs()
     monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 6 * 3)
+    if sub_steps:
+        monkeypatch.setattr(integrate, "_STEP_VALUES", sub_steps * 6 * 3)
     b_stats, b_states, b_exceed, b_attracted = outputs()
     assert np.array_equal(b_states, states)
     assert np.array_equal(b_stats.mean, stats.mean)
@@ -545,9 +566,9 @@ def test_ensemble_draws_equal_per_path_normal_draws_with_a_short_last_block(monk
     seen = []
     scheme_states = integrate._scheme_states
 
-    def spy(model, scheme, x0, times, noise, record=True):
+    def spy(model, scheme, x0, times, noise, record=True, out=None):
         seen.append((noise, noise.copy()))
-        return scheme_states(model, scheme, x0, times, noise, record)
+        return scheme_states(model, scheme, x0, times, noise, record, out)
 
     monkeypatch.setattr(integrate, "_scheme_states", spy)
     _, states = run_ensemble(model, uniform_sphere_sampler, "euler_maruyama", n_paths, seed,
@@ -561,6 +582,32 @@ def test_ensemble_draws_equal_per_path_normal_draws_with_a_short_last_block(monk
         assert np.array_equal(drawn[:, p], expected)
         x0 = uniform_sphere_sampler(p, _seed_sequence_stream(seed, DOMAIN_SAMPLER, p))
         assert np.array_equal(states[p, 0], x0)
+
+
+def test_sub_blocks_are_stepped_through_one_buffer_per_chunk(monkeypatch):
+    """30 steps of 4 paths in draw blocks of 7 steps, stepped in sub-blocks
+    of 3: every sub-block is recorded into the one buffer, and the observers
+    see every row once, in order, at most 3 rows at a time."""
+    model = build_model("ell", interpretation="ito")
+    n_paths = 4
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 7 * n_paths * 3)
+    monkeypatch.setattr(integrate, "_STEP_VALUES", 3 * n_paths * 3)
+    outs = []
+    scheme_states = integrate._scheme_states
+
+    def spy(model, scheme, x0, times, noise, record=True, out=None):
+        outs.append(out)
+        return scheme_states(model, scheme, x0, times, noise, record, out)
+
+    monkeypatch.setattr(integrate, "_scheme_states", spy)
+    seen = []
+    run_ensemble(model, uniform_sphere_sampler, "euler_maruyama", n_paths, 5, [], T=0.3,
+                 h=0.01, observers=[lambda k, block: seen.append((k, len(block)))])
+    assert [len(out) - 1 for out in outs] == [3, 3, 1] * 4 + [2]
+    assert all(np.shares_memory(out, outs[0]) for out in outs)
+    rows = [n for _, n in seen]
+    assert [k for k, _ in seen] == np.cumsum([0] + rows[:-1]).tolist()
+    assert sum(rows) == 31 and max(rows) <= 3
 
 
 def _array_reference(model, scheme, x0, seed, times):
@@ -591,18 +638,28 @@ def _array_reference(model, scheme, x0, seed, times):
     return np.swapaxes(np.array(states), 0, 1)
 
 
-@pytest.mark.parametrize("name,scheme,block_steps", [
-    ("ll", "rk4", 400), ("rode_ll", "rode_heun", 400), ("rode_ll", "rode_euler", 400),
-    ("rode_ll", "rode_heun", 1), ("rode_ll", "rode_heun", 7),
-    ("rode_ll", "rode_euler", 1), ("rode_ll", "rode_euler", 7),
+@pytest.mark.parametrize("name,scheme,block_steps,sub_steps", [
+    ("ll", "rk4", 400, None), ("rode_ll", "rode_heun", 400, None),
+    ("rode_ll", "rode_euler", 400, None),
+    ("rode_ll", "rode_heun", 1, None), ("rode_ll", "rode_heun", 7, None),
+    ("rode_ll", "rode_euler", 1, None), ("rode_ll", "rode_euler", 7, None),
+    ("rode_ll", "rode_heun", 7, 1), ("rode_ll", "rode_heun", 7, 3),
+    ("rode_ll", "rode_euler", 7, 1), ("rode_ll", "rode_euler", 7, 3),
 ], ids=["ll-rk4", "rode_ll-rode_heun", "rode_ll-rode_euler", "rode_ll-rode_heun-1",
-        "rode_ll-rode_heun-7", "rode_ll-rode_euler-1", "rode_ll-rode_euler-7"])
-def test_run_ensemble_equals_the_array_reference(monkeypatch, name, scheme, block_steps):
+        "rode_ll-rode_heun-7", "rode_ll-rode_euler-1", "rode_ll-rode_euler-7",
+        "rode_ll-rode_heun-7-1", "rode_ll-rode_heun-7-3", "rode_ll-rode_euler-7-1",
+        "rode_ll-rode_euler-7-3"])
+def test_run_ensemble_equals_the_array_reference(monkeypatch, name, scheme, block_steps,
+                                                 sub_steps):
     """Every path of a 4-path ensemble and its statistics, bit for bit, in
-    time blocks of 1, 7 or all 400 steps.  The horizon passes t = 3, after
-    which the eta of rode_ll varies, so a RODE run carries its driving W
-    across block boundaries where eta moves."""
+    time blocks of 1, 7 or all 400 steps, and in blocks of 7 stepped in
+    sub-blocks of 1 or 3 steps.  The horizon passes t = 3, after which the
+    eta of rode_ll varies, so a RODE run carries its driving W across block
+    boundaries where eta moves, and each sub-block reads its slice of the
+    block's eta rows."""
     monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 4 * 3)
+    if sub_steps:
+        monkeypatch.setattr(integrate, "_STEP_VALUES", sub_steps * 4 * 3)
     model = build_model(name, alpha=0.7)
     seed, h, n_steps = 9, 0.01, 400
     stats, states = run_ensemble(model, uniform_sphere_sampler, scheme, 4, seed,
