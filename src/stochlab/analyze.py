@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .noise import (
     _refine_stack,
     derive_seed,
     stream,
-    write_csv,
 )
 from .vecalg import (
     DoubleBracketStructure,
@@ -52,6 +51,10 @@ from .vecalg import (
 )
 
 OFF_MANIFOLD_TOL = 1e-10
+# times at which the invariance and equilibrium criteria are evaluated, and
+# the eta values at which check_equilibrium evaluates a RODE drift
+_TS = (0.0, 0.5, 1.0)
+_ETA_SAMPLES = (0.5, 1.0, 2.0)
 
 
 def fibonacci_sphere(n: int = 200) -> np.ndarray:
@@ -208,7 +211,6 @@ def check_invariance(
     F: ScalarField,
     samples,
     tol: float,
-    ts: Sequence[float] = (0.0, 0.5, 1.0),
     eta_samples=None,
 ) -> InvarianceReport:
     """Evaluate the invariance criteria for F's zero set under the model flow.
@@ -232,25 +234,20 @@ def check_invariance(
     notes = ""
     conditions = []
 
+    calls = [(t,) for t in _TS]
     if model.interpretation == "rode":
         vals, notes = _eta_coverage(eta_samples)
-        worst = 0.0
-        for t in ts:
-            for eta in vals:
-                fx = np.asarray(model.drift(float(t), pts, eta))
-                worst = max(worst, float(np.max(np.abs(np.sum(grads * fx, axis=-1)))))
-        conditions.append(ConditionResult("drift_tangency", worst, worst <= tol))
-    else:
-        worst = 0.0
-        for t in ts:
-            fx = np.asarray(model.drift(float(t), pts))
-            worst = max(worst, float(np.max(np.abs(np.sum(grads * fx, axis=-1)))))
-        conditions.append(ConditionResult("drift_tangency", worst, worst <= tol))
+        calls = [(t, eta) for t in _TS for eta in vals]
+    worst = 0.0
+    for t, *eta in calls:
+        fx = np.asarray(model.drift(t, pts, *eta))
+        worst = max(worst, float(np.max(np.abs(np.sum(grads * fx, axis=-1)))))
+    conditions.append(ConditionResult("drift_tangency", worst, worst <= tol))
 
     if model.interpretation in ("ito", "stratonovich"):
         worst = 0.0
-        for t in ts:
-            sig = np.asarray(model.diffusion(float(t), pts))
+        for t in _TS:
+            sig = np.asarray(model.diffusion(t, pts))
             proj = np.einsum("...i,...il->...l", grads, sig)
             worst = max(worst, float(np.max(np.abs(proj))))
         conditions.append(ConditionResult("diffusion_tangency", worst, worst <= tol))
@@ -258,8 +255,8 @@ def check_invariance(
     if model.interpretation == "ito":
         hess = np.asarray(F.hessian(pts))
         worst = 0.0
-        for t in ts:
-            sig = np.asarray(model.diffusion(float(t), pts))
+        for t in _TS:
+            sig = np.asarray(model.diffusion(t, pts))
             a = np.einsum("...il,...jl->...ij", sig, sig)
             worst = max(worst, float(np.max(np.abs(0.5 * np.sum(hess * a, axis=(-2, -1))))))
         conditions.append(ConditionResult("second_order_trace", worst, worst <= tol))
@@ -281,30 +278,27 @@ def check_equilibrium(
     model: ModelSpec,
     point,
     tol: float,
-    ts: Sequence[float] = (0.0, 0.5, 1.0),
-    eta_samples: Sequence[float] = (0.5, 1.0, 2.0),
 ) -> EquilibriumReport:
     """Report the magnitude of every drift summand and diffusion column at a point."""
     _check_state(model, point, "point")
     x = np.asarray(point, dtype=float)
     terms = model.drift_terms if model.drift_terms else (("drift", model.drift),)
+    calls = [(t,) for t in _TS]
+    if model.interpretation == "rode":
+        calls = [(t, np.full(model.eta_dim, s) if model.eta_dim > 1 else s)
+                 for t in _TS for s in _ETA_SAMPLES]
     drift_results = []
     for name, term in terms:
         worst = 0.0
-        for t in ts:
-            if model.interpretation == "rode":
-                for sample in eta_samples:
-                    eta = np.full(model.eta_dim, sample) if model.eta_dim > 1 else sample
-                    worst = max(worst, float(norm(np.asarray(term(float(t), x, eta)))))
-            else:
-                worst = max(worst, float(norm(np.asarray(term(float(t), x)))))
+        for t, *eta in calls:
+            worst = max(worst, float(norm(np.asarray(term(t, x, *eta)))))
         drift_results.append(TermResult(name, worst, worst <= tol))
     diff_results = []
     if model.diffusion is not None:
         for k in range(model.noise_dim):
             worst = 0.0
-            for t in ts:
-                sig = np.asarray(model.diffusion(float(t), x))
+            for t in _TS:
+                sig = np.asarray(model.diffusion(t, x))
                 worst = max(worst, float(np.linalg.norm(sig[:, k])))
             diff_results.append(TermResult(f"column_{k + 1}", worst, worst <= tol))
     verdict = all(t.vanishes for t in drift_results) and all(
@@ -786,8 +780,3 @@ def ll_decomposition_residual(z, b, alpha: float) -> float:
     rhs = -cross(z, b) - alpha * cross(z, cross(z, b))
     scale = max(float(norm(rhs)), np.finfo(float).tiny)
     return float(norm(total - rhs)) / scale
-
-
-def report_to_csv(report, file, comment: str | None = None):
-    """Residual table (criterion, value, passed) for invariance/equilibrium reports."""
-    write_csv(file, "criterion,value,passed", list(zip(*report.rows())), comment=comment)

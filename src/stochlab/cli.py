@@ -1,13 +1,11 @@
 """Reproducible experiment runner.
 
 Configuration is a versioned YAML mapping (see README for the schema);
-unknown keys are rejected before any computation.  Subcommands pick which
-entries of the `analyses` list run:
-
-    simulate     trajectory (n_paths=1) or ensemble statistics CSV
-    check        invariance | equilibrium | lyapunov | first-integral | symplecticity
-    convergence  strong-order estimate CSV
-    stability    stability | attraction estimates CSV
+unknown keys are rejected before any computation.  `simulate` writes a
+trajectory (n_paths=1) or ensemble statistics CSV.  `check`, `convergence`
+and `stability` run the `analyses` entries of their kinds in order, through
+one loop, cmd_analyses; the _ANALYSES table states each kind once, with the
+function that turns its result into a verdict, a printed note and a CSV.
 
 Every output file carries the full resolved config and seed in '# ' comment
 lines; identical (config, seed) give byte-identical files.  Exit codes:
@@ -22,6 +20,7 @@ import dataclasses
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 import yaml
@@ -43,7 +42,6 @@ from .analyze import (
     fibonacci_sphere,
     first_integral_drift,
     lyapunov_monotonicity,
-    report_to_csv,
     uniform_sphere_sampler,
 )
 from .integrate import (
@@ -67,19 +65,6 @@ _TOP_KEYS = {"version", "seed", "model", "scheme", "T", "h", "n_paths", "x0",
              "functionals", "analyses"}
 _MODEL_KEYS = {"name", "params"}
 
-# analysis kind -> (subcommand, required option keys, optional defaults)
-_ANALYSES = {
-    "invariance": ("check", {"tol"},
-                   {"samples": 200, "manifold": "sphere", "eta_T": 10.0, "eta_h": 1e-3}),
-    "equilibrium": ("check", {"tol", "point"}, {}),
-    "lyapunov": ("check", {"functional"}, {"step_tol": 1e-6}),
-    "first-integral": ("check", {"functional", "tol"}, {}),
-    "symplecticity": ("check", {"tol"}, {}),
-    "convergence": ("convergence", {"oracle", "levels", "n_paths"},
-                    {"scheme": None, "h0": 2.0**-6, "T": 1.0, "oracle_gap": 3}),
-    "stability": ("stability", {"x0_radius", "delta"}, {}),
-    "attraction": ("stability", {"target", "eps"}, {}),
-}
 # numeric analysis option -> whether it is an integer; state vectors are lists
 _NUMBERS = {"tol": False, "samples": True, "eta_T": False, "eta_h": False,
             "step_tol": False, "levels": True, "n_paths": True, "h0": False, "T": False,
@@ -205,7 +190,7 @@ def load_config(path: str, seed_override, task: str):
         kind = str(entry["kind"])
         if kind not in _ANALYSES:
             raise ConfigError(f"{where}: unknown kind {kind!r}; known: {sorted(_ANALYSES)}")
-        _, required, defaults = _ANALYSES[kind]
+        required, defaults = _ANALYSES[kind].required, _ANALYSES[kind].defaults
         _check_keys(entry, {"kind"} | required | set(defaults), where)
         missing = required - set(entry)
         if missing:
@@ -214,19 +199,14 @@ def load_config(path: str, seed_override, task: str):
         opts.update({k: v for k, v in entry.items() if k != "kind"})
         _validate_analysis(kind, opts, model, scheme, where)
         resolved_analyses.append({"kind": kind, **opts})
-    if task != "simulate" and all(_ANALYSES[a["kind"]][0] != task for a in resolved_analyses):
+    kinds = [_ANALYSES[a["kind"]] for a in resolved_analyses]
+    if task != "simulate" and all(k.task != task for k in kinds):
         raise ConfigError(f"{task}: the analyses list has no entry that {task} runs")
-
-    needs_x0 = task == "simulate" or any(
-        a["kind"] in ("lyapunov", "first-integral", "symplecticity", "attraction",
-                      "convergence")
-        for a in resolved_analyses
-    )
-    if needs_x0 and x0 is None:
+    if x0 is None and (task == "simulate" or any(k.x0 for k in kinds)):
         raise ConfigError(f"task {task!r} needs an x0")
-    needs_point = {"symplecticity", "convergence"} & {a["kind"] for a in resolved_analyses}
-    if needs_point and not isinstance(x0, list):
-        raise ConfigError(f"{sorted(needs_point)[0]} analysis needs an explicit x0 vector")
+    vector = sorted(a["kind"] for a, k in zip(resolved_analyses, kinds) if k.x0 == "vector")
+    if vector and not isinstance(x0, list):
+        raise ConfigError(f"{vector[0]} analysis needs an explicit x0 vector")
 
     params_out = _plain(model.params)
     if "interpretation" in params:
@@ -326,12 +306,12 @@ def _closed_form(model):
     return None
 
 
-def _comment(task: str, cfg: dict) -> str:
-    """Header comment lines: the tool version, the seed and the resolved config."""
+def _comment(label: str, cfg: dict, *lines: str) -> str:
+    """Header comment lines: the tool version and label, the seed, the
+    resolved config and then lines."""
     dump = yaml.safe_dump(cfg, default_flow_style=True, sort_keys=True, width=10**9)
-    return (f"stochlab {__version__} {task}\n"
-            f"seed={cfg['seed']}\n"
-            f"config: {dump.strip()}")
+    return "\n".join([f"stochlab {__version__} {label}", f"seed={cfg['seed']}",
+                      f"config: {dump.strip()}", *lines])
 
 
 def _initial(cfg, model):
@@ -372,125 +352,130 @@ def cmd_simulate(cfg, model, out) -> int:
     return 0
 
 
-def _rode_eta_samples(model, cfg, opts):
-    path = sample_brownian(cfg["seed"], opts["eta_T"], opts["eta_h"])
-    values = model.eta_builder(path.times, path.cumulative())[:, 0]
-    return ParameterProcess(path.times, values)
+# one analysis entry's result as cmd_analyses reports it: its verdict (an
+# estimate always passes), the note it prints, its CSV header and columns, and
+# the comment lines after the config
+_Outcome = namedtuple("_Outcome", "passed note header columns comment", defaults=((),))
 
 
-def _run_check(kind, opts, cfg, model, dest):
-    """Run one check analysis, writing dest; returns (passed, summary)."""
-    comment = _comment(f"check {kind}", cfg)
-    if kind == "invariance":
-        eta = _rode_eta_samples(model, cfg, opts) if model.interpretation == "rode" else None
-        report = check_invariance(
-            model, sphere_field(), fibonacci_sphere(opts["samples"]),
-            tol=opts["tol"], eta_samples=eta,
-        )
-        report_to_csv(report, dest, comment=comment)
-        worst = max(c.max_residual for c in report.conditions)
-        return report.verdict, f"max residual {worst:.3g}"
-    if kind == "equilibrium":
-        report = check_equilibrium(model, opts["point"], tol=opts["tol"])
-        report_to_csv(report, dest, comment=comment)
-        bad = [t.name for t in report.drift_terms + report.diffusion_columns
-               if not t.vanishes]
-        note = "all terms vanish" if report.verdict else f"nonzero: {', '.join(bad)}"
-        return report.verdict, note
-    if kind == "lyapunov":
-        V = _functional(str(opts["functional"]), model)
-        traj = _single_trajectory(cfg, model)
-        stats = lyapunov_monotonicity(traj, V, step_tol=opts["step_tol"])
-        write_csv(dest, "n_violations,max_increase,n_steps",
-                  [[stats.n_violations], [stats.max_increase], [stats.n_steps]],
-                  comment=comment)
-        return (stats.n_violations == 0,
-                f"{stats.n_violations} violations, max increase {stats.max_increase:.3g}")
-    if kind == "first-integral":
-        F = _functional(str(opts["functional"]), model)
-        traj = _single_trajectory(cfg, model)
-        drift = first_integral_drift(traj, F)
-        write_csv(dest, "max_drift,terminal_drift",
-                  [[drift.max_drift], [drift.terminal_drift]], comment=comment)
-        return drift.max_drift <= opts["tol"], f"max drift {drift.max_drift:.3g}"
-    # symplecticity
+def _report(report, note):
+    """An invariance or equilibrium report as its residual table."""
+    return _Outcome(report.verdict, note, "criterion,value,passed", list(zip(*report.rows())))
+
+
+def _invariance(opts, cfg, model):
+    eta = None
+    if model.interpretation == "rode":
+        path = sample_brownian(cfg["seed"], opts["eta_T"], opts["eta_h"])
+        eta = ParameterProcess(path.times, model.eta_builder(path.times, path.cumulative())[:, 0])
+    report = check_invariance(model, sphere_field(), fibonacci_sphere(opts["samples"]),
+                              tol=opts["tol"], eta_samples=eta)
+    return _report(report, f"max residual {max(c.max_residual for c in report.conditions):.3g}")
+
+
+def _equilibrium(opts, cfg, model):
+    report = check_equilibrium(model, opts["point"], tol=opts["tol"])
+    bad = [t.name for t in report.drift_terms + report.diffusion_columns if not t.vanishes]
+    return _report(report, "all terms vanish" if report.verdict else f"nonzero: {', '.join(bad)}")
+
+
+def _lyapunov(opts, cfg, model):
+    V = _functional(str(opts["functional"]), model)
+    stats = lyapunov_monotonicity(_single_trajectory(cfg, model), V, step_tol=opts["step_tol"])
+    return _Outcome(stats.n_violations == 0,
+                    f"{stats.n_violations} violations, max increase {stats.max_increase:.3g}",
+                    "n_violations,max_increase,n_steps",
+                    [[stats.n_violations], [stats.max_increase], [stats.n_steps]])
+
+
+def _first_integral(opts, cfg, model):
+    F = _functional(str(opts["functional"]), model)
+    drift = first_integral_drift(_single_trajectory(cfg, model), F)
+    return _Outcome(drift.max_drift <= opts["tol"], f"max drift {drift.max_drift:.3g}",
+                    "max_drift,terminal_drift", [[drift.max_drift], [drift.terminal_drift]])
+
+
+def _symplecticity(opts, cfg, model):
     path = None
     if model.noise_dim:
         path = sample_brownian(cfg["seed"], cfg["T"], cfg["h"], dims=model.noise_dim)
     defect = check_symplecticity(model, cfg["scheme"], np.asarray(cfg["x0"], dtype=float),
                                  h=cfg["h"], T=cfg["T"], path=path)
-    write_csv(dest, "defect", [[defect]], comment=comment)
-    return defect <= opts["tol"], f"defect {defect:.3g}"
+    return _Outcome(defect <= opts["tol"], f"defect {defect:.3g}", "defect", [[defect]])
 
 
-def cmd_check(cfg, model, out) -> int:
-    entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]][0] == "check"]
-    all_pass = True
-    for i, entry in enumerate(entries):
-        kind = entry["kind"]
-        opts = {k: v for k, v in entry.items() if k != "kind"}
-        dest = _output(out, entries, i)
-        passed, note = _run_check(kind, opts, cfg, model, dest)
-        all_pass &= passed
-        print(f"check {kind}: {'pass' if passed else 'FAIL'} ({note}) -> {dest}")
-    return 0 if all_pass else 1
+def _convergence(opts, cfg, model):
+    est = empirical_convergence_order(
+        model, np.asarray(cfg["x0"], dtype=float), _entry_scheme(opts, cfg["scheme"]),
+        oracle=str(opts["oracle"]), levels=opts["levels"], n_paths=opts["n_paths"],
+        seed=cfg["seed"], T=opts["T"], h0=opts["h0"], closed_form=_closed_form(model),
+        oracle_gap=opts["oracle_gap"],
+    )
+    return _Outcome(True, f"slope {est.slope:.4f} +/- {est.half_width:.4f}", "step_size,error",
+                    [est.step_sizes, est.errors],
+                    (f"slope={est.slope:.17g} half_width={est.half_width:.17g}",))
 
 
-def cmd_convergence(cfg, model, out) -> int:
-    entries = [a for a in cfg["analyses"] if a["kind"] == "convergence"]
-    for i, entry in enumerate(entries):
-        est = empirical_convergence_order(
-            model, np.asarray(cfg["x0"], dtype=float), _entry_scheme(entry, cfg["scheme"]),
-            oracle=str(entry["oracle"]), levels=entry["levels"],
-            n_paths=entry["n_paths"], seed=cfg["seed"], T=entry["T"],
-            h0=entry["h0"], closed_form=_closed_form(model),
-            oracle_gap=entry["oracle_gap"],
-        )
-        dest = _output(out, entries, i)
-        comment = (_comment("convergence", cfg)
-                   + f"\nslope={est.slope:.17g} half_width={est.half_width:.17g}")
-        write_csv(dest, "step_size,error", [est.step_sizes, est.errors], comment=comment)
-        print(f"convergence: slope {est.slope:.4f} +/- {est.half_width:.4f} -> {dest}")
-    return 0
+def _stability(est, cfg, model):
+    return _Outcome(True, f"exceedance {est.probability:.4f} +/- {est.half_width:.4f}",
+                    "probability,half_width,n_paths,n_exceed",
+                    [[est.probability], [est.half_width], [est.n_paths], [est.n_exceed]])
 
 
-def cmd_stability(cfg, model, out) -> int:
-    """Run the stability and attraction entries in order; entries whose starts
-    are bitwise equal share one ensemble pass (analyze._estimates)."""
-    entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]][0] == "stability"]
-    ensemble = (model, cfg["scheme"], cfg["n_paths"], cfg["T"], cfg["h"])
-    estimators = [
-        _stability_estimator(*ensemble, entry["x0_radius"], entry["delta"])
-        if entry["kind"] == "stability" else
-        _attraction_estimator(*ensemble, _initial(cfg, model), entry["target"], entry["eps"])
-        for entry in entries
-    ]
-    estimates = _estimates(estimators, *ensemble, cfg["seed"])
-    for i, (entry, est) in enumerate(zip(entries, estimates)):
-        kind = entry["kind"]
-        dest = _output(out, entries, i)
-        comment = _comment(f"stability {kind}", cfg)
-        if kind == "stability":
-            write_csv(dest, "probability,half_width,n_paths,n_exceed",
-                      [[est.probability], [est.half_width], [est.n_paths],
-                       [est.n_exceed]], comment=comment)
-            print(f"stability: exceedance {est.probability:.4f} "
-                  f"+/- {est.half_width:.4f} -> {dest}")
-        else:
-            write_csv(dest, "fraction,half_width,n_paths,n_attracted",
-                      [[est.fraction], [est.half_width], [est.n_paths],
-                       [est.n_attracted]], comment=comment)
-            print(f"attraction: fraction {est.fraction:.4f} "
-                  f"+/- {est.half_width:.4f} -> {dest}")
-    return 0
+def _attraction(est, cfg, model):
+    return _Outcome(True, f"fraction {est.fraction:.4f} +/- {est.half_width:.4f}",
+                    "fraction,half_width,n_paths,n_attracted",
+                    [[est.fraction], [est.half_width], [est.n_paths], [est.n_attracted]])
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "check": cmd_check,
-    "convergence": cmd_convergence,
-    "stability": cmd_stability,
+# analysis kind -> (subcommand, required option keys, optional defaults, the
+# x0 it needs: None, "any" (a vector or 'sphere') or "vector", the function
+# that maps (its options, or a stability kind's estimate; cfg; model) to an _Outcome)
+_Kind = namedtuple("_Kind", "task required defaults x0 outcome")
+
+_ANALYSES = {
+    "invariance": _Kind("check", {"tol"}, {"samples": 200, "manifold": "sphere", "eta_T": 10.0,
+                                           "eta_h": 1e-3}, None, _invariance),
+    "equilibrium": _Kind("check", {"tol", "point"}, {}, None, _equilibrium),
+    "lyapunov": _Kind("check", {"functional"}, {"step_tol": 1e-6}, "any", _lyapunov),
+    "first-integral": _Kind("check", {"functional", "tol"}, {}, "any", _first_integral),
+    "symplecticity": _Kind("check", {"tol"}, {}, "vector", _symplecticity),
+    "convergence": _Kind("convergence", {"oracle", "levels", "n_paths"},
+                         {"scheme": None, "h0": 2.0**-6, "T": 1.0, "oracle_gap": 3}, "vector",
+                         _convergence),
+    "stability": _Kind("stability", {"x0_radius", "delta"}, {}, None, _stability),
+    "attraction": _Kind("stability", {"target", "eps"}, {}, "any", _attraction),
 }
+
+
+def cmd_analyses(task, cfg, model, out) -> int:
+    """Run the analyses entries of task's kinds in order, writing one CSV and
+    printing one line each; 1 if a check failed, else 0.  Stability entries
+    whose starts are bitwise equal share one ensemble pass (analyze._estimates),
+    run when the first of them is reached."""
+    entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]].task == task]
+    inputs = entries
+    if task == "stability":
+        ensemble = (model, cfg["scheme"], cfg["n_paths"], cfg["T"], cfg["h"])
+        inputs = _estimates([
+            _stability_estimator(*ensemble, e["x0_radius"], e["delta"])
+            if e["kind"] == "stability" else
+            _attraction_estimator(*ensemble, _initial(cfg, model), e["target"], e["eps"])
+            for e in entries
+        ], *ensemble, cfg["seed"])
+    all_pass = True
+    for i, (entry, given) in enumerate(zip(entries, inputs)):
+        kind = entry["kind"]
+        result = _ANALYSES[kind].outcome(given, cfg, model)
+        dest = _output(out, entries, i)
+        # convergence, its task's only kind, is labelled by the task alone
+        label = task if kind == "convergence" else f"{task} {kind}"
+        write_csv(dest, result.header, result.columns,
+                  comment=_comment(label, cfg, *result.comment))
+        all_pass &= result.passed
+        verdict = f"check {kind}: {'pass' if result.passed else 'FAIL'} ({result.note})"
+        print(verdict if task == "check" else f"{kind}: {result.note}", "->", dest)
+    return 0 if all_pass else 1
 
 
 def main(argv=None) -> int:
@@ -499,7 +484,7 @@ def main(argv=None) -> int:
         description="Stochastisation laboratory: simulate catalog models and "
                     "run persistence analyses from a YAML config.",
     )
-    parser.add_argument("task", choices=sorted(_COMMANDS))
+    parser.add_argument("task", choices=sorted({"simulate", *(k.task for k in _ANALYSES.values())}))
     parser.add_argument("--config", required=True, help="YAML experiment config")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
@@ -517,7 +502,9 @@ def main(argv=None) -> int:
         # Overflow to inf is the expected signature of a diverging path; the
         # finite-state check turns it into a diagnosable abort.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.task](cfg, model, args.out)
+            if args.task == "simulate":
+                return cmd_simulate(cfg, model, args.out)
+            return cmd_analyses(args.task, cfg, model, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -376,6 +376,14 @@ _REPRO_RUNS = [
         "functionals": ["norm2", "sphere", "energy", "norm", "align"],
         "model": {"name": "ell", "params": {"interpretation": "ito",
                                             "eps": 0.1, "alpha": 1.0}}}),
+    # the check kinds the runs above leave out; both poles of damped
+    # precession persist, and the repeated kind names its files by entry
+    ("check", {
+        "version": 1, "seed": 13, "T": 1.0, "h": 1e-2, "x0": [0.6, 0.0, 0.8],
+        "model": {"name": "ll", "params": {"alpha": 1.0}},
+        "analyses": [{"kind": "lyapunov", "functional": "neg_align"},
+                     {"kind": "equilibrium", "point": [0.0, 0.0, 1.0], "tol": 1e-12},
+                     {"kind": "equilibrium", "point": [0.0, 0.0, -1.0], "tol": 1e-12}]}),
 ]
 
 

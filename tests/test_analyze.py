@@ -6,8 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
-from stochlab import analyze
+from stochlab import __version__, analyze
 from stochlab.analyze import (
     check_equilibrium,
     check_invariance,
@@ -22,13 +23,13 @@ from stochlab.analyze import (
     ll_decomposition_residual,
     lyapunov_monotonicity,
     one_step_generator_check,
-    report_to_csv,
     sphere_minus_cap,
     stability_probability,
     uniform_sphere_sampler,
 )
 from stochlab.analyze import (_check_convergence, _coupled_paths, _fit_order,
                               _stability_estimator, _start_key)
+from stochlab.cli import main
 from stochlab.integrate import (
     ModelSpec,
     Trajectory,
@@ -143,16 +144,19 @@ def test_invariance_report_text_and_csv(tmp_path):
     report = check_invariance(model, sphere_field(), fibonacci_sphere(32), tol=1e-9)
     text = report.to_text()
     assert "verdict: invariant" in text
-    dest = tmp_path / "rep.csv"
-    report_to_csv(report, str(dest), comment="probe")
-    lines = dest.read_text().splitlines()
-    assert lines[0] == "# probe"
+    # `stochlab check` writes the same report as its residual table
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "version": 1, "seed": 1,
+        "model": {"name": "ell", "params": {"interpretation": "stratonovich"}},
+        "analyses": [{"kind": "invariance", "tol": 1e-9, "samples": 32}]}))
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "invariance.csv").read_text().splitlines()
+    assert lines[0] == f"# stochlab {__version__} check invariance"
     body = [ln for ln in lines if not ln.startswith("#")]
     assert body[0] == "criterion,value,passed"
     rows = [ln.split(",") for ln in body[1:]]
-    assert len(rows) == len(report.conditions)
-    assert {r[0] for r in rows} == {c.name for c in report.conditions}
-    assert all(r[2] == "1" for r in rows)
+    assert rows == [[c.name, f"{c.max_residual:.17g}", "1"] for c in report.conditions]
 
 
 def test_equilibrium_larmor_preserving_poles_persist():

@@ -373,6 +373,78 @@ def test_stability_abort_keeps_the_files_of_earlier_entries(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["attraction.csv"]
 
 
+_LL = {"name": "ll", "params": {"alpha": 1.0}}
+_KUBO = {"name": "kubo", "params": {"a": 1.0, "sigma": 0.5}}
+_LINEAR = {"name": "scalar_linear", "params": {"a": -1.0, "b_scalar": 1.0}}
+
+# case -> (task, config without its None values, exit code, stdout with {out}
+# for the output directory)
+KIND_RUNS = {
+    "invariance": ("check", base_cfg(
+        seed=7, analyses=[{"kind": "invariance", "tol": 1e-9, "samples": 16}]), 0,
+        "check invariance: pass (max residual 2.22e-16) -> {out}/invariance.csv"),
+    "equilibrium": ("check", base_cfg(
+        model=_LL, analyses=[{"kind": "equilibrium", "point": [0.0, 0.0, 1.0], "tol": 1e-12}]),
+        0, "check equilibrium: pass (all terms vanish) -> {out}/equilibrium.csv"),
+    "equilibrium_fails": ("check", base_cfg(
+        model=_LL, analyses=[{"kind": "equilibrium", "point": [1.0, 0.0, 0.0], "tol": 1e-12}]),
+        1, "check equilibrium: FAIL (nonzero: precession, damping) -> {out}/equilibrium.csv"),
+    "lyapunov": ("check", base_cfg(
+        model=_LL, h=1e-2, analyses=[{"kind": "lyapunov", "functional": "neg_align"}]), 0,
+        "check lyapunov: pass (0 violations, max increase 0) -> {out}/lyapunov.csv"),
+    "first-integral": ("check", base_cfg(
+        seed=11, model=_KUBO, scheme="heun", h=2.0**-7, x0=[1.0, 0.0],
+        analyses=[{"kind": "first-integral", "functional": "norm2", "tol": 1e-3}]), 0,
+        "check first-integral: pass (max drift 0.000382) -> {out}/first-integral.csv"),
+    "symplecticity": ("check", base_cfg(
+        seed=11, model=_KUBO, scheme="heun", h=2.0**-7, x0=[1.0, 0.0],
+        analyses=[{"kind": "symplecticity", "tol": 1e-2}]), 0,
+        "check symplecticity: pass (defect 0.000338) -> {out}/symplecticity.csv"),
+    "convergence": ("convergence", base_cfg(
+        seed=2, model=_LINEAR, scheme=None, x0=[1.0],
+        analyses=[{"kind": "convergence", "oracle": "closed_form", "levels": 3,
+                   "n_paths": 30, "h0": 2.0**-4}]), 0,
+        "convergence: slope 0.6676 +/- 0.1749 -> {out}/convergence.csv"),
+    "stability": ("stability", base_cfg(
+        seed=4, model=_LINEAR, scheme=None, T=2.0, h=1e-2, n_paths=50, x0=[0.01],
+        analyses=[{"kind": "stability", "x0_radius": 0.01, "delta": 0.02}]), 0,
+        "stability: exceedance 0.2000 +/- 0.1109 -> {out}/stability.csv"),
+    "attraction": ("stability", base_cfg(
+        seed=4, model=_LINEAR, scheme=None, T=2.0, h=1e-2, n_paths=50, x0=[0.01],
+        analyses=[{"kind": "attraction", "target": [0.0], "eps": 0.005}]), 0,
+        "attraction: fraction 0.9600 +/- 0.0543 -> {out}/attraction.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIND_RUNS))
+def test_each_kind_prints_its_line_and_exit_code(tmp_path, capsys, case):
+    task, cfg, code, line = KIND_RUNS[case]
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    out = tmp_path / "run"
+    assert main([task, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().out == line.format(out=out) + "\n"
+
+
+@pytest.mark.parametrize("task, cfg, message", [
+    ("check", base_cfg(model=_LL, x0=None,
+                       analyses=[{"kind": "lyapunov", "functional": "neg_align"}]),
+     "task 'check' needs an x0"),
+    ("stability", base_cfg(model=_LINEAR, scheme=None, x0=None,
+                           analyses=[{"kind": "attraction", "target": [0.0], "eps": 0.1}]),
+     "task 'stability' needs an x0"),
+    ("convergence", base_cfg(x0="sphere",
+                             analyses=[{"kind": "convergence", "oracle": "finest_refinement",
+                                        "levels": 3, "n_paths": 8}]),
+     "convergence analysis needs an explicit x0 vector"),
+], ids=["lyapunov_without_x0", "attraction_without_x0", "convergence_with_sphere_x0"])
+def test_the_x0_a_kind_needs_is_checked_before_any_run(tmp_path, capsys, task, cfg, message):
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    out = tmp_path / "out"
+    assert main([task, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 BAD_CONFIGS = {
     "not_yaml": ("simulate", "version: [1"),
     "not_a_mapping": ("simulate", "- 1\n- 2\n"),
