@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import integrate
 from .integrate import (
     ModelSpec,
     Trajectory,
@@ -28,13 +29,20 @@ from .integrate import (
     run_ensemble,
 )
 from .noise import (
+    DOMAIN_BASE,
     DOMAIN_ENSEMBLE,
+    DOMAIN_REFINE,
     NoisePath,
     ParameterProcess,
     _brownian_stack,
+    _fresh_streams,
     _grid_steps,
+    _keyed,
+    _normal_rows,
+    _refine_scratch,
     _refine_stack,
     derive_seed,
+    philox_keys,
     stream,
 )
 from .vecalg import (
@@ -245,9 +253,9 @@ def check_invariance(
     conditions.append(ConditionResult("drift_tangency", worst, worst <= tol))
 
     if model.interpretation in ("ito", "stratonovich"):
+        sigs = [np.asarray(model.diffusion(t, pts)) for t in _TS]  # once per time
         worst = 0.0
-        for t in _TS:
-            sig = np.asarray(model.diffusion(t, pts))
+        for sig in sigs:
             proj = np.einsum("...i,...il->...l", grads, sig)
             worst = max(worst, float(np.max(np.abs(proj))))
         conditions.append(ConditionResult("diffusion_tangency", worst, worst <= tol))
@@ -255,8 +263,7 @@ def check_invariance(
     if model.interpretation == "ito":
         hess = np.asarray(F.hessian(pts))
         worst = 0.0
-        for t in _TS:
-            sig = np.asarray(model.diffusion(t, pts))
+        for sig in sigs:
             a = np.einsum("...il,...jl->...ij", sig, sig)
             worst = max(worst, float(np.max(np.abs(0.5 * np.sum(hess * a, axis=(-2, -1))))))
         conditions.append(ConditionResult("second_order_trace", worst, worst <= tol))
@@ -295,10 +302,10 @@ def check_equilibrium(
         drift_results.append(TermResult(name, worst, worst <= tol))
     diff_results = []
     if model.diffusion is not None:
+        sigs = [np.asarray(model.diffusion(t, x)) for t in _TS]  # once per time
         for k in range(model.noise_dim):
             worst = 0.0
-            for t in _TS:
-                sig = np.asarray(model.diffusion(t, x))
+            for sig in sigs:
                 worst = max(worst, float(np.linalg.norm(sig[:, k])))
             diff_results.append(TermResult(f"column_{k + 1}", worst, worst <= tol))
     verdict = all(t.vanishes for t in drift_results) and all(
@@ -373,27 +380,66 @@ def _fit_order(hs, errors) -> tuple[float, float]:
 
 
 def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
-    """Yield dyadic refinements of coupled Brownian paths one level at a time,
-    coarsest first, as (increments (N, P, dims), times).
+    """Yield dyadic refinements of coupled Brownian paths in pieces (level,
+    increments (rows, P, dims), times (rows + 1,)).  Each level's pieces come
+    in time order and tile its grid; path p is sample_brownian(seeds[p], T,
+    h0, dims) refined once per level, bit for bit.
 
-    Path p is sample_brownian(seeds[p], T, h0, dims) refined once per level,
-    bit for bit; only the level being refined is held here.
+    A level whose stack fits in integrate._BLOCK_VALUES values comes whole,
+    coarsest first, drawn on streams used once.  The deeper levels then come
+    in lockstep over time blocks of the last whole level's grid (level 0's,
+    where no level fits): per block, coarsest first, each refined from its
+    parent's piece on persistent per-path streams, so memory does not grow
+    with T or with the finest level.  The pieces of a block hold at most
+    _BLOCK_VALUES values, unless one grid step needs more, in buffers made
+    once: a streamed piece is valid until the next piece is yielded.
     """
-    h = h0
-    increments = _brownian_stack(seeds, T, h, dims)
-    for level in range(levels):
-        times = np.arange(len(increments) + 1) * h
-        yield increments, times
-        if level + 1 < levels:
-            increments = _refine_stack(increments, h, seeds, level)
+    p, n, h = len(seeds), _grid_steps(T, h0), h0
+    whole = 0
+    while whole < levels and (n << whole) * p * dims <= integrate._BLOCK_VALUES:
+        whole += 1
+    for level in range(whole):
+        if level:
+            keys = philox_keys(seeds, DOMAIN_REFINE, level)
+            increments = _refine_stack(increments, h, _fresh_streams(keys))
             h /= 2.0
+        else:
+            increments = _brownian_stack(seeds, T, h, dims)
+        yield level, increments, np.arange(len(increments) + 1) * h
+    if whole == levels:
+        return
+    # the grid the blocks tile, and the first streamed level's steps per grid step
+    grid, ratio = (len(increments), 2) if whole else (n, 1)
+    block = max(1, integrate._BLOCK_VALUES // (ratio * (2 ** (levels - whole) - 1) * p * dims))
+    streamed, top = [], h
+    for level in range(whole, levels):
+        if level:
+            keys, buf = philox_keys(seeds, DOMAIN_REFINE, level), np.empty((block * ratio, p, dims))
+            h /= 2.0
+        else:  # level 0 draws its block, each path's steps contiguous
+            keys, buf = philox_keys(seeds, DOMAIN_BASE, 0), np.empty((p, block, dims))
+        streamed.append((level, ratio, h, [_keyed(key) for key in keys], buf))
+        ratio *= 2
+    scratch = np.empty(_refine_scratch(block * ratio // 4, p, dims))  # up to the finest's parent
+    for a in range(0, grid, block):
+        b = min(a + block, grid)
+        piece, hp = (increments[a:b] if whole else None), top
+        for level, r, hl, gens, buf in streamed:
+            if piece is None:
+                piece = _normal_rows(gens, buf[:, :b - a], math.sqrt(hl)).transpose(1, 0, 2)
+            else:
+                piece = _refine_stack(piece, hp, gens, buf[:(b - a) * r], scratch)
+            hp = hl
+            yield level, piece, np.arange(a * r, b * r + 1) * hl
 
 
 def _check_study(model, scheme, levels, n_paths, T, h0, extra=0, min_levels=3):
     """Raise ValueError unless a refinement study of levels >= min_levels
     levels can run n_paths paths of scheme on model, coarsest step h0
-    (_check_ensemble), and its finest stack, extra levels below the last, can
-    be indexed."""
+    (_check_ensemble), and its finest level, extra levels below the last,
+    holds no more values than an array can index.  The study streams that
+    level in time, but the rule stops one that could never finish before
+    any path is drawn."""
     n_steps = _check_ensemble(model, scheme, n_paths, T, h0)
     if levels < min_levels:
         raise ValueError(f"need at least {min_levels} levels, got {levels}")
@@ -417,14 +463,36 @@ def _check_convergence(model, scheme, oracle, levels, n_paths, T, h0, closed_for
         raise ValueError(f"oracle_gap must be >= 1, got {oracle_gap}")
 
 
-def _coupled_terminal(model, scheme, x0, increments, times):
-    """Terminal states of the coupled paths at one refinement level, given
-    that level's stacked increments (N, P, l) and its grid."""
-    x0b = np.broadcast_to(x0, (increments.shape[1],) + x0.shape)
+def _step_piece(model, scheme, x, w, k, increments, times):
+    """Step the states x (P, n) of coupled paths, k steps into their level,
+    over its next piece (_coupled_paths); a RODE model's driving W (P,) moves
+    with it.  Returns (x, w, k) after the piece."""
     noise = increments
     if model.interpretation == "rode":
-        noise = _eta_block(model, times, np.zeros(increments.shape[1]), increments)[0]
-    return _scheme_states(model, scheme, x0b, times, noise, record=False)
+        noise, w = _eta_block(model, times, w, increments)
+    x = _scheme_states(model, scheme, x, times, noise, record=False, first=k)
+    return x, w, k + len(increments)
+
+
+def _coupled_terminals(runs, x0, seeds, T, h0, dims, levels, w_level=None):
+    """Terminal states (P, n) of each (level, model, scheme) of runs, in
+    order, stepped from x0 on the coupled paths of _coupled_paths piece by
+    piece: a run carries its states, its step count and, on a RODE model, its
+    driving W from one piece of its level to the next.  Also returns the
+    last grid time t of level w_level and W there (P, dims), each path's
+    increments of that level summed in order."""
+    x0b = np.broadcast_to(x0, (len(seeds),) + x0.shape)
+    carried = [(x0b, np.zeros(len(seeds)), 0) for _ in runs]
+    t, w = None, np.zeros((len(seeds), dims))
+    for level, increments, times in _coupled_paths(seeds, T, h0, dims, levels):
+        for i, (run_level, model, scheme) in enumerate(runs):
+            if run_level == level:
+                carried[i] = _step_piece(model, scheme, *carried[i], increments, times)
+        if level == w_level:
+            t = times[-1]
+            for row in increments:
+                w += row
+    return [x for x, _, _ in carried], t, w
 
 
 def empirical_convergence_order(
@@ -442,8 +510,10 @@ def empirical_convergence_order(
 ) -> OrderEstimate:
     """Strong error per dyadic level on coupled refined paths, with a log-log fit.
 
-    oracle 'closed_form' compares terminal states against closed_form(x0, path)
-    evaluated on each path's finest refinement; 'finest_refinement' compares
+    oracle 'closed_form' compares terminal states against closed_form(x0, t,
+    w), the (P, n) exact terminal states of all paths from x0 at t, the
+    finest level's last grid time, where w (P, l) holds each path's W there,
+    its finest increments summed in order; 'finest_refinement' compares
     against the same scheme run oracle_gap halvings below the finest measured
     level (the gap keeps the reference error from contaminating the slope).
     Raises ValueError where _check_convergence does, and where x0 does not
@@ -453,17 +523,12 @@ def empirical_convergence_order(
     x0 = np.asarray(x0, dtype=float)
     extra = oracle_gap if oracle == "finest_refinement" else 0
     seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
-    terminal = []
-    for lev, (increments, times) in enumerate(
-            _coupled_paths(seeds, T, h0, max(model.noise_dim, 1), levels + extra)):
-        if lev < levels:
-            terminal.append(_coupled_terminal(model, scheme, x0, increments, times))
-    # the loop leaves increments and times at the finest level
-    if oracle == "closed_form":
-        ref = np.stack([np.asarray(closed_form(x0, NoisePath(times, increments[:, p], int(s), lev)))
-                        for p, s in enumerate(seeds)])
-    else:
-        ref = _coupled_terminal(model, scheme, x0, increments, times)
+    runs = [(level, model, scheme) for level in range(levels)]
+    if extra:
+        runs.append((levels + extra - 1, model, scheme))
+    terminal, t, w = _coupled_terminals(runs, x0, seeds, T, h0, max(model.noise_dim, 1),
+                                        levels + extra, None if extra else levels - 1)
+    ref = terminal.pop() if extra else np.asarray(closed_form(x0, t, w))
     errors = np.array(
         [float(np.mean(np.linalg.norm(xT - ref, axis=-1))) for xT in terminal]
     )
@@ -491,10 +556,9 @@ def functional_drift_decay(
     x0 = np.asarray(x0, dtype=float)
     f0 = float(F.value(x0))
     seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
-    drifts = []
-    for increments, times in _coupled_paths(seeds, T, h0, max(model.noise_dim, 1), levels):
-        xT = _coupled_terminal(model, scheme, x0, increments, times)
-        drifts.append(float(np.mean(np.abs(np.asarray(F.value(xT)) - f0))))
+    terminal, _, _ = _coupled_terminals([(level, model, scheme) for level in range(levels)],
+                                        x0, seeds, T, h0, max(model.noise_dim, 1), levels)
+    drifts = [float(np.mean(np.abs(np.asarray(F.value(xT)) - f0))) for xT in terminal]
     hs = h0 / 2.0 ** np.arange(levels)
     slope, half = _fit_order(hs, drifts)
     return OrderEstimate(step_sizes=hs, errors=np.asarray(drifts), slope=slope, half_width=half)
@@ -564,14 +628,11 @@ def conversion_gap_decay(
                          "dimension")
     x0 = np.asarray(x0, dtype=float)
     seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
-    x0b = np.broadcast_to(x0, (n_paths,) + x0.shape)
-    gaps = []
-    for increments, times in _coupled_paths(seeds, T, h0, model_strat.noise_dim, levels):
-        x_heun = _scheme_states(model_strat, "heun", x0b, times, increments, record=False)
-        x_em = _scheme_states(model_ito, "euler_maruyama", x0b, times, increments,
-                              record=False)
-        gaps.append(float(np.mean(np.linalg.norm(x_heun - x_em, axis=-1))))
-    gaps = np.asarray(gaps)
+    runs = [(level, model, scheme) for level in range(levels)
+            for model, scheme in ((model_strat, "heun"), (model_ito, "euler_maruyama"))]
+    terminal, _, _ = _coupled_terminals(runs, x0, seeds, T, h0, model_strat.noise_dim, levels)
+    gaps = np.array([float(np.mean(np.linalg.norm(x_heun - x_em, axis=-1)))
+                     for x_heun, x_em in zip(terminal[0::2], terminal[1::2])])
     return GapDecay(
         step_sizes=h0 / 2.0 ** np.arange(levels),
         gaps=gaps,

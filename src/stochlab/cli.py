@@ -299,10 +299,10 @@ def _functional(name: str, model) -> ScalarField:
 def _closed_form(model):
     if model.name == "scalar_linear":
         a, b = model.params["a"], model.params["b_scalar"]
-        return lambda x0, path: np.atleast_1d(scalar_linear_exact(a, b, x0[0], path)[-1])
+        return lambda x0, t, w: scalar_linear_exact(a, b, x0[0], t, w)
     if model.name == "kubo":
         a, s = model.params["a"], model.params["sigma"]
-        return lambda x0, path: kubo_exact(a, s, x0, path)[-1]
+        return lambda x0, t, w: kubo_exact(a, s, x0, t, w[:, 0])
     return None
 
 

@@ -235,7 +235,7 @@ def _stacked(fn, eta_dim=0):
     return field
 
 
-def _kernel_states(model, advance, times, x0, noise, record=True, out=None):
+def _kernel_states(model, advance, times, x0, noise, record=True, out=None, first=0):
     """Drive advance(kernel, t, h, xs, w, k) -> xs over the grid on state components.
 
     noise has shape (rows, ..., l) matching the batch axes of x0, or
@@ -246,7 +246,8 @@ def _kernel_states(model, advance, times, x0, noise, record=True, out=None):
     (N+1,) + x0.shape, recorded into out (a C-contiguous array of that shape
     and x0's dtype; x0 may be out[0]) where given, or the terminal state when
     record is off.  Raises ValueError unless x0 holds model.n components on
-    its last axis.
+    its last axis, and IntegrationError at a non-finite state, naming its
+    step on a grid where times[0] is row first.
     """
     _check_state(model, x0)
     kernel = model.kernel
@@ -271,7 +272,7 @@ def _kernel_states(model, advance, times, x0, noise, record=True, out=None):
             if record:
                 rows[k + 1] = xs
             if not all(map(cmath.isfinite, xs)):
-                _check_finite(np.reshape(xs, x0.shape), k, t, times,
+                _check_finite(np.reshape(xs, x0.shape), first + k, t, times,
                               states[: k + 2] if record else None, last)
         return states if record else np.reshape(xs, x0.shape)
 
@@ -286,7 +287,7 @@ def _kernel_states(model, advance, times, x0, noise, record=True, out=None):
         row = states[k + 1] if record else terminal
         for i, c in enumerate(xs):
             row[..., i] = c
-        _check_finite(row, k, t, times, states[: k + 2] if record else None, last)
+        _check_finite(row, first + k, t, times, states[: k + 2] if record else None, last)
     return states if record else terminal
 
 
@@ -457,12 +458,13 @@ _ADVANCE = {"euler_maruyama": _em_advance, "heun": _heun_advance, "rk4": _rk4_ad
             "rode_heun": _rode_heun_advance, "rode_euler": _rode_euler_advance}
 
 
-def _scheme_states(model, scheme, x0, times, noise, record=True, out=None):
+def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first=0):
     """Integrate a batch under a checked scheme; noise is the (N, ..., l)
     increment stack of a stochastic scheme, the (N+1, ..., l) eta rows of a
     RODE scheme (step k reads rows k and k+1), and unused by rk4.  The
-    states are recorded into out where given (see _kernel_states)."""
-    return _kernel_states(model, _ADVANCE[scheme], times, x0, noise, record, out)
+    states are recorded into out where given, and an error names its step
+    from row first (see _kernel_states)."""
+    return _kernel_states(model, _ADVANCE[scheme], times, x0, noise, record, out, first)
 
 
 # Noise values an ensemble draws per time block: 2**19 float64 values (4 MiB).

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .integrate import ModelSpec, _stacked, validate_model
-from .noise import NoisePath, iterated_log
+from .noise import iterated_log
 
 REQUIRED = object()
 
@@ -336,13 +336,15 @@ def _build_kubo(a, sigma):
     )
 
 
-def kubo_exact(a, sigma, x0, path: NoisePath) -> np.ndarray:
-    """Closed-form Kubo solution on the path grid: rotation by a t + sigma W_t.
+def kubo_exact(a, sigma, x0, t, w) -> np.ndarray:
+    """Closed-form Kubo solution at times t where the Brownian path has the
+    values w (t and w broadcast together; on a NoisePath, path.times and
+    path.cumulative()[:, 0]): x0 rotated by a t + sigma W_t, shape (..., 2).
 
     The drift and diffusion generators commute, so the Stratonovich flow is
     the planar rotation through the random angle.
     """
-    theta = a * path.times + sigma * path.cumulative()[:, 0]
+    theta = a * t + sigma * w
     c, s = np.cos(theta), np.sin(theta)
     x0 = np.asarray(x0, dtype=float)
     return np.stack([c * x0[0] - s * x0[1], s * x0[0] + c * x0[1]], axis=-1)
@@ -361,10 +363,10 @@ def _build_scalar_linear(a, b_scalar):
     )
 
 
-def scalar_linear_exact(a, b_scalar, x0, path: NoisePath) -> np.ndarray:
-    """Closed-form solution x0 exp((a - b^2/2) t + b W_t) on the path grid."""
-    w = path.cumulative()[:, 0]
-    return x0 * np.exp((a - 0.5 * b_scalar**2) * path.times + b_scalar * w)
+def scalar_linear_exact(a, b_scalar, x0, t, w) -> np.ndarray:
+    """Closed-form solution x0 exp((a - b^2/2) t + b W_t) at times t where
+    the Brownian path has the values w, broadcast together as in kubo_exact."""
+    return x0 * np.exp((a - 0.5 * b_scalar**2) * t + b_scalar * w)
 
 
 def _build_isochronous(omega, eps):

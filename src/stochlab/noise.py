@@ -9,7 +9,8 @@ index)) would give; _keyed builds a stream on its key without reading OS
 entropy.  Streams drawn from once (base draws, refinement levels, ensemble
 samplers) share one re-keyed Philox, and each path's draw lands
 contiguously in a buffer: the base increments of P coupled paths in one
-(N, P, l) stack, their bridge refinements chunk by chunk of paths.
+(N, P, l) stack, their bridge refinements chunk by chunk of paths.  A
+refinement drawn block by block in time keeps one persistent stream a path.
 sample_brownian and refine are the one-path calls, so a path is drawn and
 refined alike alone or in a stack, bit for bit.
 Increments are the canonical storage; cumulative values are always derived.
@@ -146,11 +147,14 @@ def stream(seed: int, domain: int, index: int) -> np.random.Generator:
 def _fresh_streams(keys):
     """Yield, for each Philox key, a generator as fresh as _keyed(key), valid
     until the next one is yielded.  One Philox is re-keyed throughout, a
-    third of the cost of building one; it suits streams drawn from once."""
+    third of the cost of building one; it suits streams drawn from once.
+    The state holds Python ints, which the setter reads faster than arrays."""
     gen = _keyed(np.zeros(2, np.uint64))
     bits, state = gen.bit_generator, gen.bit_generator.state
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     for key in keys:
-        state["state"]["key"] = key
+        state["state"]["key"] = key.tolist()
         bits.state = state
         yield gen
 
@@ -237,8 +241,8 @@ def refine(path: NoisePath) -> NoisePath:
     """Halve the step by Brownian-bridge conditioning.
 
     The path draws its midpoint noise from its own (seed, DOMAIN_REFINE,
-    level + 1) stream, so it refines alike alone or in a stack of coupled
-    paths (_refine_stack), bit for bit.
+    level + 1) stream, so it refines alike alone, in a stack of coupled
+    paths or block by block in time (_refine_stack), bit for bit.
 
     Midpoint increments are parent/2 + xi with xi ~ N(0, h/4), so the two
     fine increments of every parent step sum back to the parent increment:
@@ -248,35 +252,56 @@ def refine(path: NoisePath) -> NoisePath:
     the midpoint deviation near |p|), and clipping would bias every strong
     convergence study run on refined families, so sub-ulp closure wins.
     """
-    fine = _refine_stack(path.increments[:, None], path.h, [path.seed], path.level)[:, 0]
+    keys = philox_keys(path.seed, DOMAIN_REFINE, path.level + 1)[None]
+    fine = _refine_stack(path.increments[:, None], path.h, _fresh_streams(keys))[:, 0]
     times = np.arange(len(fine) + 1) * (path.h / 2.0)
     return NoisePath(times=times, increments=fine, seed=path.seed, level=path.level + 1)
 
 
-def _refine_stack(parent: np.ndarray, h: float, seeds, level: int) -> np.ndarray:
-    """refine on the (N, P, l) increments of P paths at refinement level
-    `level` on a grid of step h, path p sampled from seeds[p]: returns the
-    (2N, P, l) stack one level finer.  Paths are refined in chunks of about
-    _REFINE_CHUNK noise values: each path of a chunk draws its midpoint noise
-    contiguously into one reused buffer, and the bridge arithmetic runs on
-    that chunk alone, so nothing full-size is held but parent and the output."""
+def _refine_scratch(n: int, p: int, l: int) -> int:
+    """Values of the scratch buffer with which _refine_stack refines any
+    (m, p, l) stack with m <= n: a chunk's midpoint draws and its two halves."""
+    return 3 * min(p * n * l, max(_REFINE_CHUNK, n * l))
+
+
+def _refine_stack(parent: np.ndarray, h: float, gens, fine=None, scratch=None) -> np.ndarray:
+    """refine on the (N, P, l) increments of P paths on a grid of step h,
+    path p drawing its midpoint noise from gens[p], its stream of the level
+    one finer: returns the (2N, P, l) stack one level finer, written into
+    fine where given.
+
+    gens is consumed in path order, once per call, so it may be a one-shot
+    iterator of fresh streams (_fresh_streams) or a list of persistent ones
+    (_keyed); each path's stream then continues where it stopped, so
+    refining a stack in time blocks, on the same persistent streams, equals
+    refining it whole, bit for bit.  Paths are refined in chunks of about
+    _REFINE_CHUNK noise values: each path of a chunk draws contiguously, and
+    the bridge arithmetic runs on that chunk alone, all in one flat scratch
+    buffer of _refine_scratch(N, P, l) values (made here unless given), so
+    nothing full-size is held but parent and fine.
+    """
     n, p, l = parent.shape
-    streams = _fresh_streams(philox_keys(seeds, DOMAIN_REFINE, level + 1))
+    gens = iter(gens)
     step = max(1, _REFINE_CHUNK // max(n * l, 1))
-    buf = np.empty((min(step, p), n, l))
-    fine = np.empty((2 * n, p, l))
+    if scratch is None:
+        scratch = np.empty(_refine_scratch(n, p, l))
+    if fine is None:
+        fine = np.empty((2 * n, p, l))
     for c in range(0, p, step):
         d = min(c + step, p)
-        xi = _normal_rows(streams, buf[:d - c], math.sqrt(h) / 2.0).transpose(1, 0, 2)
+        k = (d - c) * n * l
+        xi = _normal_rows(gens, scratch[:k].reshape(d - c, n, l), math.sqrt(h) / 2.0)
+        first, second = (scratch[j * k:(j + 1) * k].reshape(n, d - c, l) for j in (1, 2))
         coarse = parent[:, c:d]
-        first = 0.5 * coarse + xi
-        second = coarse - first
+        np.multiply(coarse, 0.5, out=first)
+        first += xi.transpose(1, 0, 2)
+        np.subtract(coarse, first, out=second)
         # where the rounded pair misses the parent by an ulp, re-deriving
         # first from the stored complement restores exact closure on most
         # such steps without touching the bridge statistics
-        bad = (first + second) != coarse
-        if np.any(bad):
-            first = np.where(bad, coarse - second, first)
+        bad = np.add(first, second, out=scratch[:k].reshape(n, d - c, l)) != coarse
+        if bad.any():
+            np.subtract(coarse, second, out=first, where=bad)
         fine[0::2, c:d] = first
         fine[1::2, c:d] = second
     return fine

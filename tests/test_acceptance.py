@@ -172,7 +172,7 @@ def _linear_exceedance_probability(a, b, x0, delta, T):
 def test_scalar_linear_order_stability_and_generator(acceptance):
     # strong order of Euler-Maruyama against the exact solution
     model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
-    cf = lambda x0, path: np.atleast_1d(scalar_linear_exact(-1.0, 1.0, x0[0], path)[-1])
+    cf = lambda x0, t, w: scalar_linear_exact(-1.0, 1.0, x0[0], t, w)
     est = empirical_convergence_order(model, [1.0], "euler_maruyama", "closed_form",
                                       levels=5, n_paths=1000, seed=42, h0=2.0**-4,
                                       closed_form=cf)

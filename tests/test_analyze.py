@@ -1,5 +1,6 @@
 """Persistence checker, order-estimation, and stability analysis tests."""
 import dataclasses
+import functools
 import inspect
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from stochlab import __version__, analyze
+from stochlab import __version__, analyze, integrate
 from stochlab.analyze import (
     check_equilibrium,
     check_invariance,
@@ -31,8 +32,10 @@ from stochlab.analyze import (_check_convergence, _coupled_paths, _fit_order,
                               _stability_estimator, _start_key)
 from stochlab.cli import main
 from stochlab.integrate import (
+    IntegrationError,
     ModelSpec,
     Trajectory,
+    _eta_block,
     _scheme_states,
     apply_generator,
     run_ensemble,
@@ -48,7 +51,8 @@ from stochlab.noise import (
     sample_brownian,
     stream,
 )
-from stochlab.vecalg import casimir_field, norm_squared_field, quadratic_field, sphere_field
+from stochlab.vecalg import (ScalarField, casimir_field, norm_squared_field, quadratic_field,
+                             sphere_field)
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -109,6 +113,26 @@ def test_invariance_ito_ell_fails_with_frozen_trace():
     assert cond["drift_tangency"].passed
     # tr(sigma sigma^T) = 2 eps^2 (1 + alpha^2) on the unit sphere
     assert cond["second_order_trace"].max_residual == pytest.approx(0.04, rel=1e-9)
+
+
+def test_the_checks_evaluate_the_diffusion_once_per_time():
+    """check_invariance reads sigma for diffusion tangency and the Ito trace,
+    and check_equilibrium for every column, from one evaluation a time."""
+    model = build_model("ell", interpretation="ito", eps=0.1)
+    times = []
+
+    def diffusion(t, x):
+        times.append(t)
+        return model.diffusion(t, x)
+
+    counted = dataclasses.replace(model, diffusion=diffusion)
+    assert check_invariance(counted, sphere_field(), fibonacci_sphere(32), 1e-9) == \
+        check_invariance(model, sphere_field(), fibonacci_sphere(32), 1e-9)
+    assert times == [0.0, 0.5, 1.0]
+    times.clear()
+    assert check_equilibrium(counted, [0.6, 0.0, 0.8], 1e-9) == \
+        check_equilibrium(model, [0.6, 0.0, 0.8], 1e-9)
+    assert times == [0.0, 0.5, 1.0]
 
 
 def test_invariance_trace_scales_with_amplitude():
@@ -250,7 +274,7 @@ def test_empirical_convergence_order_validates_inputs():
 
 def test_empirical_convergence_order_em_half():
     model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
-    cf = lambda x0, path: np.atleast_1d(scalar_linear_exact(-1.0, 1.0, x0[0], path)[-1])
+    cf = lambda x0, t, w: scalar_linear_exact(-1.0, 1.0, x0[0], t, w)
     est = empirical_convergence_order(model, [1.0], "euler_maruyama", "closed_form",
                                       levels=3, n_paths=60, seed=2, h0=2.0**-4,
                                       closed_form=cf)
@@ -305,19 +329,185 @@ def _per_path_coupled_paths(seed, n_paths, T, h0, dims, levels):
             for lev in range(levels)]
 
 
+def _levels_of(pieces):
+    """The (increments, times) of each level, joined from the pieces of
+    _coupled_paths (copied, since a streamed piece lives in a reused
+    buffer), and the number of pieces of each level."""
+    joined = {}
+    for level, increments, times in pieces:
+        assert level in joined or level == len(joined)  # coarsest first
+        incs, ts = joined.setdefault(level, ([], []))
+        assert not ts or times[0] == ts[-1][-1]  # time order, tiling the grid
+        incs.append(increments.copy())
+        ts.append(times if not ts else times[1:])
+    return ([(np.concatenate(incs), np.concatenate(ts)) for incs, ts in joined.values()],
+            [len(incs) for incs, _ in joined.values()])
+
+
 @pytest.mark.parametrize("dims", [1, 2])
 def test_coupled_paths_equal_the_per_path_loop_at_every_level(dims):
     seed, n_paths, T, h0, levels = 4, 5, 1.0, 2.0**-3, 4
     seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
     expected = _per_path_coupled_paths(seed, n_paths, T, h0, dims, levels)
-    got = 0
-    for (increments, times), (ref_increments, ref_times) in zip(
-            _coupled_paths(seeds, T, h0, dims, levels), expected):
+    got, _ = _levels_of(_coupled_paths(seeds, T, h0, dims, levels))
+    assert len(got) == levels
+    for (increments, times), (ref_increments, ref_times) in zip(got, expected):
         assert increments.shape == ref_increments.shape
         assert np.array_equal(increments, ref_increments)
         assert np.array_equal(times, ref_times)
-        got += 1
-    assert got == levels
+
+
+# _BLOCK_VALUES for 5 paths of 8, 16, 32 and 64 steps, 40 to 320 values a
+# level: how many levels come whole, and the pieces of each streamed level
+_BLOCKS = {
+    "whole": (2**19, [1, 1, 1, 1]),
+    "3_whole_short_last_block": (225, [1, 1, 1, 2]),  # blocks of 22 and 10 level-2 steps
+    "2_whole_short_last_block": (100, [1, 1, 6, 6]),  # 5 blocks of 3 level-1 steps, then 1
+    "2_whole": (80, [1, 1, 8, 8]),  # blocks of 2 level-1 steps
+    "1_whole_one_step_blocks": (40, [1, 8, 8, 8]),  # blocks of one level-0 step
+    "none_whole_one_step_blocks": (39, [8, 8, 8, 8]),  # level 0 streams too
+}
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("block", _BLOCKS, ids=list(_BLOCKS))
+def test_streamed_levels_equal_the_per_path_loop(monkeypatch, block, dims):
+    """Levels past _BLOCK_VALUES come in lockstep time blocks, refined on
+    persistent streams, with the same bits as levels built whole; each
+    streamed level's pieces reuse one buffer."""
+    values, pieces = _BLOCKS[block]
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", values * dims)
+    seed, n_paths, T, h0, levels = 4, 5, 1.0, 2.0**-3, 4
+    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
+    expected = _per_path_coupled_paths(seed, n_paths, T, h0, dims, levels)
+    got, counts = _levels_of(_coupled_paths(seeds, T, h0, dims, levels))
+    assert counts == pieces
+    for (increments, times), (ref_increments, ref_times) in zip(got, expected):
+        assert increments.tobytes() == ref_increments.tobytes()
+        assert times.tobytes() == ref_times.tobytes()
+    buffers = {}
+    for level, increments, _ in _coupled_paths(seeds, T, h0, dims, levels):
+        assert np.shares_memory(increments, buffers.setdefault(level, increments))
+
+
+def _whole_level_terminal(model, scheme, x0, increments, times):
+    """Terminal states of one whole refinement level stepped from x0."""
+    noise = increments
+    if model.interpretation == "rode":
+        noise = _eta_block(model, times, np.zeros(increments.shape[1]), increments)[0]
+    x0b = np.broadcast_to(x0, (increments.shape[1],) + x0.shape)
+    return _scheme_states(model, scheme, x0b, times, noise, record=False)
+
+
+def _kubo_cf(x0, t, w):
+    return kubo_exact(1.0, 0.5, x0, t, w[:, 0])
+
+
+def _linear_cf(x0, t, w):
+    return scalar_linear_exact(-1.0, 1.0, x0[0], t, w)
+
+
+def _path_exact(oracle, x0, increments, times):
+    """Each path's terminal closed-form state on its whole finest path, as
+    the closed forms were evaluated before they took terminal arguments."""
+    w = [np.cumsum(increments[:, p, 0]) for p in range(increments.shape[1])]
+    if oracle is _kubo_cf:
+        return np.stack([kubo_exact(1.0, 0.5, x0, times[1:], wp)[-1] for wp in w])
+    return np.stack([scalar_linear_exact(-1.0, 1.0, x0[0], times[1:], wp)[-1:] for wp in w])
+
+
+KUBO_HALF = build_model("kubo", a=1.0, sigma=0.5)
+LINEAR = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
+RODE_LL = build_model("rode_ll")
+# name: (study, its whole-level reference from the per-path levels); 5 paths
+# of 8 coarse steps and 4 levels in each (T = 4 moves the rode_ll eta)
+_STUDIES = {
+    "heun_finest_refinement": (
+        KUBO_HALF, [1.0, 0.0], "heun", "finest_refinement", 3, 1, 1.0, None),
+    "heun_closed_form": (KUBO_HALF, [1.0, 0.0], "heun", "closed_form", 4, 0, 1.0, _kubo_cf),
+    "em_closed_form": (LINEAR, [1.0], "euler_maruyama", "closed_form", 4, 0, 1.0, _linear_cf),
+    "rode_heun_finest_refinement": (
+        RODE_LL, [0.6, 0.0, 0.8], "rode_heun", "finest_refinement", 3, 1, 4.0, None),
+    "heun_functional_drift": (KUBO_HALF, [1.0, 0.0], "heun", casimir_field(), 4, 0, 1.0, None),
+    "rode_heun_functional_drift": (
+        RODE_LL, [0.6, 0.0, 0.8], "rode_heun", sphere_field(), 4, 0, 4.0, None),
+    "conversion_gap": (KUBO_HALF, [1.0, 0.0], "heun", "gap", 4, 0, 1.0, None),
+}
+
+
+def _study(name, seed=9, n_paths=5):
+    """The study's result, and the same figures from whole levels built
+    path by path (_per_path_coupled_paths)."""
+    model, x0, scheme, kind, levels, gap, T, oracle = _STUDIES[name]
+    x0, h0 = np.asarray(x0), T / 8
+    ref = _per_path_coupled_paths(seed, n_paths, T, h0, 1, levels + gap)
+    xT = [_whole_level_terminal(model, scheme, x0, *ref[level]) for level in range(levels)]
+    if kind == "gap":
+        ito = strat_to_ito(model)
+        got = conversion_gap_decay(model, ito, x0, levels, n_paths, seed, T=T, h0=h0).gaps
+        em = [_whole_level_terminal(ito, "euler_maruyama", x0, *ref[level])
+              for level in range(levels)]
+        return got, [np.mean(np.linalg.norm(a - b, axis=-1)) for a, b in zip(xT, em)]
+    if isinstance(kind, ScalarField):
+        got = functional_drift_decay(model, x0, kind, scheme, levels, n_paths, seed, T=T,
+                                     h0=h0).errors
+        return got, [np.mean(np.abs(np.asarray(kind.value(x)) - float(kind.value(x0))))
+                     for x in xT]
+    got = empirical_convergence_order(model, x0, scheme, kind, levels, n_paths, seed, T=T,
+                                      h0=h0, closed_form=oracle, oracle_gap=max(gap, 1)).errors
+    exact = (_whole_level_terminal(model, scheme, x0, *ref[-1]) if gap
+             else _path_exact(oracle, x0, *ref[-1]))
+    return got, [np.mean(np.linalg.norm(x - exact, axis=-1)) for x in xT]
+
+
+@pytest.mark.parametrize("block", _BLOCKS, ids=list(_BLOCKS))
+@pytest.mark.parametrize("name", _STUDIES, ids=list(_STUDIES))
+def test_streamed_studies_equal_their_whole_level_figures(monkeypatch, name, block):
+    """Every refinement study, with either oracle, on SDE and RODE models,
+    gives the figures of its levels stepped whole, bit for bit, at any
+    blocking of its levels (see _BLOCKS)."""
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", _BLOCKS[block][0])
+    got, expected = _study(name)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_a_streamed_level_aborts_at_its_own_step(monkeypatch):
+    """An abort in a streamed level names the step on that level's grid,
+    not in its block, as the same level stepped whole does."""
+    model = build_model("scalar_linear", a=1e4, b_scalar=1.0)
+    seeds = derive_seed(1, DOMAIN_ENSEMBLE, np.arange(4))
+    runs = [(1, model, "euler_maruyama")]
+
+    def abort():
+        with pytest.raises(IntegrationError) as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            analyze._coupled_terminals(runs, np.array([1.0]), seeds, 100.0, 1.0, 1, 3)
+        return info.value
+
+    whole = abort()
+    # level 0 (4 paths x 100 steps) whole, level 1 in pieces of 32 steps
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 4 * 100)
+    streamed = abort()
+    assert whole.step > 32 and streamed.step == whole.step
+    assert str(streamed) == str(whole)
+    assert (streamed.time, streamed.path_index) == (whole.time, whole.path_index)
+
+
+@functools.lru_cache(maxsize=None)
+def _convergence_study_peak(T):
+    """tracemalloc peak of the Kubo/Heun study at 1000 paths, 5 levels and an
+    oracle 3 halvings finer, from h0 = 1/16, over [0, T]."""
+    model = build_model("kubo", a=1.0, sigma=0.5)
+    tracemalloc.start()
+    try:
+        est = empirical_convergence_order(model, [1.0, 0.0], "heun", "finest_refinement",
+                                          levels=5, n_paths=1000, seed=0, h0=2.0**-4,
+                                          oracle_gap=3, T=T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(est.errors) == 5
+    return peak
 
 
 def test_convergence_study_memory_holds_two_levels():
@@ -326,23 +516,21 @@ def test_convergence_study_memory_holds_two_levels():
 
     Keeping every path's refinement family and the stacked levels peaked at
     96.5 MiB, and keeping only the stacked levels at 47.8 MiB.  Refining the
-    stack one level at a time peaked at 40.2 to 40.9 MiB, with the whole
-    level's midpoint draw and bridge temporaries beside it.  Streaming each
-    refinement in path chunks peaks at 26.1 MiB, the finest level and its
-    parent (23.4 MiB) and a chunk; the bound, 30 MiB, lies between the last
-    two.
+    stack one level at a time peaked at 40.2 to 40.9 MiB, and streaming each
+    refinement in path chunks at 26.1 to 26.8 MiB, the finest level and its
+    parent.  With the levels past 2**19 values streamed in time blocks, the
+    study peaks at 12.0 MiB: the last whole level (512 steps, 3.9 MiB), the
+    pieces of levels 6 and 7 (4 MiB), 2000 persistent streams (1.5 MiB) and
+    the refinement scratch (1.5 MiB).  The bound is 16 MiB.
     """
-    model = build_model("kubo", a=1.0, sigma=0.5)
-    tracemalloc.start()
-    try:
-        est = empirical_convergence_order(model, [1.0, 0.0], "heun", "finest_refinement",
-                                          levels=5, n_paths=1000, seed=0, h0=2.0**-4,
-                                          oracle_gap=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(est.errors) == 5
-    assert peak < 30 * 2**20
+    assert _convergence_study_peak(1.0) < 16 * 2**20
+
+
+def test_convergence_study_memory_does_not_grow_with_the_horizon():
+    """The same study over [0, 4], 8192 finest steps: levels 4 to 7 stream,
+    in blocks of the 512 steps of level 3, so its peak, 12.8 MiB, is within
+    3 MiB of the study over [0, 1] (whole levels peaked at 96.5 MiB)."""
+    assert abs(_convergence_study_peak(4.0) - _convergence_study_peak(1.0)) < 3 * 2**20
 
 
 def test_a_study_whose_finest_stack_cannot_be_indexed_is_rejected():

@@ -215,7 +215,7 @@ def test_euler_maruyama_tracks_closed_form():
     model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
     path = sample_brownian(42, T=1.0, h=2.0**-10)
     traj = integrate_path(model, [1.0], "euler_maruyama", path=path)
-    exact = scalar_linear_exact(-1.0, 1.0, 1.0, path)
+    exact = scalar_linear_exact(-1.0, 1.0, 1.0, path.times, path.cumulative()[:, 0])
     assert traj.states.shape == (path.n_steps + 1, 1)
     assert abs(traj.states[-1, 0] - exact[-1]) < 5e-3
 
@@ -224,7 +224,7 @@ def test_heun_tracks_kubo_closed_form():
     model = build_model("kubo", a=1.0, sigma=0.5)
     path = sample_brownian(7, T=1.0, h=2.0**-8)
     traj = integrate_path(model, [1.0, 0.0], "heun", path=path)
-    exact = kubo_exact(1.0, 0.5, [1.0, 0.0], path)
+    exact = kubo_exact(1.0, 0.5, [1.0, 0.0], path.times, path.cumulative()[:, 0])
     assert np.max(np.abs(traj.states[-1] - exact[-1])) < 1e-3
 
 

@@ -209,7 +209,7 @@ def test_kubo_drift_and_corrected_form():
 def test_kubo_exact_is_a_rotation():
     path = sample_brownian(5, T=1.0, h=2.0**-6)
     x0 = np.array([0.8, -0.6])
-    traj = kubo_exact(1.0, 0.5, x0, path)
+    traj = kubo_exact(1.0, 0.5, x0, path.times, path.cumulative()[:, 0])
     assert traj.shape == (65, 2)
     assert np.allclose(np.sum(traj**2, axis=1), 1.0, atol=1e-12)
     theta = 1.0 * path.times[-1] + 0.5 * path.cumulative()[-1, 0]
@@ -219,8 +219,8 @@ def test_kubo_exact_is_a_rotation():
 
 def test_scalar_linear_exact_matches_formula():
     path = sample_brownian(6, T=2.0, h=0.25)
-    vals = scalar_linear_exact(0.5, 0.3, 2.0, path)
     w = path.cumulative()[:, 0]
+    vals = scalar_linear_exact(0.5, 0.3, 2.0, path.times, w)
     manual = 2.0 * np.exp((0.5 - 0.045) * path.times + 0.3 * w)
     assert np.allclose(vals, manual, rtol=1e-14)
 

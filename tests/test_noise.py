@@ -197,12 +197,17 @@ def test_refine_halves_grid_bitwise():
     assert np.array_equal(f.times, np.arange(17) * 2.0**-4)
 
 
+def _level_streams(seeds, level):
+    """The one-shot streams from which the paths of seeds draw refinement level `level`."""
+    return _fresh_streams(philox_keys(seeds, DOMAIN_REFINE, level))
+
+
 def test_stacked_refine_equals_per_path_refine_bit_for_bit():
     seeds = [3, 2**64 + 9, 17, 0]
     paths = [sample_brownian(s, T=1.0, h=2.0**-4, dims=2) for s in seeds]
     stack = np.stack([p.increments for p in paths], axis=1)
     for level in range(3):
-        fine = _refine_stack(stack, paths[0].h, seeds, level)
+        fine = _refine_stack(stack, paths[0].h, _level_streams(seeds, level + 1))
         paths = [refine(p) for p in paths]
         assert fine.shape == (len(paths[0].increments), len(seeds), 2)
         for j, p in enumerate(paths):
@@ -217,9 +222,27 @@ def test_chunked_refine_equals_per_path_refine_bit_for_bit(dims, per_chunk):
     seeds = [3, 2**64 + 9, 17, 0, 8]
     paths = [sample_brownian(s, T=1.0, h=2.0**-14, dims=dims) for s in seeds]
     assert _REFINE_CHUNK // (2**14 * dims) == per_chunk
-    fine = _refine_stack(np.stack([p.increments for p in paths], axis=1), paths[0].h, seeds, 0)
+    fine = _refine_stack(np.stack([p.increments for p in paths], axis=1), paths[0].h,
+                         _level_streams(seeds, 1))
     for j, p in enumerate(paths):
         assert np.array_equal(fine[:, j], refine(p).increments)
+
+
+@pytest.mark.parametrize("split", [1, 7, 15])
+def test_refine_in_two_time_halves_on_persistent_streams_equals_refining_whole(split):
+    """Each path's persistent stream continues where its first half stopped,
+    also across path chunks: 2**14 steps of 2 dimensions refine 2 paths a
+    chunk, so a list of streams restarted at path 0 in each chunk would
+    fail, and a short last chunk is left."""
+    seeds = [3, 2**64 + 9, 17, 0, 8]
+    parent = np.stack([sample_brownian(s, T=1.0, h=2.0**-14, dims=2).increments
+                       for s in seeds], axis=1)
+    whole = _refine_stack(parent, 2.0**-14, _level_streams(seeds, 1))
+    gens = [_keyed(key) for key in philox_keys(seeds, DOMAIN_REFINE, 1)]
+    cut = split * 1024
+    halves = np.concatenate([_refine_stack(parent[:cut], 2.0**-14, gens),
+                             _refine_stack(parent[cut:], 2.0**-14, gens)])
+    assert halves.tobytes() == whole.tobytes()
 
 
 def test_refine_of_a_path_without_noise_dimensions_is_empty():
@@ -234,7 +257,7 @@ def test_refine_holds_nothing_full_size_but_its_parent_and_output():
     parent = _brownian_stack(seeds, 1.0, 2.0**-10, 1)
     tracemalloc.start()
     try:
-        fine = _refine_stack(parent, 2.0**-10, seeds, 0)
+        fine = _refine_stack(parent, 2.0**-10, _level_streams(seeds, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
