@@ -37,8 +37,8 @@ from .noise import (
     _brownian_stack,
     _fresh_streams,
     _grid_steps,
-    _keyed,
     _normal_rows,
+    _philox,
     _refine_scratch,
     _refine_stack,
     derive_seed,
@@ -418,7 +418,7 @@ def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
             h /= 2.0
         else:  # level 0 draws its block, each path's steps contiguous
             keys, buf = philox_keys(seeds, DOMAIN_BASE, 0), np.empty((p, block, dims))
-        streamed.append((level, ratio, h, [_keyed(key) for key in keys], buf))
+        streamed.append((level, ratio, h, [_philox(key) for key in keys], buf))
         ratio *= 2
     scratch = np.empty(_refine_scratch(block * ratio // 4, p, dims))  # up to the finest's parent
     for a in range(0, grid, block):

@@ -358,9 +358,10 @@ def cmd_simulate(cfg, model, out) -> int:
 _Outcome = namedtuple("_Outcome", "passed note header columns comment", defaults=((),))
 
 
-def _report(report, note):
+def _report(report, note, *comment):
     """An invariance or equilibrium report as its residual table."""
-    return _Outcome(report.verdict, note, "criterion,value,passed", list(zip(*report.rows())))
+    return _Outcome(report.verdict, note, "criterion,value,passed", list(zip(*report.rows())),
+                    comment)
 
 
 def _invariance(opts, cfg, model):
@@ -376,7 +377,9 @@ def _invariance(opts, cfg, model):
 def _equilibrium(opts, cfg, model):
     report = check_equilibrium(model, opts["point"], tol=opts["tol"])
     bad = [t.name for t in report.drift_terms + report.diffusion_columns if not t.vanishes]
-    return _report(report, "all terms vanish" if report.verdict else f"nonzero: {', '.join(bad)}")
+    point = ",".join(f"{v:.17g}" for v in np.asarray(opts["point"], dtype=float))
+    return _report(report, "all terms vanish" if report.verdict else f"nonzero: {', '.join(bad)}",
+                   f"point={point}")
 
 
 def _lyapunov(opts, cfg, model):

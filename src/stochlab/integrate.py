@@ -29,8 +29,8 @@ from .noise import (
     ParameterProcess,
     _fresh_streams,
     _grid_steps,
-    _keyed,
     _normal_rows,
+    _philox,
     philox_keys,
     write_csv,
 )
@@ -589,7 +589,7 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
     # capped by the block, so the buffer does not grow with the horizon
     sub = min(block_steps, max(1, _STEP_VALUES // (len(ks) * model.n)))
     if model.interpretation != "ode":
-        rngs = [_keyed(key) for key in philox_keys(seed, DOMAIN_ENSEMBLE, ks)]
+        rngs = [_philox(key) for key in philox_keys(seed, DOMAIN_ENSEMBLE, ks)]
         # each path's block is drawn contiguously; the stepper gets the
         # (steps, paths, l) transpose as a view.  A RODE path draws the
         # increments of its one driving W, whose value w is carried over.

@@ -9,8 +9,9 @@ index)) would give; _keyed builds a stream on its key without reading OS
 entropy.  Streams drawn from once (base draws, refinement levels, ensemble
 samplers) share one re-keyed Philox, and each path's draw lands
 contiguously in a buffer: the base increments of P coupled paths in one
-(N, P, l) stack, their bridge refinements chunk by chunk of paths.  A
-refinement drawn block by block in time keeps one persistent stream a path.
+(N, P, l) stack, their bridge refinements chunk by chunk of paths.  Noise
+drawn block by block in time keeps one persistent stream a path, a bare
+Philox (_philox) wrapped in a Generator only while it draws.
 sample_brownian and refine are the one-path calls, so a path is drawn and
 refined alike alone or in a stack, bit for bit.
 Increments are the canonical storage; cumulative values are always derived.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 import numpy as np
 
@@ -32,7 +34,8 @@ DOMAIN_ENSEMBLE = 2
 DOMAIN_SAMPLER = 3
 
 _REFINE_CHUNK = 2**16  # noise values _refine_stack draws and refines at a time (512 KiB)
-_KeySeed = None  # the seed sequence class of _keyed, made at its first call
+_key_source = None  # the shared seed sequence of _philox, made at its first call
+_ZERO_COUNTER = np.zeros(4, np.uint64)  # the counter of a fresh Philox, as numpy reads it
 
 
 # The hash constants of numpy's SeedSequence (O'Neill's seed_seq notes).
@@ -124,19 +127,40 @@ def derive_seed(master: int, domain: int, index):
     return int(words) if words.ndim == 0 else words
 
 
-def _keyed(key) -> np.random.Generator:
-    """Generator(Philox(key=key)) for a 2-word uint64 key, bit for bit, on a
-    seed sequence whose state is the key: Philox(key=) reads OS entropy too."""
-    global _KeySeed
-    if _KeySeed is None:  # numpy loads numpy.random lazily; importing it costs setup
+def _philox(key):
+    """Philox(key=key) for a 2-word uint64 key, bit for bit: the bare bit
+    generator of a persistent stream.  Philox(key=) also builds a
+    SeedSequence from OS entropy and never uses it; here every stream is
+    built on one shared key source instead, whose key each thread sets just
+    before a build and which the Philox constructor reads once, so a stream
+    holds no seed sequence object of its own.  The preset counter array
+    spares numpy the Python-level conversion of counter=0."""
+    global _key_source
+    if _key_source is None:  # numpy loads numpy.random lazily; importing it costs setup
         from numpy.random.bit_generator import ISeedSequence
-        class _KeySeed(ISeedSequence):
-            def __init__(self, key):
-                self.key = key
+
+        class _KeySource(threading.local, ISeedSequence):
+            key = None  # per thread, so concurrent builds keep their own keys
 
             def generate_state(self, n_words, dtype=None):
                 return self.key  # Philox asks for its 2-word uint64 key
-    return np.random.Generator(np.random.Philox(_KeySeed(key)))
+
+            def __copy__(self):  # a copied stream shares the source: it holds no key
+                return self
+
+            def __deepcopy__(self, memo):
+                return self
+        _key_source = _KeySource()
+    source = _key_source
+    source.key = key
+    bits = np.random.Philox(source, counter=_ZERO_COUNTER)
+    source.key = None  # hold no key array past the build
+    return bits
+
+
+def _keyed(key) -> np.random.Generator:
+    """Generator(Philox(key=key)) for a 2-word uint64 key, bit for bit."""
+    return np.random.Generator(_philox(key))
 
 
 def stream(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -161,10 +185,13 @@ def _fresh_streams(keys):
 
 def _normal_rows(gens, out, sd):
     """Fill out[p] with gens[p].normal(0.0, sd, out[p].shape), bit for bit, and
-    return out.  Each C-contiguous row takes a standard normal draw in place
-    and the stack is scaled once: normal returns 0.0 + sd * z, and adding
-    0.0 changes no value but -0.0."""
+    return out.  A stream is a Generator or the bare Philox of a persistent
+    stream (_philox), drawn through a Generator made here.  Each C-contiguous
+    row takes a standard normal draw in place and the stack is scaled once:
+    normal returns 0.0 + sd * z, and adding 0.0 changes no value but -0.0."""
     for row, gen in zip(out, gens):  # rows first: a longer gens loses no stream
+        if isinstance(gen, np.random.BitGenerator):
+            gen = np.random.Generator(gen)
         gen.standard_normal(out=row)
     out *= sd
     out += 0.0
@@ -272,7 +299,7 @@ def _refine_stack(parent: np.ndarray, h: float, gens, fine=None, scratch=None) -
 
     gens is consumed in path order, once per call, so it may be a one-shot
     iterator of fresh streams (_fresh_streams) or a list of persistent ones
-    (_keyed); each path's stream then continues where it stopped, so
+    (_philox); each path's stream then continues where it stopped, so
     refining a stack in time blocks, on the same persistent streams, equals
     refining it whole, bit for bit.  Paths are refined in chunks of about
     _REFINE_CHUNK noise values: each path of a chunk draws contiguously, and

@@ -166,6 +166,23 @@ def test_repeated_kinds_write_one_file_each(tmp_path):
     assert verdicts == ["1", "0"]
 
 
+def test_equilibrium_files_name_their_point(tmp_path):
+    """Both poles of ll pass with every term zero, so only the point's
+    comment line tells their files apart."""
+    points = ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.1, 0.0, 0.0])
+    cfg = write_cfg(tmp_path, base_cfg(
+        model={"name": "ll", "params": {"alpha": 1.0}},
+        analyses=[{"kind": "equilibrium", "point": p, "tol": 1e-12} for p in points]))
+    out = tmp_path / "run"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+    files = [read_rows(out / f"equilibrium_{i}.csv") for i in (1, 2, 3)]
+    assert [comments[-1] for comments, _, _ in files] == [
+        "# point=0,0,1", "# point=0,0,-1", "# point=0.10000000000000001,0,0"]
+    assert all(comments[:-1] == files[0][0][:-1] for comments, _, _ in files)
+    assert files[0][1:] == files[1][1:]
+    assert (out / "equilibrium_1.csv").read_bytes() != (out / "equilibrium_2.csv").read_bytes()
+
+
 def test_check_rode_invariance(tmp_path):
     cfg = write_cfg(tmp_path, {
         "version": 1, "seed": 3,

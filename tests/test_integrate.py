@@ -32,7 +32,9 @@ from stochlab.noise import (
     DOMAIN_SAMPLER,
     NoisePath,
     ParameterProcess,
+    _philox,
     iterated_log_eta,
+    philox_keys,
     sample_brownian,
     stream,
 )
@@ -582,6 +584,37 @@ def test_ensemble_draws_equal_per_path_normal_draws_with_a_short_last_block(monk
         assert np.array_equal(drawn[:, p], expected)
         x0 = uniform_sphere_sampler(p, _seed_sequence_stream(seed, DOMAIN_SAMPLER, p))
         assert np.array_equal(states[p, 0], x0)
+
+
+def test_a_wide_ensemble_holds_a_few_hundred_bytes_of_stream_state_per_path(monkeypatch):
+    """3000 paths in blocks of 2 steps keep a persistent stream each.  The
+    tracemalloc peak of the run, less that of the same run on one shared
+    stream, is what the streams hold: about 385 bytes a path for a bare
+    Philox, where a Generator, its Philox and a seed-sequence object of its
+    own held about 800."""
+    model = build_model("ell", interpretation="ito")
+    n_paths, x0 = 3000, np.array([0.6, 0.0, 0.8])
+    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 2 * n_paths * 3)
+    shared, calls = _philox(philox_keys(3, DOMAIN_ENSEMBLE, 0)), []
+
+    def one_stream(key):
+        calls.append(None)
+        return shared
+
+    def peak(philox):
+        monkeypatch.setattr(integrate, "_philox", philox)
+        run_ensemble(model, x0, "euler_maruyama", n_paths, 3, [], T=0.05, h=0.01)  # warm up
+        calls.clear()
+        tracemalloc.start()
+        try:
+            run_ensemble(model, x0, "euler_maruyama", n_paths, 3, [], T=0.05, h=0.01)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    held = peak(_philox) - peak(one_stream)
+    assert len(calls) == n_paths
+    assert 100 * n_paths < held < 500 * n_paths
 
 
 def test_sub_blocks_are_stepped_through_one_buffer_per_chunk(monkeypatch):

@@ -1,4 +1,6 @@
 """Noise path sampling, dyadic refinement, and parameter process tests."""
+import copy
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from stochlab.noise import (
     _fresh_streams,
     _keyed,
     _normal_rows,
+    _philox,
     _refine_stack,
     iterated_log_eta,
     philox_keys,
@@ -79,6 +82,72 @@ def test_keyed_generator_equals_philox_of_the_key_draw_for_draw(key, sizes):
         fresh.standard_normal(out=c)
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         assert np.array_equal(c.view(np.uint64), b.view(np.uint64))
+
+
+@given(key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+       blocks=st.lists(st.integers(0, 9), min_size=1, max_size=5), sd=st.floats(0.01, 10.0))
+@example(key=(0, 0), blocks=[1, 3, 5], sd=1.0)
+@example(key=(2**64 - 1, 2**64 - 1), blocks=[4, 0, 7], sd=0.5)
+def test_a_bare_philox_stream_drawn_in_blocks_equals_the_keyed_philox_drawn_whole(
+        key, blocks, sd):
+    """A persistent stream is a bare Philox; _normal_rows draws it through a
+    Generator made at each call, and its blocks continue one another."""
+    key = np.array(key, dtype=np.uint64)
+    bits = _philox(key)
+    assert isinstance(bits, np.random.Philox)
+    drawn = np.concatenate([_normal_rows([bits], np.empty((1, b, 2)), sd)[0] for b in blocks])
+    whole = np.random.Generator(np.random.Philox(key=key)).normal(0.0, sd, (sum(blocks), 2))
+    assert drawn.tobytes() == whole.tobytes()
+
+
+def test_building_a_stream_leaves_the_draws_of_another_unchanged():
+    keys = philox_keys(9, DOMAIN_ENSEMBLE, [0, 1])
+    a = _philox(keys[0])
+    first = _normal_rows([a], np.empty((1, 5)), 1.0)[0].copy()
+    b = _philox(keys[1])
+    _normal_rows([b], np.empty((1, 7)), 1.0)
+    later = _normal_rows([a], np.empty((1, 6)), 1.0)[0]
+    whole = np.random.Generator(np.random.Philox(key=keys[0])).normal(0.0, 1.0, 11)
+    assert np.concatenate([first, later]).tobytes() == whole.tobytes()
+
+
+def test_streams_built_at_once_in_two_threads_keep_their_own_keys(monkeypatch):
+    """Each build sets the key of one shared source, which Philox reads in
+    its constructor.  Here both threads have set their keys before either
+    Philox is built, so a source shared between threads would hand one of
+    them the other's key."""
+    barrier = threading.Barrier(2, timeout=10)
+    philox = np.random.Philox
+
+    def built_after_both_keys_are_set(*args, **kwargs):
+        barrier.wait()
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", built_after_both_keys_are_set)
+    drawn = {}
+
+    def draw(index):
+        drawn[index] = stream(42, DOMAIN_ENSEMBLE, index).normal(size=8)
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in (3, 4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    monkeypatch.undo()
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(drawn) == [3, 4]
+    for index, values in drawn.items():
+        assert np.array_equal(values, _seed_sequence_stream(42, DOMAIN_ENSEMBLE, index).normal(size=8))
+
+
+def test_a_copied_stream_draws_what_the_original_draws():
+    gen = stream(5, DOMAIN_ENSEMBLE, 2)
+    gen.normal(size=3)
+    twin, bits = copy.deepcopy(gen), copy.copy(gen.bit_generator)
+    expected = gen.normal(size=6)
+    assert twin.normal(size=6).tobytes() == expected.tobytes()
+    assert np.random.Generator(bits).normal(size=6).tobytes() == expected.tobytes()
 
 
 def test_philox_keys_of_one_stream_are_a_pair_of_words():
@@ -238,7 +307,7 @@ def test_refine_in_two_time_halves_on_persistent_streams_equals_refining_whole(s
     parent = np.stack([sample_brownian(s, T=1.0, h=2.0**-14, dims=2).increments
                        for s in seeds], axis=1)
     whole = _refine_stack(parent, 2.0**-14, _level_streams(seeds, 1))
-    gens = [_keyed(key) for key in philox_keys(seeds, DOMAIN_REFINE, 1)]
+    gens = [_philox(key) for key in philox_keys(seeds, DOMAIN_REFINE, 1)]
     cut = split * 1024
     halves = np.concatenate([_refine_stack(parent[:cut], 2.0**-14, gens),
                              _refine_stack(parent[cut:], 2.0**-14, gens)])
