@@ -14,16 +14,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import integrate
 from .integrate import (
     ModelSpec,
     Trajectory,
     _check_ensemble,
     _check_path,
     _check_scheme,
+    _check_start,
     _check_state,
-    _eta_block,
     _scheme_states,
+    _step_piece,
     apply_generator,
     default_scheme,
     run_ensemble,
@@ -34,13 +34,8 @@ from .noise import (
     DOMAIN_REFINE,
     NoisePath,
     ParameterProcess,
-    _brownian_stack,
-    _fresh_streams,
     _grid_steps,
-    _normal_rows,
-    _philox,
-    _refine_scratch,
-    _refine_stack,
+    _noise_pieces,
     derive_seed,
     philox_keys,
     stream,
@@ -380,57 +375,12 @@ def _fit_order(hs, errors) -> tuple[float, float]:
 
 
 def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
-    """Yield dyadic refinements of coupled Brownian paths in pieces (level,
-    increments (rows, P, dims), times (rows + 1,)).  Each level's pieces come
-    in time order and tile its grid; path p is sample_brownian(seeds[p], T,
-    h0, dims) refined once per level, bit for bit.
-
-    A level whose stack fits in integrate._BLOCK_VALUES values comes whole,
-    coarsest first, drawn on streams used once.  The deeper levels then come
-    in lockstep over time blocks of the last whole level's grid (level 0's,
-    where no level fits): per block, coarsest first, each refined from its
-    parent's piece on persistent per-path streams, so memory does not grow
-    with T or with the finest level.  The pieces of a block hold at most
-    _BLOCK_VALUES values, unless one grid step needs more, in buffers made
-    once: a streamed piece is valid until the next piece is yielded.
-    """
-    p, n, h = len(seeds), _grid_steps(T, h0), h0
-    whole = 0
-    while whole < levels and (n << whole) * p * dims <= integrate._BLOCK_VALUES:
-        whole += 1
-    for level in range(whole):
-        if level:
-            keys = philox_keys(seeds, DOMAIN_REFINE, level)
-            increments = _refine_stack(increments, h, _fresh_streams(keys))
-            h /= 2.0
-        else:
-            increments = _brownian_stack(seeds, T, h, dims)
-        yield level, increments, np.arange(len(increments) + 1) * h
-    if whole == levels:
-        return
-    # the grid the blocks tile, and the first streamed level's steps per grid step
-    grid, ratio = (len(increments), 2) if whole else (n, 1)
-    block = max(1, integrate._BLOCK_VALUES // (ratio * (2 ** (levels - whole) - 1) * p * dims))
-    streamed, top = [], h
-    for level in range(whole, levels):
-        if level:
-            keys, buf = philox_keys(seeds, DOMAIN_REFINE, level), np.empty((block * ratio, p, dims))
-            h /= 2.0
-        else:  # level 0 draws its block, each path's steps contiguous
-            keys, buf = philox_keys(seeds, DOMAIN_BASE, 0), np.empty((p, block, dims))
-        streamed.append((level, ratio, h, [_philox(key) for key in keys], buf))
-        ratio *= 2
-    scratch = np.empty(_refine_scratch(block * ratio // 4, p, dims))  # up to the finest's parent
-    for a in range(0, grid, block):
-        b = min(a + block, grid)
-        piece, hp = (increments[a:b] if whole else None), top
-        for level, r, hl, gens, buf in streamed:
-            if piece is None:
-                piece = _normal_rows(gens, buf[:, :b - a], math.sqrt(hl)).transpose(1, 0, 2)
-            else:
-                piece = _refine_stack(piece, hp, gens, buf[:(b - a) * r], scratch)
-            hp = hl
-            yield level, piece, np.arange(a * r, b * r + 1) * hl
+    """The noise pieces (_noise_pieces) of levels dyadic refinements of the
+    coupled paths of seeds: path p of level j is sample_brownian(seeds[p], T,
+    h0, dims) refined j times, bit for bit."""
+    keys = [philox_keys(seeds, DOMAIN_BASE, 0)]
+    keys += [philox_keys(seeds, DOMAIN_REFINE, level) for level in range(1, levels)]
+    return _noise_pieces(keys, _grid_steps(T, h0), h0, dims)
 
 
 def _check_study(model, scheme, levels, n_paths, T, h0, extra=0, min_levels=3):
@@ -463,27 +413,19 @@ def _check_convergence(model, scheme, oracle, levels, n_paths, T, h0, closed_for
         raise ValueError(f"oracle_gap must be >= 1, got {oracle_gap}")
 
 
-def _step_piece(model, scheme, x, w, k, increments, times):
-    """Step the states x (P, n) of coupled paths, k steps into their level,
-    over its next piece (_coupled_paths); a RODE model's driving W (P,) moves
-    with it.  Returns (x, w, k) after the piece."""
-    noise = increments
-    if model.interpretation == "rode":
-        noise, w = _eta_block(model, times, w, increments)
-    x = _scheme_states(model, scheme, x, times, noise, record=False, first=k)
-    return x, w, k + len(increments)
-
-
-def _coupled_terminals(runs, x0, seeds, T, h0, dims, levels, w_level=None):
+def _coupled_terminals(runs, x0, seed, n_paths, T, h0, levels, w_level=None):
     """Terminal states (P, n) of each (level, model, scheme) of runs, in
-    order, stepped from x0 on the coupled paths of _coupled_paths piece by
-    piece: a run carries its states, its step count and, on a RODE model, its
-    driving W from one piece of its level to the next.  Also returns the
-    last grid time t of level w_level and W there (P, dims), each path's
-    increments of that level summed in order."""
-    x0b = np.broadcast_to(x0, (len(seeds),) + x0.shape)
-    carried = [(x0b, np.zeros(len(seeds)), 0) for _ in runs]
-    t, w = None, np.zeros((len(seeds), dims))
+    order, stepped from x0 piece by piece on the coupled paths of the
+    n_paths seeds derived from seed (_coupled_paths): a run carries its
+    states, step count and RODE W from one piece of its level to the next.
+    Also returns the last grid time t of level w_level and W there (P, l),
+    each path's increments of that level summed in order.  Raises
+    ValueError, before any draw, unless x0 holds the models' n finite
+    components."""
+    x0, dims = _check_start(runs[0][1], x0), max(runs[0][1].noise_dim, 1)
+    carried = [(np.broadcast_to(x0, (n_paths,) + x0.shape), np.zeros(n_paths), 0)] * len(runs)
+    t, w = None, np.zeros((n_paths, dims))
+    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
     for level, increments, times in _coupled_paths(seeds, T, h0, dims, levels):
         for i, (run_level, model, scheme) in enumerate(runs):
             if run_level == level:
@@ -517,21 +459,18 @@ def empirical_convergence_order(
     against the same scheme run oracle_gap halvings below the finest measured
     level (the gap keeps the reference error from contaminating the slope).
     Raises ValueError where _check_convergence does, and where x0 does not
-    have the model's n components.
+    have the model's n finite components.
     """
     _check_convergence(model, scheme, oracle, levels, n_paths, T, h0, closed_form, oracle_gap)
     x0 = np.asarray(x0, dtype=float)
     extra = oracle_gap if oracle == "finest_refinement" else 0
-    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
     runs = [(level, model, scheme) for level in range(levels)]
     if extra:
         runs.append((levels + extra - 1, model, scheme))
-    terminal, t, w = _coupled_terminals(runs, x0, seeds, T, h0, max(model.noise_dim, 1),
-                                        levels + extra, None if extra else levels - 1)
+    terminal, t, w = _coupled_terminals(runs, x0, seed, n_paths, T, h0, levels + extra,
+                                        None if extra else levels - 1)
     ref = terminal.pop() if extra else np.asarray(closed_form(x0, t, w))
-    errors = np.array(
-        [float(np.mean(np.linalg.norm(xT - ref, axis=-1))) for xT in terminal]
-    )
+    errors = np.array([float(np.mean(np.linalg.norm(xT - ref, axis=-1))) for xT in terminal])
     hs = h0 / 2.0 ** np.arange(levels)
     slope, half = _fit_order(hs, errors)
     return OrderEstimate(step_sizes=hs, errors=errors, slope=slope, half_width=half)
@@ -550,14 +489,12 @@ def functional_drift_decay(
 ) -> OrderEstimate:
     """Decay order of the terminal first-integral drift E|F(x_T) - F(x_0)|
     under dyadic refinement of coupled paths.  Raises ValueError where
-    _check_study does, and where x0 does not have the model's n components."""
+    _check_study does, and where x0 does not have the model's n finite
+    components."""
     _check_study(model, scheme, levels, n_paths, T, h0)
-    _check_state(model, x0)
-    x0 = np.asarray(x0, dtype=float)
-    f0 = float(F.value(x0))
-    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
     terminal, _, _ = _coupled_terminals([(level, model, scheme) for level in range(levels)],
-                                        x0, seeds, T, h0, max(model.noise_dim, 1), levels)
+                                        x0, seed, n_paths, T, h0, levels)
+    f0 = float(F.value(np.asarray(x0, dtype=float)))
     drifts = [float(np.mean(np.abs(np.asarray(F.value(xT)) - f0))) for xT in terminal]
     hs = h0 / 2.0 ** np.arange(levels)
     slope, half = _fit_order(hs, drifts)
@@ -619,18 +556,17 @@ def conversion_gap_decay(
     """Terminal strong gap between Heun on the Stratonovich model and EM on its
     Ito conversion, on the same coupled dyadic paths, one gap per level.
     Raises ValueError where _check_study does for heun on model_strat, with
-    at least 2 levels (one ratio needs two gaps), and unless model_ito is Ito
-    with the same dimensions."""
+    at least 2 levels (one ratio needs two gaps), unless model_ito is Ito
+    with the same dimensions, and where x0 does not have their n finite
+    components."""
     _check_study(model_strat, "heun", levels, n_paths, T, h0, min_levels=2)
     _check_scheme(model_ito, "euler_maruyama")
     if (model_strat.n, model_strat.noise_dim) != (model_ito.n, model_ito.noise_dim):
         raise ValueError(f"{model_strat.name} and {model_ito.name} differ in state or noise "
                          "dimension")
-    x0 = np.asarray(x0, dtype=float)
-    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
     runs = [(level, model, scheme) for level in range(levels)
             for model, scheme in ((model_strat, "heun"), (model_ito, "euler_maruyama"))]
-    terminal, _, _ = _coupled_terminals(runs, x0, seeds, T, h0, model_strat.noise_dim, levels)
+    terminal, _, _ = _coupled_terminals(runs, x0, seed, n_paths, T, h0, levels)
     gaps = np.array([float(np.mean(np.linalg.norm(x_heun - x_em, axis=-1)))
                      for x_heun, x_em in zip(terminal[0::2], terminal[1::2])])
     return GapDecay(
@@ -799,10 +735,10 @@ def check_symplecticity(
     column j the complex step vecalg.derivative along e_j (nested for a model
     from strat_to_ito), so the model's fields must keep complex states
     complex.  A stochastic model needs a path, of _grid_steps(T, h) steps.
+    Raises ValueError, before any step, unless x0 holds 2 finite components.
     """
     _check_symplectic(model, scheme)
-    _check_state(model, x0)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_start(model, x0)
     n_steps = _grid_steps(T, h) if T else 0
     times, noise = np.arange(n_steps + 1) * h, np.empty((n_steps, model.noise_dim))
     if path is not None:

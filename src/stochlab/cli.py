@@ -9,9 +9,10 @@ function that turns its result into a verdict, a printed note and a CSV.
 
 Every output file carries the full resolved config and seed in '# ' comment
 lines; identical (config, seed) give byte-identical files.  Exit codes:
-0 success, 1 failed check, integration abort or estimate that the paths
-cannot give (a non-finite strong error), 2 invalid configuration (nothing
-written).
+0 success, 1 failed check, integration abort, estimate that the paths
+cannot give (a non-finite strong error) or a run that needs more memory
+than the machine grants (one `out of memory:` line), 2 invalid
+configuration (nothing written).
 """
 from __future__ import annotations
 
@@ -516,6 +517,9 @@ def main(argv=None) -> int:
         return 1
     except EstimateError as exc:
         print(f"estimate failed: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

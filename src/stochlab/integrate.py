@@ -29,8 +29,7 @@ from .noise import (
     ParameterProcess,
     _fresh_streams,
     _grid_steps,
-    _normal_rows,
-    _philox,
+    _noise_pieces,
     philox_keys,
     write_csv,
 )
@@ -411,10 +410,7 @@ def integrate_path(model: ModelSpec, x0, scheme: str, path: NoisePath | None = N
             raise ValueError(f"scheme {scheme!r} needs a parameter process eta")
         _check_eta(model, eta.dim)
         times, noise = eta.times, np.asarray(eta.values).reshape(len(eta.times), eta.dim)
-    x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
-    states = _scheme_states(model, scheme, x0, times, noise)
+    states = _scheme_states(model, scheme, _check_start(model, x0), times, noise)
     return Trajectory(times=times.copy(), states=states, model_name=model.name, seed=seed)
 
 
@@ -453,6 +449,15 @@ def _check_state(model: ModelSpec, x, what: str = "x0") -> None:
         raise ValueError(f"{what} has {k[0]} components, {model.name} needs {model.n}")
 
 
+def _check_start(model: ModelSpec, x0) -> np.ndarray:
+    """x0 as floats; raises ValueError unless it holds model.n finite components."""
+    _check_state(model, x0)
+    x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    return x0
+
+
 # scheme id -> its advance function on the component form
 _ADVANCE = {"euler_maruyama": _em_advance, "heun": _heun_advance, "rk4": _rk4_advance,
             "rode_heun": _rode_heun_advance, "rode_euler": _rode_euler_advance}
@@ -467,14 +472,10 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
     return _kernel_states(model, _ADVANCE[scheme], times, x0, noise, record, out, first)
 
 
-# Noise values an ensemble draws per time block: 2**19 float64 values (4 MiB).
-# A run's memory then grows with the block, not with the horizon; blocked
-# normal draws equal one-shot draws bit for bit, so no result depends on it.
-_BLOCK_VALUES = 2**19
-# State values an ensemble steps per sub-block of a time block: 2**17 float64
-# values (1 MiB), so the one reused state buffer and what the observers read
-# of it stay in a 2 MiB L2.  Stepping is elementwise per path and per step,
-# so no result depends on it either.
+# State values an ensemble steps per sub-block of a noise piece: 2**17
+# float64 values (1 MiB), so the one reused state buffer and what the
+# observers read of it stay in a 2 MiB L2.  Stepping is elementwise per path
+# and per step, so no result depends on it.
 _STEP_VALUES = 2**17
 
 
@@ -561,19 +562,18 @@ def run_ensemble(
 
 
 def _run_chunk(model, x0, scheme, seed, times, ks, observers):
-    """Step the paths with global indices ks (a range) in time blocks of
-    about _BLOCK_VALUES noise values, drawn per block, and step each block
-    in sub-blocks of about _STEP_VALUES state values through one reused
+    """Step the paths with global indices ks (a range) over the one-level
+    noise pieces (_noise_pieces) of their ensemble streams, each piece in
+    sub-blocks of about _STEP_VALUES state values through one reused
     (sub + 1, paths, n) buffer, handing each sub-block to the observers.
 
     Returns None, or (step, global path index) of the first non-finite
     state, after handing the observers the rows up to it.
     """
     n_steps, h = len(times) - 1, times[1]
-    sd = np.sqrt(h)
     if callable(x0):
-        # re-keying one Philox, rather than building one per path, takes
-        # 10 instead of 30 ms for 4000 sphere starts (2-vCPU Xeon VM)
+        # re-keying one Philox, not building a Generator a path, took 16-24
+        # instead of 25-41 ms for 4000 sphere starts (best of 9; 2-vCPU Xeon VM)
         samplers = _fresh_streams(philox_keys(seed, DOMAIN_SAMPLER, ks))
         x = np.stack([np.asarray(x0(k, rng), dtype=float) for k, rng in zip(ks, samplers)])
     else:
@@ -584,43 +584,43 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
         raise ValueError(f"start of path index {ks[bad[0]]} is not finite: {x[bad[0]].tolist()}")
     for observe in observers:
         observe(0, x[None])
-    stochastic = model.interpretation in ("ito", "stratonovich")
-    block_steps = max(1, _BLOCK_VALUES // (len(ks) * max(model.n, model.noise_dim)))
-    # capped by the block, so the buffer does not grow with the horizon
-    sub = min(block_steps, max(1, _STEP_VALUES // (len(ks) * model.n)))
-    if model.interpretation != "ode":
-        rngs = [_philox(key) for key in philox_keys(seed, DOMAIN_ENSEMBLE, ks)]
-        # each path's block is drawn contiguously; the stepper gets the
-        # (steps, paths, l) transpose as a view.  A RODE path draws the
-        # increments of its one driving W, whose value w is carried over.
-        draws = np.empty((len(ks), min(block_steps, n_steps), model.noise_dim if stochastic else 1))
-        w = np.zeros(len(ks))
-    # row 0 holds the state a sub-block starts from: the last row of the one before
-    states = np.empty((min(sub, n_steps) + 1,) + x.shape)
-    states[0] = x
-    eta_row = int(model.interpretation == "rode")  # a RODE step reads rows k and k+1
-    for a in range(0, n_steps, block_steps):
-        b = min(a + block_steps, n_steps)
-        if model.interpretation == "ode":  # rk4 ignores its empty noise
-            noise = np.empty((b - a, len(ks), model.noise_dim))
-        else:
-            noise = _normal_rows(rngs, draws[:, :b - a], sd).transpose(1, 0, 2)
-        if model.interpretation == "rode":
-            noise, w = _eta_block(model, times[a:b + 1], w, noise)
-        for c in range(a, b, sub):
-            d = min(c + sub, b)
-            out = states[:d - c + 1]
+    if model.interpretation == "ode":  # rk4 draws nothing: one piece of no noise
+        pieces = [(0, np.empty((n_steps, len(ks), 0)), times)]
+    else:  # a RODE path draws the increments of its one driving W
+        dims = 1 if model.interpretation == "rode" else model.noise_dim
+        pieces = _noise_pieces([philox_keys(seed, DOMAIN_ENSEMBLE, ks)], n_steps, h, dims)
+    sub = max(1, _STEP_VALUES // (len(ks) * model.n))
+    states, w, k = None, np.zeros(len(ks)), 0
+    for _, increments, piece_times in pieces:
+        if states is None:  # row 0 the start; capped by the first, longest piece
+            states = np.empty((min(sub, len(increments)) + 1,) + x.shape)
+        for c in range(0, len(increments), sub):
+            d = min(c + sub, len(increments))
+            out, start = states[:d - c + 1], k
+            out[0] = x
             try:
-                _scheme_states(model, scheme, out[0], times[c:d + 1],
-                               noise[c - a:d - a + eta_row], out=out)
+                x, w, k = _step_piece(model, scheme, out[0], w, k, increments[c:d],
+                                      piece_times[c:d + 1], out)
             except IntegrationError as err:
                 for observe in observers:
-                    observe(c + 1, err.states[1:])
-                return c + err.step, ks[err.path_index]
+                    observe(start + 1, err.states[1:])
+                return err.step, ks[err.path_index]
             for observe in observers:
-                observe(c + 1, out[1:])
-            states[0] = out[-1]
+                observe(start + 1, out[1:])
     return None
+
+
+def _step_piece(model, scheme, x, w, k, increments, times, out=None):
+    """Step the states x (P, n) of P paths, k steps into their grid, over
+    the increments (rows, P, l) of their next noise piece at times (rows +
+    1,), a RODE model on the eta of its driving W (P,), which moves along.
+    Records into out where given (x may be out[0]).  Returns (x, w, k) after
+    the piece; an IntegrationError names its step on the whole grid."""
+    noise = increments
+    if model.interpretation == "rode":
+        noise, w = _eta_block(model, times, w, increments)
+    x = _scheme_states(model, scheme, x, times, noise, out is not None, out, k)
+    return (x if out is None else x[-1]), w, k + len(increments)
 
 
 def _eta_block(model, times, w0, increments):

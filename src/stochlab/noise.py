@@ -1,4 +1,5 @@
-"""Seeded, refinable Brownian paths and the parameter processes driving RODEs.
+"""Seeded, refinable Brownian paths, the one noise schedule, and the parameter
+processes driving RODEs.
 
 All randomness flows through counter-based Philox streams keyed by
 (master seed, domain, index), so distinct purposes (base sampling, bridge
@@ -6,14 +7,13 @@ refinement levels, ensemble paths) get independent, reproducible streams.
 philox_keys derives the keys of many streams in one vectorized pass, each
 equal to the key numpy's SeedSequence(entropy=seed, spawn_key=(domain,
 index)) would give; _keyed builds a stream on its key without reading OS
-entropy.  Streams drawn from once (base draws, refinement levels, ensemble
-samplers) share one re-keyed Philox, and each path's draw lands
-contiguously in a buffer: the base increments of P coupled paths in one
-(N, P, l) stack, their bridge refinements chunk by chunk of paths.  Noise
-drawn block by block in time keeps one persistent stream a path, a bare
-Philox (_philox) wrapped in a Generator only while it draws.
-sample_brownian and refine are the one-path calls, so a path is drawn and
-refined alike alone or in a stack, bit for bit.
+entropy.  _noise_pieces lays out in time the noise that ensembles (one
+level) and refinement studies (a level per halving) step on: a level that
+fits in one block is drawn whole on one re-keyed Philox (_fresh_streams),
+the others in time blocks on one persistent bare Philox a path (_philox).
+Each path's draw lands contiguously in a buffer.  sample_brownian and
+refine are the one-path calls, so a path is drawn and refined alike alone
+or in a stack, bit for bit.
 Increments are the canonical storage; cumulative values are always derived.
 write_csv, the one writer of every CSV the package emits, lives here at the
 bottom of the import graph, where integrate, analyze and cli all import it.
@@ -34,6 +34,10 @@ DOMAIN_ENSEMBLE = 2
 DOMAIN_SAMPLER = 3
 
 _REFINE_CHUNK = 2**16  # noise values _refine_stack draws and refines at a time (512 KiB)
+# Noise values _noise_pieces holds per time block: 2**19 float64 values (4
+# MiB).  A run's memory then grows with the block, not with the horizon;
+# blocked draws equal one-shot draws bit for bit, so no result depends on it.
+_BLOCK_VALUES = 2**19
 _key_source = None  # the shared seed sequence of _philox, made at its first call
 _ZERO_COUNTER = np.zeros(4, np.uint64)  # the counter of a fresh Philox, as numpy reads it
 
@@ -241,14 +245,10 @@ class NoisePath:
         return w
 
 
-def _brownian_stack(seeds, T: float, h: float, dims: int) -> np.ndarray:
-    """Base increments (N, P, dims) of the paths sampled from seeds: path p,
-    increments[:, p], is drawn from its own (seeds[p], DOMAIN_BASE, 0) stream
-    as normal(0, sqrt h) of shape (N, dims), N = ceil(T/h)."""
-    n_steps = _grid_steps(T, h)
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
-    keys = philox_keys(seeds, DOMAIN_BASE, 0)
+def _brownian_stack(keys, n_steps: int, h: float, dims: int) -> np.ndarray:
+    """Base increments (n_steps, P, dims) of the P paths whose streams keys
+    (P, 2) key: path p, increments[:, p], is normal(0, sqrt h) of shape
+    (n_steps, dims) drawn from its stream, re-keyed once (_fresh_streams)."""
     draws = np.empty((len(keys), n_steps, dims))
     return _normal_rows(_fresh_streams(keys), draws, math.sqrt(h)).transpose(1, 0, 2)
 
@@ -259,7 +259,10 @@ def sample_brownian(seed: int, T: float, h: float, dims: int = 1) -> NoisePath:
     Deterministic: identical arguments give bitwise-identical paths, equal to
     the same seed's path in a stack of coupled paths.
     """
-    increments = _brownian_stack([seed], T, h, dims)[:, 0]
+    if dims < 1:
+        raise ValueError(f"dims must be >= 1, got {dims}")
+    keys = philox_keys([seed], DOMAIN_BASE, 0)
+    increments = _brownian_stack(keys, _grid_steps(T, h), h, dims)[:, 0]
     times = np.arange(len(increments) + 1) * h
     return NoisePath(times=times, increments=increments, seed=int(seed), level=0)
 
@@ -332,6 +335,61 @@ def _refine_stack(parent: np.ndarray, h: float, gens, fine=None, scratch=None) -
         fine[0::2, c:d] = first
         fine[1::2, c:d] = second
     return fine
+
+
+def _noise_pieces(keys, n: int, h0: float, dims: int):
+    """Yield the noise of P paths in pieces (level, increments (rows, P,
+    dims), times (rows + 1,)), a level per entry of keys, each level's pieces
+    in time order tiling its grid.  Level 0 has n steps of h0, path p drawn
+    from the stream keyed keys[0][p]; level j is the bridge refinement
+    (refine) of level j - 1, path p drawing from the stream keyed keys[j][p].
+
+    The levels whose stacks fit in _BLOCK_VALUES values come whole, coarsest
+    first, on streams used once.  The deeper ones then come in lockstep over
+    time blocks of the last whole level's grid (level 0's, where none fits),
+    each drawn or refined from its parent's piece on persistent streams, so
+    memory grows neither with the horizon nor with the finest level.  A
+    block's pieces hold at most _BLOCK_VALUES values, unless one grid step
+    needs more, in buffers made once: a streamed piece is valid until the
+    next is yielded, and a level's first piece is its longest.
+    """
+    levels, p, h, whole = len(keys), len(keys[0]), h0, 0
+    while whole < levels and (n << whole) * p * dims <= _BLOCK_VALUES:
+        whole += 1
+    for level in range(whole):
+        if level:
+            increments = _refine_stack(increments, h, _fresh_streams(keys[level]))
+            h /= 2.0
+        else:
+            increments = _brownian_stack(keys[0], n, h, dims)
+        yield level, increments, np.arange(len(increments) + 1) * h
+    if whole == levels:
+        return
+    # the grid the blocks tile, and the first streamed level's steps per grid step
+    grid, ratio = (len(increments), 2) if whole else (n, 1)
+    block = max(1, _BLOCK_VALUES // (ratio * (2 ** (levels - whole) - 1) * p * dims))
+    streamed, top = [], h
+    for level in range(whole, levels):
+        if level:
+            buf = np.empty((block * ratio, p, dims))
+            h /= 2.0
+        else:  # level 0 draws its block, each path's steps contiguous
+            buf = np.empty((p, block, dims))
+        streamed.append((level, ratio, h, [_philox(key) for key in keys[level]], buf))
+        ratio *= 2
+    del keys  # the streams hold all they need of it
+    # up to the finest's parent, where a streamed level refines at all
+    scratch = np.empty(_refine_scratch(block * ratio // 4, p, dims)) if levels > 1 else None
+    for a in range(0, grid, block):
+        b = min(a + block, grid)
+        piece, hp = (increments[a:b] if whole else None), top
+        for level, r, hl, gens, buf in streamed:
+            if piece is None:
+                piece = _normal_rows(gens, buf[:, :b - a], math.sqrt(hl)).transpose(1, 0, 2)
+            else:
+                piece = _refine_stack(piece, hp, gens, buf[:(b - a) * r], scratch)
+            hp = hl
+            yield level, piece, np.arange(a * r, b * r + 1) * hl
 
 
 # dtype kind -> printf cell: text verbatim, ints exactly, bool/float at 17 significant digits

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from stochlab import __version__, analyze, integrate
+from stochlab import __version__, analyze, integrate, noise
 from stochlab.analyze import (
     check_equilibrium,
     check_invariance,
@@ -376,7 +376,7 @@ def test_streamed_levels_equal_the_per_path_loop(monkeypatch, block, dims):
     persistent streams, with the same bits as levels built whole; each
     streamed level's pieces reuse one buffer."""
     values, pieces = _BLOCKS[block]
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", values * dims)
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", values * dims)
     seed, n_paths, T, h0, levels = 4, 5, 1.0, 2.0**-3, 4
     seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
     expected = _per_path_coupled_paths(seed, n_paths, T, h0, dims, levels)
@@ -466,7 +466,7 @@ def test_streamed_studies_equal_their_whole_level_figures(monkeypatch, name, blo
     """Every refinement study, with either oracle, on SDE and RODE models,
     gives the figures of its levels stepped whole, bit for bit, at any
     blocking of its levels (see _BLOCKS)."""
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", _BLOCKS[block][0])
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", _BLOCKS[block][0])
     got, expected = _study(name)
     assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
@@ -475,22 +475,48 @@ def test_a_streamed_level_aborts_at_its_own_step(monkeypatch):
     """An abort in a streamed level names the step on that level's grid,
     not in its block, as the same level stepped whole does."""
     model = build_model("scalar_linear", a=1e4, b_scalar=1.0)
-    seeds = derive_seed(1, DOMAIN_ENSEMBLE, np.arange(4))
     runs = [(1, model, "euler_maruyama")]
 
     def abort():
         with pytest.raises(IntegrationError) as info, \
                 np.errstate(over="ignore", invalid="ignore"):
-            analyze._coupled_terminals(runs, np.array([1.0]), seeds, 100.0, 1.0, 1, 3)
+            analyze._coupled_terminals(runs, np.array([1.0]), 1, 4, 100.0, 1.0, 3)
         return info.value
 
     whole = abort()
     # level 0 (4 paths x 100 steps) whole, level 1 in pieces of 32 steps
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 4 * 100)
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", 4 * 100)
     streamed = abort()
     assert whole.step > 32 and streamed.step == whole.step
     assert str(streamed) == str(whole)
     assert (streamed.time, streamed.path_index) == (whole.time, whole.path_index)
+
+
+_STUDY_CALLS = {
+    "empirical_convergence_order": lambda x0: empirical_convergence_order(
+        KUBO_HALF, x0, "heun", "finest_refinement", 3, 4, 1),
+    "functional_drift_decay": lambda x0: functional_drift_decay(
+        KUBO_HALF, x0, casimir_field(), "heun", 3, 4, 1),
+    "conversion_gap_decay": lambda x0: conversion_gap_decay(
+        KUBO_HALF, strat_to_ito(KUBO_HALF), x0, 3, 4, 1),
+    "check_symplecticity": lambda x0: check_symplecticity(
+        KUBO_HALF, "heun", x0, 0.1, 1.0, sample_brownian(1, 1.0, 0.1)),
+}
+
+
+@pytest.mark.parametrize("x0", [[np.nan, 0.0], [np.inf, 0.0]], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", _STUDY_CALLS, ids=list(_STUDY_CALLS))
+def test_a_non_finite_start_is_rejected_before_any_draw_or_step(monkeypatch, call, x0):
+    """A non-finite x0 used to draw every level and then abort at step 0,
+    naming a 'last finite state' that was not finite."""
+    def never(*args, **kwargs):
+        raise AssertionError("a path was drawn or stepped")
+
+    for module, name in ((analyze, "_coupled_paths"), (analyze, "_scheme_states"),
+                         (integrate, "_scheme_states")):
+        monkeypatch.setattr(module, name, never)
+    with pytest.raises(ValueError, match=r"x0 must be finite, got \[(nan|inf), 0\.0\]"):
+        _STUDY_CALLS[call](x0)
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from stochlab import analyze
+from stochlab import analyze, cli
 from stochlab.analyze import empirical_convergence_order, stability_probability
 from stochlab.cli import main
 from stochlab.integrate import IntegrationError, run_ensemble
@@ -625,6 +625,25 @@ def test_config_errors_print_the_api_message(tmp_path, capsys, task, cfg, call):
     assert main([task, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert f": {info.value}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 74.5 GiB for an array with shape (10000000002,) and data type int64",
+     "out of memory: Unable to allocate 74.5 GiB for an array with shape (10000000002,) and "
+     "data type int64"),
+    ("", "out of memory: an allocation failed"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch, message,
+                                                     line):
+    """A run the machine cannot hold ends with exit 1 and one stderr line, as
+    numpy's MemoryError or a bare one, not a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_ensemble", exhausted)
+    cfg = write_cfg(tmp_path, base_cfg(n_paths=4))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 @pytest.mark.parametrize("opts", [{"levels": 60}, {"levels": 3, "oracle_gap": 10**30}],

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stochlab import integrate
+from stochlab import integrate, noise
 from stochlab.analyze import equilibrium_attraction, stability_probability, uniform_sphere_sampler
 from stochlab.integrate import (
     SCHEMES,
@@ -462,7 +462,7 @@ def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, bloc
     replay alone steps in blocks 8 times as long. A non-finite start is
     rejected, under its path index, before any block."""
     model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 8)
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", block_steps * 8)
     if sub_steps:
         monkeypatch.setattr(integrate, "_STEP_VALUES", sub_steps * 8)
 
@@ -504,7 +504,7 @@ def test_streamed_abort_matches_a_recorded_run(monkeypatch, block_steps, sub_ste
         return info.value
 
     recorded = abort(True)
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 8)
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", block_steps * 8)
     if sub_steps:
         monkeypatch.setattr(integrate, "_STEP_VALUES", sub_steps * 8)
     streamed = abort(False)
@@ -542,7 +542,9 @@ def test_time_blocks_do_not_change_any_bit(monkeypatch, block_steps, sub_steps, 
         return stats, states, stab.n_exceed, attr.n_attracted
 
     stats, states, n_exceed, n_attracted = outputs()
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 6 * 3)
+    # a RODE path draws one noise value a step, an ell path three
+    width = 1 if model.interpretation == "rode" else 3
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", block_steps * 6 * width)
     if sub_steps:
         monkeypatch.setattr(integrate, "_STEP_VALUES", sub_steps * 6 * 3)
     b_stats, b_states, b_exceed, b_attracted = outputs()
@@ -564,13 +566,13 @@ def test_ensemble_draws_equal_per_path_normal_draws_with_a_short_last_block(monk
     reused buffer; the initial states are the sampler's on its own streams."""
     model = build_model("ell", interpretation="ito")
     n_paths, seed, h, n_steps = 4, 5, 0.01, 30
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 8 * n_paths * 3)
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", 8 * n_paths * 3)
     seen = []
     scheme_states = integrate._scheme_states
 
-    def spy(model, scheme, x0, times, noise, record=True, out=None):
+    def spy(model, scheme, x0, times, noise, record=True, out=None, first=0):
         seen.append((noise, noise.copy()))
-        return scheme_states(model, scheme, x0, times, noise, record, out)
+        return scheme_states(model, scheme, x0, times, noise, record, out, first)
 
     monkeypatch.setattr(integrate, "_scheme_states", spy)
     _, states = run_ensemble(model, uniform_sphere_sampler, "euler_maruyama", n_paths, seed,
@@ -586,6 +588,44 @@ def test_ensemble_draws_equal_per_path_normal_draws_with_a_short_last_block(monk
         assert np.array_equal(states[p, 0], x0)
 
 
+@pytest.mark.parametrize("block_steps,pieces", [(30, 1), (16, 2)],
+                         ids=["one_block", "two_blocks"])
+def test_only_an_ensemble_of_more_than_one_block_builds_persistent_streams(monkeypatch,
+                                                                          block_steps, pieces):
+    """30 steps of 4 paths in one block are a whole level, drawn on the one
+    re-keyed Philox: no persistent stream is built.  In blocks of 16 steps
+    each path builds one persistent stream.  Either way every path's noise
+    equals its SeedSequence-keyed stream's normal draws, bit for bit."""
+    model = build_model("ell", interpretation="ito")
+    n_paths, seed, h, n_steps = 4, 5, 0.01, 30
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", block_steps * n_paths * 3)
+    built, philox = [], noise._philox
+
+    def counted(key):
+        built.append(np.array(key).tolist())
+        return philox(key)
+
+    monkeypatch.setattr(noise, "_philox", counted)
+    seen = []
+    scheme_states = integrate._scheme_states
+
+    def spy(model, scheme, x0, times, increments, record=True, out=None, first=0):
+        seen.append(increments.copy())
+        return scheme_states(model, scheme, x0, times, increments, record, out, first)
+
+    monkeypatch.setattr(integrate, "_scheme_states", spy)
+    run_ensemble(model, [0.6, 0.0, 0.8], "euler_maruyama", n_paths, seed, [], T=n_steps * h,
+                 h=h)
+    persistent = philox_keys(seed, DOMAIN_ENSEMBLE, range(n_paths)).tolist()
+    assert built == ([[0, 0]] if pieces == 1 else persistent)  # [0, 0]: the re-keyed Philox
+    assert len(seen) == pieces
+    drawn = np.concatenate(seen)
+    for p in range(n_paths):
+        expected = _seed_sequence_stream(seed, DOMAIN_ENSEMBLE, p).normal(
+            0.0, np.sqrt(h), (n_steps, 3))
+        assert np.array_equal(drawn[:, p], expected)
+
+
 def test_a_wide_ensemble_holds_a_few_hundred_bytes_of_stream_state_per_path(monkeypatch):
     """3000 paths in blocks of 2 steps keep a persistent stream each.  The
     tracemalloc peak of the run, less that of the same run on one shared
@@ -594,7 +634,7 @@ def test_a_wide_ensemble_holds_a_few_hundred_bytes_of_stream_state_per_path(monk
     own held about 800."""
     model = build_model("ell", interpretation="ito")
     n_paths, x0 = 3000, np.array([0.6, 0.0, 0.8])
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 2 * n_paths * 3)
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", 2 * n_paths * 3)
     shared, calls = _philox(philox_keys(3, DOMAIN_ENSEMBLE, 0)), []
 
     def one_stream(key):
@@ -602,7 +642,7 @@ def test_a_wide_ensemble_holds_a_few_hundred_bytes_of_stream_state_per_path(monk
         return shared
 
     def peak(philox):
-        monkeypatch.setattr(integrate, "_philox", philox)
+        monkeypatch.setattr(noise, "_philox", philox)
         run_ensemble(model, x0, "euler_maruyama", n_paths, 3, [], T=0.05, h=0.01)  # warm up
         calls.clear()
         tracemalloc.start()
@@ -623,14 +663,14 @@ def test_sub_blocks_are_stepped_through_one_buffer_per_chunk(monkeypatch):
     see every row once, in order, at most 3 rows at a time."""
     model = build_model("ell", interpretation="ito")
     n_paths = 4
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 7 * n_paths * 3)
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", 7 * n_paths * 3)
     monkeypatch.setattr(integrate, "_STEP_VALUES", 3 * n_paths * 3)
     outs = []
     scheme_states = integrate._scheme_states
 
-    def spy(model, scheme, x0, times, noise, record=True, out=None):
+    def spy(model, scheme, x0, times, noise, record=True, out=None, first=0):
         outs.append(out)
-        return scheme_states(model, scheme, x0, times, noise, record, out)
+        return scheme_states(model, scheme, x0, times, noise, record, out, first)
 
     monkeypatch.setattr(integrate, "_scheme_states", spy)
     seen = []
@@ -690,7 +730,7 @@ def test_run_ensemble_equals_the_array_reference(monkeypatch, name, scheme, bloc
     eta of rode_ll varies, so a RODE run carries its driving W across block
     boundaries where eta moves, and each sub-block reads its slice of the
     block's eta rows."""
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", block_steps * 4 * 3)
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", block_steps * 4 * 1)
     if sub_steps:
         monkeypatch.setattr(integrate, "_STEP_VALUES", sub_steps * 4 * 3)
     model = build_model(name, alpha=0.7)
@@ -721,9 +761,11 @@ def test_rode_ensemble_memory_is_bounded_by_the_time_block(monkeypatch):
     """tracemalloc peak of rode_ll under rode_heun, 8 paths, h = 1e-3, in
     blocks of 2**10 values, at T = 1 and T = 4.  Built for the whole horizon
     before stepping, eta and its driving noise grew the peak from 203 to
-    778 KiB.  Built per block it grows from 37 to 94 KiB: the time grid
-    costs 8 bytes a step, and making it briefly takes twice that."""
-    monkeypatch.setattr(integrate, "_BLOCK_VALUES", 2**10)
+    778 KiB.  Built per sub-block it grows from 83 to 127 KiB (from 37 to
+    94 KiB when blocks were sized by the state's three components rather
+    than the one noise value a step): the time grid costs 8 bytes a step,
+    and making it briefly takes twice that."""
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", 2**10)
     model = build_model("rode_ll")
 
     def peak(T):

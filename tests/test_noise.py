@@ -225,7 +225,7 @@ def test_sample_brownian_equals_the_old_normal_draw_and_its_stack_column(seed, T
     old = _seed_sequence_stream(seed, DOMAIN_BASE, 0).normal(
         0.0, np.sqrt(h), size=(p.n_steps, dims))
     assert np.array_equal(p.increments, old)
-    stack = _brownian_stack([11, seed, 0], T, h, dims)
+    stack = _brownian_stack(philox_keys([11, seed, 0], DOMAIN_BASE, 0), p.n_steps, h, dims)
     assert stack.shape == (p.n_steps, 3, dims)
     assert np.array_equal(stack[:, 1], old)
 
@@ -323,7 +323,7 @@ def test_refine_holds_nothing_full_size_but_its_parent_and_output():
     """A level's whole midpoint draw and bridge temporaries beside the output
     peaked near three times the output's bytes."""
     seeds = np.arange(1000)
-    parent = _brownian_stack(seeds, 1.0, 2.0**-10, 1)
+    parent = _brownian_stack(philox_keys(seeds, DOMAIN_BASE, 0), 2**10, 2.0**-10, 1)
     tracemalloc.start()
     try:
         fine = _refine_stack(parent, 2.0**-10, _level_streams(seeds, 1))

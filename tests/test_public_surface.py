@@ -1,5 +1,6 @@
 """The public surface: every name stochlab exports has a caller in the package
-or in the acceptance battery, unless an allowlisted reason says why not."""
+or in the acceptance battery, unless an allowlisted reason says why not.  And
+the noise schedule's internals are named in noise.py only."""
 import ast
 from pathlib import Path
 
@@ -41,3 +42,30 @@ def test_every_export_has_a_caller_or_an_allowlisted_reason():
     assert uncalled == set(UNCALLED), (
         f"exported without a caller: {sorted(uncalled - set(UNCALLED))}; "
         f"allowlisted but called: {sorted(set(UNCALLED) - uncalled)}")
+
+
+# what decides how the noise of a run is laid out in time and drawn
+SCHEDULE = {"_normal_rows", "_philox", "_refine_stack", "_refine_scratch", "_brownian_stack",
+            "_BLOCK_VALUES"}
+
+
+def _names(tree):
+    """Names a module reads, binds, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+            yield node.name
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name
+
+
+def test_the_noise_schedule_is_named_in_noise_only():
+    """Ensembles and refinement studies draw their noise through
+    noise._noise_pieces; no other module picks blocks, streams or draws."""
+    leaks = {f.name: sorted(SCHEDULE & set(_names(ast.parse(f.read_text()))))
+             for f in sorted(PACKAGE.glob("*.py")) if f.name != "noise.py"}
+    assert {name: found for name, found in leaks.items() if found} == {}
