@@ -100,6 +100,20 @@ def _number(value, where, integer=False):
     return int(number) if integer else float(number)
 
 
+def _numeric(value, where):
+    """A model parameter with each numeric string, in a vector or a matrix
+    too, read as a number through _number; other values as they are."""
+    if isinstance(value, list):
+        return [_numeric(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, str):
+        try:
+            float(value)
+        except ValueError:
+            return value
+        return _number(value, where)
+    return value
+
+
 def _vector(value, model, where, key):
     """The config state vector under key: a list of model.n numbers, as floats."""
     if not isinstance(value, (list, tuple)):
@@ -153,6 +167,7 @@ def load_config(path: str, seed_override, task: str):
         raise ConfigError("model section needs a 'name'")
     params = model_cfg.get("params") or {}
     _check_keys(params, set(params), "model.params")
+    params = {key: _numeric(value, f"model.params: {key}") for key, value in params.items()}
     try:
         model = build_model(str(model_cfg["name"]), **params)
     except (ValueError, TypeError) as exc:
@@ -209,13 +224,10 @@ def load_config(path: str, seed_override, task: str):
     if vector and not isinstance(x0, list):
         raise ConfigError(f"{vector[0]} analysis needs an explicit x0 vector")
 
-    params_out = _plain(model.params)
-    if "interpretation" in params:
-        params_out["interpretation"] = model.interpretation
     cfg = {
         "version": 1,
         "seed": seed,
-        "model": {"name": model_cfg["name"], "params": params_out},
+        "model": {"name": model_cfg["name"], "params": _plain(model.params)},
         "scheme": scheme,
         "T": T,
         "h": h,

@@ -234,62 +234,6 @@ def _stacked(fn, eta_dim=0):
     return field
 
 
-def _kernel_states(model, advance, times, x0, noise, record=True, out=None, first=0):
-    """Drive advance(kernel, t, h, xs, w, k) -> xs over the grid on state components.
-
-    noise has shape (rows, ..., l) matching the batch axes of x0, or
-    (rows, l) for noise shared by the whole batch; w(k) gives the l
-    components of row k (see _scheme_states).  A single path steps on Python
-    floats (complex ones for a complex x0), converting the rows its advance
-    reads; a batch steps on (B,) component arrays.  Returns the states
-    (N+1,) + x0.shape, recorded into out (a C-contiguous array of that shape
-    and x0's dtype; x0 may be out[0]) where given, or the terminal state when
-    record is off.  Raises ValueError unless x0 holds model.n components on
-    its last axis, and IntegrationError at a non-finite state, naming its
-    step on a grid where times[0] is row first.
-    """
-    _check_state(model, x0)
-    kernel = model.kernel
-    x0 = np.asarray(x0, dtype=np.result_type(x0, float))
-    n, l = model.n, noise.shape[-1]
-    n_steps = len(times) - 1
-    tl = np.asarray(times, dtype=float).tolist()
-    states = None
-    if record:
-        states = np.empty((n_steps + 1,) + x0.shape, dtype=x0.dtype) if out is None else out
-        states[0] = x0
-    if x0.size == n and noise.size == len(noise) * l:
-        rows = states.reshape(n_steps + 1, n) if record else None
-        flat = noise.reshape(len(noise), l)
-
-        def w(k):
-            return flat[k].tolist()
-        xs = x0.reshape(n).tolist()
-        for k in range(n_steps):
-            t = tl[k]
-            last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
-            if record:
-                rows[k + 1] = xs
-            if not all(map(cmath.isfinite, xs)):
-                _check_finite(np.reshape(xs, x0.shape), first + k, t, times,
-                              states[: k + 2] if record else None, last)
-        return states if record else np.reshape(xs, x0.shape)
-
-    def w(k):
-        row = noise[k]
-        return [row[..., j] for j in range(l)]
-    terminal = x0.copy()
-    xs = [x0[..., i] for i in range(n)]
-    for k in range(n_steps):
-        t = tl[k]
-        last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
-        row = states[k + 1] if record else terminal
-        for i, c in enumerate(xs):
-            row[..., i] = c
-        _check_finite(row, first + k, t, times, states[: k + 2] if record else None, last)
-    return states if record else terminal
-
-
 def _em_advance(kernel, t, h, xs, w, k):
     f, g = kernel(t, xs, w(k))
     return [x + a * h + b for x, a, b in zip(xs, f, g)]
@@ -464,12 +408,62 @@ _ADVANCE = {"euler_maruyama": _em_advance, "heun": _heun_advance, "rk4": _rk4_ad
 
 
 def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first=0):
-    """Integrate a batch under a checked scheme; noise is the (N, ..., l)
-    increment stack of a stochastic scheme, the (N+1, ..., l) eta rows of a
-    RODE scheme (step k reads rows k and k+1), and unused by rk4.  The
-    states are recorded into out where given, and an error names its step
-    from row first (see _kernel_states)."""
-    return _kernel_states(model, _ADVANCE[scheme], times, x0, noise, record, out, first)
+    """Integrate a batch under a checked scheme: drive its advance function
+    advance(kernel, t, h, xs, w, k) -> xs over the grid on state components.
+
+    noise is the (N, ..., l) increment stack of a stochastic scheme, the
+    (N+1, ..., l) eta rows of a RODE scheme (step k reads rows k and k+1),
+    and unused by rk4.  Its batch axes match those of x0, or it is (rows, l)
+    for noise shared by the whole batch; w(k) gives the l components of row
+    k.  A single path steps on Python floats (complex ones for a complex
+    x0), converting the rows its advance reads; a batch steps on (B,)
+    component arrays.  Returns the states (N+1,) + x0.shape, recorded into
+    out (a C-contiguous array of that shape and x0's dtype; x0 may be
+    out[0]) where given, or the terminal state when record is off.  Raises
+    ValueError unless x0 holds model.n components on its last axis, and
+    IntegrationError at a non-finite state, naming its step on a grid where
+    times[0] is row first.
+    """
+    _check_state(model, x0)
+    kernel, advance = model.kernel, _ADVANCE[scheme]
+    x0 = np.asarray(x0, dtype=np.result_type(x0, float))
+    n, l = model.n, noise.shape[-1]
+    n_steps = len(times) - 1
+    tl = np.asarray(times, dtype=float).tolist()
+    states = None
+    if record:
+        states = np.empty((n_steps + 1,) + x0.shape, dtype=x0.dtype) if out is None else out
+        states[0] = x0
+    if x0.size == n and noise.size == len(noise) * l:
+        rows = states.reshape(n_steps + 1, n) if record else None
+        flat = noise.reshape(len(noise), l)
+
+        def w(k):
+            return flat[k].tolist()
+        xs = x0.reshape(n).tolist()
+        for k in range(n_steps):
+            t = tl[k]
+            last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
+            if record:
+                rows[k + 1] = xs
+            if not all(map(cmath.isfinite, xs)):
+                _check_finite(np.reshape(xs, x0.shape), first + k, t, times,
+                              states[: k + 2] if record else None, last)
+        return states if record else np.reshape(xs, x0.shape)
+
+    def w(k):
+        row = noise[k]
+        return [row[..., j] for j in range(l)]
+    terminal = x0.copy()
+    xs = [x0[..., i] for i in range(n)]
+    for k in range(n_steps):
+        t = tl[k]
+        last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
+        row = states[k + 1] if record else terminal
+        for i, c in enumerate(xs):
+            row[..., i] = c
+        _check_finite(row, first + k, t, times, states[: k + 2] if record else None, last)
+    return states if record else terminal
 
 
 # State values an ensemble steps per sub-block of a noise piece: 2**17
@@ -577,7 +571,7 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
         samplers = _fresh_streams(philox_keys(seed, DOMAIN_SAMPLER, ks))
         x = np.stack([np.asarray(x0(k, rng), dtype=float) for k, rng in zip(ks, samplers)])
     else:
-        x = np.stack([np.asarray(x0, dtype=float)] * len(ks))
+        x = np.broadcast_to(np.asarray(x0, dtype=float), (len(ks),) + np.shape(x0)).copy()
     _check_state(model, x)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=-1))
     if bad.size:

@@ -1,84 +1,58 @@
 """Model catalog: named builders for the Larmor / Landau-Lifshitz family,
 the Kubo oscillator, the scalar linear SDE and the isochronous oscillators.
 
-Every builder returns a validated ModelSpec.  Drift terms are written once,
-in component form (functions of the state components xs and, for RODE
-models, of the eta components ws, see ModelSpec.kernel); the drift terms
-and the kernel are derived from them.  Stochastic entries write their noise
-once, as the component-form action sigma(t, x) dW that the schemes step on.
-ModelSpec derives the array drift and the sigma matrix, which the checkers
-and the generator use, from the kernel; the Wong-Zakai conversion
+A builder's signature states its model's parameters and their defaults,
+once; build_model checks the values, calls it and records the arguments it
+got in ModelSpec.params.  Drift terms are written once, in component form
+(functions of the state components xs and, for RODE models, of the eta
+components ws, see ModelSpec.kernel); the drift terms and the kernel are
+derived from them.  Stochastic entries write their noise once, as the
+component-form action sigma(t, x) dW that the schemes step on.  ModelSpec
+derives the array drift and the sigma matrix, which the checkers and the
+generator use, from the kernel; the Wong-Zakai conversion
 (integrate.strat_to_ito) works on the action itself.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from .integrate import ModelSpec, _stacked, validate_model
 from .noise import iterated_log
 
-REQUIRED = object()
 
-_SCHEMAS = {
-    "larmor": {"b": (0.0, 0.0, 1.0)},
-    "larmor_external": {"b": (0.0, 0.0, 1.0), "eps": 0.1, "sigma_mat": None},
-    "larmor_preserving": {"b": (0.0, 0.0, 1.0), "gamma": 1.0},
-    "ll": {"b": (0.0, 0.0, 1.0), "alpha": 1.0},
-    "ell": {"b": (0.0, 0.0, 1.0), "alpha": 1.0, "eps": 0.1, "interpretation": REQUIRED},
-    "etore_invariantized": {"b": (0.0, 0.0, 1.0), "alpha": 1.0, "eps": 0.1},
-    "modified_etore": {"b": (0.0, 0.0, 1.0), "alpha": 1.0, "eps": 0.1},
-    "rode_ll": {"b": (0.0, 0.0, 1.0), "alpha": 1.0, "scalar_eta": True, "t_min": 3.0},
-    "kubo": {"a": 1.0, "sigma": 0.5},
-    "scalar_linear": {"a": REQUIRED, "b_scalar": REQUIRED},
-    "isochronous": {"omega": REQUIRED, "eps": 0.1},
-}
+def build_model(name, **params) -> ModelSpec:
+    """Build a validated ModelSpec from a catalog name and parameter values.
 
-CATALOG = tuple(sorted(_SCHEMAS))
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A catalog model name with its parameter values."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-    interpretation: Optional[str] = None
-
-
-def build_model(entry, **overrides) -> ModelSpec:
-    """Build a validated ModelSpec from a CatalogEntry or a catalog name."""
-    if isinstance(entry, CatalogEntry):
-        name = entry.name
-        params = dict(entry.params)
-        if entry.interpretation is not None:
-            params.setdefault("interpretation", entry.interpretation)
-    else:
-        name = str(entry)
-        params = {}
-    params.update(overrides)
-    if name not in _SCHEMAS:
+    The builder's signature states the model's parameters and their
+    defaults; one without a default is required.  Every value must hold
+    finite numbers, or a bool where the default is one.  ModelSpec.params
+    records the arguments the builder got: given values as given, the
+    defaults filled in.  A builder's ValueError is raised with the name.
+    """
+    if name not in _BUILDERS:
         raise ValueError(f"unknown catalog model {name!r}; known: {', '.join(CATALOG)}")
-    schema = _SCHEMAS[name]
-    unknown = set(params) - set(schema)
+    builder = _BUILDERS[name]
+    signature = inspect.signature(builder).parameters
+    unknown = set(params) - set(signature)
     if unknown:
         raise ValueError(f"{name}: unknown parameters {sorted(unknown)}")
     resolved = {}
-    for key, default in schema.items():
-        if key in params:
-            resolved[key] = params[key]
-        elif default is REQUIRED:
+    for key, param in signature.items():
+        if key not in params and param.default is param.empty:
             raise ValueError(f"{name}: missing required parameter {key!r}")
-        else:
-            resolved[key] = default
-        if key != "scalar_eta" and _bad_number(resolved[key]):
-            raise ValueError(f"{name}: {key} must hold finite numbers, got {resolved[key]!r}")
-    model = _BUILDERS[name](**resolved)
+        resolved[key] = value = params.get(key, param.default)
+        if not isinstance(param.default, bool) and _bad_number(value):
+            raise ValueError(f"{name}: {key} must hold finite numbers, got {value!r}")
+    try:
+        model = replace(builder(**resolved), params=resolved)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     validate_model(model)
     return model
 
@@ -94,18 +68,18 @@ def _bad_number(value):
         isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max)
 
 
-def _field_vector(b, who):
+def _field_vector(b):
     """The effective field as a tuple of three floats (component constants)."""
     b = np.asarray(b, dtype=float).reshape(3)
     if np.all(b == 0.0):
-        raise ValueError(f"{who}: effective field b must be nonzero")
+        raise ValueError("effective field b must be nonzero")
     return tuple(b.tolist())
 
 
-def _check_nonneg(who, **vals):
+def _check_nonneg(**vals):
     for key, v in vals.items():
         if v < 0:
-            raise ValueError(f"{who}: {key} must be >= 0, got {v}")
+            raise ValueError(f"{key} must be >= 0, got {v}")
 
 
 def _cross_c(u, v):
@@ -186,64 +160,54 @@ def _larmor_terms(b):
     return (("precession", lambda t, x, *ws: _cross_c(x, b)),)
 
 
-def _build_larmor(b):
-    b = _field_vector(b, "larmor")
-    return _spec(3, 0, "ode", _larmor_terms(b), name="larmor", params={"b": b})
+def _build_larmor(b=(0.0, 0.0, 1.0)):
+    b = _field_vector(b)
+    return _spec(3, 0, "ode", _larmor_terms(b), name="larmor")
 
 
-def _build_larmor_external(b, eps, sigma_mat):
-    b = _field_vector(b, "larmor_external")
-    _check_nonneg("larmor_external", eps=eps)
+def _build_larmor_external(b=(0.0, 0.0, 1.0), eps=0.1, sigma_mat=None):
+    b = _field_vector(b)
+    _check_nonneg(eps=eps)
     sm = np.eye(3) if sigma_mat is None else np.asarray(sigma_mat, dtype=float).reshape(3, 3)
     if np.all(sm == 0.0):
-        raise ValueError("larmor_external: sigma_mat must be nonzero")
+        raise ValueError("sigma_mat must be nonzero")
     rows = sm.tolist()
 
     def action(t, x, w):
         v = [r0 * w[0] + r1 * w[1] + r2 * w[2] for r0, r1, r2 in rows]
         return _scaled(eps, _cross_c(x, v))
 
-    return _spec(
-        3, 3, "stratonovich", _larmor_terms(b), action,
-        name="larmor_external", params={"b": b, "eps": eps},
-    )
+    return _spec(3, 3, "stratonovich", _larmor_terms(b), action, name="larmor_external")
 
 
-def _build_larmor_preserving(b, gamma):
-    b = _field_vector(b, "larmor_preserving")
+def _build_larmor_preserving(b=(0.0, 0.0, 1.0), gamma=1.0):
+    b = _field_vector(b)
     if gamma == 0:
-        raise ValueError("larmor_preserving: gamma must be nonzero")
+        raise ValueError("gamma must be nonzero")
 
     def action(t, x, w):
         return _scaled(gamma * w[0], _cross_c(x, b))
 
-    return _spec(
-        3, 1, "stratonovich", _larmor_terms(b), action,
-        name="larmor_preserving", params={"b": b, "gamma": gamma},
-    )
+    return _spec(3, 1, "stratonovich", _larmor_terms(b), action, name="larmor_preserving")
 
 
-def _build_ll(b, alpha):
-    b = _field_vector(b, "ll")
-    _check_nonneg("ll", alpha=alpha)
-    return _spec(3, 0, "ode", **_ll_drift(lambda *ws: b, alpha),
-                 name="ll", params={"b": b, "alpha": alpha})
+def _build_ll(b=(0.0, 0.0, 1.0), alpha=1.0):
+    b = _field_vector(b)
+    _check_nonneg(alpha=alpha)
+    return _spec(3, 0, "ode", **_ll_drift(lambda *ws: b, alpha), name="ll")
 
 
-def _build_ell(b, alpha, eps, interpretation):
-    b = _field_vector(b, "ell")
-    _check_nonneg("ell", alpha=alpha, eps=eps)
+def _build_ell(interpretation, b=(0.0, 0.0, 1.0), alpha=1.0, eps=0.1):
+    b = _field_vector(b)
+    _check_nonneg(alpha=alpha, eps=eps)
     if interpretation not in ("ito", "stratonovich"):
-        raise ValueError(f"ell: interpretation must be ito or stratonovich, got {interpretation!r}")
+        raise ValueError(f"interpretation must be ito or stratonovich, got {interpretation!r}")
 
     def action(t, x, w):
         return _scaled(eps, _ll_c(x, w, alpha))
 
-    return _spec(
-        3, 3, interpretation, action=action, **_ll_drift(lambda *ws: b, alpha),
-        name=f"ell_{interpretation}",
-        params={"b": b, "alpha": alpha, "eps": eps},
-    )
+    return _spec(3, 3, interpretation, action=action, **_ll_drift(lambda *ws: b, alpha),
+                 name=f"ell_{interpretation}")
 
 
 def _rescale_rate(t, eps, alpha):
@@ -266,9 +230,9 @@ def _etore_terms(b, alpha, eps):
     return (("rescaling", rescaling), ("landau-lifshitz", ll_part))
 
 
-def _build_etore_invariantized(b, alpha, eps):
-    b = _field_vector(b, "etore_invariantized")
-    _check_nonneg("etore_invariantized", alpha=alpha, eps=eps)
+def _build_etore_invariantized(b=(0.0, 0.0, 1.0), alpha=1.0, eps=0.1):
+    b = _field_vector(b)
+    _check_nonneg(alpha=alpha, eps=eps)
 
     # The noise keeps the eps amplitude of the unrescaled equation: the rate
     # 2 eps^2 (alpha^2+1) in the rescaling is tuned to cancel exactly the
@@ -278,32 +242,26 @@ def _build_etore_invariantized(b, alpha, eps):
         s = math.sqrt(_rescale_rate(t, eps, alpha)[1])
         return _scaled(eps / s, _ll_c(x, w, alpha))
 
-    return _spec(
-        3, 3, "ito", _etore_terms(b, alpha, eps), action, name="etore_invariantized",
-        params={"b": b, "alpha": alpha, "eps": eps},
-    )
+    return _spec(3, 3, "ito", _etore_terms(b, alpha, eps), action, name="etore_invariantized")
 
 
-def _build_modified_etore(b, alpha, eps):
-    b = _field_vector(b, "modified_etore")
-    _check_nonneg("modified_etore", alpha=alpha, eps=eps)
+def _build_modified_etore(b=(0.0, 0.0, 1.0), alpha=1.0, eps=0.1):
+    b = _field_vector(b)
+    _check_nonneg(alpha=alpha, eps=eps)
 
     # single noise channel eps sigma(t, x) b with a 1-dim Brownian motion
     def action(t, x, w):
         s = math.sqrt(_rescale_rate(t, eps, alpha)[1])
         return _scaled(eps / s * w[0], _ll_c(x, b, alpha))
 
-    return _spec(
-        3, 1, "ito", _etore_terms(b, alpha, eps), action, name="modified_etore",
-        params={"b": b, "alpha": alpha, "eps": eps},
-    )
+    return _spec(3, 1, "ito", _etore_terms(b, alpha, eps), action, name="modified_etore")
 
 
-def _build_rode_ll(b, alpha, scalar_eta, t_min):
-    b = _field_vector(b, "rode_ll")
-    _check_nonneg("rode_ll", alpha=alpha)
+def _build_rode_ll(b=(0.0, 0.0, 1.0), alpha=1.0, scalar_eta=True, t_min=3.0):
+    b = _field_vector(b)
+    _check_nonneg(alpha=alpha)
     if scalar_eta and not t_min > math.e:  # iterated_log's normalizer needs it
-        raise ValueError(f"rode_ll: t_min must exceed e ~ 2.718, got {t_min}")
+        raise ValueError(f"t_min must exceed e ~ 2.718, got {t_min}")
 
     if scalar_eta:
         # equilibrium-preserving subfamily b_t = b0 eta_t with scalar eta
@@ -314,26 +272,18 @@ def _build_rode_ll(b, alpha, scalar_eta, t_min):
             return tuple(ws)
 
     eta_builder = partial(iterated_log, t_min=t_min) if scalar_eta else None
-    return _spec(
-        3, 0, "rode", **_ll_drift(effective_field, alpha),
-        eta_dim=1 if scalar_eta else 3,
-        eta_builder=eta_builder,
-        name="rode_ll",
-        params={"b": b, "alpha": alpha, "scalar_eta": scalar_eta, "t_min": t_min},
-    )
+    return _spec(3, 0, "rode", **_ll_drift(effective_field, alpha),
+                 eta_dim=1 if scalar_eta else 3, eta_builder=eta_builder, name="rode_ll")
 
 
-def _build_kubo(a, sigma):
+def _build_kubo(a=1.0, sigma=0.5):
     def rotation(t, x):
         return (-a * x[1], a * x[0])
 
     def action(t, x, w):
         return (-sigma * x[1] * w[0], sigma * x[0] * w[0])
 
-    return _spec(
-        2, 1, "stratonovich", (("rotation", rotation),), action,
-        name="kubo", params={"a": a, "sigma": sigma},
-    )
+    return _spec(2, 1, "stratonovich", (("rotation", rotation),), action, name="kubo")
 
 
 def kubo_exact(a, sigma, x0, t, w) -> np.ndarray:
@@ -357,10 +307,7 @@ def _build_scalar_linear(a, b_scalar):
     def action(t, x, w):
         return (b_scalar * x[0] * w[0],)
 
-    return _spec(
-        1, 1, "ito", (("linear", linear),), action,
-        name="scalar_linear", params={"a": a, "b_scalar": b_scalar},
-    )
+    return _spec(1, 1, "ito", (("linear", linear),), action, name="scalar_linear")
 
 
 def scalar_linear_exact(a, b_scalar, x0, t, w) -> np.ndarray:
@@ -369,14 +316,14 @@ def scalar_linear_exact(a, b_scalar, x0, t, w) -> np.ndarray:
     return x0 * np.exp((a - 0.5 * b_scalar**2) * t + b_scalar * w)
 
 
-def _build_isochronous(omega, eps):
+def _build_isochronous(omega, eps=0.1):
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     m = omega.shape[0]
     if m == 0:
-        raise ValueError("isochronous: omega must be a nonempty frequency list")
+        raise ValueError("omega must be a nonempty frequency list")
     amps = np.broadcast_to(np.asarray(eps, dtype=float), (m,)).astype(float)
     if np.any(amps < 0):
-        raise ValueError("isochronous: noise amplitudes must be >= 0")
+        raise ValueError("noise amplitudes must be >= 0")
     # state is (I_1..I_m, theta_1..theta_m); dI = 0, d theta_i = omega_i dt + eps_i o dB
     rate = tuple(np.concatenate([np.zeros(m), omega]).tolist())
     still, amp_list = (0.0,) * m, amps.tolist()
@@ -387,10 +334,8 @@ def _build_isochronous(omega, eps):
     def action(t, x, w):
         return still + tuple(amp * w[0] for amp in amp_list)
 
-    return _spec(
-        2 * m, 1, "stratonovich", (("frequency", frequency),), action, name="isochronous",
-        params={"omega": tuple(omega), "eps": tuple(amps)},
-    )
+    return _spec(2 * m, 1, "stratonovich", (("frequency", frequency),), action,
+                 name="isochronous")
 
 
 def wrap_angles(model: ModelSpec, states: np.ndarray) -> np.ndarray:
@@ -416,3 +361,4 @@ _BUILDERS = {
     "scalar_linear": _build_scalar_linear,
     "isochronous": _build_isochronous,
 }
+CATALOG = tuple(sorted(_BUILDERS))

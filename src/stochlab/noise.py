@@ -204,11 +204,16 @@ def _normal_rows(gens, out, sd):
 
 def _grid_steps(T: float, h: float) -> int:
     """Step count N = ceil(T/h) of the grid of step h on [0, T]; raises
-    ValueError unless T > 0, 0 < h <= T and T/h is finite."""
+    ValueError unless T > 0, 0 < h <= T, T/h is finite and numpy can size
+    the N + 1 float64 grid times (N + 1 <= np.iinfo(np.intp).max // 8)."""
     if not (T > 0 and 0 < h <= T and math.isfinite(T / h)):
         raise ValueError(f"need T > 0, 0 < h <= T and a finite T/h, got T={T}, h={h}")
     # ceil with a guard against T/h landing just above an integer in floats
-    return int(math.ceil(T / h - 1e-9))
+    n = int(math.ceil(T / h - 1e-9))
+    if n + 1 > np.iinfo(np.intp).max // 8:
+        raise ValueError(f"a grid of {n + 1} times is more than a float64 array can hold, "
+                         f"got T={T}, h={h}")
+    return n
 
 
 @dataclass(frozen=True)

@@ -384,6 +384,12 @@ _REPRO_RUNS = [
         "analyses": [{"kind": "lyapunov", "functional": "neg_align"},
                      {"kind": "equilibrium", "point": [0.0, 0.0, 1.0], "tol": 1e-12},
                      {"kind": "equilibrium", "point": [0.0, 0.0, -1.0], "tol": 1e-12}]}),
+    # a noise matrix other than the identity, which the config comment records
+    ("simulate", {
+        "version": 1, "seed": 14, "T": 0.5, "h": 1e-2, "x0": [0.6, 0.0, 0.8],
+        "model": {"name": "larmor_external",
+                  "params": {"eps": 0.3, "sigma_mat": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                                       [0.5, 0.0, 3.0]]}}}),
 ]
 
 

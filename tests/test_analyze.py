@@ -519,6 +519,16 @@ def test_a_non_finite_start_is_rejected_before_any_draw_or_step(monkeypatch, cal
         _STUDY_CALLS[call](x0)
 
 
+def test_a_symplecticity_grid_that_numpy_cannot_size_is_rejected_before_any_step(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a path was stepped")
+
+    monkeypatch.setattr(analyze, "_scheme_states", never)
+    model = build_model("kubo", a=1.0, sigma=0.5)
+    with pytest.raises(ValueError, match="more than a float64 array can hold"):
+        check_symplecticity(model, "heun", [1.0, 0.0], h=1e-20, T=1.0)
+
+
 @functools.lru_cache(maxsize=None)
 def _convergence_study_peak(T):
     """tracemalloc peak of the Kubo/Heun study at 1000 paths, 5 levels and an

@@ -483,6 +483,9 @@ BAD_CONFIGS = {
         analyses=[{"kind": "convergence", "oracle": "finest_refinement",
                    "levels": 3, "n_paths": 8, "scheme": 0}])),
     "grid_overflow": ("simulate", base_cfg(T=1e300, h=1e-300)),
+    "eta_grid_beyond_numpy": ("check", base_cfg(
+        model={"name": "rode_ll"},
+        analyses=[{"kind": "invariance", "tol": 1e-9, "eta_T": 1.0, "eta_h": 1e-20}])),
     "negative_paths": ("simulate", base_cfg(n_paths=-1)),
     "scheme_mismatch": ("simulate", base_cfg(scheme="euler_maruyama")),
     "nonpositive_T": ("simulate", base_cfg(T=0.0)),
@@ -559,6 +562,11 @@ BAD_CONFIGS = {
         model={"name": "ll", "params": {"b": [0.0, 0.0, float("nan")]}}, scheme="rk4")),
     "ll_b_beyond_float": ("simulate", base_cfg(
         model={"name": "ll", "params": {"b": [0, 0, 10**400]}}, scheme="rk4")),
+    "kubo_a_nan_string": ("simulate", base_cfg(
+        model={"name": "kubo", "params": {"a": "nan"}}, scheme="heun", x0=[1.0, 0.0])),
+    "larmor_sigma_mat_inf_string": ("simulate", base_cfg(
+        model={"name": "larmor_external", "params": {"sigma_mat": [[1, 0, 0], [0, "-inf", 0],
+                                                                   [0, 0, 1]]}})),
     "scalar_linear_a_bool": ("simulate", base_cfg(
         model={"name": "scalar_linear", "params": {"a": True, "b_scalar": 0.5}},
         scheme="euler_maruyama", x0=[1.0])),
@@ -675,6 +683,77 @@ def test_integral_floats_and_numeric_strings_resolve_like_numbers(tmp_path):
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         outs.append((out / "trajectory.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_a_grid_that_numpy_cannot_size_exits_2_with_one_line(tmp_path, capsys):
+    """T: 1.0, h: 1.0e-20 used to make --out and then end in a traceback
+    from np.arange."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, base_cfg(T=1.0, h=1e-20))
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: config: a grid of 100000000000000000001 times is more than a float64 "
+        "array can hold, got T=1.0, h=1e-20"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("written, plain", [
+    ("{name: kubo, params: {a: 1e-3}}", "{name: kubo, params: {a: 0.001}}"),
+    ("{name: larmor_external, params: {sigma_mat: [[1e0, 0, 0], [0, 2e0, 0], [0, 0, 1]]}}",
+     "{name: larmor_external, params: {sigma_mat: [[1.0, 0, 0], [0, 2.0, 0], [0, 0, 1]]}}"),
+], ids=["scalar", "matrix"])
+def test_numeric_strings_in_model_parameters_resolve_like_numbers(tmp_path, written, plain):
+    """YAML 1.1 reads 1e-3 as a string; it used to reach the builder as one
+    and exit 2 with `bad operand type for unary -: 'str'`."""
+    x0 = "[1.0, 0.0]" if "kubo" in written else "[0.6, 0.0, 0.8]"
+    outs = []
+    for i, model in enumerate((written, plain)):
+        cfg = write_cfg(tmp_path, f"version: 1\nseed: 3\nT: 0.05\nh: 0.01\nx0: {x0}\n"
+                                  f"model: {model}\n", name=f"cfg{i}.yaml")
+        out = tmp_path / f"run{i}"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        outs.append((out / "trajectory.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+# every catalog model with parameters off their defaults; ints where a
+# config may give them
+ROUND_TRIPS = {
+    "larmor": ({"b": [0.3, -0.2, 1.1]}, [0.6, 0.0, 0.8]),
+    "larmor_external": ({"b": [0, 1, 1], "eps": 0.3,
+                         "sigma_mat": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}, [0.6, 0.0, 0.8]),
+    "larmor_preserving": ({"b": [0.5, 0.0, 1.0], "gamma": 0.4}, [0.6, 0.0, 0.8]),
+    "ll": ({"b": [0.2, 0.1, 1.0], "alpha": 0.3}, [0.6, 0.0, 0.8]),
+    "ell": ({"interpretation": "ito", "b": [0.0, 1.0, 1.0], "alpha": 0.5, "eps": 0.2},
+            "sphere"),
+    "etore_invariantized": ({"b": [1.0, 0.0, 1.0], "alpha": 0.7, "eps": 0.2}, [0.6, 0.0, 0.8]),
+    "modified_etore": ({"b": [0, 0, 2], "alpha": 0.6, "eps": 0.25}, [0.6, 0.0, 0.8]),
+    "rode_ll": ({"b": [0.0, 0.5, 1.0], "alpha": 0.5, "t_min": 3.5}, [0.6, 0.0, 0.8]),
+    "kubo": ({"a": 2.0, "sigma": 0.3}, [1.0, 0.0]),
+    "scalar_linear": ({"a": -0.5, "b_scalar": 0.7}, [1.0]),
+    "isochronous": ({"omega": [1, 2.5], "eps": 0.3}, [1.0, 2.0, 0.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_the_config_comment_reruns_to_the_same_bytes(tmp_path, name):
+    """A CSV's config: comment is the full resolved configuration: run as a
+    config, it writes the same file.  larmor_external used to drop sigma_mat."""
+    params, x0 = ROUND_TRIPS[name]
+    cfg = {"version": 1, "seed": 4, "T": 0.05, "h": 0.01, "x0": x0,
+           "n_paths": 4 if x0 == "sphere" else 1, "model": {"name": name, "params": params}}
+    csvs = []
+    for i in range(2):
+        out = tmp_path / f"run{i}"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg, f"cfg{i}.yaml"),
+                     "--out", str(out)]) == 0
+        (csv,) = out.glob("*.csv")
+        csvs.append(csv.read_bytes())
+        comments, _, _ = read_rows(csv)
+        (line,) = [c for c in comments if c.startswith("# config: ")]
+        cfg = yaml.safe_load(line[len("# config: "):])
+    assert csvs[0] == csvs[1]
+    assert {key: cfg["model"]["params"][key] for key in params} == params
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

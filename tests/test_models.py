@@ -5,7 +5,6 @@ import pytest
 from stochlab.integrate import apply_generator, strat_to_ito, validate_model
 from stochlab.models import (
     CATALOG,
-    CatalogEntry,
     build_model,
     kubo_exact,
     scalar_linear_exact,
@@ -56,15 +55,39 @@ def test_build_model_rejects_unknown_and_missing():
         build_model("ll", alpha=-1.0)
     with pytest.raises(ValueError):
         build_model("rode_ll", t_min=2.0)
+    with pytest.raises(ValueError, match="t_min must hold finite numbers"):
+        build_model("rode_ll", t_min=True)  # a bool only where the default is one
 
 
-def test_catalog_entry_carries_params():
-    entry = CatalogEntry("ell", {"eps": 0.3}, interpretation="ito")
-    model = build_model(entry)
-    assert model.params["eps"] == 0.3
+def test_build_model_records_every_argument_its_builder_got():
+    """Given values are recorded as given, defaults filled in, so that
+    building from the record builds the same model."""
+    model = build_model("ell", interpretation="ito", eps=0.7, b=[0, 0, 2])
+    assert model.params == {"interpretation": "ito", "b": [0, 0, 2], "alpha": 1.0, "eps": 0.7}
     assert model.interpretation == "ito"
-    override = build_model(entry, eps=0.7)
-    assert override.params["eps"] == 0.7
+    sigma_mat = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
+    external = build_model("larmor_external", sigma_mat=sigma_mat)
+    assert external.params == {"b": (0.0, 0.0, 1.0), "eps": 0.1, "sigma_mat": sigma_mat}
+    assert build_model("isochronous", omega=[1.0, 2.0]).params == {"omega": [1.0, 2.0],
+                                                                   "eps": 0.1}
+    for name in CATALOG:
+        model = _build_any(name)
+        again = build_model(name, **model.params)
+        assert again.params == model.params and again.name == model.name
+        eta = (1.5,) if model.interpretation == "rode" else ()
+        args = (0.0, np.linspace(0.5, 1.5, model.n)) + eta
+        np.testing.assert_array_equal(again.drift(*args), model.drift(*args))
+
+
+def test_a_builder_error_names_its_model_once():
+    with pytest.raises(ValueError, match=r"^ll: effective field b must be nonzero$"):
+        build_model("ll", b=(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^larmor_external: sigma_mat must be nonzero$"):
+        build_model("larmor_external", sigma_mat=[[0.0] * 3] * 3)
+    with pytest.raises(ValueError, match=r"^ell: interpretation must be ito or stratonovich"):
+        build_model("ell", interpretation="milstein")
+    with pytest.raises(ValueError, match=r"^scalar_linear: missing required parameter 'b_scalar'"):
+        build_model("scalar_linear", a=1.0)
 
 
 def test_larmor_drift_is_precession():

@@ -17,6 +17,7 @@ from stochlab.noise import (
     _REFINE_CHUNK,
     _brownian_stack,
     _fresh_streams,
+    _grid_steps,
     _keyed,
     _normal_rows,
     _philox,
@@ -203,6 +204,16 @@ def test_normal_rows_take_one_stream_per_row_from_a_shared_iterator():
 def test_a_grid_without_a_finite_step_count_is_rejected(T, h):
     with pytest.raises(ValueError, match="finite T/h"):
         sample_brownian(1, T=T, h=h)
+
+
+def test_a_grid_that_numpy_cannot_size_is_rejected_before_any_array():
+    """N + 1 float64 times must fit in np.iinfo(np.intp).max bytes: 2**59
+    steps pass, 2**60 do not.  Neither grid is made."""
+    assert np.iinfo(np.intp).max // 8 == 2**60 - 1
+    assert _grid_steps(1.0, 2.0**-59) == 2**59
+    for T, h in [(1.0, 2.0**-60), (1.0, 1e-20)]:
+        with pytest.raises(ValueError, match="more than a float64 array can hold"):
+            _grid_steps(T, h)
 
 
 def test_sample_brownian_grid_and_shapes():
