@@ -390,6 +390,12 @@ _REPRO_RUNS = [
         "model": {"name": "larmor_external",
                   "params": {"eps": 0.3, "sigma_mat": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
                                                        [0.5, 0.0, 3.0]]}}}),
+    # angles past 2 pi on both circles, which a trajectory wraps before it
+    # writes them and its functionals
+    ("simulate", {
+        "version": 1, "seed": 15, "T": 8.0, "h": 1e-2, "x0": [1.0, 2.0, 0.0, 0.5],
+        "functionals": ["norm2"],
+        "model": {"name": "isochronous", "params": {"omega": [1.0, 2.5], "eps": 0.3}}}),
 ]
 
 

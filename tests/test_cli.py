@@ -430,6 +430,10 @@ KIND_RUNS = {
         seed=4, model=_LINEAR, scheme=None, T=2.0, h=1e-2, n_paths=50, x0=[0.01],
         analyses=[{"kind": "attraction", "target": [0.0], "eps": 0.005}]), 0,
         "attraction: fraction 0.9600 +/- 0.0543 -> {out}/attraction.csv"),
+    "trajectory": ("simulate", base_cfg(), 0,
+                   "simulate: wrote {out}/trajectory.csv (1001 rows)"),
+    "ensemble": ("simulate", base_cfg(n_paths=8), 0,
+                 "simulate: wrote {out}/ensemble.csv (8 paths, 1001 rows)"),
 }
 
 
