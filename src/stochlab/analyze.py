@@ -223,7 +223,8 @@ def check_invariance(
     1/2 sum_ij (d2 F / dx_i dx_j) (sigma sigma^T)_ij, the drift the Ito
     formula leaves on the manifold once tangency holds.  Stratonovich models:
     the two tangency conditions.  ODE/RODE: drift tangency, the latter over
-    sampled eta values covering the process range.
+    sampled eta values covering the process range; eta_samples on any other
+    model raises ValueError.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != model.n or len(pts) < 1:
@@ -241,6 +242,8 @@ def check_invariance(
     if model.interpretation == "rode":
         vals, notes = _eta_coverage(eta_samples)
         calls = [(t, eta) for t in _TS for eta in vals]
+    elif eta_samples is not None:
+        raise ValueError(f"{model.interpretation} models read samples only, not eta_samples=")
     worst = 0.0
     for t, *eta in calls:
         fx = np.asarray(model.drift(t, pts, *eta))

@@ -1,11 +1,12 @@
 """Reproducible experiment runner.
 
 Configuration is a versioned YAML mapping (see README for the schema);
-unknown keys are rejected before any computation.  `simulate` writes a
-trajectory (n_paths=1) or ensemble statistics CSV.  `check`, `convergence`
-and `stability` run the `analyses` entries of their kinds in order, through
-one loop, cmd_analyses; the _ANALYSES table states each kind once, with the
-function that turns its result into a verdict, a printed note and a CSV.
+unknown keys are rejected before any computation.  Every subcommand writes
+its outputs through one loop, run_task, and the _KINDS table states each
+kind of output once, with the function that turns its result into a
+verdict, a printed note and a CSV.  `simulate` writes a trajectory
+(n_paths=1) or ensemble statistics; `check`, `convergence` and `stability`
+run the `analyses` entries of their kinds in order.
 
 Every output file carries the full resolved config and seed in '# ' comment
 lines; identical (config, seed) give byte-identical files.  Exit codes:
@@ -204,9 +205,9 @@ def load_config(path: str, seed_override, task: str):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError(f"{where}: each analysis needs a 'kind'")
         kind = str(entry["kind"])
-        if kind not in _ANALYSES:
-            raise ConfigError(f"{where}: unknown kind {kind!r}; known: {sorted(_ANALYSES)}")
-        required, defaults = _ANALYSES[kind].required, _ANALYSES[kind].defaults
+        if kind not in _ANALYSIS_KINDS:
+            raise ConfigError(f"{where}: unknown kind {kind!r}; known: {_ANALYSIS_KINDS}")
+        required, defaults = _KINDS[kind].required, _KINDS[kind].defaults
         _check_keys(entry, {"kind"} | required | set(defaults), where)
         missing = required - set(entry)
         if missing:
@@ -215,7 +216,7 @@ def load_config(path: str, seed_override, task: str):
         opts.update({k: v for k, v in entry.items() if k != "kind"})
         _validate_analysis(kind, opts, model, scheme, where)
         resolved_analyses.append({"kind": kind, **opts})
-    kinds = [_ANALYSES[a["kind"]] for a in resolved_analyses]
+    kinds = [_KINDS[a["kind"]] for a in resolved_analyses]
     if task != "simulate" and all(k.task != task for k in kinds):
         raise ConfigError(f"{task}: the analyses list has no entry that {task} runs")
     if x0 is None and (task == "simulate" or any(k.x0 for k in kinds)):
@@ -334,41 +335,39 @@ def _initial(cfg, model):
 
 
 def _single_trajectory(cfg, model) -> Trajectory:
-    _, states = run_ensemble(
+    stats, states = run_ensemble(
         model, _initial(cfg, model), cfg["scheme"], 1, cfg["seed"],
         functionals=(), T=cfg["T"], h=cfg["h"], return_states=True,
     )
-    n_steps = states.shape[1] - 1
-    times = np.arange(n_steps + 1) * cfg["h"]
-    return Trajectory(times=times, states=states[0], model_name=model.name,
+    return Trajectory(times=stats.times, states=states[0], model_name=model.name,
                       seed=cfg["seed"])
 
 
-def cmd_simulate(cfg, model, out) -> int:
-    fields = [_functional(n, model) for n in cfg["functionals"]]
-    comment = _comment("simulate", cfg)
-    if cfg["n_paths"] == 1:
-        traj = _single_trajectory(cfg, model)
-        traj = Trajectory(times=traj.times, states=wrap_angles(model, traj.states),
-                          model_name=traj.model_name, seed=traj.seed)
-        dest = os.path.join(out, "trajectory.csv")
-        traj.to_csv(dest, functionals=fields, comment=comment)
-        print(f"simulate: wrote {dest} ({len(traj.times)} rows)")
-        return 0
-    stats = run_ensemble(
-        model, _initial(cfg, model), cfg["scheme"], cfg["n_paths"], cfg["seed"],
-        functionals=fields, T=cfg["T"], h=cfg["h"],
-    )
-    dest = os.path.join(out, "ensemble.csv")
-    stats.to_csv(dest, comment=comment)
-    print(f"simulate: wrote {dest} ({cfg['n_paths']} paths, {len(stats.times)} rows)")
-    return 0
-
-
-# one analysis entry's result as cmd_analyses reports it: its verdict (an
+# one output's result as run_task reports it: its verdict (a simulation or an
 # estimate always passes), the note it prints, its CSV header and columns, and
 # the comment lines after the config
 _Outcome = namedtuple("_Outcome", "passed note header columns comment", defaults=((),))
+
+
+def _trajectory(opts, cfg, model):
+    """simulate's one path: its states, angles wrapped, and their functionals."""
+    traj = _single_trajectory(cfg, model)
+    states = wrap_angles(model, traj.states)
+    fields = [_functional(name, model) for name in cfg["functionals"]]
+    header = ["t", *(f"x{i + 1}" for i in range(model.n)), *(f.name for f in fields)]
+    return _Outcome(True, f"{len(traj.times)} rows", ",".join(header),
+                    [traj.times, *states.T, *(np.asarray(f.value(states)) for f in fields)])
+
+
+def _ensemble(opts, cfg, model):
+    """simulate's paths: per time, each functional's mean and variance over them."""
+    stats = run_ensemble(model, _initial(cfg, model), cfg["scheme"], cfg["n_paths"], cfg["seed"],
+                         functionals=[_functional(name, model) for name in cfg["functionals"]],
+                         T=cfg["T"], h=cfg["h"])
+    names = [f"{name}_{moment}" for name in stats.functional_names for moment in ("mean", "var")]
+    return _Outcome(True, f"{stats.n_paths} paths, {len(stats.times)} rows",
+                    ",".join(["t", *names]),
+                    [stats.times, *(c for pair in zip(stats.mean, stats.variance) for c in pair)])
 
 
 def _report(report, note, *comment):
@@ -444,12 +443,16 @@ def _attraction(est, cfg, model):
                     [[est.fraction], [est.half_width], [est.n_paths], [est.n_attracted]])
 
 
-# analysis kind -> (subcommand, required option keys, optional defaults, the
+# output kind -> (subcommand, required option keys, optional defaults, the
 # x0 it needs: None, "any" (a vector or 'sphere') or "vector", the function
-# that maps (its options, or a stability kind's estimate; cfg; model) to an _Outcome)
+# that maps (its options, or a stability kind's estimate; cfg; model) to an
+# _Outcome).  n_paths picks simulate's kind; every other kind is an analysis,
+# run where a config's analyses entry names it.
 _Kind = namedtuple("_Kind", "task required defaults x0 outcome")
 
-_ANALYSES = {
+_KINDS = {
+    "trajectory": _Kind("simulate", set(), {}, "any", _trajectory),
+    "ensemble": _Kind("simulate", set(), {}, "any", _ensemble),
     "invariance": _Kind("check", {"tol"}, {"samples": 200, "manifold": "sphere", "eta_T": 10.0,
                                            "eta_h": 1e-3}, None, _invariance),
     "equilibrium": _Kind("check", {"tol", "point"}, {}, None, _equilibrium),
@@ -462,14 +465,25 @@ _ANALYSES = {
     "stability": _Kind("stability", {"x0_radius", "delta"}, {}, None, _stability),
     "attraction": _Kind("stability", {"target", "eps"}, {}, "any", _attraction),
 }
+_ANALYSIS_KINDS = sorted(kind for kind, row in _KINDS.items() if row.task != "simulate")
+
+# subcommand -> the label on the first comment line of each output it
+# writes, and the line it prints for that output
+_TASKS = {"simulate": ("simulate", "simulate: wrote {dest} ({note})"),
+          "check": ("check {kind}", "check {kind}: {verdict} ({note}) -> {dest}"),
+          "convergence": ("convergence", "{kind}: {note} -> {dest}"),
+          "stability": ("stability {kind}", "{kind}: {note} -> {dest}")}
 
 
-def cmd_analyses(task, cfg, model, out) -> int:
-    """Run the analyses entries of task's kinds in order, writing one CSV and
-    printing one line each; 1 if a check failed, else 0.  Stability entries
-    whose starts are bitwise equal share one ensemble pass (analyze._estimates),
-    run when the first of them is reached."""
-    entries = [a for a in cfg["analyses"] if _ANALYSES[a["kind"]].task == task]
+def run_task(task, cfg, model, out) -> int:
+    """Write task's outputs in order, one CSV and one printed line each; 1 if
+    a check failed, else 0.  simulate writes its one kind, and the other
+    tasks one output per analyses entry of their kinds.  Stability entries
+    whose starts are bitwise equal share one ensemble pass
+    (analyze._estimates), run when the first of them is reached."""
+    entries = [a for a in cfg["analyses"] if _KINDS[a["kind"]].task == task]
+    if task == "simulate":
+        entries = [{"kind": "trajectory" if cfg["n_paths"] == 1 else "ensemble"}]
     inputs = entries
     if task == "stability":
         ensemble = (model, cfg["scheme"], cfg["n_paths"], cfg["T"], cfg["h"])
@@ -479,18 +493,17 @@ def cmd_analyses(task, cfg, model, out) -> int:
             _attraction_estimator(*ensemble, _initial(cfg, model), e["target"], e["eps"])
             for e in entries
         ], *ensemble, cfg["seed"])
+    label, line = _TASKS[task]
     all_pass = True
     for i, (entry, given) in enumerate(zip(entries, inputs)):
         kind = entry["kind"]
-        result = _ANALYSES[kind].outcome(given, cfg, model)
+        result = _KINDS[kind].outcome(given, cfg, model)
         dest = _output(out, entries, i)
-        # convergence, its task's only kind, is labelled by the task alone
-        label = task if kind == "convergence" else f"{task} {kind}"
         write_csv(dest, result.header, result.columns,
-                  comment=_comment(label, cfg, *result.comment))
+                  comment=_comment(label.format(kind=kind), cfg, *result.comment))
         all_pass &= result.passed
-        verdict = f"check {kind}: {'pass' if result.passed else 'FAIL'} ({result.note})"
-        print(verdict if task == "check" else f"{kind}: {result.note}", "->", dest)
+        print(line.format(kind=kind, note=result.note, dest=dest,
+                          verdict="pass" if result.passed else "FAIL"))
     return 0 if all_pass else 1
 
 
@@ -500,7 +513,7 @@ def main(argv=None) -> int:
         description="Stochastisation laboratory: simulate catalog models and "
                     "run persistence analyses from a YAML config.",
     )
-    parser.add_argument("task", choices=sorted({"simulate", *(k.task for k in _ANALYSES.values())}))
+    parser.add_argument("task", choices=sorted(_TASKS))
     parser.add_argument("--config", required=True, help="YAML experiment config")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
@@ -518,9 +531,7 @@ def main(argv=None) -> int:
         # Overflow to inf is the expected signature of a diverging path; the
         # finite-state check turns it into a diagnosable abort.
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.task == "simulate":
-                return cmd_simulate(cfg, model, args.out)
-            return cmd_analyses(args.task, cfg, model, args.out)
+            return run_task(args.task, cfg, model, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ from .noise import (
     _grid_steps,
     _noise_pieces,
     philox_keys,
-    write_csv,
 )
 from .vecalg import ScalarField, _Derived, derivative
 
@@ -158,20 +157,6 @@ class Trajectory:
         if self.states.shape[0] != self.times.shape[0]:
             raise ValueError("states must carry one row per grid time")
 
-    @property
-    def n(self) -> int:
-        return self.states.shape[-1]
-
-    def functional_values(self, F: ScalarField) -> np.ndarray:
-        return np.asarray(F.value(self.states))
-
-    def to_csv(self, file, functionals: Sequence[ScalarField] = (), comment: str | None = None):
-        names = [f.name for f in functionals]
-        cols = [self.states[:, i] for i in range(self.n)]
-        cols += [self.functional_values(f) for f in functionals]
-        header = ",".join(["t"] + [f"x{i + 1}" for i in range(self.n)] + names)
-        write_csv(file, header, [self.times] + cols, comment=comment)
-
 
 @dataclass(frozen=True)
 class EnsembleStats:
@@ -183,16 +168,7 @@ class EnsembleStats:
     variance: np.ndarray  # population variance, same shape
     n_paths: int
     seed: int
-    scheme: str
     model_name: str = "model"
-
-    def to_csv(self, file, comment: str | None = None):
-        header_parts = ["t"]
-        cols = [self.times]
-        for i, name in enumerate(self.functional_names):
-            header_parts += [f"{name}_mean", f"{name}_var"]
-            cols += [self.mean[i], self.variance[i]]
-        write_csv(file, ",".join(header_parts), cols, comment=comment)
 
 
 def _check_finite(x, k, t, times, states, last):
@@ -336,8 +312,15 @@ def integrate_path(model: ModelSpec, x0, scheme: str, path: NoisePath | None = N
                    grid=None, eta: ParameterProcess | None = None) -> Trajectory:
     """Integrate one path under the named scheme: on a noise path for
     euler_maruyama and heun, on a grid (or a path's times) for rk4, and on a
-    parameter process eta for the RODE schemes.  x0 must be finite."""
+    parameter process eta for the RODE schemes.  x0 must be finite.  A
+    keyword the scheme does not read, such as path= beside grid= for rk4,
+    raises ValueError."""
     _check_scheme(model, scheme)
+    interp = model.interpretation
+    reads = "eta" if interp == "rode" else "grid" if interp == "ode" and grid is not None else "path"
+    for key, value in (("path", path), ("grid", grid), ("eta", eta)):
+        if value is not None and key != reads:
+            raise ValueError(f"scheme {scheme!r} reads {reads}=, not {key}=")
     seed = None
     if model.interpretation in ("ito", "stratonovich"):
         if path is None:
@@ -548,7 +531,7 @@ def run_ensemble(
 
     stats = EnsembleStats(
         times=times, functional_names=tuple(f.name for f in functionals), mean=mean,
-        variance=var, n_paths=n_paths, seed=int(seed), scheme=scheme, model_name=model.name,
+        variance=var, n_paths=n_paths, seed=int(seed), model_name=model.name,
     )
     if return_states:
         return stats, np.swapaxes(states, 0, 1)

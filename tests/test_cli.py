@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 import yaml
 
+import stochlab
 from stochlab import analyze, cli
 from stochlab.analyze import empirical_convergence_order, stability_probability
 from stochlab.cli import main
 from stochlab.integrate import IntegrationError, run_ensemble
 from stochlab.models import build_model
+from stochlab.vecalg import norm_squared_field
 
 
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -87,6 +89,36 @@ def test_ensemble_output_independent_of_threads(tmp_path, load_csv):
     _, names, data = load_csv(str(a / "ensemble.csv"))
     assert names == ["t", "norm2_mean", "norm2_var"]
     assert np.allclose(data[:, 1], 1.0, atol=1e-3)
+
+
+def test_simulate_trajectory_csv_holds_wrapped_states_and_their_functionals(tmp_path, load_csv):
+    cfg = write_cfg(tmp_path, base_cfg(
+        seed=15, T=8.0, h=1e-2, x0=[1.0, 2.0, 0.0, 0.5], functionals=["norm2"],
+        model={"name": "isochronous", "params": {"omega": [1.0, 2.5], "eps": 0.3}}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    comments, names, data = load_csv(str(out / "trajectory.csv"))
+    assert names == ["t", "x1", "x2", "x3", "x4", "norm2"]
+    assert comments[0] == f"# stochlab {stochlab.__version__} simulate"
+    assert np.array_equal(data[:, 0], np.arange(801) * 1e-2)
+    angles = data[:, 3:5]
+    assert ((0.0 <= angles) & (angles < 2 * np.pi)).all()
+    assert (np.diff(angles, axis=0) < -np.pi).any(axis=0).all()  # each angle wrapped
+    assert np.allclose(data[:, 5], np.sum(data[:, 1:5] ** 2, axis=1), rtol=1e-15, atol=0.0)
+
+
+def test_simulate_ensemble_csv_holds_the_api_statistics(tmp_path, load_csv):
+    cfg = write_cfg(tmp_path, base_cfg(
+        seed=11, T=0.2, h=0.05, x0=[1.0], n_paths=8, scheme="euler_maruyama",
+        model={"name": "scalar_linear", "params": {"a": -1.0, "b_scalar": 0.5}}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    comments, names, data = load_csv(str(out / "ensemble.csv"))
+    assert names == ["t", "norm2_mean", "norm2_var"]
+    assert comments[0] == f"# stochlab {stochlab.__version__} simulate"
+    stats = run_ensemble(build_model("scalar_linear", a=-1.0, b_scalar=0.5), [1.0],
+                         "euler_maruyama", 8, 11, [norm_squared_field()], T=0.2, h=0.05)
+    assert np.array_equal(data, np.stack([stats.times, stats.mean[0], stats.variance[0]], 1))
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,20 +12,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochlab import integrate, noise
-from stochlab.analyze import equilibrium_attraction, stability_probability, uniform_sphere_sampler
+from stochlab.analyze import (
+    check_invariance,
+    equilibrium_attraction,
+    fibonacci_sphere,
+    stability_probability,
+    uniform_sphere_sampler,
+)
 from stochlab.integrate import (
     SCHEMES,
-    EnsembleStats,
     IntegrationError,
     ModelSpec,
-    Trajectory,
     apply_generator,
     default_scheme,
     integrate_path,
     run_ensemble,
     strat_to_ito,
     validate_model,
-    write_csv,
 )
 from stochlab.models import build_model, kubo_exact, scalar_linear_exact
 from stochlab.noise import (
@@ -37,8 +41,9 @@ from stochlab.noise import (
     philox_keys,
     sample_brownian,
     stream,
+    write_csv,
 )
-from stochlab.vecalg import ScalarField, norm_squared_field
+from stochlab.vecalg import ScalarField, norm_squared_field, sphere_field
 
 
 def _decay_ode(n=1, rate=1.0):
@@ -200,19 +205,6 @@ def test_write_csv_rejects_bad_columns_before_opening_the_file(tmp_path, columns
     assert not dest.exists()
 
 
-def test_trajectory_csv_with_functionals(tmp_path, load_csv):
-    times = np.arange(4) * 0.5
-    states = np.arange(8.0).reshape(4, 2)
-    traj = Trajectory(times=times, states=states, model_name="probe", seed=3)
-    dest = tmp_path / "traj.csv"
-    traj.to_csv(str(dest), functionals=[norm_squared_field()], comment="hi")
-    comments, names, data = load_csv(str(dest))
-    assert names == ["t", "x1", "x2", "norm2"]
-    assert np.allclose(data[:, 0], times)
-    assert np.allclose(data[:, 3], np.sum(states**2, axis=1))
-    assert comments[0] == "# hi"
-
-
 def test_euler_maruyama_tracks_closed_form():
     model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
     path = sample_brownian(42, T=1.0, h=2.0**-10)
@@ -339,6 +331,36 @@ def test_integrate_path_dispatch_and_defaults():
         integrate_path(ito, [1.0], "heun", path=path)
     with pytest.raises(ValueError):
         integrate_path(ode, [0.0, 0.6, 0.8], "rk4")  # no grid given
+
+
+# entry point -> the model it is called on
+_MODELS = {"euler_maruyama": ("ell", {"interpretation": "ito"}),
+           "heun": ("ell", {"interpretation": "stratonovich"}), "rk4": ("ll", {}),
+           "rode_heun": ("rode_ll", {}), "rode_euler": ("rode_ll", {}),
+           "check_invariance": ("ell", {"interpretation": "stratonovich"})}
+
+
+@pytest.mark.parametrize("entry, given, unread", [
+    ("euler_maruyama", ("path", "grid"), "grid"), ("euler_maruyama", ("path", "eta"), "eta"),
+    ("heun", ("path", "grid"), "grid"), ("heun", ("path", "eta"), "eta"),
+    ("rk4", ("grid", "path"), "path"), ("rk4", ("grid", "eta"), "eta"),
+    ("rode_heun", ("eta", "path"), "path"), ("rode_heun", ("eta", "grid"), "grid"),
+    ("rode_euler", ("eta", "path"), "path"), ("rode_euler", ("eta", "grid"), "grid"),
+    ("check_invariance", ("eta_samples",), "eta_samples"),
+])
+def test_a_keyword_the_inputs_make_unread_raises(entry, given, unread):
+    name, params = _MODELS[entry]
+    model = build_model(name, **params)
+    path = sample_brownian(1, T=0.1, h=0.01, dims=3)
+    eta = ParameterProcess(path.times, np.ones(len(path.times)))
+    keywords = {"path": path, "grid": path.times, "eta": eta, "eta_samples": eta}
+    if entry == "check_invariance":
+        call = partial(check_invariance, model, sphere_field(), fibonacci_sphere(8), 1e-9)
+    else:
+        call = partial(integrate_path, model, [0.6, 0.0, 0.8], entry)
+    call(**{key: keywords[key] for key in given if key != unread})
+    with pytest.raises(ValueError, match=f"not {unread}="):
+        call(**{key: keywords[key] for key in given})
 
 
 def test_solve_rode_constant_eta_reduces_to_ode():
@@ -788,15 +810,3 @@ def test_scheme_table_is_consistent():
         "rode_heun": "rode",
         "rode_euler": "rode",
     }
-
-
-def test_ensemble_stats_csv(tmp_path, load_csv):
-    model = build_model("scalar_linear", a=-1.0, b_scalar=0.5)
-    stats = run_ensemble(model, [1.0], "euler_maruyama", 8, 11,
-                         [norm_squared_field()], T=0.2, h=0.05)
-    dest = tmp_path / "stats.csv"
-    stats.to_csv(str(dest), comment="ens")
-    comments, names, data = load_csv(str(dest))
-    assert names == ["t", "norm2_mean", "norm2_var"]
-    assert data.shape == (5, 3)
-    assert np.allclose(data[:, 1], stats.mean[0])
