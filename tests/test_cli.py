@@ -498,6 +498,18 @@ def test_the_x0_a_kind_needs_is_checked_before_any_run(tmp_path, capsys, task, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["trajectory", "ensemble"])
+def test_simulate_outputs_are_no_analysis_kinds(tmp_path, capsys, kind):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, base_cfg(analyses=[{"kind": kind}]))
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: analyses[0]: unknown kind {kind!r}; known: ['attraction', "
+        "'convergence', 'equilibrium', 'first-integral', 'invariance', 'lyapunov', "
+        "'stability', 'symplecticity']\n")
+    assert not out.exists()
+
+
 BAD_CONFIGS = {
     "not_yaml": ("simulate", "version: [1"),
     "not_a_mapping": ("simulate", "- 1\n- 2\n"),
