@@ -339,8 +339,7 @@ def _single_trajectory(cfg, model) -> Trajectory:
         model, _initial(cfg, model), cfg["scheme"], 1, cfg["seed"],
         functionals=(), T=cfg["T"], h=cfg["h"], return_states=True,
     )
-    return Trajectory(times=stats.times, states=states[0], model_name=model.name,
-                      seed=cfg["seed"])
+    return Trajectory(times=stats.times, states=states[0])
 
 
 # one output's result as run_task reports it: its verdict (a simulation or an

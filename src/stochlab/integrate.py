@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -67,12 +69,12 @@ class ModelSpec:
     noise_dim components of dW and g those of sigma(t, x) dW for
     ito/stratonovich models, the eta components for rode models (g unused);
     ode models ignore ws and g.  Each component is a Python float (one path;
-    complex under a complex step) or a (B,) array (a batch); the kernel must
-    use only +, -, * and constants, so both give bitwise-equal results and
-    inf/nan propagate without exceptions.  It must keep complex components
-    complex: strat_to_ito and check_symplecticity take complex steps through
-    it, and a kernel that casts complex states to float makes them raise
-    ValueError.
+    complex under a complex step) or a (B,) array (a batch); a kernel of +,
+    -, * and constants is bitwise equal on both, lets inf/nan propagate, and
+    keeps complex components complex (strat_to_ito and check_symplecticity
+    raise ValueError on one that casts them to float).  Each scheme traces
+    it once, reading its constants then, into one straight-line step
+    (_fused); a kernel that branches on a value steps as written.
 
     drift and diffusion, the array forms that the checkers and the generator
     use, are derived from the kernel: drift(t, x) (drift(t, x, eta) for rode
@@ -150,8 +152,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    model_name: str = "model"
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.states.shape[0] != self.times.shape[0]:
@@ -167,8 +167,6 @@ class EnsembleStats:
     mean: np.ndarray      # shape (n_functionals, N+1)
     variance: np.ndarray  # population variance, same shape
     n_paths: int
-    seed: int
-    model_name: str = "model"
 
 
 def _check_finite(x, k, t, times, states, last):
@@ -321,12 +319,11 @@ def integrate_path(model: ModelSpec, x0, scheme: str, path: NoisePath | None = N
     for key, value in (("path", path), ("grid", grid), ("eta", eta)):
         if value is not None and key != reads:
             raise ValueError(f"scheme {scheme!r} reads {reads}=, not {key}=")
-    seed = None
     if model.interpretation in ("ito", "stratonovich"):
         if path is None:
             raise ValueError(f"scheme {scheme!r} needs a noise path")
         _check_path(model, path)
-        times, noise, seed = path.times, path.increments, path.seed
+        times, noise = path.times, path.increments
     elif model.interpretation == "ode":
         if grid is None and path is None:
             raise ValueError("scheme 'rk4' needs a time grid or a path")
@@ -338,7 +335,7 @@ def integrate_path(model: ModelSpec, x0, scheme: str, path: NoisePath | None = N
         _check_eta(model, eta.dim)
         times, noise = eta.times, np.asarray(eta.values).reshape(len(eta.times), eta.dim)
     states = _scheme_states(model, scheme, _check_start(model, x0), times, noise)
-    return Trajectory(times=times.copy(), states=states, model_name=model.name, seed=seed)
+    return Trajectory(times=times.copy(), states=states)
 
 
 def default_scheme(model: ModelSpec) -> str:
@@ -390,9 +387,75 @@ _ADVANCE = {"euler_maruyama": _em_advance, "heun": _heun_advance, "rk4": _rk4_ad
             "rode_heun": _rode_heun_advance, "rode_euler": _rode_euler_advance}
 
 
+class _Traced:
+    """What a fusing trace steps on in place of t, h, a state or a noise
+    component: +, -, * and / with numbers or traced values, and unary minus,
+    append one operation to ops, in operand order.  bool(), a comparison,
+    float(), abs() or a numpy function on one raises TypeError."""
+
+    __array_ufunc__ = __bool__ = __eq__ = __ne__ = None  # numpy defers; the rest raise
+
+    def __init__(self, ops, name):
+        self.ops, self.name = ops, name
+
+    def _op(self, symbol, *args):
+        if not all(isinstance(a, (_Traced, numbers.Number)) for a in args):
+            return NotImplemented
+        self.ops.append((f"v{len(self.ops)}", symbol, args))
+        return _Traced(self.ops, self.ops[-1][0])
+
+    __neg__ = lambda a: a._op("-", a)  # noqa: E731
+    __add__, __sub__, __mul__, __truediv__ = ((lambda a, b, s=s: a._op(s, a, b)) for s in "+-*/")
+    __radd__, __rsub__, __rmul__, __rtruediv__ = (
+        (lambda a, b, s=s: a._op(s, b, a)) for s in "+-*/")
+
+
+@lru_cache(maxsize=64)
+def _fused(scheme, kernel, n, l):
+    """The scheme's advance on kernel, traced once on _Traced operands, as
+    one straight-line function of its signature: the same operations on the
+    same operands, so the same states bit for bit.  A kernel that the trace
+    cannot follow steps through the advance as written."""
+    advance, ops, rows, consts = _ADVANCE[scheme], [], {}, {}
+    xs = [_Traced(ops, f"x{i}") for i in range(n)]
+
+    def name(v):  # a constant is bound by name, never formatted into the source
+        if isinstance(v, _Traced):
+            return v.name
+        return consts.setdefault(id(v), (f"c{len(consts)}", v))[0]
+    try:  # an output the trace lost (no _Traced) raises AttributeError
+        returned = [v.name for v in advance(
+            kernel, _Traced(ops, "t"), _Traced(ops, "h"), xs,
+            lambda j: rows.setdefault(j, [_Traced(ops, f"w{j}_{i}") for i in range(l)]), 0)]
+    except Exception:  # whatever stops the trace, stepping as written decides
+        return advance
+    uses, inline, stmts = Counter(returned), {}, []
+    for target, _, args in reversed(ops):  # reads by the outputs and by what they read
+        uses.update(name(a) for a in args if uses[target])
+    for target, symbol, args in (op for op in ops if uses[op[0]]):  # the dead are dropped
+        parts, ranks, refs = zip(*(inline.pop(a, (a, 4, {a})) for a in map(name, args)))
+        rank = 3 if len(args) == 1 else 1 if symbol in "+-" else 2  # a name binds as 4
+        expr = f" {symbol} ".join(p if r > rank - (i < len(args) - 1) else f"({p})"
+                                  for i, (p, r) in enumerate(zip(parts, ranks)))  # left-assoc.
+        expr, refs = expr if args[1:] else symbol + expr, set().union(*refs)
+        if uses[target] == 1 and target not in returned:  # inlined: less source to compile
+            inline[target] = (expr, rank, refs)
+        else:
+            stmts.append((target, expr, refs))
+    last = {a: i for i, (_, _, refs) in enumerate(stmts) for a in refs}
+    lines = ["def step(kernel, t, h, xs, w, k):", f"    [{', '.join(map(name, xs))}] = xs"] + [
+        f"    [{', '.join(map(name, row))}] = w(k + {j})" for j, row in rows.items()] + [
+        f"    {target} = {expr}" + "".join(  # del a temporary after its last read
+            f"; del {a}" for a in sorted(refs) if a[0] == "v" and a not in returned
+            and last[a] == i < len(stmts) - 1) for i, (target, expr, refs) in enumerate(stmts)]
+    namespace = dict(consts.values())
+    exec("\n".join(lines + [f"    return [{', '.join(returned)}]"]), namespace)
+    return namespace["step"]
+
+
 def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first=0):
-    """Integrate a batch under a checked scheme: drive its advance function
-    advance(kernel, t, h, xs, w, k) -> xs over the grid on state components.
+    """Integrate a batch under a checked scheme: drive its fused step (_fused)
+    step(kernel, t, h, xs, w, k) -> xs over the grid on state components.
 
     noise is the (N, ..., l) increment stack of a stochastic scheme, the
     (N+1, ..., l) eta rows of a RODE scheme (step k reads rows k and k+1),
@@ -408,9 +471,9 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
     times[0] is row first.
     """
     _check_state(model, x0)
-    kernel, advance = model.kernel, _ADVANCE[scheme]
     x0 = np.asarray(x0, dtype=np.result_type(x0, float))
     n, l = model.n, noise.shape[-1]
+    kernel, advance = model.kernel, _fused(scheme, model.kernel, n, l)
     n_steps = len(times) - 1
     tl = np.asarray(times, dtype=float).tolist()
     states = None
@@ -529,10 +592,8 @@ def run_ensemble(
             step=step, time=times[step], times=times, states=trace, path_index=p,
         )
 
-    stats = EnsembleStats(
-        times=times, functional_names=tuple(f.name for f in functionals), mean=mean,
-        variance=var, n_paths=n_paths, seed=int(seed), model_name=model.name,
-    )
+    stats = EnsembleStats(times=times, functional_names=tuple(f.name for f in functionals),
+                          mean=mean, variance=var, n_paths=n_paths)
     if return_states:
         return stats, np.swapaxes(states, 0, 1)
     return stats

@@ -1,7 +1,10 @@
 """Component-form kernels: agreement with the matrix fields, the Wong-Zakai
 correction taken from the noise action, evaluation on complex components,
-and bitwise equality of the one-path float stepping with the batched array
-stepping, under every scheme and on the Ito conversions."""
+bitwise equality of the one-path float stepping with the batched array
+stepping, under every scheme and on the Ito conversions, and the fused steps:
+bit for bit the advance functions as written, which a kernel the trace
+cannot follow steps through."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +14,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stochlab import integrate
 from stochlab.cli import main
-from stochlab.integrate import SCHEMES, _scheme_states, integrate_path, strat_to_ito
+from stochlab.integrate import (
+    SCHEMES,
+    ModelSpec,
+    _scheme_states,
+    default_scheme,
+    integrate_path,
+    strat_to_ito,
+)
 from stochlab.models import CATALOG, build_model
 from stochlab.noise import NoisePath, ParameterProcess
 from stochlab.vecalg import _DELTA
@@ -194,6 +205,10 @@ def _noise(model, n_steps, batch, seed):
     return x0, noise, np.arange(n_steps + 1) * 0.01
 
 
+def _schemes(model):
+    return [s for s, interp in SCHEMES.items() if interp == model.interpretation]
+
+
 def _alone(model, scheme, x0, times, noise):
     """One path through integrate_path, from its (rows, l) noise."""
     if model.interpretation == "ode":
@@ -209,7 +224,7 @@ def _alone(model, scheme, x0, times, noise):
 def test_one_path_alone_equals_the_same_path_in_a_batch(key):
     model = _model(key)
     x0, noise, times = _noise(model, 60, 5, seed=len(key))
-    for scheme in [s for s, interp in SCHEMES.items() if interp == model.interpretation]:
+    for scheme in _schemes(model):
         together = _scheme_states(model, scheme, x0, times, noise)
         for j in range(5):
             alone = _alone(model, scheme, x0[j], times, noise[:, j, :])
@@ -239,3 +254,100 @@ def test_two_path_simulate_is_byte_identical_at_one_and_two_threads(
                      "--threads", str(threads)]) == 0
         outs.append((out / "ensemble.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+# entries whose kernels the fuser cannot trace: the Etore variants take
+# math.sqrt of a function of t, strat_to_ito's correction a nested complex step
+UNFUSED = {"etore_invariantized", "modified_etore", *CONVERTED}
+
+# kernel calls in one step of each scheme
+CALLS = {"euler_maruyama": 1, "heun": 2, "rk4": 4, "rode_heun": 2, "rode_euler": 1}
+
+
+def _as_written(scheme, kernel, n, l):
+    return integrate._ADVANCE[scheme]
+
+
+@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC, **CONVERTED}))
+def test_fused_steps_equal_the_advance_as_written_bit_for_bit(key, monkeypatch):
+    """On floats, on a complex x0 and on a batch, the fused step of every
+    catalog model under every scheme of its interpretation gives the states
+    of its _ADVANCE function, byte for byte."""
+    model = _model(key)
+    x0, noise, times = _noise(model, 40, 4, seed=len(key) + 7)
+    starts = {"floats": (x0[0], noise[:, 0]), "batch": (x0, noise),
+              "complex": (x0[1] + 0.5j * x0[2], noise[:, 1])}
+    for scheme in _schemes(model):
+        step = integrate._fused(scheme, model.kernel, model.n, noise.shape[-1])
+        assert (step is integrate._ADVANCE[scheme]) == (key in UNFUSED)
+        fused = {case: _scheme_states(model, scheme, x, times, w) for case, (x, w) in starts.items()}
+        with monkeypatch.context() as m:
+            m.setattr(integrate, "_fused", _as_written)
+            for case, (x, w) in starts.items():
+                written = _scheme_states(model, scheme, x, times, w)
+                assert fused[case].dtype == written.dtype, case
+                assert fused[case].tobytes() == written.tobytes(), case
+
+
+@pytest.mark.parametrize("key", sorted(set({**STOCHASTIC, **DETERMINISTIC}) - UNFUSED))
+def test_a_fused_kernel_is_called_while_tracing_only(key):
+    """The kernel runs once per call of one step, on traced operands, and
+    never per step: a catalog model that silently stopped fusing fails."""
+    model = _model(key)
+    calls = []
+
+    def spy(t, xs, ws):
+        calls.append(t)
+        return model.kernel(t, xs, ws)
+
+    spied = replace(model, kernel=spy)
+    x0, noise, times = _noise(model, 30, 3, seed=1)
+    for scheme in _schemes(model):
+        calls.clear()
+        for _ in range(2):
+            _scheme_states(spied, scheme, x0, times, noise)
+            _scheme_states(spied, scheme, x0[0], times, noise[:, 0])
+        assert len(calls) == CALLS[scheme]
+        assert all(type(t) is integrate._Traced for t in calls)
+
+
+def _noise_action(t, xs, ws):
+    return [0.3 * x * ws[0] for x in xs]
+
+
+def _branching(t, xs, ws):
+    return [-x if x > 0.0 else 2.0 * x for x in xs], _noise_action(t, xs, ws)
+
+
+def _comparing(t, xs, ws):
+    return [x * (0.5 if x == xs[0] else -1.0) for x in xs], _noise_action(t, xs, ws)
+
+
+def _absolute(t, xs, ws):
+    return [-abs(x) for x in xs], _noise_action(t, xs, ws)
+
+
+def _sqrt_of_t(t, xs, ws):
+    s = math.sqrt(1.0 + t)
+    return [-x / s for x in xs], _noise_action(t, xs, ws)
+
+
+@pytest.mark.parametrize("interpretation", ["ito", "stratonovich"])
+@pytest.mark.parametrize("kernel", [_branching, _comparing, _absolute, _sqrt_of_t])
+def test_a_kernel_the_trace_cannot_follow_steps_as_written(kernel, interpretation, monkeypatch):
+    """A kernel that branches on or compares a state, calls abs() or takes
+    math.sqrt of t is not fused; it gives the states of its advance as
+    written, on paths that take either branch."""
+    model = ModelSpec(n=2, noise_dim=1, interpretation=interpretation, kernel=kernel)
+    scheme = default_scheme(model)
+    assert integrate._fused(scheme, kernel, 2, 1) is integrate._ADVANCE[scheme]
+    rng = np.random.default_rng(3)
+    x0 = np.array([[0.5, -0.7], [-0.2, 0.9], [1.1, 1.1]])
+    noise, times = rng.normal(0.0, 0.1, size=(30, 3, 1)), np.arange(31) * 0.01
+    runs = [(x0[j], noise[:, j]) for j in range(3)]
+    if kernel in (_absolute, _sqrt_of_t):  # no branch on a state: batches step too
+        runs.append((x0, noise))
+    got = [_scheme_states(model, scheme, x, times, w) for x, w in runs]
+    monkeypatch.setattr(integrate, "_fused", _as_written)
+    for states, (x, w) in zip(got, runs):
+        assert states.tobytes() == _scheme_states(model, scheme, x, times, w).tobytes()

@@ -69,3 +69,25 @@ def test_the_noise_schedule_is_named_in_noise_only():
     leaks = {f.name: sorted(SCHEDULE & set(_names(ast.parse(f.read_text()))))
              for f in sorted(PACKAGE.glob("*.py")) if f.name != "noise.py"}
     assert {name: found for name, found in leaks.items() if found} == {}
+
+
+def _readers(names):
+    """(module, top-level definition, name) for each read of one of names in
+    the package, as a Name or as an Attribute."""
+    found = set()
+    for f in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(f.read_text()).body:
+            for node in ast.walk(top):
+                read = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if read in names:
+                    found.add((f.name, getattr(top, "name", None), read))
+    return found
+
+
+def test_only_the_fuser_reads_the_advance_table_or_calls_exec():
+    """Every scheme steps through integrate._fused, which traces its advance
+    function once; nothing else in the package picks an advance or runs
+    generated source."""
+    assert _readers({"_ADVANCE", "exec"}) == {("integrate.py", "_fused", "_ADVANCE"),
+                                               ("integrate.py", "_fused", "exec")}
