@@ -18,6 +18,7 @@ import cmath
 import math
 import numbers
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
@@ -414,8 +415,12 @@ class _Traced:
 def _fused(scheme, kernel, n, l):
     """The scheme's advance on kernel, traced once on _Traced operands, as
     one straight-line function of its signature: the same operations on the
-    same operands, so the same states bit for bit.  A kernel that the trace
-    cannot follow steps through the advance as written."""
+    same operands, so the same states bit for bit.  Its attribute block(tl,
+    xs, ws, out), compiled at its first call, makes the same steps over the
+    times tl from the components xs: step k reads row k + j of each noise
+    view in ws where the step reads w(k + j), and writes its state into row
+    k + 1 of each component view in out, with no finite check.  A kernel
+    that the trace cannot follow steps through the advance as written."""
     advance, ops, rows, consts = _ADVANCE[scheme], [], {}, {}
     xs = [_Traced(ops, f"x{i}") for i in range(n)]
 
@@ -443,14 +448,32 @@ def _fused(scheme, kernel, n, l):
         else:
             stmts.append((target, expr, refs))
     last = {a: i for i, (_, _, refs) in enumerate(stmts) for a in refs}
-    lines = ["def step(kernel, t, h, xs, w, k):", f"    [{', '.join(map(name, xs))}] = xs"] + [
+    body = [f"{target} = {expr}" + "".join(  # del a temporary after its last read
+        f"; del {a}" for a in sorted(refs) if a[0] == "v" and a not in returned
+        and last[a] == i < len(stmts) - 1) for i, (target, expr, refs) in enumerate(stmts)]
+    xnames = ", ".join(map(name, xs))
+    lines = ["def step(kernel, t, h, xs, w, k):", f"    [{xnames}] = xs"] + [
         f"    [{', '.join(map(name, row))}] = w(k + {j})" for j, row in rows.items()] + [
-        f"    {target} = {expr}" + "".join(  # del a temporary after its last read
-            f"; del {a}" for a in sorted(refs) if a[0] == "v" and a not in returned
-            and last[a] == i < len(stmts) - 1) for i, (target, expr, refs) in enumerate(stmts)]
+        "    " + s for s in body] + [f"    return [{', '.join(returned)}]"]
+    # the same statements looped over a sub-block: noise read from the
+    # per-component views W0.. (rows, ...), states written to X0.. (rows, ...)
+    loop = ["def block(tl, xs, ws, out):", f"    [{xnames}] = xs",
+            f"    [{', '.join(f'W{i}' for i in range(l))}] = ws",
+            f"    [{', '.join(f'X{i}' for i in range(n))}] = out",
+            "    for k in range(len(tl) - 1):", "        t = tl[k]; h = tl[k + 1] - t"] + [
+        f"        {name(c)} = W{i}[k + {j}]" for j, row in rows.items()
+        for i, c in enumerate(row) if uses[name(c)]] + ["        " + s for s in body] + [
+        f"        X{i}[k + 1] = {name(x)} = {v}" for i, (x, v) in enumerate(zip(xs, returned))]
     namespace = dict(consts.values())
-    exec("\n".join(lines + [f"    return [{', '.join(returned)}]"]), namespace)
-    return namespace["step"]
+    exec("\n".join(lines), namespace)
+    step = namespace["step"]
+
+    def block(*args):  # compiled at its first call, which one path never makes
+        exec("\n".join(loop), namespace)
+        step.block = namespace["block"]
+        return step.block(*args)
+    step.block = block
+    return step
 
 
 def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first=0):
@@ -463,9 +486,14 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
     for noise shared by the whole batch; w(k) gives the l components of row
     k.  A single path steps on Python floats (complex ones for a complex
     x0), converting the rows its advance reads; a batch steps on (B,)
-    component arrays.  Returns the states (N+1,) + x0.shape, recorded into
-    out (a C-contiguous array of that shape and x0's dtype; x0 may be
-    out[0]) where given, or the terminal state when record is off.  Raises
+    component arrays.  A recorded batch, where the caller ignores
+    underflow, steps all at once in the fused step's block with overflow,
+    division by zero and invalid operations trapped, then scans its rows; a
+    trap or a non-finite row steps it again from row 0 step by step, under
+    the caller's errstate, so its states, warnings and aborts are those of
+    the steps.  Returns the states (N+1,) + x0.shape, recorded into out (a
+    C-contiguous array of that shape and x0's dtype; x0 may be out[0])
+    where given, or the terminal state when record is off.  Raises
     ValueError unless x0 holds model.n components on its last axis, and
     IntegrationError at a non-finite state, naming its step on a grid where
     times[0] is row first.
@@ -502,6 +530,14 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
         return [row[..., j] for j in range(l)]
     terminal = x0.copy()
     xs = [x0[..., i] for i in range(n)]
+    if record and hasattr(advance, "block") and np.geterr()["under"] == "ignore":
+        # one compiled loop and one scan; a trap or a non-finite row replays below
+        with suppress(FloatingPointError), np.errstate(over="raise", divide="raise",
+                                                       invalid="raise"):
+            advance.block(tl, xs, [noise[..., j] for j in range(l)],
+                          [states[..., i] for i in range(n)])
+            if np.isfinite(states[1:]).all():
+                return states
     for k in range(n_steps):
         t = tl[k]
         last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)

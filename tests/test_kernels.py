@@ -3,8 +3,11 @@ correction taken from the noise action, evaluation on complex components,
 bitwise equality of the one-path float stepping with the batched array
 stepping, under every scheme and on the Ito conversions, and the fused steps:
 bit for bit the advance functions as written, which a kernel the trace
-cannot follow steps through."""
+cannot follow steps through.  A recorded batch steps each sub-block in the
+fused step's compiled loop; its states, aborts and warnings are those of
+the per-step loop."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +18,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochlab import integrate
+from stochlab.analyze import stability_probability
 from stochlab.cli import main
 from stochlab.integrate import (
     SCHEMES,
+    IntegrationError,
     ModelSpec,
     _scheme_states,
     default_scheme,
@@ -351,3 +356,110 @@ def test_a_kernel_the_trace_cannot_follow_steps_as_written(kernel, interpretatio
     monkeypatch.setattr(integrate, "_fused", _as_written)
     for states, (x, w) in zip(got, runs):
         assert states.tobytes() == _scheme_states(model, scheme, x, times, w).tobytes()
+
+
+def _spy_checks(monkeypatch):
+    """A list that grows by one entry per call of integrate._check_finite."""
+    calls, check = [], integrate._check_finite
+
+    def spy(*args):
+        calls.append(args[1])
+        return check(*args)
+    monkeypatch.setattr(integrate, "_check_finite", spy)
+    return calls
+
+
+@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC, **CONVERTED}))
+def test_a_recorded_batch_steps_in_one_compiled_loop_bit_for_bit(key, monkeypatch):
+    """A recorded batch of a fused entry steps in the compiled sub-block loop,
+    with no per-step finite check, and gives the states of the per-step loop
+    on its _ADVANCE function byte for byte: on a batch, a complex batch,
+    noise shared by the batch ((rows, l)) and two batch axes.  RODE steps
+    read eta rows k and k + 1; rk4 reads no noise."""
+    model = _model(key)
+    x0, noise, times = _noise(model, 40, 4, seed=len(key) + 11)
+    starts = {"batch": (x0, noise), "complex": (x0 + 0.5j * x0[::-1], noise),
+              "shared": (x0, noise[:, 0]),
+              "two_axes": (x0.reshape(2, 2, -1), noise.reshape(len(noise), 2, 2, -1))}
+    checks = _spy_checks(monkeypatch)
+    for scheme in _schemes(model):
+        step = integrate._fused(scheme, model.kernel, model.n, noise.shape[-1])
+        assert hasattr(step, "block") == (key not in UNFUSED)
+        checks.clear()
+        fused = {case: _scheme_states(model, scheme, x, times, w)
+                 for case, (x, w) in starts.items()}
+        assert len(checks) == (0 if hasattr(step, "block") else 40 * len(starts))
+        with monkeypatch.context() as m:
+            m.setattr(integrate, "_fused", _as_written)
+            for case, (x, w) in starts.items():
+                written = _scheme_states(model, scheme, x, times, w)
+                assert fused[case].dtype == written.dtype, case
+                assert fused[case].tobytes() == written.tobytes(), case
+
+
+def _reciprocal(t, xs, ws):
+    # x * x overflows from |x| = 1.4e154 on, where 1 / inf = 0 keeps the
+    # step finite; 1e3 * x overflows, and the state with it, from 1.8e305 on
+    return [1e3 * x + 1.0 / (x * x) for x in xs], _noise_action(t, xs, ws)
+
+
+def _silent_inf(t, xs, ws):
+    # s is a Python float, inf from t = 1.8 on, so s * 0.0 is nan without
+    # a floating-point flag, and so is every state from then on
+    s = t * 1e300 * 1e8
+    return [x * (s * 0.0 - 1.0) for x in xs], _noise_action(t, xs, ws)
+
+
+@pytest.mark.parametrize("case", ["overflow", "reciprocal", "silent_inf"])
+def test_an_abort_and_its_warnings_equal_the_per_step_loops(case, monkeypatch):
+    """A batch that goes non-finite inside a sub-block raises the same
+    IntegrationError (message, step, time, path index, states) with the same
+    warnings as the per-step loop: where scalar_linear (a = 100) overflows,
+    where a kernel divides by a state, and where a Python float makes inf
+    with no floating-point flag, which only the scan of the rows sees."""
+    model = {"overflow": build_model("scalar_linear", a=100.0, b_scalar=0.5),
+             "reciprocal": ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_reciprocal),
+             "silent_inf": ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_silent_inf),
+             }[case]
+    x0, times = {"overflow": ([[1.0], [1e300], [1e250]], np.arange(61) * 0.01),
+                 "reciprocal": ([[1.0, 2.0], [1e150, -3.0], [1e100, 0.5]], np.arange(201) * 0.01),
+                 "silent_inf": ([[1.0, 2.0], [-0.5, 3.0]], np.arange(31) * 0.1)}[case]
+    x0 = np.array(x0)
+    noise = np.random.default_rng(5).normal(0.0, 0.1, size=(len(times) - 1, len(x0), 1))
+    assert hasattr(integrate._fused("euler_maruyama", model.kernel, model.n, 1), "block")
+
+    def abort():
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="warn", invalid="warn"), pytest.raises(IntegrationError) as info:
+            warnings.simplefilter("always")
+            _scheme_states(model, "euler_maruyama", x0, times, noise)
+        err = info.value
+        return ((str(err), err.step, err.time, err.path_index, err.states.shape,
+                 err.states.tobytes()), [(w.category, str(w.message)) for w in caught])
+
+    got, got_warnings = abort()
+    monkeypatch.setattr(integrate, "_fused", _as_written)
+    assert (got, got_warnings) == abort()
+    assert 0 < got[1] < len(times) - 2  # mid-sub-block
+    assert got[3] == (0 if case == "silent_inf" else 1)
+    assert bool(got_warnings) == (case != "silent_inf")
+    if case == "reciprocal":  # the steps 1 / inf keeps finite warn before the abort
+        assert len(got_warnings) > 100
+
+
+def test_a_finite_recorded_run_checks_no_step_unless_underflow_is_watched(monkeypatch):
+    """A stability pass shaped like the stability_tall workload, smaller,
+    steps without one per-step finite check; under np.errstate(under="warn")
+    it checks every step, and estimates the same."""
+    model = build_model("scalar_linear", a=-1.0, b_scalar=1.0)
+    checks = _spy_checks(monkeypatch)
+
+    def estimate():
+        return stability_probability(model, x0_radius=0.01, delta=0.03, T=2.0, n_paths=200,
+                                     seed=0, h=1e-3)
+
+    fast = estimate()
+    assert checks == []
+    with np.errstate(under="warn"):
+        assert estimate() == fast
+    assert checks == list(range(2000))
