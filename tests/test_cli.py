@@ -510,6 +510,48 @@ def test_simulate_outputs_are_no_analysis_kinds(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+# kind -> (task, config keys, a minimal entry, the entry load_config resolves:
+# each default filled in, each number and vector of the type it is read as)
+RESOLVED = {
+    "invariance": ("check", {}, {"kind": "invariance", "tol": 1e-9},
+                   {"kind": "invariance", "tol": 1e-9, "samples": 200, "manifold": "sphere",
+                    "eta_T": 10.0, "eta_h": 1e-3}),
+    "equilibrium": ("check", {"model": _LL},
+                    {"kind": "equilibrium", "point": [0, 0, 1], "tol": "1e-12"},
+                    {"kind": "equilibrium", "point": [0.0, 0.0, 1.0], "tol": 1e-12}),
+    "lyapunov": ("check", {"model": _LL}, {"kind": "lyapunov", "functional": "neg_align"},
+                 {"kind": "lyapunov", "functional": "neg_align", "step_tol": 1e-6}),
+    "first-integral": ("check", {"model": _KUBO, "scheme": "heun", "x0": [1.0, 0.0]},
+                       {"kind": "first-integral", "functional": "norm2", "tol": 1},
+                       {"kind": "first-integral", "functional": "norm2", "tol": 1.0}),
+    "symplecticity": ("check", {"model": _KUBO, "scheme": "heun", "x0": [1.0, 0.0]},
+                      {"kind": "symplecticity", "tol": 1e-2},
+                      {"kind": "symplecticity", "tol": 1e-2}),
+    "convergence": ("convergence", {},
+                    {"kind": "convergence", "oracle": "finest_refinement", "levels": 3.0,
+                     "n_paths": "8"},
+                    {"kind": "convergence", "oracle": "finest_refinement", "levels": 3,
+                     "n_paths": 8, "scheme": None, "T": 1.0, "h0": 0.015625, "oracle_gap": 3}),
+    "stability": ("stability", {}, {"kind": "stability", "x0_radius": 0.1, "delta": 1},
+                  {"kind": "stability", "x0_radius": 0.1, "delta": 1.0}),
+    "attraction": ("stability", {}, {"kind": "attraction", "target": [0, 0, 1], "eps": 0.1},
+                   {"kind": "attraction", "target": [0.0, 0.0, 1.0], "eps": 0.1}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RESOLVED))
+def test_each_kind_resolves_to_its_typed_options(tmp_path, kind):
+    """The resolved entry holds every option, with its default where the
+    entry sets none, as the type the config: comment dumps: a default that
+    turned from 10.0 into 10 would change the bytes of every output."""
+    task, over, entry, resolved = RESOLVED[kind]
+    cfg, _, _ = cli.load_config(write_cfg(tmp_path, base_cfg(analyses=[entry], **over)),
+                                None, task)
+    assert cfg["analyses"] == [resolved]
+    assert [{k: type(v) for k, v in a.items()} for a in cfg["analyses"]] == [
+        {k: type(v) for k, v in resolved.items()}]
+
+
 BAD_CONFIGS = {
     "not_yaml": ("simulate", "version: [1"),
     "not_a_mapping": ("simulate", "- 1\n- 2\n"),
@@ -649,15 +691,133 @@ BAD_CONFIGS = {
 }
 
 
+# case -> its one config error, as main prints it to stderr; {path} stands for
+# the config file's path
+BAD_CONFIG_ERRORS = {
+    "T_not_a_number": "T must be a number, got 'abc'",
+    "analysis_missing_option": "analyses[0] (invariance): missing options ['tol']",
+    "analysis_unknown_option": "analyses[0]: unknown keys ['mood']",
+    "attraction_target_wrong_length": (
+        "analyses[0]: target has 2 components, ell_stratonovich needs 3"),
+    "bad_model_param": "model: ll: unknown parameters ['gamma_factor']",
+    "bad_version": "config version must be 1, got 2",
+    "closed_form_unavailable": (
+        "analyses[0]: the closed_form oracle needs a closed form; none for 'll'"),
+    "convergence_needs_vector_x0": "convergence analysis needs an explicit x0 vector",
+    "convergence_negative_h0": (
+        "analyses[0]: need T > 0, 0 < h <= T and a finite T/h, got T=1.0, h=-1.0"),
+    "convergence_scheme_mismatch": (
+        "analyses[0]: scheme 'euler_maruyama' integrates ito models, not stratonovich"),
+    "convergence_scheme_zero": (
+        "analyses[0]: unknown scheme 0; known: ['euler_maruyama', 'heun', 'rk4', 'rode_euler', "
+        "'rode_heun']"),
+    "convergence_zero_oracle_gap": "analyses[0]: oracle_gap must be >= 1, got 0",
+    "convergence_zero_paths": "analyses[0]: n_paths must be >= 1, got 0",
+    "delta_not_above_radius": (
+        "analyses[0]: need delta > x0_radius > 0, got delta=0.5, x0_radius=0.5"),
+    "ell_eps_nan": "model: ell: eps must hold finite numbers, got nan",
+    "empty_functionals": "functionals must be a nonempty list of names",
+    "equilibrium_point_not_a_list": "analyses[0]: point must be a list of 3 numbers, got 1.0",
+    "eta_grid_beyond_numpy": (
+        "analyses[0] (eta_T, eta_h): a grid of 100000000000000000001 times is more than a "
+        "float64 array can hold, got T=1.0, h=1e-20"),
+    "eta_h_above_eta_T": (
+        "analyses[0] (eta_T, eta_h): need T > 0, 0 < h <= T and a finite T/h, got T=1.0, h=2.0"),
+    "grid_overflow": "config: need T > 0, 0 < h <= T and a finite T/h, got T=1e+300, h=1e-300",
+    "h0_above_analysis_T": (
+        "analyses[0]: need T > 0, 0 < h <= T and a finite T/h, got T=1.0, h=2.0"),
+    "h_a_list": "h must be a number, got [1]",
+    "h_above_T": "config: need T > 0, 0 < h <= T and a finite T/h, got T=1.0, h=2.0",
+    "invariance_planar_model": "analyses[0]: sphere invariance needs a 3-dimensional model",
+    "invariance_unknown_manifold": "analyses[0]: unknown manifold 'torus'",
+    "invariance_zero_samples": "analyses[0]: samples must be >= 1",
+    "isochronous_omega_nan": "model: isochronous: omega must hold finite numbers, got [1.0, nan]",
+    "kubo_a_nan_string": "model.params: a must be a number, got 'nan'",
+    "kubo_sigma_a_bool": "model: kubo: sigma must hold finite numbers, got True",
+    "larmor_sigma_mat_inf_string": "model.params: sigma_mat[1][1] must be a number, got '-inf'",
+    "levels_not_integral": "analyses[0]: levels must be an integer, got 3.7",
+    "ll_alpha_inf": "model: ll: alpha must hold finite numbers, got inf",
+    "ll_b_beyond_float": "model: ll: b must hold finite numbers, got [0, 0, " + str(10**400) + "]",
+    "ll_b_nan": "model: ll: b must hold finite numbers, got [0.0, 0.0, nan]",
+    "missing_model": "config needs a 'model' section",
+    "missing_seed": "a seed is required (config key 'seed' or --seed)",
+    "missing_x0": "task 'simulate' needs an x0",
+    "n_paths_a_bool": "n_paths must be an integer, got True",
+    "n_paths_not_integral": "n_paths must be an integer, got 2.5",
+    "negative_paths": "config: n_paths must be >= 1, got -1",
+    "negative_seed": "seed must be an integer in [0, 2**128), got -1",
+    "no_check_entries": "check: the analyses list has no entry that check runs",
+    "nonpositive_T": "config: need T > 0, 0 < h <= T and a finite T/h, got T=0.0, h=0.001",
+    "nonpositive_eps": "analyses[0]: eps must be positive, got 0.0",
+    "not_a_mapping": "config must be a mapping",
+    "not_yaml": ('config is not valid YAML: while parsing a flow sequence\n'
+                 '  in "{path}", line 1, column 10\n'
+                 "expected ',' or ']', but got '<stream end>'\n"
+                 '  in "{path}", line 1, column 12'),
+    "rode_t_min_below_e": "model: rode_ll: t_min must exceed e ~ 2.718, got 2.0",
+    "rode_without_eta_builder_convergence": (
+        "config: RODE runs need a model with an eta_builder; rode_ll has none"),
+    "rode_without_eta_builder_simulate": (
+        "config: RODE runs need a model with an eta_builder; rode_ll has none"),
+    "rode_without_eta_builder_stability": (
+        "config: RODE runs need a model with an eta_builder; rode_ll has none"),
+    "scalar_linear_a_bool": "model: scalar_linear: a must hold finite numbers, got True",
+    "scheme_a_list": (
+        "config: unknown scheme ['heun']; known: ['euler_maruyama', 'heun', 'rk4', "
+        "'rode_euler', 'rode_heun']"),
+    "scheme_empty": (
+        "config: unknown scheme ''; known: ['euler_maruyama', 'heun', 'rk4', 'rode_euler', "
+        "'rode_heun']"),
+    "scheme_false": (
+        "config: unknown scheme False; known: ['euler_maruyama', 'heun', 'rk4', 'rode_euler', "
+        "'rode_heun']"),
+    "scheme_mismatch": "config: scheme 'euler_maruyama' integrates ito models, not stratonovich",
+    "scheme_zero": (
+        "config: unknown scheme 0; known: ['euler_maruyama', 'heun', 'rk4', 'rode_euler', "
+        "'rode_heun']"),
+    "seed_not_a_number": "seed must be an integer, got 'abc'",
+    "seed_not_integral": "seed must be an integer, got 1.5",
+    "seed_of_129_bits": (
+        "seed must be an integer in [0, 2**128), got 340282366920938463463374607431768211456"),
+    "symplecticity_needs_planar": (
+        "analyses[0]: symplecticity check needs a planar ode, ito or stratonovich model"),
+    "too_few_levels": "analyses[0]: need at least 3 levels, got 2",
+    "unknown_analysis_kind": (
+        "analyses[0]: unknown kind 'numerology'; known: ['attraction', 'convergence', "
+        "'equilibrium', 'first-integral', 'invariance', 'lyapunov', 'stability', "
+        "'symplecticity']"),
+    "unknown_functional": (
+        "unknown functional 'entropy'; known: align, energy, neg_align, norm, norm2, sphere"),
+    "unknown_model": (
+        "model: unknown catalog model 'perpetuum_mobile'; known: ell, etore_invariantized, "
+        "isochronous, kubo, larmor, larmor_external, larmor_preserving, ll, modified_etore, "
+        "rode_ll, scalar_linear"),
+    "unknown_oracle": "analyses[0]: unknown oracle 'crystal_ball'",
+    "unknown_scheme": (
+        "config: unknown scheme 'leapfrog'; known: ['euler_maruyama', 'heun', 'rk4', "
+        "'rode_euler', 'rode_heun']"),
+    "unknown_top_key": "config: unknown keys ['flavor']",
+    "x0_not_numbers": "config: x0[0] must be a number, got 'a'",
+    "x0_radius_not_a_number": "analyses[0]: x0_radius must be a number, got 'abc'",
+    "x0_sphere_planar_model": "x0 'sphere' needs a 3-dimensional model",
+    "x0_wrong_length": "config: x0 has 2 components, ell_stratonovich needs 3",
+    "zero_paths": "config: n_paths must be >= 1, got 0",
+    "zero_x0_radius": "analyses[0]: need delta > x0_radius > 0, got delta=0.5, x0_radius=0.0",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    """Each invalid config prints its one error, located and worded as pinned
+    in BAD_CONFIG_ERRORS, and writes nothing."""
     task, cfg = BAD_CONFIGS[case]
     if isinstance(cfg, dict) and cfg.get("scheme", "keep") is None:
         del cfg["scheme"]
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main([task, "--config", path, "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    message = BAD_CONFIG_ERRORS[case].replace("{path}", path)
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists() or not any(out.iterdir())
 
 
