@@ -157,33 +157,10 @@ class EquilibriumReport:
     """Per-term drift/diffusion magnitudes at a candidate equilibrium point."""
 
     model_name: str
-    point: tuple
     tol: float
     drift_terms: tuple
     diffusion_columns: tuple
     verdict: bool
-
-    def to_text(self) -> str:
-        lines = [
-            f"model: {self.model_name}",
-            f"point: {','.join(f'{v:.17g}' for v in self.point)}",
-            f"tolerance: {self.tol:.17g}",
-        ]
-        for t in self.drift_terms:
-            lines.append(
-                f"drift {t.name}: magnitude={t.magnitude:.17g} "
-                f"{'vanishes' if t.vanishes else 'nonzero'}"
-            )
-        for t in self.diffusion_columns:
-            lines.append(
-                f"diffusion {t.name}: magnitude={t.magnitude:.17g} "
-                f"{'vanishes' if t.vanishes else 'nonzero'}"
-            )
-        lines.append(
-            "verdict: "
-            + ("equilibrium persists" if self.verdict else "not an equilibrium")
-        )
-        return "\n".join(lines)
 
     def rows(self):
         out = [("drift:" + t.name, t.magnitude, int(t.vanishes)) for t in self.drift_terms]
@@ -311,7 +288,6 @@ def check_equilibrium(
     )
     return EquilibriumReport(
         model_name=model.name,
-        point=tuple(float(v) for v in x),
         tol=tol,
         drift_terms=tuple(drift_results),
         diffusion_columns=tuple(diff_results),

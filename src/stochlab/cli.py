@@ -4,9 +4,11 @@ Configuration is a versioned YAML mapping (see README for the schema);
 unknown keys are rejected before any computation.  Every subcommand writes
 its outputs through one loop, run_task, and the _KINDS table states each
 kind of output once, with the function that turns its result into a
-verdict, a printed note and a CSV.  `simulate` writes a trajectory
-(n_paths=1) or ensemble statistics; `check`, `convergence` and `stability`
-run the `analyses` entries of their kinds in order.
+verdict, a printed note and a CSV; an analysis kind's options are that
+function's keyword-only parameters, and the row names their check.
+`simulate` writes a trajectory (n_paths=1) or ensemble statistics;
+`check`, `convergence` and `stability` run the `analyses` entries of their
+kinds in order.
 
 Every output file carries the full resolved config and seed in '# ' comment
 lines; identical (config, seed) give byte-identical files.  Exit codes:
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import os
 import sys
@@ -66,12 +69,6 @@ class ConfigError(Exception):
 _TOP_KEYS = {"version", "seed", "model", "scheme", "T", "h", "n_paths", "x0",
              "functionals", "analyses"}
 _MODEL_KEYS = {"name", "params"}
-
-# numeric analysis option -> whether it is an integer; state vectors are lists
-_NUMBERS = {"tol": False, "samples": True, "eta_T": False, "eta_h": False,
-            "step_tol": False, "levels": True, "n_paths": True, "h0": False, "T": False,
-            "oracle_gap": True, "x0_radius": False, "delta": False, "eps": False}
-_VECTORS = ("point", "target")
 
 
 def _check_keys(mapping, allowed, where):
@@ -194,7 +191,7 @@ def load_config(path: str, seed_override, task: str):
     if not isinstance(functionals, list) or not functionals:
         raise ConfigError("functionals must be a nonempty list of names")
     for name in functionals:
-        _functional(str(name), model)  # raises ConfigError on unknown names
+        _functional(name, model)  # raises ConfigError on unknown names
 
     analyses = raw.get("analyses", [])
     if not isinstance(analyses, list):
@@ -207,15 +204,7 @@ def load_config(path: str, seed_override, task: str):
         kind = str(entry["kind"])
         if kind not in _ANALYSIS_KINDS:
             raise ConfigError(f"{where}: unknown kind {kind!r}; known: {_ANALYSIS_KINDS}")
-        required, defaults = _KINDS[kind].required, _KINDS[kind].defaults
-        _check_keys(entry, {"kind"} | required | set(defaults), where)
-        missing = required - set(entry)
-        if missing:
-            raise ConfigError(f"{where} ({kind}): missing options {sorted(missing)}")
-        opts = dict(defaults)
-        opts.update({k: v for k, v in entry.items() if k != "kind"})
-        _validate_analysis(kind, opts, model, scheme, where)
-        resolved_analyses.append({"kind": kind, **opts})
+        resolved_analyses.append({"kind": kind, **_options(kind, entry, model, scheme, where)})
     kinds = [_KINDS[a["kind"]] for a in resolved_analyses]
     if task != "simulate" and all(k.task != task for k in kinds):
         raise ConfigError(f"{task}: the analyses list has no entry that {task} runs")
@@ -240,38 +229,35 @@ def load_config(path: str, seed_override, task: str):
     return cfg, model, seed
 
 
-def _validate_analysis(kind, opts, model, scheme, where):
-    """Check one analysis's options, converting its numbers in place (API rules via _api)."""
-    for key, value in opts.items():
-        if key in _NUMBERS:
-            opts[key] = _number(value, f"{where}: {key}", _NUMBERS[key])
-        elif key in _VECTORS:
-            opts[key] = _vector(value, model, where, key)
-    if kind == "invariance":
-        if opts["manifold"] != "sphere":
-            raise ConfigError(f"{where}: unknown manifold {opts['manifold']!r}")
-        if model.n != 3:
-            raise ConfigError(f"{where}: sphere invariance needs a 3-dimensional model")
-        if opts["samples"] < 1:
-            raise ConfigError(f"{where}: samples must be >= 1")
-        _api(f"{where} (eta_T, eta_h)", _grid_steps, opts["eta_T"], opts["eta_h"])
-    elif kind in ("lyapunov", "first-integral"):
-        _functional(str(opts["functional"]), model)
-    elif kind == "symplecticity":
-        _api(where, _check_symplectic, model, scheme)
-    elif kind == "convergence":
-        _api(where, _check_convergence, model, _entry_scheme(opts, scheme), opts["oracle"],
-             opts["levels"], opts["n_paths"], opts["T"], opts["h0"], _closed_form(model),
-             opts["oracle_gap"])
-    elif kind == "stability":
-        _api(where, _check_stability, opts["x0_radius"], opts["delta"])
-    elif kind == "attraction":
-        _api(where, _check_attraction, opts["eps"])
-
-
-def _entry_scheme(entry, scheme):
-    """An analysis entry's own scheme, or the config's where it sets none."""
-    return scheme if entry["scheme"] is None else entry["scheme"]
+def _options(kind, entry, model, scheme, where):
+    """An analyses entry's options: the keyword-only parameters of its kind's
+    outcome, a parameter without a default required.  Each is read by its
+    annotation, or else by its default's type: int and float through
+    _number, list as a state vector, anything else as given.  The kind's
+    check then takes, by parameter name, options and model, the entry's
+    scheme, the model's closed form and where (API rules via _api)."""
+    params = {name: p for name, p in inspect.signature(_KINDS[kind].outcome).parameters.items()
+              if p.kind == p.KEYWORD_ONLY}
+    _check_keys(entry, {"kind", *params}, where)
+    missing = sorted(name for name, p in params.items()
+                     if p.default is p.empty and name not in entry)
+    if missing:
+        raise ConfigError(f"{where} ({kind}): missing options {missing}")
+    opts = {}
+    for name, p in params.items():
+        value = entry.get(name, p.default)
+        how = p.annotation if p.annotation is not p.empty else type(p.default).__name__
+        if how in ("int", "float"):
+            value = _number(value, f"{where}: {name}", how == "int")
+        elif how == "list":
+            value = _vector(value, model, where, name)
+        opts[name] = value
+    check = _KINDS[kind].check
+    if check is not None:
+        given = {**opts, "model": model, "closed_form": _closed_form(model), "where": where,
+                 "scheme": scheme if opts.get("scheme") is None else opts["scheme"]}
+        _api(where, check, **{name: given[name] for name in inspect.signature(check).parameters})
+    return opts
 
 
 def _output(out, entries, i):
@@ -282,16 +268,17 @@ def _output(out, entries, i):
     return os.path.join(out, f"{kind}{suffix}.csv")
 
 
-def _api(where, check, *args):
-    """check(*args), raising its ValueError as a ConfigError located at where."""
+def _api(where, check, /, *args, **kwargs):
+    """check(*args, **kwargs), raising its ValueError as a ConfigError located at where."""
     try:
-        check(*args)
+        check(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}")
 
 
-def _functional(name: str, model) -> ScalarField:
+def _functional(functional, model) -> ScalarField:
     """Named state functionals for CSV columns and check analyses."""
+    name = str(functional)
     if name in ("norm2", "energy"):
         return dataclasses.replace(norm_squared_field(), name=name)
     if name == "sphere":
@@ -348,7 +335,7 @@ def _single_trajectory(cfg, model) -> Trajectory:
 _Outcome = namedtuple("_Outcome", "passed note header columns comment", defaults=((),))
 
 
-def _trajectory(opts, cfg, model):
+def _trajectory(_, cfg, model):
     """simulate's one path: its states, angles wrapped, and their functionals."""
     traj = _single_trajectory(cfg, model)
     states = wrap_angles(model, traj.states)
@@ -358,7 +345,7 @@ def _trajectory(opts, cfg, model):
                     [traj.times, *states.T, *(np.asarray(f.value(states)) for f in fields)])
 
 
-def _ensemble(opts, cfg, model):
+def _ensemble(_, cfg, model):
     """simulate's paths: per time, each functional's mean and variance over them."""
     stats = run_ensemble(model, _initial(cfg, model), cfg["scheme"], cfg["n_paths"], cfg["seed"],
                          functionals=[_functional(name, model) for name in cfg["functionals"]],
@@ -375,94 +362,107 @@ def _report(report, note, *comment):
                     comment)
 
 
-def _invariance(opts, cfg, model):
+def _check_sphere(model, manifold, samples, eta_T, eta_h, where):
+    """The rules of an invariance entry that check_invariance cannot state:
+    the one manifold, the model it needs, and the grid of a RODE's eta."""
+    if manifold != "sphere":
+        raise ValueError(f"unknown manifold {manifold!r}")
+    if model.n != 3:
+        raise ValueError("sphere invariance needs a 3-dimensional model")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    _api(f"{where} (eta_T, eta_h)", _grid_steps, eta_T, eta_h)
+
+
+def _invariance(_, cfg, model, *, tol: float, samples=200, manifold="sphere", eta_T=10.0,
+                eta_h=1e-3):
     eta = None
     if model.interpretation == "rode":
-        path = sample_brownian(cfg["seed"], opts["eta_T"], opts["eta_h"])
+        path = sample_brownian(cfg["seed"], eta_T, eta_h)
         eta = ParameterProcess(path.times, model.eta_builder(path.times, path.cumulative())[:, 0])
-    report = check_invariance(model, sphere_field(), fibonacci_sphere(opts["samples"]),
-                              tol=opts["tol"], eta_samples=eta)
+    report = check_invariance(model, sphere_field(), fibonacci_sphere(samples), tol=tol,
+                              eta_samples=eta)
     return _report(report, f"max residual {max(c.max_residual for c in report.conditions):.3g}")
 
 
-def _equilibrium(opts, cfg, model):
-    report = check_equilibrium(model, opts["point"], tol=opts["tol"])
+def _equilibrium(_, cfg, model, *, point: list, tol: float):
+    report = check_equilibrium(model, point, tol=tol)
     bad = [t.name for t in report.drift_terms + report.diffusion_columns if not t.vanishes]
-    point = ",".join(f"{v:.17g}" for v in np.asarray(opts["point"], dtype=float))
     return _report(report, "all terms vanish" if report.verdict else f"nonzero: {', '.join(bad)}",
-                   f"point={point}")
+                   f"point={','.join(f'{v:.17g}' for v in point)}")
 
 
-def _lyapunov(opts, cfg, model):
-    V = _functional(str(opts["functional"]), model)
-    stats = lyapunov_monotonicity(_single_trajectory(cfg, model), V, step_tol=opts["step_tol"])
+def _lyapunov(_, cfg, model, *, functional: str, step_tol=1e-6):
+    stats = lyapunov_monotonicity(_single_trajectory(cfg, model), _functional(functional, model),
+                                  step_tol=step_tol)
     return _Outcome(stats.n_violations == 0,
                     f"{stats.n_violations} violations, max increase {stats.max_increase:.3g}",
                     "n_violations,max_increase,n_steps",
                     [[stats.n_violations], [stats.max_increase], [stats.n_steps]])
 
 
-def _first_integral(opts, cfg, model):
-    F = _functional(str(opts["functional"]), model)
-    drift = first_integral_drift(_single_trajectory(cfg, model), F)
-    return _Outcome(drift.max_drift <= opts["tol"], f"max drift {drift.max_drift:.3g}",
+def _first_integral(_, cfg, model, *, functional: str, tol: float):
+    drift = first_integral_drift(_single_trajectory(cfg, model), _functional(functional, model))
+    return _Outcome(drift.max_drift <= tol, f"max drift {drift.max_drift:.3g}",
                     "max_drift,terminal_drift", [[drift.max_drift], [drift.terminal_drift]])
 
 
-def _symplecticity(opts, cfg, model):
+def _symplecticity(_, cfg, model, *, tol: float):
     path = None
     if model.noise_dim:
         path = sample_brownian(cfg["seed"], cfg["T"], cfg["h"], dims=model.noise_dim)
     defect = check_symplecticity(model, cfg["scheme"], np.asarray(cfg["x0"], dtype=float),
                                  h=cfg["h"], T=cfg["T"], path=path)
-    return _Outcome(defect <= opts["tol"], f"defect {defect:.3g}", "defect", [[defect]])
+    return _Outcome(defect <= tol, f"defect {defect:.3g}", "defect", [[defect]])
 
 
-def _convergence(opts, cfg, model):
+# a convergence entry's defaults are the refinement study's own
+_STUDY = inspect.signature(empirical_convergence_order).parameters
+
+
+def _convergence(_, cfg, model, *, oracle: str, levels: int, n_paths: int, scheme=None,
+                 T=_STUDY["T"].default, h0=_STUDY["h0"].default,
+                 oracle_gap=_STUDY["oracle_gap"].default):
     est = empirical_convergence_order(
-        model, np.asarray(cfg["x0"], dtype=float), _entry_scheme(opts, cfg["scheme"]),
-        oracle=str(opts["oracle"]), levels=opts["levels"], n_paths=opts["n_paths"],
-        seed=cfg["seed"], T=opts["T"], h0=opts["h0"], closed_form=_closed_form(model),
-        oracle_gap=opts["oracle_gap"],
+        model, np.asarray(cfg["x0"], dtype=float), cfg["scheme"] if scheme is None else scheme,
+        oracle=str(oracle), levels=levels, n_paths=n_paths, seed=cfg["seed"], T=T, h0=h0,
+        closed_form=_closed_form(model), oracle_gap=oracle_gap,
     )
     return _Outcome(True, f"slope {est.slope:.4f} +/- {est.half_width:.4f}", "step_size,error",
                     [est.step_sizes, est.errors],
                     (f"slope={est.slope:.17g} half_width={est.half_width:.17g}",))
 
 
-def _stability(est, cfg, model):
+def _stability(est, cfg, model, *, x0_radius: float, delta: float):
     return _Outcome(True, f"exceedance {est.probability:.4f} +/- {est.half_width:.4f}",
                     "probability,half_width,n_paths,n_exceed",
                     [[est.probability], [est.half_width], [est.n_paths], [est.n_exceed]])
 
 
-def _attraction(est, cfg, model):
+def _attraction(est, cfg, model, *, target: list, eps: float):
     return _Outcome(True, f"fraction {est.fraction:.4f} +/- {est.half_width:.4f}",
                     "fraction,half_width,n_paths,n_attracted",
                     [[est.fraction], [est.half_width], [est.n_paths], [est.n_attracted]])
 
 
-# output kind -> (subcommand, required option keys, optional defaults, the
-# x0 it needs: None, "any" (a vector or 'sphere') or "vector", the function
-# that maps (its options, or a stability kind's estimate; cfg; model) to an
-# _Outcome).  n_paths picks simulate's kind; every other kind is an analysis,
-# run where a config's analyses entry names it.
-_Kind = namedtuple("_Kind", "task required defaults x0 outcome")
+# output kind -> (subcommand, the x0 it needs: None, "any" (a vector or
+# 'sphere') or "vector", the function that maps (a stability kind's
+# estimate, else nothing; cfg; model; the entry's options as keywords) to an
+# _Outcome, and the check of those options).  n_paths picks simulate's kind;
+# every other kind is an analysis, run where a config's analyses entry names it.
+_Kind = namedtuple("_Kind", "task x0 outcome check")
 
 _KINDS = {
-    "trajectory": _Kind("simulate", set(), {}, "any", _trajectory),
-    "ensemble": _Kind("simulate", set(), {}, "any", _ensemble),
-    "invariance": _Kind("check", {"tol"}, {"samples": 200, "manifold": "sphere", "eta_T": 10.0,
-                                           "eta_h": 1e-3}, None, _invariance),
-    "equilibrium": _Kind("check", {"tol", "point"}, {}, None, _equilibrium),
-    "lyapunov": _Kind("check", {"functional"}, {"step_tol": 1e-6}, "any", _lyapunov),
-    "first-integral": _Kind("check", {"functional", "tol"}, {}, "any", _first_integral),
-    "symplecticity": _Kind("check", {"tol"}, {}, "vector", _symplecticity),
-    "convergence": _Kind("convergence", {"oracle", "levels", "n_paths"},
-                         {"scheme": None, "h0": 2.0**-6, "T": 1.0, "oracle_gap": 3}, "vector",
-                         _convergence),
-    "stability": _Kind("stability", {"x0_radius", "delta"}, {}, None, _stability),
-    "attraction": _Kind("stability", {"target", "eps"}, {}, "any", _attraction),
+    "trajectory": _Kind("simulate", "any", _trajectory, None),
+    "ensemble": _Kind("simulate", "any", _ensemble, None),
+    "invariance": _Kind("check", None, _invariance, _check_sphere),
+    "equilibrium": _Kind("check", None, _equilibrium, None),
+    "lyapunov": _Kind("check", "any", _lyapunov, _functional),
+    "first-integral": _Kind("check", "any", _first_integral, _functional),
+    "symplecticity": _Kind("check", "vector", _symplecticity, _check_symplectic),
+    "convergence": _Kind("convergence", "vector", _convergence, _check_convergence),
+    "stability": _Kind("stability", None, _stability, _check_stability),
+    "attraction": _Kind("stability", "any", _attraction, _check_attraction),
 }
 _ANALYSIS_KINDS = sorted(kind for kind, row in _KINDS.items() if row.task != "simulate")
 
@@ -483,7 +483,7 @@ def run_task(task, cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if _KINDS[a["kind"]].task == task]
     if task == "simulate":
         entries = [{"kind": "trajectory" if cfg["n_paths"] == 1 else "ensemble"}]
-    inputs = entries
+    inputs = [None] * len(entries)
     if task == "stability":
         ensemble = (model, cfg["scheme"], cfg["n_paths"], cfg["T"], cfg["h"])
         inputs = _estimates([
@@ -496,7 +496,8 @@ def run_task(task, cfg, model, out) -> int:
     all_pass = True
     for i, (entry, given) in enumerate(zip(entries, inputs)):
         kind = entry["kind"]
-        result = _KINDS[kind].outcome(given, cfg, model)
+        result = _KINDS[kind].outcome(given, cfg, model,
+                                      **{k: v for k, v in entry.items() if k != "kind"})
         dest = _output(out, entries, i)
         write_csv(dest, result.header, result.columns,
                   comment=_comment(label.format(kind=kind), cfg, *result.comment))

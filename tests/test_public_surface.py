@@ -1,6 +1,7 @@
-"""The public surface: every name stochlab exports has a caller in the package
-or in the acceptance battery, unless an allowlisted reason says why not.  And
-the noise schedule's internals are named in noise.py only."""
+"""The public surface: every name stochlab exports, and every member of an
+exported class, has a reader in the package or in the acceptance battery,
+unless an allowlisted reason says why not.  And the noise schedule's
+internals are named in noise.py only."""
 import ast
 from pathlib import Path
 
@@ -14,6 +15,14 @@ UNCALLED = {
     "equilibrium_attraction": "the public form of the attraction estimator the CLI runs",
 }
 
+# exported class's member -> why it is public though no module or acceptance
+# entry reads it
+UNREAD = {
+    "InvarianceReport.to_text": "the README quick start prints it, and test_readme runs that",
+    "GapDecay.gaps": "test_analyze pins the streamed gaps bit for bit against whole-level "
+                     "stepping; ratios are their quotients",
+}
+
 
 def _exported():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
@@ -21,18 +30,13 @@ def _exported():
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def _referenced():
-    """Names read as a Name or an Attribute (never a string) in the package
-    modules and the acceptance battery."""
+def _referenced(kinds=(ast.Name, ast.Attribute)):
+    """Names read as one of kinds of node, a Name or an Attribute (never a
+    string), in the package modules and the acceptance battery."""
     files = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
-    names = set()
-    for f in files + [ROOT / "tests" / "test_acceptance.py"]:
-        for node in ast.walk(ast.parse(f.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for f in files + [ROOT / "tests" / "test_acceptance.py"]
+            for node in ast.walk(ast.parse(f.read_text())) if isinstance(node, kinds)}
 
 
 def test_every_export_has_a_caller_or_an_allowlisted_reason():
@@ -42,6 +46,35 @@ def test_every_export_has_a_caller_or_an_allowlisted_reason():
     assert uncalled == set(UNCALLED), (
         f"exported without a caller: {sorted(uncalled - set(UNCALLED))}; "
         f"allowlisted but called: {sorted(set(UNCALLED) - uncalled)}")
+
+
+def _members():
+    """Class.member for each public field, method and property of the
+    classes stochlab exports."""
+    exported = _exported()
+    members = set()
+    for f in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(f.read_text()).body:
+            if isinstance(cls, ast.ClassDef) and cls.name in exported:
+                for node in cls.body:
+                    name = (node.target.id if isinstance(node, ast.AnnAssign) else
+                            node.name if isinstance(node, ast.FunctionDef) else "_")
+                    if not name.startswith("_"):
+                        members.add(f"{cls.name}.{name}")
+    return members
+
+
+def test_every_member_of_an_exported_class_has_a_reader_or_an_allowlisted_reason():
+    """A member counts as read where any attribute of its name is read: the
+    test matches members by attribute name, not by their owner class, so a
+    read of report.tol counts for the tol of every exported class."""
+    members = _members()
+    assert UNREAD.keys() <= members, "allowlisted members no exported class has"
+    read = _referenced(ast.Attribute)
+    unread = {m for m in members if m.split(".")[1] not in read}
+    assert unread == set(UNREAD), (
+        f"members without a reader: {sorted(unread - set(UNREAD))}; "
+        f"allowlisted but read: {sorted(set(UNREAD) - unread)}")
 
 
 # what decides how the noise of a run is laid out in time and drawn
