@@ -447,7 +447,7 @@ def _attraction(est, cfg, model, *, target: list, eps: float):
 
 # output kind -> (subcommand, the x0 it needs: None, "any" (a vector or
 # 'sphere') or "vector", the function that maps (a stability kind's
-# estimate, else nothing; cfg; model; the entry's options as keywords) to an
+# estimate or None, cfg, model, and the entry's options as keywords) to an
 # _Outcome, and the check of those options).  n_paths picks simulate's kind;
 # every other kind is an analysis, run where a config's analyses entry names it.
 _Kind = namedtuple("_Kind", "task x0 outcome check")
