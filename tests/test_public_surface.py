@@ -31,7 +31,7 @@ def _exported():
 
 
 def _referenced(kinds=(ast.Name, ast.Attribute)):
-    """Names read as one of kinds of node, a Name or an Attribute (never a
+    """Names read as a node of kinds, Name or Attribute or both (never a
     string), in the package modules and the acceptance battery."""
     files = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
     return {node.id if isinstance(node, ast.Name) else node.attr
