@@ -156,8 +156,6 @@ class TermResult:
 class EquilibriumReport:
     """Per-term drift/diffusion magnitudes at a candidate equilibrium point."""
 
-    model_name: str
-    tol: float
     drift_terms: tuple
     diffusion_columns: tuple
     verdict: bool
@@ -287,8 +285,6 @@ def check_equilibrium(
         t.vanishes for t in diff_results
     )
     return EquilibriumReport(
-        model_name=model.name,
-        tol=tol,
         drift_terms=tuple(drift_results),
         diffusion_columns=tuple(diff_results),
         verdict=verdict,

@@ -387,6 +387,9 @@ def _check_start(model: ModelSpec, x0) -> np.ndarray:
 _ADVANCE = {"euler_maruyama": _em_advance, "heun": _heun_advance, "rk4": _rk4_advance,
             "rode_heun": _rode_heun_advance, "rode_euler": _rode_euler_advance}
 
+# traced operation ("neg" the unary minus) -> the ufunc a batch step calls
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide, "neg": np.negative}
+
 
 class _Traced:
     """What a fusing trace steps on in place of t, h, a state or a noise
@@ -416,11 +419,12 @@ def _fused(scheme, kernel, n, l):
     """The scheme's advance on kernel, traced once on _Traced operands, as
     one straight-line function of its signature: the same operations on the
     same operands, so the same states bit for bit.  Its attribute block(tl,
-    xs, ws, out), compiled at its first call, makes the same steps over the
-    times tl from the components xs: step k reads row k + j of each noise
-    view in ws where the step reads w(k + j), and writes its state into row
-    k + 1 of each component view in out, with no finite check.  A kernel
-    that the trace cannot follow steps through the advance as written."""
+    ws, out), compiled at its first call, steps over the times tl, a ufunc
+    call an array operation: step k reads row k % R of each component view
+    (R, ...) in out and row k + j of each noise view in ws for w(k + j), and
+    writes row (k + 1) % R; it returns False where a constant or the noise
+    would change out's dtype.  A kernel that the trace cannot follow steps
+    through the advance as written."""
     advance, ops, rows, consts = _ADVANCE[scheme], [], {}, {}
     xs = [_Traced(ops, f"x{i}") for i in range(n)]
 
@@ -455,23 +459,50 @@ def _fused(scheme, kernel, n, l):
     lines = ["def step(kernel, t, h, xs, w, k):", f"    [{xnames}] = xs"] + [
         f"    [{', '.join(map(name, row))}] = w(k + {j})" for j, row in rows.items()] + [
         "    " + s for s in body] + [f"    return [{', '.join(returned)}]"]
-    # the same statements looped over a sub-block: noise read from the
-    # per-component views W0.. (rows, ...), states written to X0.. (rows, ...)
-    loop = ["def block(tl, xs, ws, out):", f"    [{xnames}] = xs",
-            f"    [{', '.join(f'W{i}' for i in range(l))}] = ws",
-            f"    [{', '.join(f'X{i}' for i in range(n))}] = out",
-            "    for k in range(len(tl) - 1):", "        t = tl[k]; h = tl[k + 1] - t"] + [
-        f"        {name(c)} = W{i}[k + {j}]" for j, row in rows.items()
-        for i, c in enumerate(row) if uses[name(c)]] + ["        " + s for s in body] + [
-        f"        X{i}[k + 1] = {name(x)} = {v}" for i, (x, v) in enumerate(zip(xs, returned))]
-    namespace = dict(consts.values())
+    namespace = dict(consts.values(), array=np.array, empty_like=np.empty_like,
+                     **{u.__name__: u for u in _UFUNCS.values()},
+                     **{f"{c}_": np.asarray(v) if isinstance(v, float) else v
+                        for c, v in consts.values()})
+
+    def block_source():
+        """The live operations looped over a sub-block: those of t, h and
+        constants alone on Python floats, each other one a ufunc call into a
+        buffer B.. reused after the value's last read, or into its state row."""
+        live, scalar, bufs, free = [op for op in ops if uses[op[0]]], {"t", "h"}, {}, []
+        array = lambda a: isinstance(a, _Traced) and a.name not in scalar  # noqa: E731
+        scalar.update(op[0] for op in live if not any(map(array, op[2])))
+        read = {a.name: i for i, op in enumerate(live) for a in op[2] if array(a)}  # last reader
+        zero_d = {name(a) for op in live if op[0] not in scalar for a in op[2] if not array(a)}
+        loop = [("t", "tl[k]"), ("h", "tl[k + 1] - t"), ("k1", "(k + 1) % R")] + [
+            (x, f"X{i}[k % R]") for i, x in enumerate(map(name, xs))] + [
+            (name(c), f"W{i}[k + {j}]") for j, row in rows.items() for i, c in enumerate(row)
+            if uses[name(c)]]
+        for i, (target, symbol, args) in enumerate(live):
+            if target in scalar:
+                loop.append((target, "- " * (not args[1:]) + f" {symbol} ".join(map(name, args))))
+                continue
+            free += sorted({bufs.get(name(a)) for a in args if read.get(name(a)) == i} - {None})
+            dest = (f"X{returned.index(target)}[k1]" if target in returned else bufs.setdefault(
+                target, free.pop() if free else f"B{len(set(bufs.values()))}"))
+            loop.append((target, f"{_UFUNCS[symbol if args[1:] else 'neg'].__name__}(" + "".join(
+                name(a) + "_" * (not array(a)) + ", " for a in args) + f"out={dest})"))
+        made = sorted(set(bufs.values()))
+        return "\n".join([
+            "def block(tl, ws, out):", f"    [{', '.join(f'W{i}' for i in range(l))}] = ws",
+            f"    [{', '.join(f'X{i}' for i in range(n))}] = out", "    R = len(X0)",
+            f"    [{', '.join(made)}] = [empty_like(X0[0]) for _ in range({len(made)})]",
+            "    for k in range(len(tl) - 1):"] + [
+            f"        {v} = {e}" + f"; {v}_ = array({v})" * (v in zero_d) for v, e in loop])
     exec("\n".join(lines), namespace)
     step = namespace["step"]
 
-    def block(*args):  # compiled at its first call, which one path never makes
-        exec("\n".join(loop), namespace)
-        step.block = namespace["block"]
-        return step.block(*args)
+    def block(tl, ws, out):  # compiled at its first call, which one path never makes
+        if np.result_type(out[0], *ws, *(v for _, v in consts.values())) != out[0].dtype:
+            return False  # a constant or the noise makes states of another dtype
+        if "block" not in namespace:
+            exec(block_source(), namespace)
+        namespace["block"](tl, ws, out)
+        return True
     step.block = block
     return step
 
@@ -486,14 +517,16 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
     for noise shared by the whole batch; w(k) gives the l components of row
     k.  A single path steps on Python floats (complex ones for a complex
     x0), converting the rows its advance reads; a batch steps on (B,)
-    component arrays.  A recorded batch, where the caller ignores
-    underflow, steps all at once in the fused step's block with overflow,
-    division by zero and invalid operations trapped, then scans its rows; a
-    trap or a non-finite row steps it again from row 0 step by step, under
-    the caller's errstate, so its states, warnings and aborts are those of
-    the steps.  Returns the states (N+1,) + x0.shape, recorded into out (a
-    C-contiguous array of that shape and x0's dtype; x0 may be out[0])
-    where given, or the terminal state when record is off.  Raises
+    component arrays.  A batch, where the caller ignores underflow, steps
+    all at once in the fused step's block, into the recorded rows or, with
+    record off, two ping-pong rows (n, 2, ...), with overflow, division by
+    zero and invalid operations trapped.  Then only its last row is checked:
+    each advance returns x + ..., so a component that turns non-finite stays
+    so.  A trap or a non-finite last row steps it again from row 0 step by
+    step, under the caller's errstate, so its states, warnings and aborts
+    are those of the steps.  Returns the states (N+1,) + x0.shape, recorded
+    into out (a C-contiguous array of that shape and x0's dtype; x0 may be
+    out[0]) where given, or the terminal state when record is off.  Raises
     ValueError unless x0 holds model.n components on its last axis, and
     IntegrationError at a non-finite state, naming its step on a grid where
     times[0] is row first.
@@ -528,16 +561,17 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
     def w(k):
         row = noise[k]
         return [row[..., j] for j in range(l)]
-    terminal = x0.copy()
-    xs = [x0[..., i] for i in range(n)]
-    if record and hasattr(advance, "block") and np.geterr()["under"] == "ignore":
-        # one compiled loop and one scan; a trap or a non-finite row replays below
+    if hasattr(advance, "block") and np.geterr()["under"] == "ignore":
+        # one compiled loop and a check of its last row; a fault replays below
+        rows = list(np.moveaxis(states, -1, 0) if record else np.moveaxis([x0, x0], -1, 0).copy())
         with suppress(FloatingPointError), np.errstate(over="raise", divide="raise",
                                                        invalid="raise"):
-            advance.block(tl, xs, [noise[..., j] for j in range(l)],
-                          [states[..., i] for i in range(n)])
-            if np.isfinite(states[1:]).all():
-                return states
+            end = [row[n_steps % len(row)] for row in rows]
+            if advance.block(tl, [noise[..., j] for j in range(l)], rows) and all(
+                    np.isfinite(c).all() for c in end):
+                return states if record else np.stack(end, axis=-1)
+    terminal = x0.copy()
+    xs = [x0[..., i] for i in range(n)]
     for k in range(n_steps):
         t = tl[k]
         last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)

@@ -3,9 +3,9 @@ correction taken from the noise action, evaluation on complex components,
 bitwise equality of the one-path float stepping with the batched array
 stepping, under every scheme and on the Ito conversions, and the fused steps:
 bit for bit the advance functions as written, which a kernel the trace
-cannot follow steps through.  A recorded batch steps each sub-block in the
-fused step's compiled loop; its states, aborts and warnings are those of
-the per-step loop."""
+cannot follow steps through.  A batch, recorded or terminal-only, steps
+each sub-block in the fused step's compiled loop; its states, aborts and
+warnings are those of the per-step loop."""
 import math
 import warnings
 from dataclasses import replace
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochlab import integrate
-from stochlab.analyze import stability_probability
+from stochlab.analyze import empirical_convergence_order, stability_probability
 from stochlab.cli import main
 from stochlab.integrate import (
     SCHEMES,
@@ -358,6 +358,29 @@ def test_a_kernel_the_trace_cannot_follow_steps_as_written(kernel, interpretatio
         assert states.tobytes() == _scheme_states(model, scheme, x, times, w).tobytes()
 
 
+def _decaying(t, xs, ws):
+    return [-x for x in xs], [0.3 * x for x in xs]
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_each_advance_returns_each_state_component_plus_terms(scheme):
+    """Each advance returns x + ... + ... for each state component x, so a
+    component that turns inf or nan stays non-finite at every later step:
+    why a batch's compiled loop checks its last row only."""
+    ops = []
+    xs = [integrate._Traced(ops, f"x{i}") for i in range(2)]
+    out = integrate._ADVANCE[scheme](
+        _decaying, integrate._Traced(ops, "t"), integrate._Traced(ops, "h"), xs,
+        lambda j: [integrate._Traced(ops, f"w{j}_0")], 0)
+    made = {target: (symbol, args) for target, symbol, args in ops}
+    for x, v in zip(xs, out):
+        while v.name in made:  # down the first operands of a left-associated sum
+            symbol, args = made[v.name]
+            assert symbol == "+" and len(args) == 2
+            v = args[0]
+        assert v is x
+
+
 def _spy_checks(monkeypatch):
     """A list that grows by one entry per call of integrate._check_finite."""
     calls, check = [], integrate._check_finite
@@ -369,13 +392,12 @@ def _spy_checks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC, **CONVERTED}))
-def test_a_recorded_batch_steps_in_one_compiled_loop_bit_for_bit(key, monkeypatch):
-    """A recorded batch of a fused entry steps in the compiled sub-block loop,
-    with no per-step finite check, and gives the states of the per-step loop
-    on its _ADVANCE function byte for byte: on a batch, a complex batch,
-    noise shared by the batch ((rows, l)) and two batch axes.  RODE steps
-    read eta rows k and k + 1; rk4 reads no noise."""
+def _compiled_loop_case(key, record, monkeypatch):
+    """A batch of a fused entry steps in the compiled sub-block loop, with no
+    per-step finite check, and gives the states (record) or the terminal
+    state of the per-step loop on its _ADVANCE function byte for byte: on a
+    batch, a complex batch, noise shared by the batch ((rows, l)) and two
+    batch axes.  RODE steps read eta rows k and k + 1; rk4 reads no noise."""
     model = _model(key)
     x0, noise, times = _noise(model, 40, 4, seed=len(key) + 11)
     starts = {"batch": (x0, noise), "complex": (x0 + 0.5j * x0[::-1], noise),
@@ -386,15 +408,53 @@ def test_a_recorded_batch_steps_in_one_compiled_loop_bit_for_bit(key, monkeypatc
         step = integrate._fused(scheme, model.kernel, model.n, noise.shape[-1])
         assert hasattr(step, "block") == (key not in UNFUSED)
         checks.clear()
-        fused = {case: _scheme_states(model, scheme, x, times, w)
+        fused = {case: _scheme_states(model, scheme, x, times, w, record)
                  for case, (x, w) in starts.items()}
         assert len(checks) == (0 if hasattr(step, "block") else 40 * len(starts))
         with monkeypatch.context() as m:
             m.setattr(integrate, "_fused", _as_written)
             for case, (x, w) in starts.items():
-                written = _scheme_states(model, scheme, x, times, w)
+                written = _scheme_states(model, scheme, x, times, w, record)
+                assert fused[case].shape == written.shape, case
                 assert fused[case].dtype == written.dtype, case
                 assert fused[case].tobytes() == written.tobytes(), case
+
+
+@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC, **CONVERTED}))
+def test_a_recorded_batch_steps_in_one_compiled_loop_bit_for_bit(key, monkeypatch):
+    _compiled_loop_case(key, True, monkeypatch)
+
+
+@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC, **CONVERTED}))
+def test_a_terminal_only_batch_steps_in_one_compiled_loop_bit_for_bit(key, monkeypatch):
+    """The same as a recorded batch, through the two ping-pong rows that a
+    run keeping only its terminal state steps into."""
+    _compiled_loop_case(key, False, monkeypatch)
+
+
+def _complex_gain(t, xs, ws):
+    return [(0.5 + 0.25j) * x for x in xs], _noise_action(t, xs, ws)
+
+
+def test_a_constant_the_state_dtype_cannot_hold_steps_as_written(monkeypatch):
+    """A complex constant makes complex states: a complex batch steps in the
+    compiled loop, and a float batch, whose rows cannot hold them, steps as
+    written, one finite check a step; both give the states of the per-step
+    loop byte for byte (the float rows keep the real parts)."""
+    model = ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_complex_gain)
+    x0, noise, times = _noise(model, 30, 3, seed=2)
+    starts = {"complex": x0 + 0j, "float": x0}
+    checks = _spy_checks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        fused = {case: _scheme_states(model, "euler_maruyama", x, times, noise)
+                 for case, x in starts.items()}
+        assert checks == list(range(30))
+        monkeypatch.setattr(integrate, "_fused", _as_written)
+        for case, x in starts.items():
+            written = _scheme_states(model, "euler_maruyama", x, times, noise)
+            assert fused[case].dtype == written.dtype, case
+            assert fused[case].tobytes() == written.tobytes(), case
 
 
 def _reciprocal(t, xs, ws):
@@ -410,13 +470,12 @@ def _silent_inf(t, xs, ws):
     return [x * (s * 0.0 - 1.0) for x in xs], _noise_action(t, xs, ws)
 
 
-@pytest.mark.parametrize("case", ["overflow", "reciprocal", "silent_inf"])
-def test_an_abort_and_its_warnings_equal_the_per_step_loops(case, monkeypatch):
+def _abort_case(case, record, monkeypatch):
     """A batch that goes non-finite inside a sub-block raises the same
     IntegrationError (message, step, time, path index, states) with the same
     warnings as the per-step loop: where scalar_linear (a = 100) overflows,
     where a kernel divides by a state, and where a Python float makes inf
-    with no floating-point flag, which only the scan of the rows sees."""
+    with no floating-point flag, which only the check of the last row sees."""
     model = {"overflow": build_model("scalar_linear", a=100.0, b_scalar=0.5),
              "reciprocal": ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_reciprocal),
              "silent_inf": ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_silent_inf),
@@ -432,19 +491,31 @@ def test_an_abort_and_its_warnings_equal_the_per_step_loops(case, monkeypatch):
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(over="warn", invalid="warn"), pytest.raises(IntegrationError) as info:
             warnings.simplefilter("always")
-            _scheme_states(model, "euler_maruyama", x0, times, noise)
+            _scheme_states(model, "euler_maruyama", x0, times, noise, record)
         err = info.value
-        return ((str(err), err.step, err.time, err.path_index, err.states.shape,
-                 err.states.tobytes()), [(w.category, str(w.message)) for w in caught])
+        states = None if err.states is None else (err.states.shape, err.states.tobytes())
+        return ((str(err), err.step, err.time, err.path_index, states),
+                [(w.category, str(w.message)) for w in caught])
 
     got, got_warnings = abort()
     monkeypatch.setattr(integrate, "_fused", _as_written)
     assert (got, got_warnings) == abort()
     assert 0 < got[1] < len(times) - 2  # mid-sub-block
     assert got[3] == (0 if case == "silent_inf" else 1)
+    assert (got[4] is None) == (not record)
     assert bool(got_warnings) == (case != "silent_inf")
     if case == "reciprocal":  # the steps 1 / inf keeps finite warn before the abort
         assert len(got_warnings) > 100
+
+
+@pytest.mark.parametrize("case", ["overflow", "reciprocal", "silent_inf"])
+def test_an_abort_and_its_warnings_equal_the_per_step_loops(case, monkeypatch):
+    _abort_case(case, True, monkeypatch)
+
+
+@pytest.mark.parametrize("case", ["overflow", "reciprocal", "silent_inf"])
+def test_a_terminal_only_abort_and_its_warnings_equal_the_per_step_loops(case, monkeypatch):
+    _abort_case(case, False, monkeypatch)
 
 
 def test_a_finite_recorded_run_checks_no_step_unless_underflow_is_watched(monkeypatch):
@@ -463,3 +534,24 @@ def test_a_finite_recorded_run_checks_no_step_unless_underflow_is_watched(monkey
     with np.errstate(under="warn"):
         assert estimate() == fast
     assert checks == list(range(2000))
+
+
+def test_a_convergence_study_checks_no_step_unless_underflow_is_watched(monkeypatch):
+    """A Kubo/Heun refinement study, stepped terminal-only piece by piece,
+    makes no per-step finite check; under np.errstate(under="warn") it makes
+    one a step of every run (levels 0, 1, 2 and the oracle's 4), and
+    estimates the same bit for bit."""
+    model = build_model("kubo", a=1.3, sigma=0.5)
+    checks = _spy_checks(monkeypatch)
+
+    def estimate():
+        est = empirical_convergence_order(model, [1.0, 0.0], "heun", "finest_refinement",
+                                          levels=3, n_paths=50, seed=4, T=0.25, h0=2.0**-4,
+                                          oracle_gap=2)
+        return est.errors.tobytes(), est.slope, est.half_width
+
+    fast = estimate()
+    assert checks == []
+    with np.errstate(under="warn"):
+        assert estimate() == fast
+    assert sorted(checks) == sorted(k for level in (0, 1, 2, 4) for k in range(4 * 2**level))

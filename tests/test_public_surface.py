@@ -30,13 +30,33 @@ def _exported():
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def _referenced(kinds=(ast.Name, ast.Attribute)):
-    """Names read as a node of kinds, Name or Attribute or both (never a
-    string), in the package modules and the acceptance battery."""
+def _read_trees():
+    """The parsed package modules and acceptance battery."""
     files = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for f in files + [ROOT / "tests" / "test_acceptance.py"]
-            for node in ast.walk(ast.parse(f.read_text())) if isinstance(node, kinds)}
+    return [ast.parse(f.read_text()) for f in files + [ROOT / "tests" / "test_acceptance.py"]]
+
+
+def _referenced():
+    """Names read as a Name or an Attribute (never a string), in the package
+    modules and the acceptance battery."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for tree in _read_trees()
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _own(node):
+    """Whether node reads an attribute of self."""
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+        and node.value.id == "self"
+
+
+def _read_members():
+    """Attribute names read on anything but self, and Class.member for each
+    self.member read inside a class body, in the same files as _referenced."""
+    trees = _read_trees()
+    return ({node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and not _own(node)}
+            | {f"{cls.name}.{node.attr}" for tree in trees for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in ast.walk(cls) if _own(node)})
 
 
 def test_every_export_has_a_caller_or_an_allowlisted_reason():
@@ -65,13 +85,14 @@ def _members():
 
 
 def test_every_member_of_an_exported_class_has_a_reader_or_an_allowlisted_reason():
-    """A member counts as read where any attribute of its name is read: the
-    test matches members by attribute name, not by their owner class, so a
-    read of report.tol counts for the tol of every exported class."""
+    """A member counts as read where an attribute of its name is read on
+    anything but self, or where its own class reads it as self.member: a
+    read of report.tol counts for the tol of every exported class, and one
+    of self.tol only for the tol of the class whose body reads it."""
     members = _members()
     assert UNREAD.keys() <= members, "allowlisted members no exported class has"
-    read = _referenced(ast.Attribute)
-    unread = {m for m in members if m.split(".")[1] not in read}
+    read = _read_members()
+    unread = {m for m in members if m not in read and m.split(".")[1] not in read}
     assert unread == set(UNREAD), (
         f"members without a reader: {sorted(unread - set(UNREAD))}; "
         f"allowlisted but read: {sorted(set(UNREAD) - unread)}")
