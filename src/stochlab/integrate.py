@@ -7,10 +7,10 @@ infinitesimal generator, and reproducible ensemble execution.
 
 All steppers take states with the components on the last axis and broadcast
 over leading batch axes; ensembles integrate whole path batches at once.
-Every scheme is an advance function that one loop steps on the model's
-component-form kernel: on Python floats for a single path, on per-component
-batch arrays otherwise.  Per-path arithmetic is elementwise, so a path
-stepped alone equals the same path stepped inside a batch, bit for bit.
+Every scheme is an advance function on the model's component-form kernel,
+compiled into a loop on Python floats for a single path and one of ufunc
+calls on per-component batch arrays (_fused).  Per-path arithmetic is
+elementwise, so a path stepped alone equals it inside a batch, bit for bit.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numbers
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,8 +74,8 @@ class ModelSpec:
     -, * and constants is bitwise equal on both, lets inf/nan propagate, and
     keeps complex components complex (strat_to_ito and check_symplecticity
     raise ValueError on one that casts them to float).  Each scheme traces
-    it once, reading its constants then, into one straight-line step
-    (_fused); a kernel that branches on a value steps as written.
+    it once, reading its constants then, into compiled loops of the same
+    operations (_fused); a kernel that branches on a value steps as written.
 
     drift and diffusion, the array forms that the checkers and the generator
     use, are derived from the kernel: drift(t, x) (drift(t, x, eta) for rode
@@ -416,15 +416,16 @@ class _Traced:
 
 @lru_cache(maxsize=64)
 def _fused(scheme, kernel, n, l):
-    """The scheme's advance on kernel, traced once on _Traced operands, as
-    one straight-line function of its signature: the same operations on the
-    same operands, so the same states bit for bit.  Its attribute block(tl,
-    ws, out), compiled at its first call, steps over the times tl, a ufunc
-    call an array operation: step k reads row k % R of each component view
-    (R, ...) in out and row k + j of each noise view in ws for w(k + j), and
-    writes row (k + 1) % R; it returns False where a constant or the noise
-    would change out's dtype.  A kernel that the trace cannot follow steps
-    through the advance as written."""
+    """The scheme's advance on kernel, traced once on _Traced operands and
+    compiled into loops of its operations, the same on the same operands in
+    the same order, so the same states bit for bit; an operation that no
+    output reads is dead and never runs there, so it neither raises nor
+    warns, where the advance as written does.  Returns that advance where
+    the trace cannot follow the kernel, else a copy of it (for steps one at
+    a time) carrying path(tl, wl, xs, out), which steps one path on Python
+    numbers from the state components xs over the times tl, reading w(k + j)
+    at row k + j of the flat noise rows wl, extends out by each state and
+    returns the last, and block(dtype, wtype), the loop of a batch."""
     advance, ops, rows, consts = _ADVANCE[scheme], [], {}, {}
     xs = [_Traced(ops, f"x{i}") for i in range(n)]
 
@@ -438,98 +439,102 @@ def _fused(scheme, kernel, n, l):
             lambda j: rows.setdefault(j, [_Traced(ops, f"w{j}_{i}") for i in range(l)]), 0)]
     except Exception:  # whatever stops the trace, stepping as written decides
         return advance
-    uses, inline, stmts = Counter(returned), {}, []
+    uses = Counter(returned)
     for target, _, args in reversed(ops):  # reads by the outputs and by what they read
         uses.update(name(a) for a in args if uses[target])
-    for target, symbol, args in (op for op in ops if uses[op[0]]):  # the dead are dropped
-        parts, ranks, refs = zip(*(inline.pop(a, (a, 4, {a})) for a in map(name, args)))
-        rank = 3 if len(args) == 1 else 1 if symbol in "+-" else 2  # a name binds as 4
-        expr = f" {symbol} ".join(p if r > rank - (i < len(args) - 1) else f"({p})"
-                                  for i, (p, r) in enumerate(zip(parts, ranks)))  # left-assoc.
-        expr, refs = expr if args[1:] else symbol + expr, set().union(*refs)
-        if uses[target] == 1 and target not in returned:  # inlined: less source to compile
-            inline[target] = (expr, rank, refs)
-        else:
-            stmts.append((target, expr, refs))
-    last = {a: i for i, (_, _, refs) in enumerate(stmts) for a in refs}
-    body = [f"{target} = {expr}" + "".join(  # del a temporary after its last read
-        f"; del {a}" for a in sorted(refs) if a[0] == "v" and a not in returned
-        and last[a] == i < len(stmts) - 1) for i, (target, expr, refs) in enumerate(stmts)]
-    xnames = ", ".join(map(name, xs))
-    lines = ["def step(kernel, t, h, xs, w, k):", f"    [{xnames}] = xs"] + [
-        f"    [{', '.join(map(name, row))}] = w(k + {j})" for j, row in rows.items()] + [
-        "    " + s for s in body] + [f"    return [{', '.join(returned)}]"]
+    live = [(target, symbol, [*map(name, args)]) for target, symbol, args in ops if uses[target]]
+    xnames, wnames = [*map(name, xs)], [name(w) for row in rows.values() for w in row]
+    bound = {c: np.asarray(v) if isinstance(v, float) else v for c, v in consts.values()}
     namespace = dict(consts.values(), array=np.array, empty_like=np.empty_like,
                      **{u.__name__: u for u in _UFUNCS.values()},
-                     **{f"{c}_": np.asarray(v) if isinstance(v, float) else v
-                        for c, v in consts.values()})
+                     **{f"{c}_": v for c, v in bound.items()})
+    expr = {v: "- " * (not args[1:]) + f" {s} ".join(args) for v, s, args in live}  # on floats
+    state, iters = ", ".join(xnames), "".join(f", i{j}" * l for j in rows)
+    exec("\n".join([  # constants are locals, as default arguments
+        f"def path(tl, wl, xs, out, {''.join(f'{c}={c}, ' for c in bound)}):",
+        f"    [{state}] = xs", "    extend = out.extend"] + [
+        f"    i{j} = iter(wl[{j * l}:])" for j in rows] + [
+        f"    for t, t1{''.join(', ' + w for w in wnames)} in zip(tl, tl[1:]{iters}):",
+        "        h = t1 - t"] + [f"        {v} = {e}" for v, e in expr.items()] + [
+        f"        {state} = {', '.join(returned)}", f"        extend(({state},))",
+        f"    return [{state}]"]), namespace)
 
-    def block_source():
-        """The live operations looped over a sub-block: those of t, h and
-        constants alone on Python floats, each other one a ufunc call into a
-        buffer B.. reused after the value's last read, or into its state row."""
-        live, scalar, bufs, free = [op for op in ops if uses[op[0]]], {"t", "h"}, {}, []
-        array = lambda a: isinstance(a, _Traced) and a.name not in scalar  # noqa: E731
-        scalar.update(op[0] for op in live if not any(map(array, op[2])))
-        read = {a.name: i for i, op in enumerate(live) for a in op[2] if array(a)}  # last reader
-        zero_d = {name(a) for op in live if op[0] not in scalar for a in op[2] if not array(a)}
+    @lru_cache(maxsize=None)
+    def block(dtype, wtype):
+        """block(tl, ws, out) for states of dtype and noise of wtype, or None
+        where a state would not be of dtype.  Step k reads row k % R of each
+        component view (R, ...) in out and row k + j of each noise view in ws
+        for w(k + j), and writes row (k + 1) % R: operations of t, h and
+        constants alone on Python numbers, each other one a ufunc call into
+        its state row or a buffer of its dtype reused after its last read."""
+        scalar, bufs, made, free = {"t", "h", *bound}, {}, {}, {}
+        scalar.update(op[0] for op in live if scalar.issuperset(op[2]))
+        read = {a: i for i, op in enumerate(live) for a in op[2] if a not in scalar}  # last reader
+        zero_d = {a for op in live if op[0] not in scalar for a in op[2] if a in scalar}
+        types = dict(bound, t=np.dtype(float), h=np.dtype(float), **dict.fromkeys(xnames, dtype),
+                     **dict.fromkeys(wnames, wtype))
         loop = [("t", "tl[k]"), ("h", "tl[k + 1] - t"), ("k1", "(k + 1) % R")] + [
-            (x, f"X{i}[k % R]") for i, x in enumerate(map(name, xs))] + [
+            (x, f"X{i}[k % R]") for i, x in enumerate(xnames)] + [
             (name(c), f"W{i}[k + {j}]") for j, row in rows.items() for i, c in enumerate(row)
             if uses[name(c)]]
         for i, (target, symbol, args) in enumerate(live):
+            types[target] = np.result_type(*map(types.get, args))  # numpy's, as written
             if target in scalar:
-                loop.append((target, "- " * (not args[1:]) + f" {symbol} ".join(map(name, args))))
+                loop.append((target, expr[target]))
                 continue
-            free += sorted({bufs.get(name(a)) for a in args if read.get(name(a)) == i} - {None})
-            dest = (f"X{returned.index(target)}[k1]" if target in returned else bufs.setdefault(
-                target, free.pop() if free else f"B{len(set(bufs.values()))}"))
+            for b in sorted({bufs.get(a) for a in args if read.get(a) == i} - {None}):
+                free.setdefault(made[b], []).append(b)
+            if target in returned:
+                dest = f"X{returned.index(target)}[k1]"
+            else:
+                spare = free.get(types[target])
+                dest = bufs[target] = spare.pop() if spare else f"B{len(made)}"
+                made.setdefault(dest, types[target])
             loop.append((target, f"{_UFUNCS[symbol if args[1:] else 'neg'].__name__}(" + "".join(
-                name(a) + "_" * (not array(a)) + ", " for a in args) + f"out={dest})"))
-        made = sorted(set(bufs.values()))
-        return "\n".join([
+                a + "_" * (a in scalar) + ", " for a in args) + f"out={dest})"))
+        if any(types[v] != dtype for v in returned):
+            return None
+        exec("\n".join([
             "def block(tl, ws, out):", f"    [{', '.join(f'W{i}' for i in range(l))}] = ws",
             f"    [{', '.join(f'X{i}' for i in range(n))}] = out", "    R = len(X0)",
-            f"    [{', '.join(made)}] = [empty_like(X0[0]) for _ in range({len(made)})]",
+            f"    [{', '.join(made)}] = [empty_like(X0[0], d) for d in "
+            f"{tuple(d.str for d in made.values())!r}]",
             "    for k in range(len(tl) - 1):"] + [
-            f"        {v} = {e}" + f"; {v}_ = array({v})" * (v in zero_d) for v, e in loop])
-    exec("\n".join(lines), namespace)
-    step = namespace["step"]
+            f"        {v} = {e}" + f"; {v}_ = array({v})" * (v in zero_d) for v, e in loop]),
+            namespace)
+        return namespace.pop("block")
+    fused = partial(advance)
+    fused.path, fused.block = namespace["path"], block
+    return fused
 
-    def block(tl, ws, out):  # compiled at its first call, which one path never makes
-        if np.result_type(out[0], *ws, *(v for _, v in consts.values())) != out[0].dtype:
-            return False  # a constant or the noise makes states of another dtype
-        if "block" not in namespace:
-            exec(block_source(), namespace)
-        namespace["block"](tl, ws, out)
-        return True
-    step.block = block
-    return step
+
+_PATH_STEPS = 256  # one path's steps per sub-block of its loop: few Python floats held
 
 
 def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first=0):
-    """Integrate a batch under a checked scheme: drive its fused step (_fused)
-    step(kernel, t, h, xs, w, k) -> xs over the grid on state components.
+    """Integrate a batch under a checked scheme: step its advance on the
+    state components over the grid, in the loops that _fused compiled.
 
     noise is the (N, ..., l) increment stack of a stochastic scheme, the
     (N+1, ..., l) eta rows of a RODE scheme (step k reads rows k and k+1),
     and unused by rk4.  Its batch axes match those of x0, or it is (rows, l)
-    for noise shared by the whole batch; w(k) gives the l components of row
-    k.  A single path steps on Python floats (complex ones for a complex
-    x0), converting the rows its advance reads; a batch steps on (B,)
-    component arrays.  A batch, where the caller ignores underflow, steps
-    all at once in the fused step's block, into the recorded rows or, with
-    record off, two ping-pong rows (n, 2, ...), with overflow, division by
-    zero and invalid operations trapped.  Then only its last row is checked:
-    each advance returns x + ..., so a component that turns non-finite stays
-    so.  A trap or a non-finite last row steps it again from row 0 step by
-    step, under the caller's errstate, so its states, warnings and aborts
-    are those of the steps.  Returns the states (N+1,) + x0.shape, recorded
-    into out (a C-contiguous array of that shape and x0's dtype; x0 may be
-    out[0]) where given, or the terminal state when record is off.  Raises
-    ValueError unless x0 holds model.n components on its last axis, and
-    IntegrationError at a non-finite state, naming its step on a grid where
-    times[0] is row first.
+    for noise shared by the whole batch.  One path steps on Python floats
+    (complex for a complex x0) in the path loop, _PATH_STEPS steps at a
+    time; a batch on (B,) component arrays in the block loop where the
+    caller ignores underflow, into the recorded rows or, with record off,
+    two ping-pong rows (n, 2, ...), with floating-point errors trapped.
+    Only the last state is checked: each advance returns x + ..., so a
+    component that turns non-finite stays so.  An ArithmeticError or a
+    non-finite last state steps again from row 0 on the advance as written,
+    each state checked under the caller's errstate, as a kernel that the
+    trace cannot follow and a batch under watched underflow step throughout.
+    So states, warnings and aborts are those of the advance as written, for
+    a kernel with no dead operation (_fused).  Returns the states (N+1,) +
+    x0.shape, recorded into out (a C-contiguous array of that shape and x0's
+    dtype; x0 may be out[0]) where given, or the terminal state when record
+    is off.  Raises ValueError unless x0 holds model.n components on its last
+    axis, and IntegrationError at a non-finite state, naming its step on a
+    grid where times[0] is row first.
     """
     _check_state(model, x0)
     x0 = np.asarray(x0, dtype=np.result_type(x0, float))
@@ -541,37 +546,32 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
     if record:
         states = np.empty((n_steps + 1,) + x0.shape, dtype=x0.dtype) if out is None else out
         states[0] = x0
-    if x0.size == n and noise.size == len(noise) * l:
-        rows = states.reshape(n_steps + 1, n) if record else None
-        flat = noise.reshape(len(noise), l)
-
-        def w(k):
-            return flat[k].tolist()
-        xs = x0.reshape(n).tolist()
-        for k in range(n_steps):
-            t = tl[k]
-            last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
-            if record:
-                rows[k + 1] = xs
-            if not all(map(cmath.isfinite, xs)):
-                _check_finite(np.reshape(xs, x0.shape), first + k, t, times,
-                              states[: k + 2] if record else None, last)
-        return states if record else np.reshape(xs, x0.shape)
+    one = x0.size == n and noise.size == len(noise) * l
+    flat = noise.reshape(len(noise), l) if one else None
+    if one and hasattr(advance, "path"):  # a fault in a compiled loop replays below
+        xs, got = x0.reshape(n).tolist(), states.reshape(-1) if record else None
+        with suppress(ArithmeticError):
+            for c in range(0, n_steps, _PATH_STEPS):  # RODE steps read row k + 1 too
+                d, rows = min(c + _PATH_STEPS, n_steps), []
+                xs = advance.path(tl[c:d + 1], flat[c:d + 1].ravel().tolist(), xs, rows)
+                if record:
+                    got[(c + 1) * n:(d + 1) * n] = rows
+            if all(map(cmath.isfinite, xs)):
+                return states if record else np.array(xs, dtype=x0.dtype).reshape(x0.shape)
+    if not one and hasattr(advance, "block") and np.geterr()["under"] == "ignore" and (
+            block := advance.block(x0.dtype, noise.dtype)):
+        rows = list(np.moveaxis(states, -1, 0) if record else np.moveaxis([x0, x0], -1, 0).copy())
+        with suppress(ArithmeticError), np.errstate(over="raise", divide="raise",
+                                                    invalid="raise"):
+            block(tl, [noise[..., j] for j in range(l)], rows)
+            end = [row[n_steps % len(row)] for row in rows]
+            if all(np.isfinite(c).all() for c in end):
+                return states if record else np.stack(end, axis=-1)
 
     def w(k):
-        row = noise[k]
-        return [row[..., j] for j in range(l)]
-    if hasattr(advance, "block") and np.geterr()["under"] == "ignore":
-        # one compiled loop and a check of its last row; a fault replays below
-        rows = list(np.moveaxis(states, -1, 0) if record else np.moveaxis([x0, x0], -1, 0).copy())
-        with suppress(FloatingPointError), np.errstate(over="raise", divide="raise",
-                                                       invalid="raise"):
-            end = [row[n_steps % len(row)] for row in rows]
-            if advance.block(tl, [noise[..., j] for j in range(l)], rows) and all(
-                    np.isfinite(c).all() for c in end):
-                return states if record else np.stack(end, axis=-1)
+        return flat[k].tolist() if one else [noise[k][..., j] for j in range(l)]
     terminal = x0.copy()
-    xs = [x0[..., i] for i in range(n)]
+    xs = x0.reshape(n).tolist() if one else [x0[..., i] for i in range(n)]
     for k in range(n_steps):
         t = tl[k]
         last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)

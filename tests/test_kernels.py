@@ -1,19 +1,23 @@
 """Component-form kernels: agreement with the matrix fields, the Wong-Zakai
 correction taken from the noise action, evaluation on complex components,
 bitwise equality of the one-path float stepping with the batched array
-stepping, under every scheme and on the Ito conversions, and the fused steps:
-bit for bit the advance functions as written, which a kernel the trace
-cannot follow steps through.  A batch, recorded or terminal-only, steps
-each sub-block in the fused step's compiled loop; its states, aborts and
-warnings are those of the per-step loop."""
+stepping, under every scheme and on the Ito conversions, and the fuser's
+compiled loops: bit for bit the advance functions as written, which a
+kernel the trace cannot follow steps through, for catalog entries and for
+drawn kernels.  One path steps sub-blocks of the compiled path loop, a
+batch, recorded or terminal-only, each sub-block in the compiled block;
+their states, aborts and warnings are those of the per-step loop, and only
+an operation that no output reads is evaluated by the advance as written
+alone."""
 import math
+import operator
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -470,12 +474,11 @@ def _silent_inf(t, xs, ws):
     return [x * (s * 0.0 - 1.0) for x in xs], _noise_action(t, xs, ws)
 
 
-def _abort_case(case, record, monkeypatch):
-    """A batch that goes non-finite inside a sub-block raises the same
-    IntegrationError (message, step, time, path index, states) with the same
-    warnings as the per-step loop: where scalar_linear (a = 100) overflows,
-    where a kernel divides by a state, and where a Python float makes inf
-    with no floating-point flag, which only the check of the last row sees."""
+def _abort_setup(case):
+    """Model, starts, grid and noise of a batch that goes non-finite inside
+    a sub-block: where scalar_linear (a = 100) overflows, where a kernel
+    divides by a state, and where a Python float makes inf with no
+    floating-point flag, which only the check of the last state sees."""
     model = {"overflow": build_model("scalar_linear", a=100.0, b_scalar=0.5),
              "reciprocal": ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_reciprocal),
              "silent_inf": ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_silent_inf),
@@ -486,20 +489,29 @@ def _abort_case(case, record, monkeypatch):
     x0 = np.array(x0)
     noise = np.random.default_rng(5).normal(0.0, 0.1, size=(len(times) - 1, len(x0), 1))
     assert hasattr(integrate._fused("euler_maruyama", model.kernel, model.n, 1), "block")
+    return model, x0, times, noise
 
-    def abort():
-        with warnings.catch_warnings(record=True) as caught, \
-                np.errstate(over="warn", invalid="warn"), pytest.raises(IntegrationError) as info:
-            warnings.simplefilter("always")
-            _scheme_states(model, "euler_maruyama", x0, times, noise, record)
-        err = info.value
-        states = None if err.states is None else (err.states.shape, err.states.tobytes())
-        return ((str(err), err.step, err.time, err.path_index, states),
-                [(w.category, str(w.message)) for w in caught])
 
-    got, got_warnings = abort()
+def _abort(model, x0, times, noise, record):
+    """The IntegrationError (message, step, time, path index, states) of
+    stepping x0 under Euler-Maruyama, and the warnings on the way."""
+    with warnings.catch_warnings(record=True) as caught, \
+            np.errstate(over="warn", invalid="warn"), pytest.raises(IntegrationError) as info:
+        warnings.simplefilter("always")
+        _scheme_states(model, "euler_maruyama", x0, times, noise, record)
+    err = info.value
+    states = None if err.states is None else (err.states.shape, err.states.tobytes())
+    return ((str(err), err.step, err.time, err.path_index, states),
+            [(w.category, str(w.message)) for w in caught])
+
+
+def _abort_case(case, record, monkeypatch):
+    """A batch that goes non-finite inside a sub-block raises the same
+    IntegrationError with the same warnings as the per-step loop."""
+    model, x0, times, noise = _abort_setup(case)
+    got, got_warnings = _abort(model, x0, times, noise, record)
     monkeypatch.setattr(integrate, "_fused", _as_written)
-    assert (got, got_warnings) == abort()
+    assert (got, got_warnings) == _abort(model, x0, times, noise, record)
     assert 0 < got[1] < len(times) - 2  # mid-sub-block
     assert got[3] == (0 if case == "silent_inf" else 1)
     assert (got[4] is None) == (not record)
@@ -555,3 +567,215 @@ def test_a_convergence_study_checks_no_step_unless_underflow_is_watched(monkeypa
     with np.errstate(under="warn"):
         assert estimate() == fast
     assert sorted(checks) == sorted(k for level in (0, 1, 2, 4) for k in range(4 * 2**level))
+
+
+@pytest.mark.parametrize("key", sorted({**STOCHASTIC, **DETERMINISTIC}))
+def test_one_path_steps_sub_blocks_of_the_compiled_loop_bit_for_bit(key, monkeypatch):
+    """A path of 2.5 sub-blocks of every catalog entry, whose RODE steps
+    read eta row k + 1 across each sub-block edge, gives the states and the
+    terminal state of its advance as written byte for byte, with no
+    per-step finite check where it fuses."""
+    model = _model(key)
+    x0, noise, times = _noise(model, 5 * integrate._PATH_STEPS // 2, 1, seed=len(key) + 3)
+    x0, noise, times = x0[0], 0.1 * noise[:, 0], times / 10  # finite to the end
+    checks = _spy_checks(monkeypatch)
+    for scheme in _schemes(model):
+        checks.clear()
+        fused = _scheme_states(model, scheme, x0, times, noise)
+        terminal = _scheme_states(model, scheme, x0, times, noise, record=False)
+        assert (checks == []) == (key not in UNFUSED)
+        with monkeypatch.context() as m:
+            m.setattr(integrate, "_fused", _as_written)
+            written = _scheme_states(model, scheme, x0, times, noise)
+        assert fused.tobytes() == written.tobytes()
+        assert terminal.tobytes() == written[-1].tobytes()
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("case", ["overflow", "reciprocal", "silent_inf"])
+def test_a_one_path_abort_and_its_warnings_equal_the_per_step_loops(case, record, monkeypatch):
+    """The failing path of each abort case, stepped alone on Python floats
+    in sub-blocks of 16 steps, raises the IntegrationError of the per-step
+    loop past its first sub-block, with the same (no) warnings."""
+    model, x0, times, noise = _abort_setup(case)
+    p = 0 if case == "silent_inf" else 1
+    monkeypatch.setattr(integrate, "_PATH_STEPS", 16)
+    got = _abort(model, x0[p], times, noise[:, p], record)
+    monkeypatch.setattr(integrate, "_fused", _as_written)
+    assert got == _abort(model, x0[p], times, noise[:, p], record)
+    assert 16 < got[0][1] < len(times) - 2 and got[0][3] is None
+
+
+def _dividing(gain):
+    def kernel(t, xs, ws):
+        return [gain * x - x / (t - 2.0) for x in xs], _noise_action(t, xs, ws)
+    return kernel
+
+
+@pytest.mark.parametrize("gain,error", [(0.5, ZeroDivisionError), (1e200, IntegrationError)])
+def test_a_one_path_zero_division_is_raised_at_the_step_of_the_per_step_loop(
+        gain, error, monkeypatch):
+    """A kernel that divides by t - 2 raises ZeroDivisionError at step 16
+    (t = 2), in the middle of a sub-block, with the rows up to that step
+    recorded as the per-step loop records them; where the state turned
+    non-finite before (gain 1e200), the per-step loop's IntegrationError
+    comes instead."""
+    model = ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_dividing(gain))
+    times = np.arange(41) * 0.125
+    noise = np.random.default_rng(6).normal(0.0, 0.1, size=(40, 1))
+    monkeypatch.setattr(integrate, "_PATH_STEPS", 6)
+
+    def run():
+        out = np.empty((41, 2))
+        with pytest.raises(error) as info:
+            _scheme_states(model, "euler_maruyama", np.array([1.0, -0.5]), times, noise, out=out)
+        err = info.value
+        if error is ZeroDivisionError:
+            return out[:17].tobytes()
+        return str(err), err.step, err.states.tobytes()
+
+    got = run()
+    monkeypatch.setattr(integrate, "_fused", _as_written)
+    assert got == run()
+    assert error is ZeroDivisionError or got[1] == 1
+
+
+def _dead_division(t, xs, ws):
+    _ = t / 0.0  # no output reads it
+    return [-x for x in xs], _noise_action(t, xs, ws)
+
+
+def test_a_dead_operation_is_evaluated_as_written_only(monkeypatch):
+    """t / 0.0, which no output reads, raises ZeroDivisionError at the first
+    step of the advance as written (t is a Python float), and never in the
+    compiled loops, which drop it: one path and a batch run on."""
+    model = ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_dead_division)
+    x0, noise, times = _noise(model, 20, 3, seed=4)
+    runs = [(x0[0], noise[:, 0]), (x0, noise)]
+    for x, w in runs:
+        assert np.isfinite(_scheme_states(model, "euler_maruyama", x, times, w)).all()
+    monkeypatch.setattr(integrate, "_fused", _as_written)
+    for x, w in runs:
+        with pytest.raises(ZeroDivisionError):
+            _scheme_states(model, "euler_maruyama", x, times, w)
+
+
+def _noise_quotient(t, xs, ws):
+    return [0.5 * x for x in xs], [w / (w + 3.0) for w in ws]
+
+
+def test_complex_states_with_real_noise_step_in_the_compiled_loop_bit_for_bit(monkeypatch):
+    """EM with f = 0.5 x and g = w / (w + 3.0) on 1000 complex paths x 4
+    steps: g reads the real noise alone, so the advance as written divides
+    real arrays.  The compiled loop types each buffer by what its value
+    reads, so it divides real arrays too, not complex ones, which numpy
+    rounds otherwise."""
+    model = ModelSpec(n=1, noise_dim=1, interpretation="ito", kernel=_noise_quotient)
+    rng = np.random.default_rng(8)
+    x0 = rng.normal(size=(1000, 1)) + 1j * rng.normal(size=(1000, 1))
+    noise, times = rng.normal(0.0, 0.1, size=(4, 1000, 1)), np.arange(5) * 0.01
+    checks = _spy_checks(monkeypatch)
+    fused = _scheme_states(model, "euler_maruyama", x0, times, noise)
+    assert checks == []
+    monkeypatch.setattr(integrate, "_fused", _as_written)
+    assert fused.tobytes() == _scheme_states(model, "euler_maruyama", x0, times, noise).tobytes()
+
+
+# constants a drawn kernel reads: signed zeros, the ends of the float range,
+# ints and complex numbers
+_CONSTANTS = (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 0.5, -1.75, 2, -3, 1.5j, 0.25 - 2j)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@st.composite
+def _drawn_kernels(draw):
+    """(n, l, constants, ops, f, g) of a straight-line kernel of n state and
+    l noise components: ops are (symbol, operands) over the names t, x<i>,
+    w<i>, c<i> (constant i) and v<k> (the value of op k), "neg" the unary
+    minus, and f and g name the n components of each output."""
+    n, l = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    consts = draw(st.lists(st.sampled_from(_CONSTANTS), min_size=1, max_size=3))
+    names = ["t", *(f"x{i}" for i in range(n)), *(f"w{i}" for i in range(l)),
+             *(f"c{i}" for i in range(len(consts)))]
+    ops = []
+    for k in range(draw(st.integers(1, 16))):
+        symbol = draw(st.sampled_from([*_BINARY, "neg"]))
+        operand = st.sampled_from(names)
+        if ops:  # half of the operands are values of ops, for chains of them
+            operand = st.sampled_from([f"v{i}" for i in range(k)]) | operand
+        ops.append((symbol, [draw(operand) for _ in range(1 + (symbol != "neg"))]))
+        names.append(f"v{k}")
+    outputs = st.lists(st.sampled_from(names), min_size=n, max_size=n)
+    return n, l, consts, ops, draw(outputs), draw(outputs)
+
+
+def _kernel_of(drawn, stochastic):
+    """The drawn kernel, evaluating only the ops that the outputs a scheme
+    reads (g for ito and stratonovich schemes only) read, so that it has
+    no dead operations; an ODE step, which passes no noise, reads 0.75."""
+    n, l, consts, ops, f, g = drawn
+    needed = set(f + g if stochastic else f)
+    for k in reversed(range(len(ops))):
+        if f"v{k}" in needed:
+            needed.update(ops[k][1])
+
+    def kernel(t, xs, ws):
+        vals = {"t": t, **{f"x{i}": x for i, x in enumerate(xs)},
+                **{f"w{i}": ws[i] if len(ws) else 0.75 for i in range(l)},
+                **{f"c{i}": c for i, c in enumerate(consts)}}
+        for k, (symbol, args) in enumerate(ops):
+            if f"v{k}" in needed:
+                a = [vals[v] for v in args]
+                vals[f"v{k}"] = -a[0] if symbol == "neg" else _BINARY[symbol](*a)
+        return [vals[v] for v in f], [vals[v] for v in g] if stochastic else None
+    return kernel
+
+
+def _outcome(run):
+    """What run() gave under the CLI's errstate: the states' dtype, shape
+    and bytes, the IntegrationError, or the type of another exception."""
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            got = run()
+        except IntegrationError as err:
+            states = None if err.states is None else (err.states.dtype, err.states.tobytes())
+            return "abort", str(err), err.step, err.time, err.path_index, states
+        except Exception as err:  # noqa: BLE001 - its type is the outcome
+            return "raised", type(err)
+    return "stepped", got.dtype, got.shape, got.tobytes()
+
+
+@settings(max_examples=80)
+@given(drawn=_drawn_kernels(), seed=st.integers(0, 2**16))
+def test_drawn_kernels_step_as_their_advance_as_written(drawn, seed):
+    """A differential test of the fuser: each drawn kernel, under every
+    scheme, on one path of floats and of complex numbers, a batch, a
+    complex batch and a batch sharing (rows, l) noise, recorded and
+    terminal-only, in sub-blocks of 4 steps for one path, gives what
+    stepping _ADVANCE[scheme] as written gives: the states bit for bit, the
+    same IntegrationError, or an exception of the same type."""
+    n, l = drawn[:2]
+    rng = np.random.default_rng(seed)
+    x0 = np.where(rng.random((8, n)) < 0.2, 0.0, rng.normal(size=(8, n)))
+    noise = np.where(rng.random((11, 8, l)) < 0.2, 0.0, rng.normal(0.0, 0.5, size=(11, 8, l)))
+    times = np.arange(11) * 0.25
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(integrate, "_PATH_STEPS", 4)
+        for scheme, interpretation in SCHEMES.items():
+            stochastic = interpretation in ("ito", "stratonovich")
+            model = ModelSpec(n=n, noise_dim=l, interpretation=interpretation,
+                              kernel=_kernel_of(drawn, stochastic))
+            w = (noise[:10] if stochastic else noise if interpretation == "rode"
+                 else np.empty((10, 8, 0)))
+            cases = {"floats": (x0[0], w[:, 0]), "complex": (x0[0] + 0.5j * x0[1], w[:, 1]),
+                     "batch": (x0, w), "complex_batch": (x0 + 0.5j * x0[::-1], w),
+                     "shared": (x0, w[:, 0])}
+            for record in (True, False):
+                for case, (x, ws) in cases.items():
+                    def run():
+                        return _scheme_states(model, scheme, x, times, ws, record)
+                    got = _outcome(run)
+                    with pytest.MonkeyPatch.context() as written:
+                        written.setattr(integrate, "_fused", _as_written)
+                        assert got == _outcome(run), (scheme, case, record)
