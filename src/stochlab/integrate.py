@@ -501,8 +501,8 @@ def _fused(scheme, kernel, n, l):
             f"{tuple(d.str for d in made.values())!r}]",
             "    for k in range(len(tl) - 1):"] + [
             f"        {v} = {e}" + f"; {v}_ = array({v})" * (v in zero_d) for v, e in loop]),
-            namespace)
-        return namespace.pop("block")
+            scope := dict(namespace))  # each dtype pair's block its own globals
+        return scope["block"]
     fused = partial(advance)
     fused.path, fused.block = namespace["path"], block
     return fused
