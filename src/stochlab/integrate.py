@@ -9,14 +9,14 @@ All steppers take states with the components on the last axis and broadcast
 over leading batch axes; ensembles integrate whole path batches at once.
 Every scheme is an advance function on the model's component-form kernel,
 compiled into a loop on Python floats for a single path and one of ufunc
-calls on per-component batch arrays (_fused).  Per-path arithmetic is
+calls on float64 component arrays of a batch (_fused).  Per-path arithmetic is
 elementwise, so a path stepped alone equals it inside a batch, bit for bit.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
+import warnings
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -425,7 +425,8 @@ def _fused(scheme, kernel, n, l):
     a time) carrying path(tl, wl, xs, out), which steps one path on Python
     numbers from the state components xs over the times tl, reading w(k + j)
     at row k + j of the flat noise rows wl, extends out by each state and
-    returns the last, and block(dtype, wtype), the loop of a batch."""
+    returns the last, and, with int and float constants only, block(), which
+    compiles the loop of a float64 batch at its first call."""
     advance, ops, rows, consts = _ADVANCE[scheme], [], {}, {}
     xs = [_Traced(ops, f"x{i}") for i in range(n)]
 
@@ -460,51 +461,43 @@ def _fused(scheme, kernel, n, l):
         f"    return [{state}]"]), namespace)
 
     @lru_cache(maxsize=None)
-    def block(dtype, wtype):
-        """block(tl, ws, out) for states of dtype and noise of wtype, or None
-        where a state would not be of dtype.  Step k reads row k % R of each
-        component view (R, ...) in out and row k + j of each noise view in ws
-        for w(k + j), and writes row (k + 1) % R: operations of t, h and
-        constants alone on Python numbers, each other one a ufunc call into
-        its state row or a buffer of its dtype reused after its last read."""
-        scalar, bufs, made, free = {"t", "h", *bound}, {}, {}, {}
+    def block():
+        """block(tl, ws, out), the loop of float64 states on float64 noise:
+        step k reads row k % R of each component view (R, ...) in out and row
+        k + j of each noise view in ws for w(k + j), and writes row (k + 1) % R,
+        operations of t, h and constants on Python numbers, each other one a
+        ufunc call into its state row or a buffer reused after its last read."""
+        scalar, bufs, free = {"t", "h", *bound}, {}, []
         scalar.update(op[0] for op in live if scalar.issuperset(op[2]))
         read = {a: i for i, op in enumerate(live) for a in op[2] if a not in scalar}  # last reader
         zero_d = {a for op in live if op[0] not in scalar for a in op[2] if a in scalar}
-        types = dict(bound, t=np.dtype(float), h=np.dtype(float), **dict.fromkeys(xnames, dtype),
-                     **dict.fromkeys(wnames, wtype))
         loop = [("t", "tl[k]"), ("h", "tl[k + 1] - t"), ("k1", "(k + 1) % R")] + [
             (x, f"X{i}[k % R]") for i, x in enumerate(xnames)] + [
             (name(c), f"W{i}[k + {j}]") for j, row in rows.items() for i, c in enumerate(row)
             if uses[name(c)]]
         for i, (target, symbol, args) in enumerate(live):
-            types[target] = np.result_type(*map(types.get, args))  # numpy's, as written
             if target in scalar:
                 loop.append((target, expr[target]))
                 continue
-            for b in sorted({bufs.get(a) for a in args if read.get(a) == i} - {None}):
-                free.setdefault(made[b], []).append(b)
+            free += sorted({bufs.get(a) for a in args if read.get(a) == i} - {None})
             if target in returned:
                 dest = f"X{returned.index(target)}[k1]"
             else:
-                spare = free.get(types[target])
-                dest = bufs[target] = spare.pop() if spare else f"B{len(made)}"
-                made.setdefault(dest, types[target])
+                dest = bufs[target] = free.pop() if free else f"B{len(set(bufs.values()))}"
             loop.append((target, f"{_UFUNCS[symbol if args[1:] else 'neg'].__name__}(" + "".join(
                 a + "_" * (a in scalar) + ", " for a in args) + f"out={dest})"))
-        if any(types[v] != dtype for v in returned):
-            return None
         exec("\n".join([
             "def block(tl, ws, out):", f"    [{', '.join(f'W{i}' for i in range(l))}] = ws",
-            f"    [{', '.join(f'X{i}' for i in range(n))}] = out", "    R = len(X0)",
-            f"    [{', '.join(made)}] = [empty_like(X0[0], d) for d in "
-            f"{tuple(d.str for d in made.values())!r}]",
+            f"    [{', '.join(f'X{i}' for i in range(n))}] = out", "    R = len(X0)"] + [
+            f"    {b} = empty_like(X0[0])" for b in dict.fromkeys(bufs.values())] + [
             "    for k in range(len(tl) - 1):"] + [
             f"        {v} = {e}" + f"; {v}_ = array({v})" * (v in zero_d) for v, e in loop]),
-            scope := dict(namespace))  # each dtype pair's block its own globals
-        return scope["block"]
+            namespace)
+        return namespace["block"]
     fused = partial(advance)
-    fused.path, fused.block = namespace["path"], block
+    fused.path = namespace["path"]
+    if all(isinstance(v, (int, float)) for _, v in consts.values()):
+        fused.block = block
     return fused
 
 
@@ -520,21 +513,21 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
     and unused by rk4.  Its batch axes match those of x0, or it is (rows, l)
     for noise shared by the whole batch.  One path steps on Python floats
     (complex for a complex x0) in the path loop, _PATH_STEPS steps at a
-    time; a batch on (B,) component arrays in the block loop where the
+    time, and a float64 batch on float64 noise in the block loop where the
     caller ignores underflow, into the recorded rows or, with record off,
-    two ping-pong rows (n, 2, ...), with floating-point errors trapped.
-    Only the last state is checked: each advance returns x + ..., so a
+    two ping-pong rows (n, 2, ...), both with floating-point errors trapped
+    and only the last state checked: each advance returns x + ..., so a
     component that turns non-finite stays so.  An ArithmeticError or a
     non-finite last state steps again from row 0 on the advance as written,
-    each state checked under the caller's errstate, as a kernel that the
-    trace cannot follow and a batch under watched underflow step throughout.
-    So states, warnings and aborts are those of the advance as written, for
-    a kernel with no dead operation (_fused).  Returns the states (N+1,) +
-    x0.shape, recorded into out (a C-contiguous array of that shape and x0's
-    dtype; x0 may be out[0]) where given, or the terminal state when record
-    is off.  Raises ValueError unless x0 holds model.n components on its last
-    axis, and IntegrationError at a non-finite state, naming its step on a
-    grid where times[0] is row first.
+    each state checked under the caller's errstate, as any other batch and
+    a kernel that the trace cannot follow step throughout.  So states,
+    warnings and aborts are those of the advance as written, for a kernel
+    with no dead operation (_fused).  Returns the states (N+1,) + x0.shape,
+    recorded into out (a C-contiguous array of that shape and x0's dtype; x0
+    may be out[0]) where given, or the terminal state when record is off.
+    Raises ValueError unless x0 holds model.n components on its last axis,
+    TypeError where a real x0 takes complex states, and IntegrationError at
+    a non-finite state, naming its step on a grid where times[0] is row first.
     """
     _check_state(model, x0)
     x0 = np.asarray(x0, dtype=np.result_type(x0, float))
@@ -548,37 +541,41 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
         states[0] = x0
     one = x0.size == n and noise.size == len(noise) * l
     flat = noise.reshape(len(noise), l) if one else None
-    if one and hasattr(advance, "path"):  # a fault in a compiled loop replays below
-        xs, got = x0.reshape(n).tolist(), states.reshape(-1) if record else None
-        with suppress(ArithmeticError):
-            for c in range(0, n_steps, _PATH_STEPS):  # RODE steps read row k + 1 too
-                d, rows = min(c + _PATH_STEPS, n_steps), []
-                xs = advance.path(tl[c:d + 1], flat[c:d + 1].ravel().tolist(), xs, rows)
-                if record:
-                    got[(c + 1) * n:(d + 1) * n] = rows
-            if all(map(cmath.isfinite, xs)):
-                return states if record else np.array(xs, dtype=x0.dtype).reshape(x0.shape)
-    if not one and hasattr(advance, "block") and np.geterr()["under"] == "ignore" and (
-            block := advance.block(x0.dtype, noise.dtype)):
-        rows = list(np.moveaxis(states, -1, 0) if record else np.moveaxis([x0, x0], -1, 0).copy())
-        with suppress(ArithmeticError), np.errstate(over="raise", divide="raise",
-                                                    invalid="raise"):
-            block(tl, [noise[..., j] for j in range(l)], rows)
-            end = [row[n_steps % len(row)] for row in rows]
-            if all(np.isfinite(c).all() for c in end):
-                return states if record else np.stack(end, axis=-1)
+    if hasattr(advance, "path" if one else "block") and (one or x0.dtype == noise.dtype == float
+                                                         and np.geterr()["under"] == "ignore"):
+        with suppress(ArithmeticError), np.errstate(over="raise", divide="raise", invalid="raise"):
+            if one:  # RODE steps read row k + 1 too
+                xs, got = x0.reshape(n).tolist(), states.reshape(-1) if record else None
+                for c in range(0, n_steps, _PATH_STEPS):
+                    d, rows = min(c + _PATH_STEPS, n_steps), []
+                    xs = advance.path(tl[c:d + 1], flat[c:d + 1].ravel().tolist(), xs, rows)
+                    if record:
+                        got[(c + 1) * n:(d + 1) * n] = rows
+                end = np.array(xs, dtype=x0.dtype).reshape(x0.shape)
+            else:
+                rows = list(np.moveaxis(states, -1, 0) if record
+                            else np.moveaxis([x0, x0], -1, 0).copy())
+                advance.block()(tl, [noise[..., j] for j in range(l)], rows)
+                end = np.stack([row[n_steps % len(row)] for row in rows], axis=-1)
+            if np.isfinite(end).all():
+                return states if record else end
 
     def w(k):
         return flat[k].tolist() if one else [noise[k][..., j] for j in range(l)]
     terminal = x0.copy()
     xs = x0.reshape(n).tolist() if one else [x0[..., i] for i in range(n)]
-    for k in range(n_steps):
-        t = tl[k]
-        last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
-        row = states[k + 1] if record else terminal
-        for i, c in enumerate(xs):
-            row[..., i] = c
-        _check_finite(row, first + k, t, times, states[: k + 2] if record else None, last)
+    with warnings.catch_warnings():  # complex states in real rows raise, as on one path
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            for k in range(n_steps):
+                t = tl[k]
+                last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
+                row = states[k + 1] if record else terminal
+                for i, c in enumerate(xs):
+                    row[..., i] = c
+                _check_finite(row, first + k, t, times, states[: k + 2] if record else None, last)
+        except np.exceptions.ComplexWarning as err:
+            raise TypeError(err) from err
     return states if record else terminal
 
 

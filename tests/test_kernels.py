@@ -22,7 +22,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochlab import integrate
-from stochlab.analyze import empirical_convergence_order, stability_probability
+from stochlab.analyze import (
+    check_symplecticity,
+    empirical_convergence_order,
+    stability_probability,
+)
 from stochlab.cli import main
 from stochlab.integrate import (
     SCHEMES,
@@ -34,7 +38,7 @@ from stochlab.integrate import (
     strat_to_ito,
 )
 from stochlab.models import CATALOG, build_model
-from stochlab.noise import NoisePath, ParameterProcess
+from stochlab.noise import NoisePath, ParameterProcess, sample_brownian
 from stochlab.vecalg import _DELTA
 
 B3 = (0.2, -1.0, 0.5)
@@ -397,11 +401,12 @@ def _spy_checks(monkeypatch):
 
 
 def _compiled_loop_case(key, record, monkeypatch):
-    """A batch of a fused entry steps in the compiled sub-block loop, with no
-    per-step finite check, and gives the states (record) or the terminal
-    state of the per-step loop on its _ADVANCE function byte for byte: on a
-    batch, a complex batch, noise shared by the batch ((rows, l)) and two
-    batch axes.  RODE steps read eta rows k and k + 1; rk4 reads no noise."""
+    """A float64 batch of a fused entry steps in the compiled sub-block loop,
+    with no per-step finite check, and a complex batch as written, one check
+    a step; each gives the states (record) or the terminal state of the
+    per-step loop on its _ADVANCE function byte for byte: on a batch, a
+    complex batch, noise shared by the batch ((rows, l)) and two batch axes.
+    RODE steps read eta rows k and k + 1; rk4 reads no noise."""
     model = _model(key)
     x0, noise, times = _noise(model, 40, 4, seed=len(key) + 11)
     starts = {"batch": (x0, noise), "complex": (x0 + 0.5j * x0[::-1], noise),
@@ -411,10 +416,13 @@ def _compiled_loop_case(key, record, monkeypatch):
     for scheme in _schemes(model):
         step = integrate._fused(scheme, model.kernel, model.n, noise.shape[-1])
         assert hasattr(step, "block") == (key not in UNFUSED)
-        checks.clear()
-        fused = {case: _scheme_states(model, scheme, x, times, w, record)
-                 for case, (x, w) in starts.items()}
-        assert len(checks) == (0 if hasattr(step, "block") else 40 * len(starts))
+        assert key in UNFUSED or step.block() is step.block()  # compiled once
+        fused = {}
+        for case, (x, w) in starts.items():
+            checks.clear()
+            fused[case] = _scheme_states(model, scheme, x, times, w, record)
+            compiled = hasattr(step, "block") and case != "complex"
+            assert len(checks) == (0 if compiled else 40), case
         with monkeypatch.context() as m:
             m.setattr(integrate, "_fused", _as_written)
             for case, (x, w) in starts.items():
@@ -436,29 +444,57 @@ def test_a_terminal_only_batch_steps_in_one_compiled_loop_bit_for_bit(key, monke
     _compiled_loop_case(key, False, monkeypatch)
 
 
+def test_the_complex_step_of_check_symplecticity_stays_in_the_path_loop(monkeypatch):
+    """check_symplecticity steps one complex path per column of the flow
+    Jacobian: on kubo/Heun it makes no per-step finite check, and its
+    defect is that of the advance as written, bit for bit."""
+    model = build_model("kubo", a=1.0, sigma=0.5)
+    path = sample_brownian(21, 1.0, 2.0**-8, dims=1)
+    checks = _spy_checks(monkeypatch)
+    defect = check_symplecticity(model, "heun", [1.0, 0.0], h=2.0**-8, T=1.0, path=path)
+    assert checks == []
+    monkeypatch.setattr(integrate, "_fused", _as_written)
+    assert defect == check_symplecticity(model, "heun", [1.0, 0.0], h=2.0**-8, T=1.0, path=path)
+    assert len(checks) == 2 * 256
+
+
 def _complex_gain(t, xs, ws):
     return [(0.5 + 0.25j) * x for x in xs], _noise_action(t, xs, ws)
 
 
 def test_a_constant_the_state_dtype_cannot_hold_steps_as_written(monkeypatch):
-    """A complex constant makes complex states: a complex batch steps in the
-    compiled loop, and a float batch, whose rows cannot hold them, steps as
-    written, one finite check a step; both give the states of the per-step
-    loop byte for byte (the float rows keep the real parts)."""
+    """A complex constant makes complex states, so the kernel gets no batch
+    loop: from a complex start one path steps in its compiled loop and a
+    batch as written, one finite check a step, both giving the states of the
+    per-step loop byte for byte; from a float start, whose rows cannot hold
+    them, both raise TypeError, fused and as written, recorded or not."""
     model = ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_complex_gain)
+    advance = integrate._fused("euler_maruyama", _complex_gain, 2, 1)
+    assert hasattr(advance, "path") and not hasattr(advance, "block")
     x0, noise, times = _noise(model, 30, 3, seed=2)
-    starts = {"complex": x0 + 0j, "float": x0}
+    starts = {"path": (x0[0], noise[:, 0]), "batch": (x0, noise)}
+    runs = {(case, record): (x, w, record)
+            for case, (x, w) in starts.items() for record in (True, False)}
+
+    def step(x, w, record):
+        return _scheme_states(model, "euler_maruyama", x, times, w, record)
+
+    def float_starts_raise():  # whatever the caller's filter for numpy's ComplexWarning
+        for run in runs.values():
+            with warnings.catch_warnings(), pytest.raises(TypeError):
+                warnings.simplefilter("ignore")
+                step(*run)
+
     checks = _spy_checks(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-        fused = {case: _scheme_states(model, "euler_maruyama", x, times, noise)
-                 for case, x in starts.items()}
-        assert checks == list(range(30))
-        monkeypatch.setattr(integrate, "_fused", _as_written)
-        for case, x in starts.items():
-            written = _scheme_states(model, "euler_maruyama", x, times, noise)
-            assert fused[case].dtype == written.dtype, case
-            assert fused[case].tobytes() == written.tobytes(), case
+    fused = {key: step(x + 0j, w, record) for key, (x, w, record) in runs.items()}
+    assert checks == list(range(30)) * 2  # the batch, recorded and terminal-only
+    float_starts_raise()
+    monkeypatch.setattr(integrate, "_fused", _as_written)
+    float_starts_raise()
+    for key, (x, w, record) in runs.items():
+        written = step(x + 0j, w, record)
+        assert fused[key].dtype == written.dtype == complex, key
+        assert fused[key].tobytes() == written.tobytes(), key
 
 
 def _reciprocal(t, xs, ws):
@@ -664,21 +700,29 @@ def _noise_quotient(t, xs, ws):
     return [0.5 * x for x in xs], [w / (w + 3.0) for w in ws]
 
 
-def test_complex_states_with_real_noise_step_in_the_compiled_loop_bit_for_bit(monkeypatch):
-    """EM with f = 0.5 x and g = w / (w + 3.0) on 1000 complex paths x 4
-    steps: g reads the real noise alone, so the advance as written divides
-    real arrays.  The compiled loop types each buffer by what its value
-    reads, so it divides real arrays too, not complex ones, which numpy
-    rounds otherwise."""
+def test_batches_off_float64_step_as_written_bit_for_bit(monkeypatch):
+    """EM with f = 0.5 x and g = w / (w + 3.0), 1000 paths x 4 steps: g
+    reads the noise alone, so the advance as written divides real arrays on
+    complex states, not complex ones, and float32 arrays on float32 noise,
+    which numpy rounds otherwise.  The batch loop is compiled for float64
+    states on float64 noise only, so a complex batch and a batch on float32
+    noise step as written, one finite check a step."""
     model = ModelSpec(n=1, noise_dim=1, interpretation="ito", kernel=_noise_quotient)
     rng = np.random.default_rng(8)
-    x0 = rng.normal(size=(1000, 1)) + 1j * rng.normal(size=(1000, 1))
+    x0 = rng.normal(size=(1000, 1))
     noise, times = rng.normal(0.0, 0.1, size=(4, 1000, 1)), np.arange(5) * 0.01
+    starts = {"complex": (x0 + 1j * rng.normal(size=(1000, 1)), noise),
+              "float32_noise": (x0, noise.astype(np.float32))}
     checks = _spy_checks(monkeypatch)
-    fused = _scheme_states(model, "euler_maruyama", x0, times, noise)
-    assert checks == []
+    fused = {}
+    for case, (x, w) in starts.items():
+        checks.clear()
+        fused[case] = _scheme_states(model, "euler_maruyama", x, times, w)
+        assert checks == [0, 1, 2, 3], case
     monkeypatch.setattr(integrate, "_fused", _as_written)
-    assert fused.tobytes() == _scheme_states(model, "euler_maruyama", x0, times, noise).tobytes()
+    for case, (x, w) in starts.items():
+        written = _scheme_states(model, "euler_maruyama", x, times, w)
+        assert fused[case].tobytes() == written.tobytes(), case
 
 
 # constants a drawn kernel reads: signed zeros, the ends of the float range,
