@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -171,20 +170,26 @@ class EnsembleStats:
 
 
 def _check_finite(x, k, t, times, states, last):
-    """Raise IntegrationError unless x, the state after step k, is finite.
-    last holds the n state components before that step (numbers, or arrays
-    over x's batch axes); the message names the failing path's, and its
-    index on the first batch axis."""
+    """Raise IntegrationError unless x, the state after step k, is finite;
+    last is the state before that step.  The message names the failing
+    path's last state, and its index on the first batch axis."""
     if np.isfinite(x).all():
         return
     where = tuple(np.argwhere(~np.isfinite(x).all(axis=-1))[0])
     bad = int(where[0]) if where else None
-    before = [np.broadcast_to(c, x.shape[:-1])[where] for c in last]
     raise IntegrationError(
         f"non-finite state at step {k} (t={t:g}), "
-        + ("" if bad is None else f"path index {bad}, ") + _last_finite(before),
+        + ("" if bad is None else f"path index {bad}, ") + _last_finite(last[where]),
         step=k, time=t, times=times, states=states, path_index=bad,
     )
+
+
+def _check_real(xs, dtype):
+    """Raise TypeError where rows of dtype are real and a component in xs is complex."""
+    if dtype.kind == "f":
+        for c in xs:
+            if not isinstance(c, float) and (isinstance(c, complex) or c.dtype.kind == "c"):
+                raise TypeError("a real x0 takes complex states; start from a complex x0")
 
 
 def _last_finite(x):
@@ -511,23 +516,24 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
     noise is the (N, ..., l) increment stack of a stochastic scheme, the
     (N+1, ..., l) eta rows of a RODE scheme (step k reads rows k and k+1),
     and unused by rk4.  Its batch axes match those of x0, or it is (rows, l)
-    for noise shared by the whole batch.  One path steps on Python floats
-    (complex for a complex x0) in the path loop, _PATH_STEPS steps at a
-    time, and a float64 batch on float64 noise in the block loop where the
-    caller ignores underflow, into the recorded rows or, with record off,
-    two ping-pong rows (n, 2, ...), both with floating-point errors trapped
-    and only the last state checked: each advance returns x + ..., so a
-    component that turns non-finite stays so.  An ArithmeticError or a
-    non-finite last state steps again from row 0 on the advance as written,
-    each state checked under the caller's errstate, as any other batch and
-    a kernel that the trace cannot follow step throughout.  So states,
-    warnings and aborts are those of the advance as written, for a kernel
-    with no dead operation (_fused).  Returns the states (N+1,) + x0.shape,
-    recorded into out (a C-contiguous array of that shape and x0's dtype; x0
-    may be out[0]) where given, or the terminal state when record is off.
-    Raises ValueError unless x0 holds model.n components on its last axis,
-    TypeError where a real x0 takes complex states, and IntegrationError at
-    a non-finite state, naming its step on a grid where times[0] is row first.
+    for noise shared by the whole batch.  Every loop steps into one buffer,
+    the recorded rows or, with record off, two ping-pong rows (n, 2, ...):
+    one path on Python floats (complex for a complex x0) in the path loop,
+    _PATH_STEPS steps at a time, and a float64 batch on float64 noise in the
+    block loop where the caller ignores underflow, both with floating-point
+    errors trapped and only the last state checked: each advance returns
+    x + ..., so a component that turns non-finite or complex stays so.  An
+    ArithmeticError or a non-finite last state steps again from x0 on the
+    advance as written, each state checked under the caller's errstate, as
+    any other batch and a kernel that the trace cannot follow step
+    throughout.  So states, warnings and aborts are those of the advance as
+    written, for a kernel with no dead operation (_fused).  Returns the
+    states (N+1,) + x0.shape, recorded into out (a C-contiguous array of
+    that shape and x0's dtype; x0 may be out[0]) where given, or the
+    terminal state when record is off.  Raises ValueError unless x0 holds
+    model.n components on its last axis, TypeError before writing a complex
+    state into the rows of a real x0, and IntegrationError at a non-finite
+    state, naming its step on a grid where times[0] is row first.
     """
     _check_state(model, x0)
     x0 = np.asarray(x0, dtype=np.result_type(x0, float))
@@ -535,48 +541,44 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
     kernel, advance = model.kernel, _fused(scheme, model.kernel, n, l)
     n_steps = len(times) - 1
     tl = np.asarray(times, dtype=float).tolist()
-    states = None
-    if record:
-        states = np.empty((n_steps + 1,) + x0.shape, dtype=x0.dtype) if out is None else out
-        states[0] = x0
+    states = out if out is not None else (
+        np.empty((n_steps + 1,) + x0.shape, dtype=x0.dtype) if record
+        else np.moveaxis(np.empty((n, 2) + x0.shape[:-1], dtype=x0.dtype), 0, -1))
+    R, end = len(states), n_steps % len(states)
+    states[0] = x0
     one = x0.size == n and noise.size == len(noise) * l
     flat = noise.reshape(len(noise), l) if one else None
     if hasattr(advance, "path" if one else "block") and (one or x0.dtype == noise.dtype == float
                                                          and np.geterr()["under"] == "ignore"):
         with suppress(ArithmeticError), np.errstate(over="raise", divide="raise", invalid="raise"):
             if one:  # RODE steps read row k + 1 too
-                xs, got = x0.reshape(n).tolist(), states.reshape(-1) if record else None
+                xs = x0.reshape(n).tolist()
                 for c in range(0, n_steps, _PATH_STEPS):
                     d, rows = min(c + _PATH_STEPS, n_steps), []
                     xs = advance.path(tl[c:d + 1], flat[c:d + 1].ravel().tolist(), xs, rows)
+                    _check_real(xs, x0.dtype)
                     if record:
-                        got[(c + 1) * n:(d + 1) * n] = rows
-                end = np.array(xs, dtype=x0.dtype).reshape(x0.shape)
+                        states.reshape(-1)[(c + 1) * n:(d + 1) * n] = rows
+                states[end] = xs
             else:
-                rows = list(np.moveaxis(states, -1, 0) if record
-                            else np.moveaxis([x0, x0], -1, 0).copy())
+                rows = list(np.moveaxis(states, -1, 0))
                 advance.block()(tl, [noise[..., j] for j in range(l)], rows)
-                end = np.stack([row[n_steps % len(row)] for row in rows], axis=-1)
-            if np.isfinite(end).all():
-                return states if record else end
+            if np.isfinite(states[end]).all():
+                return states if record else states[end]
 
     def w(k):
         return flat[k].tolist() if one else [noise[k][..., j] for j in range(l)]
-    terminal = x0.copy()
-    xs = x0.reshape(n).tolist() if one else [x0[..., i] for i in range(n)]
-    with warnings.catch_warnings():  # complex states in real rows raise, as on one path
-        warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        try:
-            for k in range(n_steps):
-                t = tl[k]
-                last, xs = xs, advance(kernel, t, tl[k + 1] - t, xs, w, k)
-                row = states[k + 1] if record else terminal
-                for i, c in enumerate(xs):
-                    row[..., i] = c
-                _check_finite(row, first + k, t, times, states[: k + 2] if record else None, last)
-        except np.exceptions.ComplexWarning as err:
-            raise TypeError(err) from err
-    return states if record else terminal
+    states[0] = x0  # a compiled ping-pong may have stepped over it
+    row, xs = states[0], x0.reshape(n).tolist() if one else [x0[..., i] for i in range(n)]
+    for k in range(n_steps):
+        t = tl[k]
+        xs = advance(kernel, t, tl[k + 1] - t, xs, w, k)
+        _check_real(xs, x0.dtype)
+        last, row = row, states[(k + 1) % R]
+        for i, c in enumerate(xs):
+            row[..., i] = c
+        _check_finite(row, first + k, t, times, states[: k + 2] if record else None, last)
+    return states if record else states[end]
 
 
 # State values an ensemble steps per sub-block of a noise piece: 2**17
@@ -619,7 +621,8 @@ def run_ensemble(
     not have model.n finite components.  A non-finite state raises
     IntegrationError for the earliest failing step, lowest path index at
     that step, carrying that path's states up to the failure and naming its
-    last finite state.
+    last finite state: the path steps again alone for them, bit for bit, as
+    its noise and start depend on (seed, path index) only.
     """
     n_steps = _check_ensemble(model, scheme, n_paths, T, h)
     times = np.arange(n_steps + 1) * h
@@ -644,19 +647,15 @@ def run_ensemble(
     abort = _run_chunk(model, x0, scheme, seed, times, range(n_paths), observers)
     if abort is not None:
         step, p = abort
-        if return_states:
-            trace = states[:step + 2, p]
-        else:  # replay the failing path alone; its stream depends on (seed, p) only
-            trace = np.empty((step + 2, 1, model.n))
+        trace = np.empty((step + 2, 1, model.n))
 
-            def record_failing(k, block):
-                trace[k:k + len(block)] = block
-            _run_chunk(model, x0, scheme, seed, times, range(p, p + 1), [record_failing])
-            trace = trace[:, 0]
+        def record_failing(k, block):
+            trace[k:k + len(block)] = block
+        _run_chunk(model, x0, scheme, seed, times, range(p, p + 1), [record_failing])
         raise IntegrationError(
             f"ensemble path aborted: non-finite state at step {step} "
             f"(t={times[step]:g}), path index {p}, {_last_finite(trace[-2])}",
-            step=step, time=times[step], times=times, states=trace, path_index=p,
+            step=step, time=times[step], times=times, states=trace[:, 0], path_index=p,
         )
 
     stats = EnsembleStats(times=times, functional_names=tuple(f.name for f in functionals),

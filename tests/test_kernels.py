@@ -497,6 +497,52 @@ def test_a_constant_the_state_dtype_cannot_hold_steps_as_written(monkeypatch):
         assert fused[key].tobytes() == written.tobytes(), key
 
 
+def _numpy_complex_gain(t, xs, ws):
+    return [np.complex128(0.5 + 0.25j) * x for x in xs], _noise_action(t, xs, ws)
+
+
+def test_a_numpy_complex_constant_raises_type_error_from_a_real_start(monkeypatch):
+    """numpy casts a numpy complex scalar into real rows with no more than a
+    ComplexWarning; from a float start, one path and a batch, recorded and
+    terminal-only, fused and as written, raise TypeError before writing the
+    complex states it makes, and warn nothing under an "always" filter."""
+    model = ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_numpy_complex_gain)
+    assert hasattr(integrate._fused("euler_maruyama", _numpy_complex_gain, 2, 1), "path")
+    x0, noise, times = _noise(model, 30, 3, seed=2)
+    runs = [(x, w, record) for x, w in ((x0[0], noise[:, 0]), (x0, noise))
+            for record in (True, False)]
+
+    def float_starts_raise():
+        for x, w, record in runs:
+            with warnings.catch_warnings(record=True) as caught, pytest.raises(TypeError):
+                warnings.simplefilter("always")
+                _scheme_states(model, "euler_maruyama", x, times, w, record)
+            assert caught == [], (x.shape, record)
+
+    float_starts_raise()
+    monkeypatch.setattr(integrate, "_fused", _as_written)
+    float_starts_raise()
+
+
+def _divides_by_zero(t, xs, ws):
+    # abs() stops the trace; 1 / 0 warns, and 1 / inf keeps the state finite
+    return [1.0 / (1.0 / (abs(x) * 0.0)) - x for x in xs], _noise_action(t, xs, ws)
+
+
+def test_a_default_action_warning_is_shown_once_over_calls():
+    """Stepping leaves the warning filters and registries alone, so a
+    warning under Python's default action, shown once per source line, is
+    shown once over three runs of a kernel that steps as written."""
+    model = ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_divides_by_zero)
+    assert not hasattr(integrate._fused("euler_maruyama", _divides_by_zero, 2, 1), "path")
+    x0, noise, times = _noise(model, 3, 4, seed=8)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(divide="warn"):
+        warnings.simplefilter("default")
+        for _ in range(3):
+            _scheme_states(model, "euler_maruyama", x0, times, noise)
+    assert [str(w.message) for w in caught] == ["divide by zero encountered in divide"]
+
+
 def _reciprocal(t, xs, ws):
     # x * x overflows from |x| = 1.4e154 on, where 1 / inf = 0 keeps the
     # step finite; 1e3 * x overflows, and the state with it, from 1.8e305 on
@@ -564,6 +610,21 @@ def test_an_abort_and_its_warnings_equal_the_per_step_loops(case, monkeypatch):
 @pytest.mark.parametrize("case", ["overflow", "reciprocal", "silent_inf"])
 def test_a_terminal_only_abort_and_its_warnings_equal_the_per_step_loops(case, monkeypatch):
     _abort_case(case, False, monkeypatch)
+
+
+def test_a_terminal_only_replay_names_x0_as_the_last_finite_state():
+    """The compiled ping-pong steps over row 0, so a replay starts by
+    writing x0 there again: a terminal-only batch that turns non-finite at
+    step 0, seen only after three compiled steps, names x0 in its abort."""
+    model = build_model("scalar_linear", a=1.0, b_scalar=1.0)
+    assert hasattr(integrate._fused("euler_maruyama", model.kernel, 1, 1), "block")
+    noise = np.full((3, 2, 1), 0.1)
+    noise[0, 0, 0] = np.inf
+    with pytest.raises(IntegrationError) as info:
+        _scheme_states(model, "euler_maruyama", np.ones((2, 1)), np.arange(4) * 0.1, noise,
+                       record=False)
+    assert (info.value.step, info.value.path_index, info.value.states) == (0, 0, None)
+    assert str(info.value).endswith("path index 0, last finite state [1]")
 
 
 def test_a_finite_recorded_run_checks_no_step_unless_underflow_is_watched(monkeypatch):

@@ -1,7 +1,8 @@
 """The public surface: every name stochlab exports, and every member of an
 exported class, has a reader in the package or in the acceptance battery,
 unless an allowlisted reason says why not.  And the noise schedule's
-internals are named in noise.py only."""
+internals are named in noise.py only, and only the complex step enters a
+warning filter context."""
 import ast
 from pathlib import Path
 
@@ -145,3 +146,10 @@ def test_only_the_fuser_reads_the_advance_table_or_calls_exec():
     generated source."""
     assert _readers({"_ADVANCE", "exec"}) == {("integrate.py", "_fused", "_ADVANCE"),
                                                ("integrate.py", "_fused", "exec")}
+
+
+def test_only_the_complex_step_enters_a_warning_filter_context():
+    """Entering warnings.catch_warnings() resets every module's warning
+    registry, so a warning shown once per source line shows again; only
+    vecalg.derivative, which must see a cast inside fn, enters one."""
+    assert _readers({"catch_warnings"}) == {("vecalg.py", "derivative", "catch_warnings")}
