@@ -674,7 +674,7 @@ def _start_key(start):
     return start if callable(start) else np.asarray(start, dtype=float).tobytes()
 
 
-def _estimates(estimators, model, scheme, n_paths, T, h, seed):
+def _estimates(estimators, model, scheme, n_paths, T, h, seed, threads=1):
     """Yield the estimate of each (start, observer, finish) estimator in order.
 
     Estimators with the same _start_key share one run_ensemble pass, run
@@ -688,7 +688,7 @@ def _estimates(estimators, model, scheme, n_paths, T, h, seed):
         if i not in done:
             group = [j for j in range(i, len(estimators)) if keys[j] == keys[i]]
             run_ensemble(model, start, scheme, n_paths, seed, functionals=(), T=T, h=h,
-                         observers=[estimators[j][1] for j in group])
+                         observers=[estimators[j][1] for j in group], threads=threads)
             done.update((j, estimators[j][2]()) for j in group)
         yield done.pop(i)
 

@@ -345,11 +345,11 @@ def _trajectory(_, cfg, model):
                     [traj.times, *states.T, *(np.asarray(f.value(states)) for f in fields)])
 
 
-def _ensemble(_, cfg, model):
+def _ensemble(threads, cfg, model):
     """simulate's paths: per time, each functional's mean and variance over them."""
     stats = run_ensemble(model, _initial(cfg, model), cfg["scheme"], cfg["n_paths"], cfg["seed"],
                          functionals=[_functional(name, model) for name in cfg["functionals"]],
-                         T=cfg["T"], h=cfg["h"])
+                         T=cfg["T"], h=cfg["h"], threads=threads)
     names = [f"{name}_{moment}" for name in stats.functional_names for moment in ("mean", "var")]
     return _Outcome(True, f"{stats.n_paths} paths, {len(stats.times)} rows",
                     ",".join(["t", *names]),
@@ -446,8 +446,8 @@ def _attraction(est, cfg, model, *, target: list, eps: float):
 
 
 # output kind -> (subcommand, the x0 it needs: None, "any" (a vector or
-# 'sphere') or "vector", the function that maps (a stability kind's
-# estimate or None, cfg, model, and the entry's options as keywords) to an
+# 'sphere') or "vector", the function that maps (a stability kind's estimate
+# or --threads, cfg, model, and the entry's options as keywords) to an
 # _Outcome, and the check of those options).  n_paths picks simulate's kind;
 # every other kind is an analysis, run where a config's analyses entry names it.
 _Kind = namedtuple("_Kind", "task x0 outcome check")
@@ -474,7 +474,7 @@ _TASKS = {"simulate": ("simulate", "simulate: wrote {dest} ({note})"),
           "stability": ("stability {kind}", "{kind}: {note} -> {dest}")}
 
 
-def run_task(task, cfg, model, out) -> int:
+def run_task(task, cfg, model, out, threads=1) -> int:
     """Write task's outputs in order, one CSV and one printed line each; 1 if
     a check failed, else 0.  simulate writes its one kind, and the other
     tasks one output per analyses entry of their kinds.  Stability entries
@@ -483,7 +483,7 @@ def run_task(task, cfg, model, out) -> int:
     entries = [a for a in cfg["analyses"] if _KINDS[a["kind"]].task == task]
     if task == "simulate":
         entries = [{"kind": "trajectory" if cfg["n_paths"] == 1 else "ensemble"}]
-    inputs = [None] * len(entries)
+    inputs = [threads] * len(entries)
     if task == "stability":
         ensemble = (model, cfg["scheme"], cfg["n_paths"], cfg["T"], cfg["h"])
         inputs = _estimates([
@@ -491,7 +491,7 @@ def run_task(task, cfg, model, out) -> int:
             if e["kind"] == "stability" else
             _attraction_estimator(*ensemble, _initial(cfg, model), e["target"], e["eps"])
             for e in entries
-        ], *ensemble, cfg["seed"])
+        ], *ensemble, cfg["seed"], threads)
     label, line = _TASKS[task]
     all_pass = True
     for i, (entry, given) in enumerate(zip(entries, inputs)):
@@ -519,8 +519,8 @@ def main(argv=None) -> int:
                         help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; must be >= 1. Runs are "
-                             "single-threaded and no output depends on it")
+                        help="processes stepping an ensemble's paths, at most the usable "
+                             "CPUs; must be >= 1. No output or diagnostic depends on it")
     args = parser.parse_args(argv)
 
     try:
@@ -531,7 +531,7 @@ def main(argv=None) -> int:
         # Overflow to inf is the expected signature of a diverging path; the
         # finite-state check turns it into a diagnosable abort.
         with np.errstate(over="ignore", invalid="ignore"):
-            return run_task(args.task, cfg, model, args.out)
+            return run_task(args.task, cfg, model, args.out, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

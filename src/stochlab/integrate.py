@@ -6,7 +6,7 @@ sampled parameter processes, the Stratonovich-to-Ito drift conversion, the
 infinitesimal generator, and reproducible ensemble execution.
 
 All steppers take states with the components on the last axis and broadcast
-over leading batch axes; ensembles integrate whole path batches at once.
+over leading batch axes; ensembles step path batches at once, a range per process.
 Every scheme is an advance function on the model's component-form kernel,
 compiled into a loop on Python floats for a single path and one of ufunc
 calls on float64 component arrays of a batch (_fused).  Per-path arithmetic is
@@ -15,7 +15,12 @@ elementwise, so a path stepped alone equals it inside a batch, bit for bit.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
+import os
+import pickle
+import sys
+import warnings
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -362,13 +367,16 @@ def _check_scheme(model: ModelSpec, scheme: str) -> None:
         )
 
 
-def _check_ensemble(model: ModelSpec, scheme: str, n_paths: int, T: float, h: float) -> int:
-    """Raise ValueError unless n_paths paths of scheme can step model by h to T; return N."""
+def _check_ensemble(model: ModelSpec, scheme: str, n_paths: int, T: float, h: float,
+                    threads: int = 1) -> int:
+    """Raise ValueError unless n_paths paths of scheme can step model by h to
+    T, in threads processes at most; return N."""
     _check_scheme(model, scheme)
     if model.interpretation == "rode" and model.eta_builder is None:
         raise ValueError(f"RODE runs need a model with an eta_builder; {model.name} has none")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    for name, count in (("n_paths", n_paths), ("threads", threads)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     return _grid_steps(T, h)
 
 
@@ -528,7 +536,7 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
     any other batch and a kernel that the trace cannot follow step
     throughout.  So states, warnings and aborts are those of the advance as
     written, for a kernel with no dead operation (_fused).  Returns the
-    states (N+1,) + x0.shape, recorded into out (a C-contiguous array of
+    states (N+1,) + x0.shape, recorded into out (an array, or a view, of
     that shape and x0's dtype; x0 may be out[0]) where given, or the
     terminal state when record is off.  Raises ValueError unless x0 holds
     model.n components on its last axis, TypeError before writing a complex
@@ -558,7 +566,7 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
                     xs = advance.path(tl[c:d + 1], flat[c:d + 1].ravel().tolist(), xs, rows)
                     _check_real(xs, x0.dtype)
                     if record:
-                        states.reshape(-1)[(c + 1) * n:(d + 1) * n] = rows
+                        states[c + 1:d + 1] = np.reshape(rows, (d - c,) + x0.shape)
                 states[end] = xs
             else:
                 rows = list(np.moveaxis(states, -1, 0))
@@ -599,6 +607,7 @@ def run_ensemble(
     h: float,
     return_states: bool = False,
     observers: Sequence[Callable] = (),
+    threads: int = 1,
 ):
     """Integrate n_paths independent paths and reduce functional statistics.
 
@@ -609,11 +618,11 @@ def run_ensemble(
     Each path k uses its own derived noise stream, so the output is a pure
     function of (model, x0, scheme, n_paths, seed, functionals, T, h).
 
-    All paths step together in time blocks.  Every observer observe(k, block)
-    sees each block in time order: the states of all paths at grid rows
-    k, k+1, ..., shaped (rows, n_paths, n), row 0 included.  block is a view
-    of a buffer the run reuses, valid only during the call: an observer
-    copies what it keeps.
+    All paths step together in time blocks, a range of them in each of up to
+    threads processes.  Every observer observe(k, block) sees each block in
+    time order: the states of all paths at grid rows k, k+1, ..., shaped
+    (rows, n_paths, n), row 0 included.  block is a view of a buffer the run
+    reuses, valid only during the call: an observer copies what it keeps.
 
     Returns EnsembleStats, or (EnsembleStats, states) with states of shape
     (n_paths, N+1, n) when return_states is set.  Raises ValueError where
@@ -624,7 +633,7 @@ def run_ensemble(
     last finite state: the path steps again alone for them, bit for bit, as
     its noise and start depend on (seed, path index) only.
     """
-    n_steps = _check_ensemble(model, scheme, n_paths, T, h)
+    n_steps = _check_ensemble(model, scheme, n_paths, T, h, threads)
     times = np.arange(n_steps + 1) * h
     observers = list(observers)
     # each row reduces only its own paths, so per-block reductions equal
@@ -644,14 +653,14 @@ def run_ensemble(
         def record(k, block):
             states[k:k + len(block)] = block
         observers.append(record)
-    abort = _run_chunk(model, x0, scheme, seed, times, range(n_paths), observers)
+    abort = _run_ranges(model, x0, scheme, seed, times, range(n_paths), threads, observers)
     if abort is not None:
         step, p = abort
         trace = np.empty((step + 2, 1, model.n))
 
         def record_failing(k, block):
             trace[k:k + len(block)] = block
-        _run_chunk(model, x0, scheme, seed, times, range(p, p + 1), [record_failing])
+        _run_ranges(model, x0, scheme, seed, times, range(p, p + 1), 1, [record_failing])
         raise IntegrationError(
             f"ensemble path aborted: non-finite state at step {step} "
             f"(t={times[step]:g}), path index {p}, {_last_finite(trace[-2])}",
@@ -665,15 +674,100 @@ def run_ensemble(
     return stats
 
 
-def _run_chunk(model, x0, scheme, seed, times, ks, observers):
-    """Step the paths with global indices ks (a range) over the one-level
-    noise pieces (_noise_pieces) of their ensemble streams, each piece in
-    sub-blocks of about _STEP_VALUES state values through one reused
-    (sub + 1, paths, n) buffer, handing each sub-block to the observers.
+def _run_ranges(model, x0, scheme, seed, times, ks, threads, observers):
+    """Step the paths ks (a range) in lockstep in R = min(threads, len(ks),
+    usable CPUs) contiguous ranges (1 without os.fork), the first here, each
+    other in a worker forked after the shared set-up (_work), into its own
+    columns of one shared buffer; hand the observers each block, all paths
+    wide.  Returns the earliest step's abort, lowest index first, or None."""
+    n_steps, width, n = len(times) - 1, len(ks), model.n
+    rows = min(max(1, _STEP_VALUES // (width * n)), n_steps) + 1
+    shared = np.frombuffer(mmap.mmap(-1, rows * width * n * 8)).reshape(rows, width, n)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    r = min(threads, width, cpus or 1) if hasattr(os, "fork") else 1
+    cut, workers = [width * i // r for i in range(r + 1)], []
+    if len(cut) > 2:  # set up here what every worker would, then fork
+        import numpy.random  # noqa: F401  (numpy imports it lazily)
+        l = {"ode": 0, "rode": max(model.eta_dim, 1)}.get(model.interpretation, model.noise_dim)
+        getattr(_fused(scheme, model.kernel, n, l), "block", lambda: None)()
+    try:
+        for a, b in zip(cut[1:], cut[2:]):
+            (up, post), (go, wake) = os.pipe(), os.pipe()
+            chunk = _run_chunk(model, x0, scheme, seed, times, ks[a:b], shared[:, a:b], width)
+            if not (pid := os.fork()):
+                _work(chunk, post, go, wake)
+            os.close(post)
+            os.close(go)
+            workers.append((pid, os.fdopen(up, "rb"), wake))
+        for k, block, abort in _run_chunk(model, x0, scheme, seed, times, ks[:cut[1]],
+                                          shared[:, :cut[1]], width):
+            sent = [_receive(up) for _, up, _ in workers]
+            m = min([len(block)] + [m for m, _ in sent])
+            abort = min([a for a in [abort] + [a for _, a in sent] if a], default=None)
+            for observe in observers:  # a sub-block's rows start at row 1
+                observe(k, shared[min(k, 1):min(k, 1) + m])
+            if abort:
+                return abort
+            for _, _, wake in workers:
+                os.write(wake, b"\0")
+    finally:  # a worker ends at the end of file of its go pipe
+        for _, up, wake in workers:
+            up.close()
+            os.close(wake)
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
 
-    Returns None, or (step, global path index) of the first non-finite
-    state, after handing the observers the rows up to it.
-    """
+
+def _work(chunk, post, go, wake):
+    """Post the parent each (rows, abort) of chunk, then wait for its go, up to
+    an abort or end of file, and what warns or raises; then end the process."""
+    def send(*message):
+        post.write(pickle.dumps(message))
+        post.flush()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        frame = sys._getframe(1)  # the frame that warned names its module
+        while frame and (frame.f_code.co_filename, frame.f_lineno) != (filename, lineno):
+            frame = frame.f_back
+        send("warn", message, filename, lineno, frame and frame.f_globals.get("__name__"))
+    try:
+        os.close(wake)
+        post = os.fdopen(post, "wb")
+        warnings.showwarning = show
+        for _, block, abort in chunk:
+            send("rows", len(block), abort)
+            if abort or not os.read(go, 1):
+                break
+    except BaseException as exc:  # the parent raises it, or its text where it does not pickle
+        for error in (exc, RuntimeError(f"{type(exc).__name__}: {exc}")):
+            with suppress(Exception):  # it does not pickle, or the pipe is closed
+                return send("raise", error)
+    finally:
+        os._exit(0)
+
+
+def _receive(up):
+    """A worker's next (rows, abort), after issuing each warning it showed
+    against the registry of the module that warned; raises what it raised."""
+    while True:
+        kind, *body = pickle.load(up)
+        if kind == "rows":
+            return body
+        if kind == "raise":
+            raise body[0]
+        message, filename, lineno, module = body
+        registry = vars(sys.modules[module]).setdefault("__warningregistry__", {}) \
+            if module in sys.modules else None
+        warnings.warn_explicit(message, type(message), filename, lineno, module, registry)
+
+
+def _run_chunk(model, x0, scheme, seed, times, ks, states, width):
+    """Step the paths with global indices ks (a range) over the one-level
+    noise pieces (_noise_pieces) of their ensemble streams, sized for width
+    paths, in sub-blocks through states, a reused (sub + 1, len(ks), n)
+    buffer or a column slice of one.  Yields (k, rows k, k + 1, ... of
+    states, abort) for the start (k = 0) and each sub-block; the last, after
+    a non-finite state, ends at it with abort (step, global path index)."""
     n_steps, h = len(times) - 1, times[1]
     if callable(x0):
         # re-keying one Philox, not building a Generator a path, took 16-24
@@ -686,18 +780,15 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
     bad = np.flatnonzero(~np.isfinite(x).all(axis=-1))
     if bad.size:
         raise ValueError(f"start of path index {ks[bad[0]]} is not finite: {x[bad[0]].tolist()}")
-    for observe in observers:
-        observe(0, x[None])
+    states[0] = x
+    yield 0, states[:1], None
     if model.interpretation == "ode":  # rk4 draws nothing: one piece of no noise
         pieces = [(0, np.empty((n_steps, len(ks), 0)), times)]
     else:  # a RODE path draws the increments of its one driving W
         dims = 1 if model.interpretation == "rode" else model.noise_dim
-        pieces = _noise_pieces([philox_keys(seed, DOMAIN_ENSEMBLE, ks)], n_steps, h, dims)
-    sub = max(1, _STEP_VALUES // (len(ks) * model.n))
-    states, w, k = None, np.zeros(len(ks)), 0
+        pieces = _noise_pieces([philox_keys(seed, DOMAIN_ENSEMBLE, ks)], n_steps, h, dims, width)
+    sub, w, k = len(states) - 1, np.zeros(len(ks)), 0
     for _, increments, piece_times in pieces:
-        if states is None:  # row 0 the start; capped by the first, longest piece
-            states = np.empty((min(sub, len(increments)) + 1,) + x.shape)
         for c in range(0, len(increments), sub):
             d = min(c + sub, len(increments))
             out, start = states[:d - c + 1], k
@@ -706,12 +797,9 @@ def _run_chunk(model, x0, scheme, seed, times, ks, observers):
                 x, w, k = _step_piece(model, scheme, out[0], w, k, increments[c:d],
                                       piece_times[c:d + 1], out)
             except IntegrationError as err:
-                for observe in observers:
-                    observe(start + 1, err.states[1:])
-                return err.step, ks[err.path_index]
-            for observe in observers:
-                observe(start + 1, out[1:])
-    return None
+                yield start + 1, err.states[1:], (err.step, ks[err.path_index])
+                return
+            yield start + 1, out[1:], None
 
 
 def _step_piece(model, scheme, x, w, k, increments, times, out=None):

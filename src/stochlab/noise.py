@@ -342,12 +342,13 @@ def _refine_stack(parent: np.ndarray, h: float, gens, fine=None, scratch=None) -
     return fine
 
 
-def _noise_pieces(keys, n: int, h0: float, dims: int):
+def _noise_pieces(keys, n: int, h0: float, dims: int, width: int | None = None):
     """Yield the noise of P paths in pieces (level, increments (rows, P,
     dims), times (rows + 1,)), a level per entry of keys, each level's pieces
     in time order tiling its grid.  Level 0 has n steps of h0, path p drawn
     from the stream keyed keys[0][p]; level j is the bridge refinement
     (refine) of level j - 1, path p drawing from the stream keyed keys[j][p].
+    Blocks are sized for width paths (default P), for ranges of a wider run.
 
     The levels whose stacks fit in _BLOCK_VALUES values come whole, coarsest
     first, on streams used once.  The deeper ones then come in lockstep over
@@ -359,7 +360,8 @@ def _noise_pieces(keys, n: int, h0: float, dims: int):
     next is yielded, and a level's first piece is its longest.
     """
     levels, p, h, whole = len(keys), len(keys[0]), h0, 0
-    while whole < levels and (n << whole) * p * dims <= _BLOCK_VALUES:
+    width = width or p  # the ranges of one run then share their pieces' bounds
+    while whole < levels and (n << whole) * width * dims <= _BLOCK_VALUES:
         whole += 1
     for level in range(whole):
         if level:
@@ -372,7 +374,7 @@ def _noise_pieces(keys, n: int, h0: float, dims: int):
         return
     # the grid the blocks tile, and the first streamed level's steps per grid step
     grid, ratio = (len(increments), 2) if whole else (n, 1)
-    block = max(1, _BLOCK_VALUES // (ratio * (2 ** (levels - whole) - 1) * p * dims))
+    block = max(1, _BLOCK_VALUES // (ratio * (2 ** (levels - whole) - 1) * width * dims))
     streamed, top = [], h
     for level in range(whole, levels):
         if level:

@@ -1,5 +1,6 @@
-"""Shared fixtures: acceptance-result registry and CSV helpers."""
+"""Shared fixtures: acceptance-result registry, CSV helpers and two CPUs."""
 import io
+import os
 
 import numpy as np
 import pytest
@@ -51,3 +52,9 @@ def _load_csv(path):
 @pytest.fixture
 def load_csv():
     return _load_csv
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the machine has, so --threads 2 forks one worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

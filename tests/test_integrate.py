@@ -475,14 +475,18 @@ def test_integration_error_carries_diagnostics():
                          ids=["1", "2", "4", "7-1", "7-3"])
 @pytest.mark.parametrize("starts,failing", [
     ({3: np.nan}, 3),                 # non-finite start: rejected before any step
+    ({5: np.nan, 7: np.nan}, 5),      # the same, in the second of two path ranges
     ({3: 1e300, 6: 1e304}, 6),        # both overflow; path 6 does so first
-], ids=["nan_start", "earliest_overflow"])
-def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, block_steps,
-                                                               sub_steps, starts, failing):
+], ids=["nan_start", "nan_start_last_range", "earliest_overflow"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, two_cpus,
+                                                               block_steps, sub_steps,
+                                                               starts, failing, threads):
     """The abort is found across time blocks of 1, 2 or 4 steps for 8 paths,
-    and across sub-blocks of 1 or 3 steps in blocks of 7; the failing path's
-    replay alone steps in blocks 8 times as long. A non-finite start is
-    rejected, under its path index, before any block."""
+    and across sub-blocks of 1 or 3 steps in blocks of 7, in one process or
+    in two ranges of 4 paths; the failing path's replay alone steps in
+    blocks 8 times as long. A non-finite start is rejected, under its path
+    index, before any block."""
     model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
     monkeypatch.setattr(noise, "_BLOCK_VALUES", block_steps * 8)
     if sub_steps:
@@ -494,11 +498,12 @@ def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, bloc
     if not np.isfinite(starts[failing]):
         with pytest.raises(ValueError,
                            match=rf"start of path index {failing} is not finite: \[nan\]"):
-            run_ensemble(model, start, "euler_maruyama", 8, 1, (), T=1.0, h=0.01)
+            run_ensemble(model, start, "euler_maruyama", 8, 1, (), T=1.0, h=0.01,
+                         threads=threads)
         return
     with pytest.raises(IntegrationError) as info, \
             np.errstate(over="ignore", invalid="ignore"):
-        run_ensemble(model, start, "euler_maruyama", 8, 1, (), T=1.0, h=0.01)
+        run_ensemble(model, start, "euler_maruyama", 8, 1, (), T=1.0, h=0.01, threads=threads)
     err = info.value
     assert err.path_index == failing
     assert f"path index {failing}" in str(err)
@@ -512,20 +517,22 @@ def test_ensemble_abort_reports_the_global_path_and_its_states(monkeypatch, bloc
     (1, None), (2, None), (7, 1), (7, 3),
     (10, 3),  # the abort, at step 14, falls inside the second sub-block of [10, 20)
 ], ids=["1", "2", "7-1", "7-3", "10-3"])
-def test_streamed_abort_matches_a_recorded_run(monkeypatch, block_steps, sub_steps):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_abort_matches_a_recorded_run(monkeypatch, two_cpus, block_steps, sub_steps,
+                                               threads):
     model = build_model("scalar_linear", a=100.0, b_scalar=0.0)
 
     def start(k, rng):
         return np.array([{3: 1e300, 6: 1e304}.get(k, 1.0)])
 
-    def abort(return_states):
+    def abort(return_states, threads=threads):
         with pytest.raises(IntegrationError) as info, \
                 np.errstate(over="ignore", invalid="ignore"):
             run_ensemble(model, start, "euler_maruyama", 8, 1, (), T=1.0, h=0.01,
-                         return_states=return_states)
+                         return_states=return_states, threads=threads)
         return info.value
 
-    recorded = abort(True)
+    recorded = abort(True, 1)
     monkeypatch.setattr(noise, "_BLOCK_VALUES", block_steps * 8)
     if sub_steps:
         monkeypatch.setattr(integrate, "_STEP_VALUES", sub_steps * 8)

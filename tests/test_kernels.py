@@ -249,10 +249,10 @@ def test_one_path_alone_equals_the_same_path_in_a_batch(key):
 @pytest.mark.parametrize("interpretation,scheme",
                          [("stratonovich", "heun"), ("ito", "euler_maruyama")])
 def test_two_path_simulate_is_byte_identical_at_one_and_two_threads(
-        tmp_path, interpretation, scheme):
-    # --threads changes nothing: both runs step the two paths on arrays.  A
-    # path stepped alone on floats is checked against the batch by
-    # test_one_path_alone_equals_the_same_path_in_a_batch and the abort replay
+        tmp_path, two_cpus, interpretation, scheme):
+    # one thread steps the two paths as a batch on arrays; two threads step
+    # each path alone, on floats, in its own process (the path loop), which
+    # test_one_path_alone_equals_the_same_path_in_a_batch checks too
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump({
         "version": 1, "seed": 3, "T": 0.2, "h": 1e-3, "n_paths": 2, "x0": "sphere",
