@@ -391,13 +391,14 @@ def _check_convergence(model, scheme, oracle, levels, n_paths, T, h0, closed_for
 def _coupled_terminals(runs, x0, seed, n_paths, T, h0, levels, w_level=None):
     """Terminal states (P, n) of each (level, model, scheme) of runs, in
     order, stepped from x0 piece by piece on the coupled paths of the
-    n_paths seeds derived from seed (_coupled_paths): a run carries its
-    states, step count and RODE W from one piece of its level to the next.
-    Also returns the last grid time t of level w_level and W there (P, l),
-    each path's increments of that level summed in order.  Raises
-    ValueError, before any draw, unless x0 holds the models' n finite
-    components."""
-    x0, dims = _check_start(runs[0][1], x0), max(runs[0][1].noise_dim, 1)
+    n_paths seeds derived from seed (_coupled_paths), as wide as a path of
+    the first model draws (none for an ODE): a run carries its states, step
+    count and RODE W from one piece of its level to the next.  Also returns
+    the last grid time t of level w_level and W there (P, l), each path's
+    increments of that level summed in order.  Raises ValueError, before
+    any draw, unless x0 holds the models' n finite components."""
+    x0, model = _check_start(runs[0][1], x0), runs[0][1]
+    dims = {"ode": 0, "rode": 1}.get(model.interpretation, model.noise_dim)  # a RODE path: its W
     carried = [(np.broadcast_to(x0, (n_paths,) + x0.shape), np.zeros(n_paths), 0)] * len(runs)
     t, w = None, np.zeros((n_paths, dims))
     seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))

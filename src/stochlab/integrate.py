@@ -14,6 +14,7 @@ elementwise, so a path stepped alone equals it inside a batch, bit for bit.
 """
 from __future__ import annotations
 
+import io
 import math
 import mmap
 import numbers
@@ -690,6 +691,7 @@ def _run_ranges(model, x0, scheme, seed, times, ks, threads, observers):
         import numpy.random  # noqa: F401  (numpy imports it lazily)
         l = {"ode": 0, "rode": max(model.eta_dim, 1)}.get(model.interpretation, model.noise_dim)
         getattr(_fused(scheme, model.kernel, n, l), "block", lambda: None)()
+        _flush()  # so that no worker writes out again what is pending here
     try:
         for a, b in zip(cut[1:], cut[2:]):
             (up, post), (go, wake) = os.pipe(), os.pipe()
@@ -720,16 +722,25 @@ def _run_ranges(model, x0, scheme, seed, times, ks, threads, observers):
 
 def _work(chunk, post, go, wake):
     """Post the parent each (rows, abort) of chunk, then wait for its go, up to
-    an abort or end of file, and what warns or raises; then end the process."""
+    an abort or end of file, and what warns or raises; then flush sys.stdout
+    and sys.stderr and end the process."""
     def send(*message):
-        post.write(pickle.dumps(message))
+        data = io.BytesIO()
+        _ByValue(data).dump(message)
+        pickle.loads(data.getvalue())  # what does not load here would not load in the parent
+        post.write(data.getvalue())
         post.flush()
 
     def show(message, category, filename, lineno, file=None, line=None):
         frame = sys._getframe(1)  # the frame that warned names its module
         while frame and (frame.f_code.co_filename, frame.f_lineno) != (filename, lineno):
             frame = frame.f_back
-        send("warn", message, filename, lineno, frame and frame.f_globals.get("__name__"))
+        module = frame and frame.f_globals.get("__name__")
+        with suppress(Exception):
+            return send("warn", message, filename, lineno, module)
+        for base in category.__mro__:  # else its text, under the nearest category that crosses
+            with suppress(Exception):
+                return send("warn", _rebuilt(base, (str(message),), {}), filename, lineno, module)
     try:
         os.close(wake)
         post = os.fdopen(post, "wb")
@@ -738,12 +749,44 @@ def _work(chunk, post, go, wake):
             send("rows", len(block), abort)
             if abort or not os.read(go, 1):
                 break
-    except BaseException as exc:  # the parent raises it, or its text where it does not pickle
+    except BaseException as exc:  # the parent raises it, or its text where it cannot cross
         for error in (exc, RuntimeError(f"{type(exc).__name__}: {exc}")):
-            with suppress(Exception):  # it does not pickle, or the pipe is closed
+            with suppress(Exception):  # it does not cross, or the pipe is closed
                 return send("raise", error)
     finally:
-        os._exit(0)
+        try:
+            _flush()  # os._exit flushes no buffer
+        finally:
+            os._exit(0)
+
+
+def _flush():
+    """Write out what sys.stdout and sys.stderr hold, where they can."""
+    for out in (sys.stdout, sys.stderr):
+        with suppress(AttributeError, OSError, ValueError):  # None, a broken pipe, closed
+            out.flush()
+
+
+class _ByValue(pickle.Pickler):
+    """A pickler that sends each exception (a warning too) that would not
+    come back from pickle.loads(pickle.dumps(...)) by value: its class by
+    reference, its args and its instance dict (_rebuilt)."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, BaseException):
+            with suppress(Exception):
+                pickle.loads(pickle.dumps(obj))
+                return NotImplemented
+            return _rebuilt, (type(obj), obj.args, vars(obj))
+        return NotImplemented
+
+
+def _rebuilt(cls, args, state):
+    """An exception of class cls with args and instance dict state, made
+    without calling its __init__, which may take other arguments."""
+    exc = BaseException.__new__(cls, *args)
+    vars(exc).update(state)
+    return exc
 
 
 def _receive(up):
@@ -764,10 +807,10 @@ def _receive(up):
 def _run_chunk(model, x0, scheme, seed, times, ks, states, width):
     """Step the paths with global indices ks (a range) over the one-level
     noise pieces (_noise_pieces) of their ensemble streams, sized for width
-    paths, in sub-blocks through states, a reused (sub + 1, len(ks), n)
-    buffer or a column slice of one.  Yields (k, rows k, k + 1, ... of
-    states, abort) for the start (k = 0) and each sub-block; the last, after
-    a non-finite state, ends at it with abort (step, global path index)."""
+    paths and empty for an ODE, in sub-blocks through states, a reused
+    (sub + 1, len(ks), n) buffer or a column slice of one.  Yields (k, rows
+    k, k + 1, ... of states, abort) for the start (k = 0) and each sub-block;
+    the last ends at a non-finite state with abort (step, global path index)."""
     n_steps, h = len(times) - 1, times[1]
     if callable(x0):
         # re-keying one Philox, not building a Generator a path, took 16-24
@@ -782,11 +825,8 @@ def _run_chunk(model, x0, scheme, seed, times, ks, states, width):
         raise ValueError(f"start of path index {ks[bad[0]]} is not finite: {x[bad[0]].tolist()}")
     states[0] = x
     yield 0, states[:1], None
-    if model.interpretation == "ode":  # rk4 draws nothing: one piece of no noise
-        pieces = [(0, np.empty((n_steps, len(ks), 0)), times)]
-    else:  # a RODE path draws the increments of its one driving W
-        dims = 1 if model.interpretation == "rode" else model.noise_dim
-        pieces = _noise_pieces([philox_keys(seed, DOMAIN_ENSEMBLE, ks)], n_steps, h, dims, width)
+    dims = {"ode": 0, "rode": 1}.get(model.interpretation, model.noise_dim)  # a RODE path: its W
+    pieces = _noise_pieces([philox_keys(seed, DOMAIN_ENSEMBLE, ks)], n_steps, h, dims, width)
     sub, w, k = len(states) - 1, np.zeros(len(ks)), 0
     for _, increments, piece_times in pieces:
         for c in range(0, len(increments), sub):

@@ -192,8 +192,9 @@ def _normal_rows(gens, out, sd):
     return out.  A stream is a Generator or the bare Philox of a persistent
     stream (_philox), drawn through a Generator made here.  Each C-contiguous
     row takes a standard normal draw in place and the stack is scaled once:
-    normal returns 0.0 + sd * z, and adding 0.0 changes no value but -0.0."""
-    for row, gen in zip(out, gens):  # rows first: a longer gens loses no stream
+    normal returns 0.0 + sd * z, and adding 0.0 changes no value but -0.0.
+    An empty stack takes no stream: a fresh one is not even re-keyed."""
+    for row, gen in zip(out, gens) if out.size else ():  # rows first: a longer gens loses none
         if isinstance(gen, np.random.BitGenerator):
             gen = np.random.Generator(gen)
         gen.standard_normal(out=row)
@@ -357,11 +358,12 @@ def _noise_pieces(keys, n: int, h0: float, dims: int, width: int | None = None):
     memory grows neither with the horizon nor with the finest level.  A
     block's pieces hold at most _BLOCK_VALUES values, unless one grid step
     needs more, in buffers made once: a streamed piece is valid until the
-    next is yielded, and a level's first piece is its longest.
+    next is yielded, and a level's first piece is its longest.  With dims 0
+    (an ODE path) the pieces, blocked as for dims 1, come empty, from no stream.
     """
     levels, p, h, whole = len(keys), len(keys[0]), h0, 0
-    width = width or p  # the ranges of one run then share their pieces' bounds
-    while whole < levels and (n << whole) * width * dims <= _BLOCK_VALUES:
+    row = (width or p) * max(dims, 1)  # values a time row: the ranges of a run share bounds
+    while whole < levels and (n << whole) * row <= _BLOCK_VALUES:
         whole += 1
     for level in range(whole):
         if level:
@@ -374,7 +376,7 @@ def _noise_pieces(keys, n: int, h0: float, dims: int, width: int | None = None):
         return
     # the grid the blocks tile, and the first streamed level's steps per grid step
     grid, ratio = (len(increments), 2) if whole else (n, 1)
-    block = max(1, _BLOCK_VALUES // (ratio * (2 ** (levels - whole) - 1) * width * dims))
+    block = max(1, _BLOCK_VALUES // (ratio * (2 ** (levels - whole) - 1) * row))
     streamed, top = [], h
     for level in range(whole, levels):
         if level:
@@ -382,7 +384,7 @@ def _noise_pieces(keys, n: int, h0: float, dims: int, width: int | None = None):
             h /= 2.0
         else:  # level 0 draws its block, each path's steps contiguous
             buf = np.empty((p, block, dims))
-        streamed.append((level, ratio, h, [_philox(key) for key in keys[level]], buf))
+        streamed.append((level, ratio, h, [_philox(key) for key in keys[level] if dims], buf))
         ratio *= 2
     del keys  # the streams hold all they need of it
     # up to the finest's parent, where a streamed level refines at all

@@ -1,10 +1,13 @@
-"""Shared fixtures: acceptance-result registry, CSV helpers and two CPUs."""
+"""Shared fixtures: acceptance-result registry, CSV helpers, two CPUs and a
+run that may draw no noise."""
 import io
 import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from stochlab import noise
 
 settings.register_profile(
     "suite",
@@ -58,3 +61,19 @@ def load_csv():
 def two_cpus(monkeypatch):
     """Two usable CPUs whatever the machine has, so --threads 2 forks one worker."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail, here or in a forked worker (which sends the parent its error),
+    any stream built or re-keyed and any normal value drawn."""
+    normal_rows = noise._normal_rows
+
+    def no_stream(key):
+        raise AssertionError("a Philox stream was built")
+
+    def empty_rows(gens, out, sd):
+        assert not out.size, f"{out.size} normal values were drawn"
+        return normal_rows(gens, out, sd)
+    monkeypatch.setattr(noise, "_philox", no_stream)
+    monkeypatch.setattr(noise, "_normal_rows", empty_rows)

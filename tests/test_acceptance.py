@@ -406,7 +406,9 @@ def test_outputs_match_the_committed_digests():
     assert lines == (ROOT / "tests" / "repro_digests.txt").read_text().splitlines()
 
 
-def test_outputs_reproduce_across_runs_and_threads(tmp_path, acceptance):
+def test_outputs_reproduce_across_runs_and_threads(tmp_path, acceptance, two_cpus):
+    """Two usable CPUs whatever the machine has, so --threads 4 steps the
+    ensembles in two processes."""
     compared = 0
     mismatches = []
     for i, (task, cfg) in enumerate(_REPRO_RUNS):

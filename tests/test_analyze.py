@@ -1,6 +1,7 @@
 """Persistence checker, order-estimation, and stability analysis tests."""
 import dataclasses
 import functools
+import hashlib
 import inspect
 import math
 import tracemalloc
@@ -471,6 +472,34 @@ def test_streamed_studies_equal_their_whole_level_figures(monkeypatch, name, blo
     assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
+def test_an_ode_study_draws_nothing(monkeypatch, no_draws):
+    """An ll/rk4 study, levels 2 to 4 streamed in blocks of one level-1
+    step, builds no stream and draws no normal value: its noise schedule
+    has the pieces of one Brownian dimension, empty.  Its errors are those recorded
+    while it drew that dimension, which rk4 never read."""
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", 80)
+    est = empirical_convergence_order(build_model("ll"), [0.6, 0.0, 0.8], "rk4",
+                                      "finest_refinement", levels=3, n_paths=5, seed=9,
+                                      T=1.0, h0=1 / 8, oracle_gap=2)
+    assert hashlib.sha256(est.errors.tobytes()).hexdigest() == \
+        "d0d7fcd7c23afb1ab463d4e3aeb236a528260d72fc06060f1b53a9bccbf9dd7d"
+
+
+@pytest.mark.parametrize("block", _BLOCKS, ids=list(_BLOCKS))
+def test_a_schedule_of_no_dimension_has_the_pieces_of_one(monkeypatch, request, block):
+    """With 0 noise dimensions the schedule blocks its levels as for 1 (see
+    _BLOCKS) and yields the same levels and times with empty increments,
+    drawing nothing."""
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", _BLOCKS[block][0])
+    seeds = derive_seed(4, DOMAIN_ENSEMBLE, np.arange(5))
+    one = [(level, increments.shape[:-1] + (0,), times.tobytes())
+           for level, increments, times in _coupled_paths(seeds, 1.0, 2.0**-3, 1, 4)]
+    request.getfixturevalue("no_draws")
+    empty = [(level, increments.shape, times.tobytes())
+             for level, increments, times in _coupled_paths(seeds, 1.0, 2.0**-3, 0, 4)]
+    assert empty == one
+
+
 def test_a_streamed_level_aborts_at_its_own_step(monkeypatch):
     """An abort in a streamed level names the step on that level's grid,
     not in its block, as the same level stepped whole does."""
@@ -530,13 +559,14 @@ def test_a_symplecticity_grid_that_numpy_cannot_size_is_rejected_before_any_step
 
 
 @functools.lru_cache(maxsize=None)
-def _convergence_study_peak(T):
-    """tracemalloc peak of the Kubo/Heun study at 1000 paths, 5 levels and an
-    oracle 3 halvings finer, from h0 = 1/16, over [0, T]."""
-    model = build_model("kubo", a=1.0, sigma=0.5)
+def _convergence_study_peak(T, name="kubo"):
+    """tracemalloc peak of the Kubo/Heun (or ll/rk4) study at 1000 paths, 5
+    levels and an oracle 3 halvings finer, from h0 = 1/16, over [0, T]."""
+    model, x0, scheme = {"kubo": (build_model("kubo", a=1.0, sigma=0.5), [1.0, 0.0], "heun"),
+                         "ll": (build_model("ll"), [0.6, 0.0, 0.8], "rk4")}[name]
     tracemalloc.start()
     try:
-        est = empirical_convergence_order(model, [1.0, 0.0], "heun", "finest_refinement",
+        est = empirical_convergence_order(model, x0, scheme, "finest_refinement",
                                           levels=5, n_paths=1000, seed=0, h0=2.0**-4,
                                           oracle_gap=3, T=T)
         _, peak = tracemalloc.get_traced_memory()
@@ -562,11 +592,14 @@ def test_convergence_study_memory_holds_two_levels():
     assert _convergence_study_peak(1.0) < 16 * 2**20
 
 
-def test_convergence_study_memory_does_not_grow_with_the_horizon():
+@pytest.mark.parametrize("name", ["kubo", "ll"])
+def test_convergence_study_memory_does_not_grow_with_the_horizon(name):
     """The same study over [0, 4], 8192 finest steps: levels 4 to 7 stream,
     in blocks of the 512 steps of level 3, so its peak, 12.8 MiB, is within
-    3 MiB of the study over [0, 1] (whole levels peaked at 96.5 MiB)."""
-    assert abs(_convergence_study_peak(4.0) - _convergence_study_peak(1.0)) < 3 * 2**20
+    3 MiB of the study over [0, 1] (whole levels peaked at 96.5 MiB).  The
+    ll/rk4 study steps the same blocks of no noise, at 0.5 MiB on either
+    horizon (10.6-11.3 MiB while it drew a dimension that rk4 never read)."""
+    assert abs(_convergence_study_peak(4.0, name) - _convergence_study_peak(1.0, name)) < 3 * 2**20
 
 
 def test_a_study_whose_finest_stack_cannot_be_indexed_is_rejected():

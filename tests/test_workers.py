@@ -1,14 +1,20 @@
 """Ensembles stepped in forked workers, a contiguous range of paths each:
-how many processes start, and that aborts, exceptions and warnings are
-those of one process, with no worker left behind.  Byte equality of the
+how many processes start, and that aborts, exceptions, warnings and prints
+are those of one process, with no worker left behind.  Byte equality of the
 CSVs across --threads is tested with the CLI (test_cli, acceptance 12)."""
+import hashlib
 import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from stochlab import noise
 from stochlab.cli import main
 from stochlab.integrate import IntegrationError, ModelSpec, run_ensemble
 from stochlab.models import build_model
@@ -139,6 +145,38 @@ def _divides_where_large(t, xs, ws):
     return [0.0 * (1.0 / (1.0 / z)) - x for x, z in zip(xs, zero)], _noise_action(t, xs, ws)
 
 
+class Odd(Exception):
+    """An exception whose __init__ takes other arguments than its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"odd {a} {b}")
+
+
+class OddWarning(UserWarning):
+    def __init__(self, a, b):
+        super().__init__(f"odd {a} {b}")
+
+
+def _raise_odd():
+    raise Odd(1, 2)
+
+
+def _local():
+    return lambda: None
+
+
+_LOCAL = _local()  # pickle cannot find it by name
+
+
+def _where_large(act):
+    """A decaying kernel that calls act() where a state component exceeds 5."""
+    def kernel(t, xs, ws):
+        if any(np.any(abs(x) > 5.0) for x in xs):
+            act()
+        return [-x for x in xs], _noise_action(t, xs, ws)
+    return kernel
+
+
 def _large_last(k, rng):
     """Paths 2 and 3 of 4, the worker's, start above 5."""
     return np.array([1.0, 10.0 if k >= 2 else 1.0])
@@ -149,7 +187,9 @@ def _large_last(k, rng):
     (_complex_when_large, TypeError, "a real x0 takes complex states; start from a complex x0"),
     # pytest's own filters make a warning an error, here in the worker
     (_divides_where_large, RuntimeWarning, "divide by zero encountered in divide"),
-], ids=["raises", "complex", "warning_as_error"])
+    # pickle rebuilds it by calling Odd("odd 1 2"), which takes two arguments
+    (_where_large(_raise_odd), Odd, "odd 1 2"),
+], ids=["raises", "complex", "warning_as_error", "init_takes_other_arguments"])
 def test_an_exception_in_the_last_range_reaches_the_parent(two_cpus, forks, kernel, error,
                                                           message):
     model = ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=kernel)
@@ -162,12 +202,21 @@ def test_an_exception_in_the_last_range_reaches_the_parent(two_cpus, forks, kern
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("start", [lambda k, rng: np.array([10.0, 10.0]), _large_last],
-                         ids=["both_ranges", "last_range"])
-def test_warnings_read_as_in_one_process(two_cpus, forks, start):
-    """Under Python's default filters the division warns once, whether both
-    ranges divide by zero or only the worker's."""
-    model = ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_divides_where_large)
+@pytest.mark.parametrize("kernel,start,expected", [
+    (_divides_where_large, lambda k, rng: np.array([10.0, 10.0]),
+     (RuntimeWarning, "divide by zero encountered in divide")),
+    (_divides_where_large, _large_last, (RuntimeWarning, "divide by zero encountered in divide")),
+    (_where_large(lambda: warnings.warn(OddWarning(1, 2))), _large_last,
+     (OddWarning, "odd 1 2")),
+    (_where_large(lambda: warnings.warn(UserWarning(_LOCAL))), _large_last,
+     (UserWarning, str(_LOCAL))),
+], ids=["both_ranges", "last_range", "init_takes_other_arguments", "args_do_not_pickle"])
+def test_warnings_read_as_in_one_process(two_cpus, forks, kernel, start, expected):
+    """Under Python's default filters each warning shows once, whether both
+    ranges warn or only the worker's, and whether it pickles as it is, by
+    value (its __init__ takes other arguments) or only as its text (its
+    args hold a local object)."""
+    model = ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=kernel)
     shown = []
     for threads in (1, 2):
         with warnings.catch_warnings(record=True) as caught, np.errstate(divide="warn"):
@@ -176,7 +225,55 @@ def test_warnings_read_as_in_one_process(two_cpus, forks, start):
                          threads=threads)
         shown.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
     assert shown[0] == shown[1]
-    assert [(c, m) for c, m, _, _ in shown[0]] == [
-        (RuntimeWarning, "divide by zero encountered in divide")]
+    assert [(c, m) for c, m, _, _ in shown[0]] == [expected]
     assert len(forks) == 1
+    _no_children()
+
+
+_PRINTS = textwrap.dedent("""
+    import os, sys
+    import numpy as np
+    from stochlab.integrate import ModelSpec, run_ensemble
+
+    os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs: 2 threads fork once
+
+
+    def kernel(t, xs, ws):
+        if t == 0.0 and np.any(abs(xs[1]) > 5.0):
+            print("a large start")
+        return [-x for x in xs], [0.3 * x * ws[0] for x in xs]
+
+
+    print("before")
+    run_ensemble(ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=kernel),
+                 lambda k, rng: np.array([1.0, 10.0 if k >= 2 else 1.0]),
+                 "euler_maruyama", 4, 7, (), T=0.1, h=0.01, threads=int(sys.argv[1]))
+    print("after")
+""")
+
+
+def test_a_worker_prints_as_one_process_does():
+    """With stdout a pipe and no PYTHONUNBUFFERED, the worker's print, made
+    only in its range, reaches stdout, and what the parent printed before
+    the fork is written once."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + env.get("PYTHONPATH", "").split(os.pathsep))
+    outs = [subprocess.run([sys.executable, "-c", _PRINTS, threads], env=env, capture_output=True,
+                           text=True, check=True).stdout for threads in ("1", "2")]
+    assert outs == ["before\na large start\nafter\n"] * 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_ode_ensemble_draws_nothing(monkeypatch, two_cpus, forks, no_draws, threads):
+    """An ll/rk4 ensemble, its one level in blocks of 8 steps, builds no
+    stream and draws no normal value, here or in the worker, and steps the
+    states recorded when ODE ensembles skipped the noise schedule."""
+    monkeypatch.setattr(noise, "_BLOCK_VALUES", 8 * 6)
+    _, states = run_ensemble(build_model("ll"), [0.6, 0.0, 0.8], "rk4", 6, 4,
+                             [norm_squared_field()], T=0.5, h=0.01, return_states=True,
+                             threads=threads)
+    assert hashlib.sha256(states.tobytes()).hexdigest() == \
+        "abb2e3060a3dea63556f347b339f6b41cef7870c845720c71852d0ffe296a8e8"
+    assert len(forks) == threads - 1
     _no_children()
