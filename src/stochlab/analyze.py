@@ -22,24 +22,13 @@ from .integrate import (
     _check_scheme,
     _check_start,
     _check_state,
+    _coupled_terminals,
     _scheme_states,
-    _step_piece,
     apply_generator,
     default_scheme,
     run_ensemble,
 )
-from .noise import (
-    DOMAIN_BASE,
-    DOMAIN_ENSEMBLE,
-    DOMAIN_REFINE,
-    NoisePath,
-    ParameterProcess,
-    _grid_steps,
-    _noise_pieces,
-    derive_seed,
-    philox_keys,
-    stream,
-)
+from .noise import DOMAIN_ENSEMBLE, NoisePath, ParameterProcess, _grid_steps, stream
 from .vecalg import (
     DoubleBracketStructure,
     PoissonStructure,
@@ -349,15 +338,6 @@ def _fit_order(hs, errors) -> tuple[float, float]:
     return float(coef[0]), float(1.96 * math.sqrt(max(cov[0][0], 0.0)))
 
 
-def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
-    """The noise pieces (_noise_pieces) of levels dyadic refinements of the
-    coupled paths of seeds: path p of level j is sample_brownian(seeds[p], T,
-    h0, dims) refined j times, bit for bit."""
-    keys = [philox_keys(seeds, DOMAIN_BASE, 0)]
-    keys += [philox_keys(seeds, DOMAIN_REFINE, level) for level in range(1, levels)]
-    return _noise_pieces(keys, _grid_steps(T, h0), h0, dims)
-
-
 def _check_study(model, scheme, levels, n_paths, T, h0, extra=0, min_levels=3):
     """Raise ValueError unless a refinement study of levels >= min_levels
     levels can run n_paths paths of scheme on model, coarsest step h0
@@ -386,31 +366,6 @@ def _check_convergence(model, scheme, oracle, levels, n_paths, T, h0, closed_for
         raise ValueError(f"the closed_form oracle needs a closed form; none for {model.name!r}")
     if oracle_gap < 1:
         raise ValueError(f"oracle_gap must be >= 1, got {oracle_gap}")
-
-
-def _coupled_terminals(runs, x0, seed, n_paths, T, h0, levels, w_level=None):
-    """Terminal states (P, n) of each (level, model, scheme) of runs, in
-    order, stepped from x0 piece by piece on the coupled paths of the
-    n_paths seeds derived from seed (_coupled_paths), as wide as a path of
-    the first model draws (none for an ODE): a run carries its states, step
-    count and RODE W from one piece of its level to the next.  Also returns
-    the last grid time t of level w_level and W there (P, l), each path's
-    increments of that level summed in order.  Raises ValueError, before
-    any draw, unless x0 holds the models' n finite components."""
-    x0, model = _check_start(runs[0][1], x0), runs[0][1]
-    dims = {"ode": 0, "rode": 1}.get(model.interpretation, model.noise_dim)  # a RODE path: its W
-    carried = [(np.broadcast_to(x0, (n_paths,) + x0.shape), np.zeros(n_paths), 0)] * len(runs)
-    t, w = None, np.zeros((n_paths, dims))
-    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
-    for level, increments, times in _coupled_paths(seeds, T, h0, dims, levels):
-        for i, (run_level, model, scheme) in enumerate(runs):
-            if run_level == level:
-                carried[i] = _step_piece(model, scheme, *carried[i], increments, times)
-        if level == w_level:
-            t = times[-1]
-            for row in increments:
-                w += row
-    return [x for x, _, _ in carried], t, w
 
 
 def empirical_convergence_order(
@@ -492,13 +447,14 @@ def one_step_generator_check(
 
     One Euler-Maruyama step from a fixed state; the standard error of the
     rate and the exact generator value let callers form the 4 s.e. + O(h)
-    acceptance band.  Raises ValueError unless the model is Ito, h > 0 and
-    n_samples >= 2 (the standard error needs two).
+    acceptance band.  Raises ValueError unless the model is Ito, h > 0,
+    n_samples >= 2 (the standard error needs two) and x holds the model's n
+    finite components, before any draw.
     """
     _check_scheme(model, "euler_maruyama")
     if not (h > 0 and n_samples >= 2):
         raise ValueError(f"need h > 0 and n_samples >= 2, got h={h}, n_samples={n_samples}")
-    x = np.asarray(x, dtype=float)
+    x = _check_start(model, x)
     rng = stream(seed, DOMAIN_ENSEMBLE, 0)
     dw = rng.normal(0.0, math.sqrt(h), size=(1, n_samples, model.noise_dim))
     x1 = _scheme_states(model, "euler_maruyama", np.broadcast_to(x, (n_samples,) + x.shape),

@@ -544,6 +544,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
+    except ChildProcessError as exc:
+        print(f"worker failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ elementwise, so a path stepped alone equals it inside a batch, bit for bit.
 """
 from __future__ import annotations
 
+import errno
 import io
 import math
 import mmap
@@ -31,13 +32,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .noise import (
+    DOMAIN_BASE,
     DOMAIN_ENSEMBLE,
+    DOMAIN_REFINE,
     DOMAIN_SAMPLER,
     NoisePath,
     ParameterProcess,
     _fresh_streams,
     _grid_steps,
     _noise_pieces,
+    derive_seed,
     philox_keys,
 )
 from .vecalg import ScalarField, _Derived, derivative
@@ -57,11 +61,10 @@ SCHEMES = {
 class IntegrationError(RuntimeError):
     """Non-finite state encountered; carries the step index and partial data."""
 
-    def __init__(self, message, step=None, time=None, times=None, states=None, path_index=None):
+    def __init__(self, message, step=None, time=None, states=None, path_index=None):
         super().__init__(message)
         self.step = step
         self.time = time
-        self.times = times
         self.states = states
         self.path_index = path_index
 
@@ -138,15 +141,14 @@ def _kernel_sigma(model):
     return _Derived(lambda t, x: np.stack([column(t, x) for column in columns], axis=-1))
 
 
-def validate_model(model: ModelSpec, x=None, t: float = 0.0, eta=None) -> None:
-    """Probe the kernel at one point; raise ValueError unless it returns the
-    model's n drift components (and n noise components for ito/stratonovich)."""
+def validate_model(model: ModelSpec, x=None) -> None:
+    """Probe the kernel at x (ones by default), t = 0 and every noise or eta
+    component 1; raise ValueError unless it returns the model's n drift
+    components (and n noise components for ito/stratonovich)."""
     x = np.ones(model.n) if x is None else np.asarray(x, dtype=float)
     _check_state(model, x, "x")
-    ws = [1.0] * model.noise_dim
-    if model.interpretation == "rode":
-        ws = [1.0] * max(model.eta_dim, 1) if eta is None else np.atleast_1d(eta).tolist()
-    f, g = model.kernel(t, [x[..., i] for i in range(model.n)], ws)
+    ws = [1.0] * (max(model.eta_dim, 1) if model.interpretation == "rode" else model.noise_dim)
+    f, g = model.kernel(0.0, [x[..., i] for i in range(model.n)], ws)
     if len(f) != model.n or (model.diffusion is not None and len(g) != model.n):
         raise ValueError(f"kernel returned {len(f)} drift and {len(g)} noise "
                          f"components, expected {model.n}")
@@ -175,7 +177,7 @@ class EnsembleStats:
     n_paths: int
 
 
-def _check_finite(x, k, t, times, states, last):
+def _check_finite(x, k, t, states, last):
     """Raise IntegrationError unless x, the state after step k, is finite;
     last is the state before that step.  The message names the failing
     path's last state, and its index on the first batch axis."""
@@ -186,7 +188,7 @@ def _check_finite(x, k, t, times, states, last):
     raise IntegrationError(
         f"non-finite state at step {k} (t={t:g}), "
         + ("" if bad is None else f"path index {bad}, ") + _last_finite(last[where]),
-        step=k, time=t, times=times, states=states, path_index=bad,
+        step=k, time=t, states=states, path_index=bad,
     )
 
 
@@ -321,13 +323,11 @@ def apply_generator(model: ModelSpec, V: ScalarField, t: float, x) -> float:
 def integrate_path(model: ModelSpec, x0, scheme: str, path: NoisePath | None = None,
                    grid=None, eta: ParameterProcess | None = None) -> Trajectory:
     """Integrate one path under the named scheme: on a noise path for
-    euler_maruyama and heun, on a grid (or a path's times) for rk4, and on a
-    parameter process eta for the RODE schemes.  x0 must be finite.  A
-    keyword the scheme does not read, such as path= beside grid= for rk4,
-    raises ValueError."""
+    euler_maruyama and heun, on a time grid for rk4, and on a parameter
+    process eta for the RODE schemes.  x0 must be finite.  A keyword the
+    scheme does not read, such as path= for rk4, raises ValueError."""
     _check_scheme(model, scheme)
-    interp = model.interpretation
-    reads = "eta" if interp == "rode" else "grid" if interp == "ode" and grid is not None else "path"
+    reads = {"ode": "grid", "rode": "eta"}.get(model.interpretation, "path")
     for key, value in (("path", path), ("grid", grid), ("eta", eta)):
         if value is not None and key != reads:
             raise ValueError(f"scheme {scheme!r} reads {reads}=, not {key}=")
@@ -337,9 +337,9 @@ def integrate_path(model: ModelSpec, x0, scheme: str, path: NoisePath | None = N
         _check_path(model, path)
         times, noise = path.times, path.increments
     elif model.interpretation == "ode":
-        if grid is None and path is None:
-            raise ValueError("scheme 'rk4' needs a time grid or a path")
-        times = np.asarray(grid if grid is not None else path.times, dtype=float)
+        if grid is None:
+            raise ValueError("scheme 'rk4' needs a time grid")
+        times = np.asarray(grid, dtype=float)
         noise = np.empty((len(times) - 1, 0))
     else:
         if eta is None:
@@ -586,7 +586,7 @@ def _scheme_states(model, scheme, x0, times, noise, record=True, out=None, first
         last, row = row, states[(k + 1) % R]
         for i, c in enumerate(xs):
             row[..., i] = c
-        _check_finite(row, first + k, t, times, states[: k + 2] if record else None, last)
+        _check_finite(row, first + k, t, states[: k + 2] if record else None, last)
     return states if record else states[end]
 
 
@@ -632,7 +632,9 @@ def run_ensemble(
     IntegrationError for the earliest failing step, lowest path index at
     that step, carrying that path's states up to the failure and naming its
     last finite state: the path steps again alone for them, bit for bit, as
-    its noise and start depend on (seed, path index) only.
+    its noise and start depend on (seed, path index) only.  MemoryError
+    names a state buffer that cannot be mapped, and ChildProcessError the
+    paths and the signal or exit status of a worker that ended early.
     """
     n_steps = _check_ensemble(model, scheme, n_paths, T, h, threads)
     times = np.arange(n_steps + 1) * h
@@ -665,7 +667,7 @@ def run_ensemble(
         raise IntegrationError(
             f"ensemble path aborted: non-finite state at step {step} "
             f"(t={times[step]:g}), path index {p}, {_last_finite(trace[-2])}",
-            step=step, time=times[step], times=times, states=trace[:, 0], path_index=p,
+            step=step, time=times[step], states=trace[:, 0], path_index=p,
         )
 
     stats = EnsembleStats(times=times, functional_names=tuple(f.name for f in functionals),
@@ -683,7 +685,14 @@ def _run_ranges(model, x0, scheme, seed, times, ks, threads, observers):
     wide.  Returns the earliest step's abort, lowest index first, or None."""
     n_steps, width, n = len(times) - 1, len(ks), model.n
     rows = min(max(1, _STEP_VALUES // (width * n)), n_steps) + 1
-    shared = np.frombuffer(mmap.mmap(-1, rows * width * n * 8)).reshape(rows, width, n)
+    size = rows * width * n * 8
+    try:
+        buffer = mmap.mmap(-1, size)
+    except OSError as exc:  # as numpy reports a failed allocation
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"Unable to map {size} bytes for the states of {width} paths") from None
+    shared = np.frombuffer(buffer).reshape(rows, width, n)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     r = min(threads, width, cpus or 1) if hasattr(os, "fork") else 1
     cut, workers = [width * i // r for i in range(r + 1)], []
@@ -696,28 +705,34 @@ def _run_ranges(model, x0, scheme, seed, times, ks, threads, observers):
         for a, b in zip(cut[1:], cut[2:]):
             (up, post), (go, wake) = os.pipe(), os.pipe()
             chunk = _run_chunk(model, x0, scheme, seed, times, ks[a:b], shared[:, a:b], width)
-            if not (pid := os.fork()):
-                _work(chunk, post, go, wake)
-            os.close(post)
-            os.close(go)
-            workers.append((pid, os.fdopen(up, "rb"), wake))
+            workers.append(worker := [None, os.fdopen(up, "rb"), wake, ks[a:b]])
+            try:
+                worker[0] = os.fork()
+                if not worker[0]:
+                    _work(chunk, post, go, wake)
+            finally:  # the worker sends its pid first: a fork that raises here loses it
+                os.close(post)
+                os.close(go)
+                with suppress(EOFError):  # no worker started, or it ended at once
+                    [worker[0]] = pickle.load(worker[1])
         for k, block, abort in _run_chunk(model, x0, scheme, seed, times, ks[:cut[1]],
                                           shared[:, :cut[1]], width):
-            sent = [_receive(up) for _, up, _ in workers]
+            sent = [_receive(worker) for worker in workers]
             m = min([len(block)] + [m for m, _ in sent])
             abort = min([a for a in [abort] + [a for _, a in sent] if a], default=None)
             for observe in observers:  # a sub-block's rows start at row 1
                 observe(k, shared[min(k, 1):min(k, 1) + m])
             if abort:
                 return abort
-            for _, _, wake in workers:
+            for _, _, wake, _ in workers:
                 os.write(wake, b"\0")
     finally:  # a worker ends at the end of file of its go pipe
-        for _, up, wake in workers:
+        for _, up, wake, _ in workers:
             up.close()
             os.close(wake)
-        for pid, _, _ in workers:
-            os.waitpid(pid, 0)
+        for pid, *_ in workers:
+            if pid:  # not reaped by _receive
+                os.waitpid(pid, 0)
 
 
 def _work(chunk, post, go, wake):
@@ -744,6 +759,7 @@ def _work(chunk, post, go, wake):
     try:
         os.close(wake)
         post = os.fdopen(post, "wb")
+        send(os.getpid())
         warnings.showwarning = show
         for _, block, abort in chunk:
             send("rows", len(block), abort)
@@ -789,11 +805,19 @@ def _rebuilt(cls, args, state):
     return exc
 
 
-def _receive(up):
+def _receive(worker):
     """A worker's next (rows, abort), after issuing each warning it showed
-    against the registry of the module that warned; raises what it raised."""
+    against the registry of the module that warned; raises what it raised,
+    and, once it is reaped, ChildProcessError where it ended early."""
+    pid, up, _, paths = worker
     while True:
-        kind, *body = pickle.load(up)
+        try:
+            kind, *body = pickle.load(up)
+        except (EOFError, pickle.UnpicklingError):  # cut off, or mid-message
+            code, worker[0] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), None
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(
+                f"the worker stepping paths {paths[0]} to {paths[-1]} {how}") from None
         if kind == "rows":
             return body
         if kind == "raise":
@@ -825,8 +849,8 @@ def _run_chunk(model, x0, scheme, seed, times, ks, states, width):
         raise ValueError(f"start of path index {ks[bad[0]]} is not finite: {x[bad[0]].tolist()}")
     states[0] = x
     yield 0, states[:1], None
-    dims = {"ode": 0, "rode": 1}.get(model.interpretation, model.noise_dim)  # a RODE path: its W
-    pieces = _noise_pieces([philox_keys(seed, DOMAIN_ENSEMBLE, ks)], n_steps, h, dims, width)
+    pieces = _noise_pieces([philox_keys(seed, DOMAIN_ENSEMBLE, ks)], n_steps, h,
+                           _draw_width(model), width)
     sub, w, k = len(states) - 1, np.zeros(len(ks)), 0
     for _, increments, piece_times in pieces:
         for c in range(0, len(increments), sub):
@@ -840,6 +864,43 @@ def _run_chunk(model, x0, scheme, seed, times, ks, states, width):
                 yield start + 1, err.states[1:], (err.step, ks[err.path_index])
                 return
             yield start + 1, out[1:], None
+
+
+def _coupled_terminals(runs, x0, seed, n_paths, T, h0, levels, w_level=None):
+    """Terminal states (P, n) of each (level, model, scheme) of runs, in
+    order, stepped from x0 piece by piece on the coupled paths of the
+    n_paths seeds derived from seed (_coupled_paths), as wide as a path of
+    the first model draws: a run carries its states, step count and RODE W
+    from one piece of its level to the next.  Also returns the last grid
+    time t of level w_level and W there (P, l), each path's increments of
+    that level summed in order.  Raises ValueError, before any draw, unless
+    x0 holds the models' n finite components."""
+    x0, dims = _check_start(runs[0][1], x0), _draw_width(runs[0][1])
+    carried = [(np.broadcast_to(x0, (n_paths,) + x0.shape), np.zeros(n_paths), 0)] * len(runs)
+    t, w = None, np.zeros((n_paths, dims))
+    seeds = derive_seed(seed, DOMAIN_ENSEMBLE, np.arange(n_paths))
+    for level, increments, times in _coupled_paths(seeds, T, h0, dims, levels):
+        for i, (run_level, model, scheme) in enumerate(runs):
+            if run_level == level:
+                carried[i] = _step_piece(model, scheme, *carried[i], increments, times)
+        if level == w_level:
+            t = times[-1]
+            for row in increments:
+                w += row
+    return [x for x, _, _ in carried], t, w
+
+
+def _coupled_paths(seeds, T: float, h0: float, dims: int, levels: int):
+    """The noise pieces (_noise_pieces) of levels dyadic refinements of the
+    coupled paths of seeds: path p of level j is sample_brownian(seeds[p], T,
+    h0, dims) refined j times, bit for bit."""
+    keys = [philox_keys(seeds, DOMAIN_BASE, 0)]
+    keys += [philox_keys(seeds, DOMAIN_REFINE, level) for level in range(1, levels)]
+    return _noise_pieces(keys, _grid_steps(T, h0), h0, dims)
+
+
+def _draw_width(model):  # Brownian dimensions a path draws: for a RODE model, its driving W
+    return {"ode": 0, "rode": 1}.get(model.interpretation, model.noise_dim)
 
 
 def _step_piece(model, scheme, x, w, k, increments, times, out=None):

@@ -16,7 +16,6 @@ from stochlab.analyze import (
     check_invariance,
     check_symplecticity,
     conversion_gap_decay,
-    derive_seed,
     empirical_convergence_order,
     equilibrium_attraction,
     fibonacci_sphere,
@@ -29,13 +28,13 @@ from stochlab.analyze import (
     stability_probability,
     uniform_sphere_sampler,
 )
-from stochlab.analyze import (_check_convergence, _coupled_paths, _fit_order,
-                              _stability_estimator, _start_key)
+from stochlab.analyze import _check_convergence, _fit_order, _stability_estimator, _start_key
 from stochlab.cli import main
 from stochlab.integrate import (
     IntegrationError,
     ModelSpec,
     Trajectory,
+    _coupled_paths,
     _eta_block,
     _scheme_states,
     apply_generator,
@@ -48,6 +47,7 @@ from stochlab.noise import (
     DOMAIN_ENSEMBLE,
     DOMAIN_REFINE,
     DOMAIN_SAMPLER,
+    derive_seed,
     iterated_log,
     sample_brownian,
     stream,
@@ -509,7 +509,7 @@ def test_a_streamed_level_aborts_at_its_own_step(monkeypatch):
     def abort():
         with pytest.raises(IntegrationError) as info, \
                 np.errstate(over="ignore", invalid="ignore"):
-            analyze._coupled_terminals(runs, np.array([1.0]), 1, 4, 100.0, 1.0, 3)
+            integrate._coupled_terminals(runs, np.array([1.0]), 1, 4, 100.0, 1.0, 3)
         return info.value
 
     whole = abort()
@@ -530,6 +530,8 @@ _STUDY_CALLS = {
         KUBO_HALF, strat_to_ito(KUBO_HALF), x0, 3, 4, 1),
     "check_symplecticity": lambda x0: check_symplecticity(
         KUBO_HALF, "heun", x0, 0.1, 1.0, sample_brownian(1, 1.0, 0.1)),
+    "one_step_generator_check": lambda x0: one_step_generator_check(
+        strat_to_ito(KUBO_HALF), norm_squared_field(), x0, 0.01, 100, 1),
 }
 
 
@@ -541,8 +543,8 @@ def test_a_non_finite_start_is_rejected_before_any_draw_or_step(monkeypatch, cal
     def never(*args, **kwargs):
         raise AssertionError("a path was drawn or stepped")
 
-    for module, name in ((analyze, "_coupled_paths"), (analyze, "_scheme_states"),
-                         (integrate, "_scheme_states")):
+    for module, name in ((integrate, "_coupled_paths"), (analyze, "_scheme_states"),
+                         (integrate, "_scheme_states"), (analyze, "stream")):
         monkeypatch.setattr(module, name, never)
     with pytest.raises(ValueError, match=r"x0 must be finite, got \[(nan|inf), 0\.0\]"):
         _STUDY_CALLS[call](x0)
@@ -737,7 +739,7 @@ def test_conversion_gap_decay_needs_two_levels_and_an_indexable_stack(monkeypatc
     def no_draws(*args):
         raise AssertionError("paths drawn for a study that should be rejected")
 
-    monkeypatch.setattr(analyze, "_coupled_paths", no_draws)
+    monkeypatch.setattr(integrate, "_coupled_paths", no_draws)
     for levels in (60, 10**30):
         with pytest.raises(ValueError, match="more values than an array can index"):
             conversion_gap_decay(strat, ito, levels=levels, **kwargs)

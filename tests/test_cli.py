@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import stochlab
-from stochlab import analyze, cli
+from stochlab import analyze, cli, integrate
 from stochlab.analyze import empirical_convergence_order, stability_probability
 from stochlab.cli import main
 from stochlab.integrate import IntegrationError, run_ensemble
@@ -871,7 +871,7 @@ def test_a_study_beyond_array_indexing_exits_2_before_any_refinement(tmp_path, c
     def no_study(*args):
         raise AssertionError("a study ran")
 
-    monkeypatch.setattr(analyze, "_coupled_paths", no_study)
+    monkeypatch.setattr(integrate, "_coupled_paths", no_study)
     cfg = base_cfg(analyses=[{"kind": "convergence", "oracle": "finest_refinement",
                               "n_paths": 8, **opts}])
     out = tmp_path / "out"

@@ -331,6 +331,8 @@ def test_integrate_path_dispatch_and_defaults():
         integrate_path(ito, [1.0], "heun", path=path)
     with pytest.raises(ValueError):
         integrate_path(ode, [0.0, 0.6, 0.8], "rk4")  # no grid given
+    with pytest.raises(ValueError, match="scheme 'rk4' reads grid=, not path="):
+        integrate_path(ode, [0.0, 0.6, 0.8], "rk4", path=path)  # nor the times of a path
 
 
 # entry point -> the model it is called on

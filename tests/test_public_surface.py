@@ -126,6 +126,21 @@ def test_the_noise_schedule_is_named_in_noise_only():
     assert {name: found for name, found in leaks.items() if found} == {}
 
 
+# what keys a run's streams, lays out its noise pieces and steps them
+STEPPING = {"_noise_pieces", "_step_piece", "_coupled_paths", "philox_keys", "derive_seed",
+            "DOMAIN_BASE", "DOMAIN_REFINE", "DOMAIN_SAMPLER"}
+
+
+def test_runs_are_keyed_and_stepped_in_noise_and_integrate_only():
+    """Ensembles and refinement studies are keyed, laid out and stepped in
+    integrate, on the schedule of noise; the analyses read terminal states
+    or observed blocks, and __init__ only re-exports the two key derivations."""
+    leaks = {f.name: sorted(STEPPING & set(_names(ast.parse(f.read_text()))))
+             for f in sorted(PACKAGE.glob("*.py")) if f.name not in ("noise.py", "integrate.py")}
+    assert {name: found for name, found in leaks.items() if found} == {
+        "__init__.py": ["derive_seed", "philox_keys"]}
+
+
 def _readers(names):
     """(module, top-level definition, name) for each read of one of names in
     the package, as a Name or as an Attribute."""

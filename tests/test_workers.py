@@ -1,9 +1,12 @@
 """Ensembles stepped in forked workers, a contiguous range of paths each:
-how many processes start, and that aborts, exceptions, warnings and prints
-are those of one process, with no worker left behind.  Byte equality of the
+how many processes start, and that aborts, exceptions, warnings, prints and
+failures to map, fork or finish are those of one process, with no worker
+left behind.  Byte equality of the
 CSVs across --threads is tested with the CLI (test_cli, acceptance 12)."""
+import errno
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from stochlab import noise
+from stochlab import integrate, noise
 from stochlab.cli import main
 from stochlab.integrate import IntegrationError, ModelSpec, run_ensemble
 from stochlab.models import build_model
@@ -276,4 +279,79 @@ def test_an_ode_ensemble_draws_nothing(monkeypatch, two_cpus, forks, no_draws, t
     assert hashlib.sha256(states.tobytes()).hexdigest() == \
         "abb2e3060a3dea63556f347b339f6b41cef7870c845720c71852d0ffe296a8e8"
     assert len(forks) == threads - 1
+    _no_children()
+
+
+def test_a_state_buffer_that_cannot_be_mapped_exits_1_with_one_line(tmp_path, capsys,
+                                                                    monkeypatch):
+    """An mmap that fails with ENOMEM raises MemoryError naming its size, as
+    numpy's own allocations do, so the CLI prints one line and writes no CSV."""
+    def enomem(fileno, length):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+    monkeypatch.setattr(integrate.mmap, "mmap", enomem)
+    cfg = _write(tmp_path, seed=5, T=0.01, h=1e-3, n_paths=1.0e12, x0=[1.0, 0.0, 0.0],
+                 scheme="euler_maruyama", functionals=["norm2"],
+                 model={"name": "ell", "params": {"interpretation": "ito"}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "out of memory: Unable to map 48000000000000 bytes for the states of "
+        "1000000000000 paths"]
+    assert list(out.iterdir()) == []
+
+
+def _dies_in_worker(parent):
+    """A decaying kernel that kills its process where that is not parent;
+    np.isfinite stops the fusing trace, so the test runs at every step."""
+    def kernel(t, xs, ws):
+        np.isfinite(xs[0])
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [-x for x in xs], _noise_action(t, xs, ws)
+    return kernel
+
+
+def test_a_worker_killed_by_a_signal_is_named_by_its_paths_and_signal(two_cpus, forks):
+    model = ModelSpec(n=2, noise_dim=1, interpretation="ito", kernel=_dies_in_worker(os.getpid()))
+    with pytest.raises(ChildProcessError) as info:
+        run_ensemble(model, [1.0, 1.0], "euler_maruyama", 4, 7, (), T=0.1, h=0.01, threads=2)
+    assert str(info.value) == f"the worker stepping paths 2 to 3 was killed by signal " \
+                              f"{int(signal.SIGKILL)}"
+    assert len(forks) == 1
+    _no_children()
+
+
+def test_a_worker_that_exits_early_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                                        two_cpus):
+    parent, step_piece = os.getpid(), integrate._step_piece
+
+    def exits_in_worker(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return step_piece(*args)
+    monkeypatch.setattr(integrate, "_step_piece", exits_in_worker)
+    cfg = _write(tmp_path, seed=5, T=0.1, h=1e-2, n_paths=4, x0=[1.0, 0.0, 0.0],
+                 scheme="euler_maruyama", functionals=["norm2"],
+                 model={"name": "ell", "params": {"interpretation": "ito"}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "2"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "worker failed: the worker stepping paths 2 to 3 exited with status 3"]
+    assert list(out.iterdir()) == []
+    _no_children()
+
+
+def test_a_fork_that_raises_after_the_child_exists_leaves_no_worker(monkeypatch, two_cpus):
+    """As os.fork does on Python 3.12 and later in a process of several
+    threads, where a filter makes its DeprecationWarning an error."""
+    fork = os.fork
+
+    def raising():
+        if fork():
+            raise DeprecationWarning("use of fork() may lead to deadlocks in the child.")
+        return 0
+    monkeypatch.setattr(os, "fork", raising)
+    with pytest.raises(DeprecationWarning, match="may lead to deadlocks"):
+        run_ensemble(build_model("ell", interpretation="ito"), [1.0, 0.0, 0.0],
+                     "euler_maruyama", 4, 3, (), T=0.05, h=0.01, threads=2)
     _no_children()
